@@ -214,7 +214,14 @@ fn run_microloop(
             Some(witness) => {
                 feasible += 1;
                 digest.write(b"yes:");
-                for lambda in &witness {
+                // The digest folds one multiplier per column of the linear
+                // product list `[1, g_0, g_1, …]` (the chain premises are
+                // distinct and nonzero), zeros included.
+                let mut dense = vec![Rat::zero(); premises.len() + 1];
+                for (factors, lambda) in witness.terms() {
+                    dense[factors.first().map_or(0, |&i| i as usize + 1)] = lambda.clone();
+                }
+                for lambda in &dense {
                     write_rat(&mut digest, lambda);
                 }
             }

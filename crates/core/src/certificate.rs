@@ -2,8 +2,7 @@
 //!
 //! The two checks of Algorithm 1 produce slightly different artefacts; both
 //! are instances of the paper's BI-certificate `(U, BI, Θ)` (Section 4) and
-//! both are re-validated from scratch before the prover reports
-//! non-termination:
+//! both are validated before the prover reports non-termination:
 //!
 //! * **Check 1** returns a resolution of non-determinism `R_NA`, an initial
 //!   valuation `c` and an inductive predicate map `I` of the restricted
@@ -13,13 +12,31 @@
 //!   invariant `Ĩ` of the full system, a backward invariant `BI` of
 //!   `T^{r, Ĩ(ℓ_out)}_{R_NA}` and a concrete finite path of the original
 //!   system ending in a configuration of `¬BI`.
+//!
+//! # Validation in two halves
+//!
+//! A certificate's entailment obligations — consecution of its invariants,
+//! initiation, `Θ ⊆ BI(ℓ_out)` — are walked in one fixed order by
+//! `for_each_obligation`. *Evidence generation* discharges each of them
+//! with fresh, cache-free LPs and keeps what discharged it: the premise
+//! that matches an atom verbatim, or the sparse Farkas/Handelman
+//! multipliers ([`revterm_invgen::Discharge`]). The *exact check* walks the
+//! same obligations again and accepts each only if its evidence certifies
+//! it with `Poly`/`Rat` arithmetic, then replays the concrete conditions
+//! (Check 1's initial valuation, Check 2's witness path). It never calls the
+//! simplex, so a wrong "optimal" from the LP layer cannot produce a verdict.
+//!
+//! [`validate_certificate`] runs both halves. A [`crate::ProverSession`]
+//! memoizes evidence per certificate, so a certificate it meets again skips
+//! generation — but the check runs on every verdict: evidence may come from
+//! the session, the verdict never does.
 
 use crate::config::CheckKind;
-use revterm_invgen::{initiation_holds, is_inductive, predicate_entails};
+use revterm_invgen::{discharge_consecution, discharge_predicate, Discharge};
 use revterm_poly::Poly;
-use revterm_solver::{implies_false, EntailmentOptions};
+use revterm_solver::EntailmentOptions;
 use revterm_ts::interp::{is_initial_valuation, relation_holds, Config, Valuation};
-use revterm_ts::{Assertion, PredicateMap, Resolution, TransitionSystem};
+use revterm_ts::{Assertion, PredicateMap, PropPredicate, Resolution, TransitionSystem};
 use std::fmt;
 
 /// A certificate produced by Check 1.
@@ -137,53 +154,158 @@ impl fmt::Display for CertificateError {
 
 impl std::error::Error for CertificateError {}
 
-/// Validates a certificate against the transition system of the program.
+/// Validates a certificate against the transition system of the program:
+/// evidence generation followed by the exact check (see the module docs).
 ///
-/// This check is independent of the synthesis machinery: it only uses the
-/// exact entailment oracle and the concrete semantics, so a bug in the
-/// synthesis heuristics cannot silently produce an incorrect verdict.
+/// This check is independent of the synthesis machinery and of any session
+/// state: it only uses the exact entailment oracle, `Poly`/`Rat` arithmetic
+/// and the concrete semantics, so a bug in the synthesis heuristics cannot
+/// silently produce an incorrect verdict.
 pub fn validate_certificate(
     ts: &TransitionSystem,
     certificate: &NonTerminationCertificate,
     opts: &EntailmentOptions,
 ) -> Result<(), CertificateError> {
-    match certificate {
-        NonTerminationCertificate::Check1(c) => validate_check1(ts, c, opts),
-        NonTerminationCertificate::Check2(c) => validate_check2(ts, c, opts),
+    let evidence = generate_evidence(ts, certificate, opts)?;
+    check_evidence(ts, certificate, &evidence)
+}
+
+/// What discharges each entailment obligation of one certificate: one
+/// [`Discharge`] per obligation, in the order `for_each_obligation` visits
+/// them. Evidence only proposes; [`check_evidence`] decides.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Evidence {
+    pub(crate) discharges: Vec<Discharge>,
+}
+
+/// The key of a session's evidence memo: the certificate parts that fix its
+/// entailment obligations, and the options the evidence was generated
+/// under. Check 1's initial valuation and Check 2's witness path are not
+/// part of it — only the concrete checks read them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum EvidenceKey {
+    Check1(Resolution, PredicateMap, EntailmentOptions),
+    Check2(Resolution, PredicateMap, Assertion, PredicateMap, EntailmentOptions),
+}
+
+impl EvidenceKey {
+    pub(crate) fn of(certificate: &NonTerminationCertificate, opts: &EntailmentOptions) -> Self {
+        match certificate {
+            NonTerminationCertificate::Check1(c) => {
+                EvidenceKey::Check1(c.resolution.clone(), c.invariant.clone(), opts.clone())
+            }
+            NonTerminationCertificate::Check2(c) => EvidenceKey::Check2(
+                c.resolution.clone(),
+                c.tilde_invariant.clone(),
+                c.theta.clone(),
+                c.backward_invariant.clone(),
+                opts.clone(),
+            ),
+        }
     }
 }
 
-fn validate_check1(
+/// The first half of validation: discharges every entailment obligation of
+/// `certificate` with fresh LPs (no session cache is involved) and keeps the
+/// evidence, or reports the first obligation that does not hold.
+pub(crate) fn generate_evidence(
     ts: &TransitionSystem,
-    cert: &Check1Certificate,
+    certificate: &NonTerminationCertificate,
     opts: &EntailmentOptions,
+) -> Result<Evidence, CertificateError> {
+    let mut discharges = Vec::new();
+    for_each_obligation(ts, certificate, &mut |premises, target| {
+        discharge_predicate(premises, target, opts).map(|d| discharges.push(d)).is_some()
+    })?;
+    discharges.shrink_to_fit();
+    Ok(Evidence { discharges })
+}
+
+/// The second half of validation, with no LP: every obligation of
+/// `certificate` must be certified by its discharge in `evidence`, no
+/// discharge may be left over, and the concrete conditions must hold.
+pub(crate) fn check_evidence(
+    ts: &TransitionSystem,
+    certificate: &NonTerminationCertificate,
+    evidence: &Evidence,
 ) -> Result<(), CertificateError> {
-    let restricted = ts.restrict(&cert.resolution);
-    // (1) I(ℓ_out) must be empty.
-    if !cert.invariant.at(restricted.terminal_loc()).is_empty() {
-        return Err(CertificateError::NotInductive("I(ℓ_out) must be the empty predicate".into()));
-    }
-    // (2) I must be inductive for the restricted system, where transitions
-    //     into ℓ_out are blocked: their premises must be unsatisfiable.
-    let into_terminal: Vec<usize> = restricted
-        .transitions_to(restricted.terminal_loc())
-        .filter(|t| t.source != restricted.terminal_loc())
-        .map(|t| t.id)
-        .collect();
-    if let Err(v) = is_inductive(&restricted, &cert.invariant, opts, &into_terminal) {
-        return Err(CertificateError::NotInductive(v.to_string()));
-    }
-    for &tid in &into_terminal {
-        let t = restricted.transition(tid);
-        for disjunct in cert.invariant.at(t.source).disjuncts() {
-            let mut premises: Vec<Poly> = disjunct.atoms().to_vec();
-            premises.extend(t.relation.atoms().iter().cloned());
-            if !implies_false(&premises, opts) {
-                return Err(CertificateError::TerminalReachable(tid));
+    let mut discharges = evidence.discharges.iter();
+    for_each_obligation(ts, certificate, &mut |premises, target| {
+        discharges.next().is_some_and(|d| d.certifies(premises, target))
+    })?;
+    if discharges.next().is_some() {
+        let surplus = "the evidence has more discharges than the certificate has obligations";
+        return Err(match certificate {
+            NonTerminationCertificate::Check1(_) => CertificateError::NotInductive(surplus.into()),
+            NonTerminationCertificate::Check2(_) => {
+                CertificateError::BackwardNotInvariant(surplus.into())
             }
+        });
+    }
+    match certificate {
+        NonTerminationCertificate::Check1(c) => check_initial_valuation(ts, c),
+        NonTerminationCertificate::Check2(c) => check_witness_path(ts, c),
+    }
+}
+
+/// Walks the entailment obligations of `certificate` — premises and the
+/// predicate they must entail — in one fixed order, and maps the first one
+/// `discharge` rejects to the certificate condition it belongs to.
+fn for_each_obligation(
+    ts: &TransitionSystem,
+    certificate: &NonTerminationCertificate,
+    discharge: &mut dyn FnMut(&[Poly], &PropPredicate) -> bool,
+) -> Result<(), CertificateError> {
+    match certificate {
+        NonTerminationCertificate::Check1(cert) => {
+            let restricted = ts.restrict(&cert.resolution);
+            let terminal = restricted.terminal_loc();
+            // (1) I(ℓ_out) must be empty.
+            if !cert.invariant.at(terminal).is_empty() {
+                return Err(CertificateError::NotInductive(
+                    "I(ℓ_out) must be the empty predicate".into(),
+                ));
+            }
+            // (2) I must be inductive for the restricted system.  As
+            //     I(ℓ_out) = ∅, the obligation of a transition into ℓ_out
+            //     says that it is blocked: its premises are unsatisfiable.
+            discharge_consecution(&restricted, &cert.invariant, |_| true, discharge).map_err(|v| {
+                if restricted.transition(v.transition_id).target == terminal {
+                    CertificateError::TerminalReachable(v.transition_id)
+                } else {
+                    CertificateError::NotInductive(v.to_string())
+                }
+            })
+        }
+        NonTerminationCertificate::Check2(cert) => {
+            // (1) Ĩ is an invariant of T (inductive + initiation), so
+            //     Θ = Ĩ(ℓ_out) over-approximates the reachable terminal
+            //     valuations.
+            discharge_consecution(ts, &cert.tilde_invariant, |_| true, &mut *discharge)
+                .map_err(|v| CertificateError::TildeNotInvariant(v.to_string()))?;
+            if !discharge(ts.init_assertion().atoms(), cert.tilde_invariant.at(ts.init_loc())) {
+                return Err(CertificateError::TildeNotInvariant("initiation fails".into()));
+            }
+            // (2) BI is an inductive backward invariant of U^{r,Θ}.
+            let reversed = ts.restrict(&cert.resolution).reverse(cert.theta.clone());
+            discharge_consecution(&reversed, &cert.backward_invariant, |_| true, &mut *discharge)
+                .map_err(|v| CertificateError::BackwardNotInvariant(v.to_string()))?;
+            if !discharge(cert.theta.atoms(), cert.backward_invariant.at(reversed.init_loc())) {
+                return Err(CertificateError::BackwardNotInvariant(
+                    "Θ is not contained in BI(ℓ_out)".into(),
+                ));
+            }
+            Ok(())
         }
     }
-    // (3) The initial valuation satisfies Θ_init and lies in I(ℓ_init).
+}
+
+/// Check 1's concrete condition: the initial valuation satisfies `Θ_init`
+/// and lies in `I(ℓ_init)`.
+fn check_initial_valuation(
+    ts: &TransitionSystem,
+    cert: &Check1Certificate,
+) -> Result<(), CertificateError> {
     if !is_initial_valuation(ts, &cert.initial)
         || !cert.invariant.at(ts.init_loc()).holds_int(&cert.initial.assignment())
     {
@@ -192,32 +314,12 @@ fn validate_check1(
     Ok(())
 }
 
-fn validate_check2(
+/// Check 2's concrete condition: the witness path is a genuine path of `T`
+/// from an initial configuration to a configuration in `¬BI`.
+fn check_witness_path(
     ts: &TransitionSystem,
     cert: &Check2Certificate,
-    opts: &EntailmentOptions,
 ) -> Result<(), CertificateError> {
-    // (1) Ĩ is an invariant of T (inductive + initiation), so Θ = Ĩ(ℓ_out)
-    //     over-approximates the reachable terminal valuations.
-    if let Err(v) = is_inductive(ts, &cert.tilde_invariant, opts, &[]) {
-        return Err(CertificateError::TildeNotInvariant(v.to_string()));
-    }
-    if !initiation_holds(ts, &cert.tilde_invariant, opts) {
-        return Err(CertificateError::TildeNotInvariant("initiation fails".into()));
-    }
-    // (2) BI is an inductive backward invariant of U^{r,Θ}.
-    let reversed = ts.restrict(&cert.resolution).reverse(cert.theta.clone());
-    if let Err(v) = is_inductive(&reversed, &cert.backward_invariant, opts, &[]) {
-        return Err(CertificateError::BackwardNotInvariant(v.to_string()));
-    }
-    if !predicate_entails(cert.theta.atoms(), cert.backward_invariant.at(reversed.init_loc()), opts)
-    {
-        return Err(CertificateError::BackwardNotInvariant(
-            "Θ is not contained in BI(ℓ_out)".into(),
-        ));
-    }
-    // (3) The witness path is a genuine path of T from an initial
-    //     configuration to a configuration in ¬BI.
     let path = &cert.witness_path;
     if path.is_empty() {
         return Err(CertificateError::BadWitnessPath("empty path".into()));
@@ -252,17 +354,36 @@ fn validate_check2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProverConfig;
+    use revterm_invgen::AtomProof;
     use revterm_lang::parse_program;
+    use revterm_num::Rat;
     use revterm_poly::Var;
-    use revterm_ts::{lower, PropPredicate};
+    use revterm_solver::Combination;
+    use revterm_ts::lower;
 
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
 
+    /// The curated suite's `paper_fig2_small`.
+    const FIG2_SMALL: &str = "n := 0; b := 0; u := 0; \
+        while b == 0 and n <= 3 do \
+          u := ndet(); \
+          if u <= -1 then b := -1; elseif u == 0 then b := 0; else b := 1; fi \
+          n := n + 1; \
+          if n >= 4 and b >= 1 then while true do skip; od fi \
+        od";
+
     /// Builds the Example 5.4 certificate by hand.
     fn example_54_certificate(ts: &TransitionSystem) -> Check1Certificate {
+        example_54_certificate_resolving_to(ts, 9)
+    }
+
+    /// The Example 5.4 certificate with `x := ndet()` resolved to
+    /// `x := value` (valid for every `value >= 9`).
+    fn example_54_certificate_resolving_to(ts: &TransitionSystem, value: i64) -> Check1Certificate {
         let ndet_id = ts.ndet_transitions().next().unwrap().id;
-        let resolution = Resolution::from_pairs([(ndet_id, Poly::constant_i64(9))]);
+        let resolution = Resolution::from_pairs([(ndet_id, Poly::constant_i64(value))]);
         let mut invariant = PredicateMap::unsatisfiable(ts.num_locs());
         let x = Poly::var(Var(0));
         for loc in ts.locations() {
@@ -337,5 +458,120 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CertificateError::BadWitnessPath(_)));
+    }
+
+    /// The Check 2 certificate the prover finds for `paper_fig2_small` with
+    /// template `(c, 1, 1)`.
+    fn fig2_small_certificate(ts: &TransitionSystem, c: usize) -> NonTerminationCertificate {
+        let config = ProverConfig::builder().check(CheckKind::Check2).template(c, 1, 1).build();
+        let result = crate::prove(ts, &config);
+        result.certificate().expect("Check 2 proves paper_fig2_small").clone()
+    }
+
+    /// `evidence` with `edit` applied to the first term whose factors satisfy
+    /// `pick`, in the first combination that has one.
+    fn tamper_term(
+        evidence: &Evidence,
+        pick: impl Fn(&[u32]) -> bool,
+        edit: impl Fn(&mut Vec<u32>, &mut Rat),
+    ) -> Evidence {
+        let mut tampered = evidence.clone();
+        let combination = tampered
+            .discharges
+            .iter_mut()
+            .flat_map(|discharge| match discharge {
+                Discharge::Unsat(c) => vec![c],
+                Discharge::Disjunct { atoms, .. } => atoms
+                    .iter_mut()
+                    .filter_map(|proof| match proof {
+                        AtomProof::Farkas(c) => Some(c),
+                        AtomProof::Premise(_) => None,
+                    })
+                    .collect(),
+            })
+            .find(|c| c.terms().any(|(factors, _)| pick(factors)))
+            .expect("the evidence has a term to tamper with");
+        let mut rebuilt = Combination::new();
+        let mut edited = false;
+        for (factors, lambda) in combination.terms() {
+            let (mut factors, mut lambda) = (factors.to_vec(), lambda.clone());
+            if !edited && pick(&factors) {
+                edit(&mut factors, &mut lambda);
+                edited = true;
+            }
+            rebuilt.push(&factors, lambda);
+        }
+        *combination = rebuilt;
+        tampered
+    }
+
+    /// Valid evidence with one defect each, labelled.
+    fn tampered_variants(evidence: &Evidence) -> Vec<(&'static str, Evidence)> {
+        let seventh = Rat::packed(1, 7);
+        let mut variants = vec![
+            ("a negative λ", tamper_term(evidence, |_| true, |_, l| *l = -l.clone())),
+            ("λ + 1/7", tamper_term(evidence, |_| true, |_, l| *l = &*l + &seventh)),
+            (
+                "a premise index out of range",
+                tamper_term(evidence, |f| !f.is_empty(), |f, _| f[0] = 1 << 20),
+            ),
+        ];
+        let mut wrong_disjunct = evidence.clone();
+        let index = wrong_disjunct
+            .discharges
+            .iter_mut()
+            .find_map(|d| match d {
+                Discharge::Disjunct { index, .. } => Some(index),
+                Discharge::Unsat(_) => None,
+            })
+            .expect("the evidence discharges a disjunct");
+        *index += 1;
+        variants.push(("the wrong disjunct index", wrong_disjunct));
+        for position in [0, evidence.discharges.len() / 2, evidence.discharges.len() - 1] {
+            let mut dropped = evidence.clone();
+            dropped.discharges.remove(position);
+            variants.push(("one obligation dropped", dropped));
+        }
+        variants
+    }
+
+    /// Checks `certificate` against its own evidence, against every tampered
+    /// variant of it, and against the evidence of `other`, a different valid
+    /// certificate of the same program.
+    fn assert_checker_rejects_tampering(
+        ts: &TransitionSystem,
+        certificate: &NonTerminationCertificate,
+        other: &NonTerminationCertificate,
+    ) {
+        let opts = EntailmentOptions::default();
+        let evidence = generate_evidence(ts, certificate, &opts).unwrap();
+        assert_eq!(check_evidence(ts, certificate, &evidence), Ok(()));
+        for (defect, tampered) in tampered_variants(&evidence) {
+            assert_ne!(tampered, evidence, "{defect}: the variant is unchanged");
+            assert!(check_evidence(ts, certificate, &tampered).is_err(), "{defect} was accepted");
+        }
+        assert_ne!(EvidenceKey::of(certificate, &opts), EvidenceKey::of(other, &opts));
+        let foreign = generate_evidence(ts, other, &opts).unwrap();
+        assert_eq!(check_evidence(ts, other, &foreign), Ok(()));
+        assert!(
+            check_evidence(ts, certificate, &foreign).is_err(),
+            "evidence of another certificate was accepted"
+        );
+    }
+
+    #[test]
+    fn check1_evidence_checker_rejects_tampering() {
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let cert = NonTerminationCertificate::Check1(example_54_certificate(&ts));
+        let other = NonTerminationCertificate::Check1(example_54_certificate_resolving_to(&ts, 10));
+        assert_checker_rejects_tampering(&ts, &cert, &other);
+    }
+
+    #[test]
+    fn check2_evidence_checker_rejects_tampering() {
+        let ts = lower(&parse_program(FIG2_SMALL).unwrap()).unwrap();
+        // A wider template finds a different Θ and BI for the same program.
+        let (cert, other) = (fig2_small_certificate(&ts, 1), fig2_small_certificate(&ts, 2));
+        assert_checker_rejects_tampering(&ts, &cert, &other);
     }
 }

@@ -69,10 +69,13 @@
 //! (see the `session_vs_fresh` harness in `revterm-bench`).
 //!
 //! Every `NonTerminating` verdict carries a [`NonTerminationCertificate`]
-//! that has already been re-validated by an independent exact checker
-//! ([`validate_certificate`]); the prover never reports non-termination on
-//! the basis of an unchecked synthesis result.  Certificate validation never
-//! goes through the session caches.
+//! that has already been validated ([`validate_certificate`]); the prover
+//! never reports non-termination on the basis of an unchecked synthesis
+//! result.  Validation is evidence generation — the Farkas/Handelman
+//! multipliers of every obligation, found with cold LPs — followed by an
+//! exact check of that evidence with `Poly`/`Rat` arithmetic alone.  The
+//! multipliers may come from the session, which memoizes them per
+//! certificate; the exact check never does, and it runs on every verdict.
 
 #![warn(missing_docs)]
 

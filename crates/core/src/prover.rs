@@ -5,7 +5,7 @@
 //! open a one-shot [`crate::ProverSession`]; new code should use a session
 //! directly so that derived artifacts are shared across configurations.
 
-use crate::certificate::{validate_certificate, NonTerminationCertificate};
+use crate::certificate::NonTerminationCertificate;
 use crate::check1::check1_cached;
 use crate::check2::check2_cached;
 use crate::config::{Budget, CheckKind, ProverConfig};
@@ -119,9 +119,9 @@ impl ProofResult {
     }
 }
 
-/// Runs one configuration against the session caches, re-validating any
-/// candidate certificate with the independent (uncached) oracle before
-/// reporting non-termination.
+/// Runs one configuration against the session caches, validating any
+/// candidate certificate — evidence from the session memo or freshly
+/// generated, then the exact check — before reporting non-termination.
 pub(crate) fn prove_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
@@ -137,7 +137,7 @@ pub(crate) fn prove_cached(
         CheckKind::Check2 => check2_cached(ts, config, caches, &mut stats, &guard),
     };
     let verdict = match candidate {
-        Ok(Some(cert)) => match validate_certificate(ts, &cert, &config.entailment) {
+        Ok(Some(cert)) => match caches.validate(ts, &cert, &config.entailment, &mut stats) {
             Ok(()) => Verdict::NonTerminating(Box::new(cert)),
             Err(_) => Verdict::Unknown,
         },
@@ -153,9 +153,9 @@ pub(crate) fn prove_cached(
 /// Proves non-termination of a transition system with a single configuration.
 ///
 /// A `NonTerminating` verdict is only returned after the certificate produced
-/// by the check has been independently re-validated; if validation fails
-/// (which would indicate a bug in the synthesis heuristics) the verdict is
-/// downgraded to `Unknown`.
+/// by the check has been validated ([`crate::validate_certificate`]); if
+/// validation fails (which would indicate a bug in the synthesis heuristics)
+/// the verdict is downgraded to `Unknown`.
 ///
 /// Deprecated-style wrapper: this is exactly one cold
 /// [`ProverSession::prove`] call.  Prefer opening a session when proving the

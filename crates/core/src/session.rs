@@ -14,17 +14,24 @@
 //!
 //! Every cache is a pure memo table: a sessioned run returns *bitwise
 //! identical* verdicts and certificates to fresh per-configuration runs, only
-//! faster.  Certificate validation is deliberately **not** routed through the
-//! session caches — a `NonTerminating` verdict is still re-checked by the
-//! independent, uncached oracle.
+//! faster.  Certificate validation splits in two halves (see
+//! [`crate::validate_certificate`]): the session memoizes the *evidence* —
+//! the Farkas/Handelman multipliers that discharge a certificate's
+//! obligations — so a certificate met again skips the LPs that find them;
+//! the *exact check* of that evidence never goes through a cache, and it
+//! runs on every `NonTerminating` verdict.
 
+use crate::certificate::{
+    check_evidence, generate_evidence, CertificateError, Evidence, EvidenceKey,
+    NonTerminationCertificate,
+};
 use crate::config::ProverConfig;
 use crate::prover::{prove_cached, ProofResult};
 use crate::sweep::{ConfigOutcome, SweepReport};
 use revterm_invgen::{PoolCache, SampleSet};
 use revterm_lang::Program;
 use revterm_safety::SearchBounds;
-use revterm_solver::{BasisCache, EntailmentCache, LpStats};
+use revterm_solver::{BasisCache, EntailmentCache, EntailmentOptions, LpStats};
 use revterm_ts::interp::{Config, Valuation};
 use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
@@ -47,8 +54,10 @@ pub struct ProveStats {
     /// Invariant-synthesis (Houdini) invocations.
     pub synthesis_calls: usize,
     /// Entailment-oracle queries routed through the session memo (including
-    /// ones answered from it; certificate validation is deliberately
-    /// uncached and not counted here).
+    /// ones answered from it).  Certificate validation is not counted here:
+    /// its evidence comes from the session's evidence memo (counted as an
+    /// artifact) or from fresh LPs outside the entailment memo, and its
+    /// exact check needs no oracle.
     pub entailment_calls: u64,
     /// Entailment queries answered from the session memo table.
     pub entailment_cache_hits: u64,
@@ -57,7 +66,8 @@ pub struct ProveStats {
     /// Interpreter probe computations that had to run.
     pub probe_cache_misses: u64,
     /// Derived artifacts (resolution lists, initial valuations, restricted
-    /// and reversed systems, reachable samples, `Ĩ`/`Θ`) served from cache.
+    /// and reversed systems, reachable samples, `Ĩ`/`Θ`, certificate
+    /// evidence) served from cache.
     pub artifact_cache_hits: u64,
     /// Derived artifacts that had to be computed.
     pub artifact_cache_misses: u64,
@@ -227,9 +237,37 @@ pub(crate) struct Caches {
     /// The interval/sign pre-analysis of the base system, computed on first
     /// use (see [`ProverSession::abstract_state`]).
     pub absint: Option<revterm_absint::AbstractState>,
+    /// Evidence of the certificates this session has validated, keyed by
+    /// the certificate parts that fix their obligations.  It supplies
+    /// multipliers, never a verdict: see [`Caches::validate`].
+    pub evidence: HashMap<EvidenceKey, Evidence>,
 }
 
 impl Caches {
+    /// Validates a candidate certificate: evidence from the memo, or freshly
+    /// generated (with cold LPs that touch neither the entailment memo nor
+    /// the basis cache) and memoized once it passes; then the exact check,
+    /// which runs on every call — so a wrong memo entry can only turn a
+    /// verdict into a rejection, never into a proof.
+    pub(crate) fn validate(
+        &mut self,
+        ts: &TransitionSystem,
+        certificate: &NonTerminationCertificate,
+        opts: &EntailmentOptions,
+        stats: &mut ProveStats,
+    ) -> Result<(), CertificateError> {
+        let key = EvidenceKey::of(certificate, opts);
+        if let Some(evidence) = self.evidence.get(&key) {
+            stats.artifact_cache_hits += 1;
+            return check_evidence(ts, certificate, evidence);
+        }
+        stats.artifact_cache_misses += 1;
+        let evidence = generate_evidence(ts, certificate, opts)?;
+        check_evidence(ts, certificate, &evidence)?;
+        self.evidence.insert(key, evidence);
+        Ok(())
+    }
+
     /// The candidate resolutions for `config`, memoized.
     pub(crate) fn resolutions_for(
         &mut self,
@@ -377,8 +415,8 @@ impl ProverSession {
     /// artifact previous calls on this session have already computed.
     ///
     /// Behaves exactly like the free function [`crate::prove`] (including
-    /// the independent certificate re-validation), except faster when the
-    /// session is warm.  The returned [`ProofResult::stats`] describe this
+    /// the exact check of the certificate), except faster when the session
+    /// is warm.  The returned [`ProofResult::stats`] describe this
     /// call's work and cache effectiveness.
     pub fn prove(&mut self, config: &ProverConfig) -> ProofResult {
         let result = prove_cached(&self.ts, config, &mut self.caches);
@@ -566,6 +604,41 @@ mod tests {
             first.stats.entailment_calls + warm.stats.entailment_calls
         );
         assert!(agg.total_cache_hits() >= warm.stats.total_cache_hits());
+    }
+
+    #[test]
+    fn evidence_memo_supplies_multipliers_but_never_a_verdict() {
+        use revterm_invgen::Discharge;
+        let config = ProverConfig::default();
+        let fresh = |plant: &dyn Fn(&mut Evidence)| {
+            let mut session = ProverSession::from_source(RUNNING).unwrap();
+            let first = session.prove(&config);
+            assert!(first.is_non_terminating());
+            assert_eq!(session.caches.evidence.len(), 1);
+            session.caches.evidence.values_mut().for_each(plant);
+            session.prove(&config)
+        };
+        // Untouched evidence is reused: the second prove checks it again
+        // without generating it, and reaches the same verdict.
+        let reused = fresh(&|_| {});
+        assert!(reused.is_non_terminating());
+        assert_eq!(reused.stats.artifact_cache_misses, 0, "stats: {:?}", reused.stats);
+        // Wrong evidence in the memo makes the next prove end Unknown: the
+        // exact check still runs on every verdict.
+        let planted: [&dyn Fn(&mut Evidence); 2] = [
+            &|evidence| {
+                evidence.discharges.pop();
+            },
+            &|evidence| {
+                for discharge in &mut evidence.discharges {
+                    *discharge = Discharge::Unsat(revterm_solver::Combination::new());
+                }
+            },
+        ];
+        for plant in planted {
+            let result = fresh(plant);
+            assert!(matches!(result.verdict, crate::Verdict::Unknown), "{:?}", result.verdict);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Guess-and-check (Houdini-style) synthesis of inductive predicate maps.
 
 use crate::atoms::{candidate_atoms_cached, PoolCache, SampleSet, TemplateParams};
-use crate::verify::{is_inductive, predicate_entails};
+use crate::verify::{adaptive_opts, is_inductive, predicate_entails};
 use revterm_absint::{close_premises, PremiseClosure};
 use revterm_poly::Poly;
 use revterm_solver::{BasisCache, EntailmentCache, EntailmentOptions};
@@ -248,7 +248,7 @@ pub fn synthesize_invariant_budgeted(
                     entail.entails(
                         &premises,
                         primed,
-                        &adaptive(&premises, primed, &options.entailment),
+                        &adaptive_opts(&premises, primed.total_degree(), &options.entailment),
                         lp_basis,
                     )
                 })
@@ -259,7 +259,7 @@ pub fn synthesize_invariant_budgeted(
                 // the premises are contradictory the obligations hold anyway.
                 if entail.implies_false(
                     &premises,
-                    &adaptive(&premises, &Poly::one(), &options.entailment),
+                    &adaptive_opts(&premises, 0, &options.entailment),
                     lp_basis,
                 ) {
                     continue;
@@ -299,22 +299,6 @@ pub fn synthesize_invariant_budgeted(
         "houdini result must be inductive"
     );
     Some(map)
-}
-
-fn adaptive(premises: &[Poly], conclusion: &Poly, base: &EntailmentOptions) -> EntailmentOptions {
-    let deg = premises
-        .iter()
-        .map(|p| p.total_degree())
-        .chain(std::iter::once(conclusion.total_degree()))
-        .max()
-        .unwrap_or(0);
-    if deg <= 1 {
-        // Restrict only the product budget; non-budget fields (unsat
-        // fallback, the LP-engine selector) keep the caller's values.
-        base.linearized()
-    } else {
-        base.clone()
-    }
 }
 
 /// Convenience: checks whether the synthesized map, together with the

@@ -18,8 +18,9 @@
 //!    Farkas/Handelman entailment oracle of `revterm-solver`, until the
 //!    remaining predicate map is inductive;
 //! 4. the result is re-checked by an independent verifier ([`is_inductive`],
-//!    [`initiation_holds`]) — the same verifier that the core crate uses to
-//!    validate whole BI-certificates.
+//!    [`initiation_holds`]), whose obligation enumeration
+//!    ([`discharge_consecution`]) the core crate also walks to validate whole
+//!    BI-certificates, with evidence ([`Discharge`]) it checks without an LP.
 //!
 //! Everything is exact: a predicate map returned by this crate is inductive
 //! by construction *and* by verification.
@@ -38,4 +39,7 @@ pub use houdini::{
     invariant_implies_at, synthesize_invariant, synthesize_invariant_budgeted,
     synthesize_invariant_cached, SynthesisBudget, SynthesisOptions,
 };
-pub use verify::{initiation_holds, is_inductive, predicate_entails, InductivenessViolation};
+pub use verify::{
+    discharge_consecution, discharge_predicate, initiation_holds, is_inductive, predicate_entails,
+    AtomProof, Discharge, InductivenessViolation,
+};

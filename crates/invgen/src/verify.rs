@@ -1,12 +1,18 @@
 //! Exact verification of invariance conditions.
 //!
-//! These checks are used both inside the synthesis loop and, independently,
-//! by the core crate to validate complete BI-certificates before a
-//! non-termination verdict is reported.
+//! [`discharge_consecution`] is the one enumeration of a predicate map's
+//! consecution obligations. [`is_inductive`] answers them with
+//! [`predicate_entails`] inside the synthesis loop; the core crate's
+//! certificate validation answers them twice — once generating each
+//! obligation's [`Discharge`] with the LP-backed oracle
+//! ([`discharge_predicate`]), once re-checking that evidence without an LP
+//! ([`Discharge::certifies`]).
 
 use revterm_poly::Poly;
-use revterm_solver::{entails, implies_false, EntailmentOptions};
-use revterm_ts::{PredicateMap, PropPredicate, TransitionSystem};
+use revterm_solver::{
+    entails_with_witness, implies_false_with_witness, Combination, EntailmentOptions,
+};
+use revterm_ts::{PredicateMap, PropPredicate, Transition, TransitionSystem};
 use std::fmt;
 
 /// A witness that a predicate map is not inductive: the transition and the
@@ -32,7 +38,10 @@ impl fmt::Display for InductivenessViolation {
 /// Chooses entailment options adequate for the degrees involved: purely
 /// linear obligations use plain Farkas (fast), anything non-linear uses the
 /// configured Handelman budget.
-fn adaptive_opts(
+///
+/// Farkas' lemma is complete for linear systems, so linearizing an all-linear
+/// query never changes its answer, only the size of its LP.
+pub(crate) fn adaptive_opts(
     premises: &[Poly],
     conclusion_degree: u32,
     base: &EntailmentOptions,
@@ -40,11 +49,85 @@ fn adaptive_opts(
     let max_premise_degree = premises.iter().map(|p| p.total_degree()).max().unwrap_or(0);
     if max_premise_degree <= 1 && conclusion_degree <= 1 {
         // Restrict only the product budget; non-budget fields (unsat
-        // fallback, the dense-LP differential knob) keep the caller's values.
+        // fallback, the LP-engine selector) keep the caller's values.
         base.linearized()
     } else {
         base.clone()
     }
+}
+
+/// How one atom of a disjunct follows from the premises.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AtomProof {
+    /// The atom is premise `i`, verbatim.
+    Premise(usize),
+    /// A combination of premise products summing to the atom (or to `−1`).
+    Farkas(Combination),
+}
+
+/// The evidence that premises entail a propositional predicate, as
+/// [`discharge_predicate`] finds it. [`Discharge::certifies`] re-checks it
+/// with `Poly`/`Rat` arithmetic alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Discharge {
+    /// Every atom of disjunct `index` of the predicate follows.
+    Disjunct {
+        /// Which disjunct.
+        index: usize,
+        /// One proof per atom of the disjunct, in atom order.
+        atoms: Vec<AtomProof>,
+    },
+    /// The premises are unsatisfiable: a combination summing to `−1`.
+    Unsat(Combination),
+}
+
+impl Discharge {
+    /// Checks, without an LP, that this evidence proves that `premises`
+    /// entail `predicate`.
+    pub fn certifies(&self, premises: &[Poly], predicate: &PropPredicate) -> bool {
+        match self {
+            Discharge::Disjunct { index, atoms } => {
+                let Some(disjunct) = predicate.disjuncts().get(*index) else { return false };
+                disjunct.atoms().len() == atoms.len()
+                    && disjunct.atoms().iter().zip(atoms).all(|(atom, proof)| match proof {
+                        AtomProof::Premise(i) => premises.get(*i) == Some(atom),
+                        AtomProof::Farkas(combination) => combination.certifies(premises, atom),
+                    })
+            }
+            Discharge::Unsat(combination) => {
+                combination.certifies(premises, &Poly::constant_i64(-1))
+            }
+        }
+    }
+}
+
+/// Discharges `premises ⟹ predicate`: the first disjunct all of whose atoms
+/// follow (an atom that is itself a premise needs no LP), else a refutation
+/// of the premises — unsatisfiable premises entail anything, including the
+/// empty predicate. Returns the evidence, or `None` if neither is found.
+pub fn discharge_predicate(
+    premises: &[Poly],
+    predicate: &PropPredicate,
+    opts: &EntailmentOptions,
+) -> Option<Discharge> {
+    'disjuncts: for (index, disjunct) in predicate.disjuncts().iter().enumerate() {
+        let mut atoms = Vec::with_capacity(disjunct.atoms().len());
+        for atom in disjunct.atoms() {
+            let proof = match premises.iter().position(|p| p == atom) {
+                Some(i) => AtomProof::Premise(i),
+                None => {
+                    let opts = adaptive_opts(premises, atom.total_degree(), opts);
+                    match entails_with_witness(premises, atom, &opts) {
+                        Some(combination) => AtomProof::Farkas(combination),
+                        None => continue 'disjuncts,
+                    }
+                }
+            };
+            atoms.push(proof);
+        }
+        return Some(Discharge::Disjunct { index, atoms });
+    }
+    implies_false_with_witness(premises, &adaptive_opts(premises, 1, opts)).map(Discharge::Unsat)
 }
 
 /// Checks whether the premises entail a propositional predicate, i.e. entail
@@ -54,35 +137,27 @@ pub fn predicate_entails(
     predicate: &PropPredicate,
     opts: &EntailmentOptions,
 ) -> bool {
-    for disjunct in predicate.disjuncts() {
-        let all = disjunct.atoms().iter().all(|atom| {
-            // Syntactic short-circuit: the conclusion already appears verbatim.
-            premises.contains(atom)
-                || entails(premises, atom, &adaptive_opts(premises, atom.total_degree(), opts))
-        });
-        if all {
-            return true;
-        }
-    }
-    // Unsatisfiable premises entail anything (including the empty predicate).
-    implies_false(premises, &adaptive_opts(premises, 1, opts))
+    discharge_predicate(premises, predicate, opts).is_some()
 }
 
-/// Checks that a predicate map is inductive for a transition system
-/// (Section 2): for every transition `(ℓ, ℓ', ρ)` and every disjunct `A` of
-/// `I(ℓ)`, the premises `A(x) ∧ ρ(x, x')` entail `I(ℓ')(x')`.
+/// Runs `discharge` on the consecution obligations of `map` over the
+/// transitions of `ts` that `include` selects, and returns the first one it
+/// rejects.
 ///
-/// Returns the first violation found, or `Ok(())` if the map is inductive.
-/// Transitions whose id is in `skip_transitions` are not checked (used by
-/// Check 1, which handles transitions into `ℓ_out` separately).
-pub fn is_inductive(
+/// For a transition `(ℓ, ℓ', ρ)` and a disjunct `A` of `I(ℓ)`, the
+/// obligation is that the premises `A(x) ∧ ρ(x, x')` entail `I(ℓ')(x')`.
+/// Obligations come in transition order, then disjunct order, and each one's
+/// premises are built only when its turn comes. A location whose predicate
+/// is `false` (no disjuncts) imposes no obligations from itself.
+pub fn discharge_consecution(
     ts: &TransitionSystem,
     map: &PredicateMap,
-    opts: &EntailmentOptions,
-    skip_transitions: &[usize],
+    include: impl Fn(&Transition) -> bool,
+    mut discharge: impl FnMut(&[Poly], &PropPredicate) -> bool,
 ) -> Result<(), InductivenessViolation> {
     for t in ts.transitions() {
-        if skip_transitions.contains(&t.id) {
+        let disjuncts = map.at(t.source).disjuncts();
+        if disjuncts.is_empty() || !include(t) {
             continue;
         }
         let target_pred_primed = map.at(t.target).rename(&|v| {
@@ -92,18 +167,36 @@ pub fn is_inductive(
                 v
             }
         });
-        for (j, disjunct) in map.at(t.source).disjuncts().iter().enumerate() {
+        for (j, disjunct) in disjuncts.iter().enumerate() {
             let mut premises: Vec<Poly> = disjunct.atoms().to_vec();
             premises.extend(t.relation.atoms().iter().cloned());
-            if !predicate_entails(&premises, &target_pred_primed, opts) {
+            if !discharge(&premises, &target_pred_primed) {
                 return Err(InductivenessViolation { transition_id: t.id, disjunct_index: j });
             }
         }
-        // A location whose predicate is `false` (no disjuncts) imposes no
-        // consecution obligations from itself, which the loop above already
-        // reflects (there are no disjuncts to iterate).
     }
     Ok(())
+}
+
+/// Checks that a predicate map is inductive for a transition system
+/// (Section 2): for every transition `(ℓ, ℓ', ρ)` and every disjunct `A` of
+/// `I(ℓ)`, the premises `A(x) ∧ ρ(x, x')` entail `I(ℓ')(x')`.
+///
+/// Returns the first violation found, or `Ok(())` if the map is inductive.
+/// Transitions whose id is in `skip_transitions` are not checked (used by
+/// the Houdini loop, whose forced-`false` location is handled separately).
+pub fn is_inductive(
+    ts: &TransitionSystem,
+    map: &PredicateMap,
+    opts: &EntailmentOptions,
+    skip_transitions: &[usize],
+) -> Result<(), InductivenessViolation> {
+    discharge_consecution(
+        ts,
+        map,
+        |t| !skip_transitions.contains(&t.id),
+        |premises, target| predicate_entails(premises, target, opts),
+    )
 }
 
 /// Checks the initiation condition: `Θ_init ⟹ I(ℓ_init)`.
@@ -146,6 +239,54 @@ mod tests {
         assert!(predicate_entails(&unsat, &PropPredicate::unsatisfiable(), &opts));
         // Satisfiable premises never entail the empty predicate.
         assert!(!predicate_entails(&[x()], &PropPredicate::unsatisfiable(), &opts));
+    }
+
+    #[test]
+    fn discharges_certify_exactly_their_predicate() {
+        let opts = EntailmentOptions::default();
+        // x >= 5 entails (x >= 0) \/ (x <= -10) through its first disjunct.
+        let pred = PropPredicate::from_disjuncts([
+            Assertion::ge_zero(x()),
+            Assertion::ge_zero(-x() - Poly::constant_i64(10)),
+        ]);
+        let premises = [x() - Poly::constant_i64(5)];
+        let discharge = discharge_predicate(&premises, &pred, &opts).unwrap();
+        assert!(matches!(discharge, Discharge::Disjunct { index: 0, .. }));
+        assert!(discharge.certifies(&premises, &pred));
+        // The same atom proofs do not certify the other disjunct.
+        let Discharge::Disjunct { atoms, .. } = discharge else { unreachable!() };
+        let swapped = Discharge::Disjunct { index: 1, atoms };
+        assert!(!swapped.certifies(&premises, &pred));
+        // A verbatim premise needs no multipliers, but must be the right one.
+        let verbatim = PropPredicate::from_assertion(Assertion::ge_zero(premises[0].clone()));
+        let by_premise = discharge_predicate(&premises, &verbatim, &opts).unwrap();
+        assert_eq!(
+            by_premise,
+            Discharge::Disjunct { index: 0, atoms: vec![AtomProof::Premise(0)] }
+        );
+        let wrong_premise = Discharge::Disjunct { index: 0, atoms: vec![AtomProof::Premise(1)] };
+        assert!(!wrong_premise.certifies(&premises, &verbatim));
+    }
+
+    #[test]
+    fn linear_premises_are_refuted_at_the_linear_budget() {
+        // The empty predicate is discharged only by refuting the premises;
+        // all-linear premises are refuted by plain Farkas even under the
+        // default degree-4 budget, which cannot change the answer.
+        let opts = EntailmentOptions::default();
+        let premises = [x() - Poly::constant_i64(3), -x()];
+        let linear = implies_false_with_witness(&premises, &opts.linearized()).unwrap();
+        assert_eq!(
+            discharge_predicate(&premises, &PropPredicate::unsatisfiable(), &opts),
+            Some(Discharge::Unsat(linear))
+        );
+        // A nonlinear premise keeps the configured budget.
+        let squared = [&x() * &x() + Poly::one(), -(&x() * &x()) - Poly::constant_i64(2)];
+        let full = implies_false_with_witness(&squared, &opts).unwrap();
+        assert_eq!(
+            discharge_predicate(&squared, &PropPredicate::unsatisfiable(), &opts),
+            Some(Discharge::Unsat(full))
+        );
     }
 
     /// Builds the predicate map of Example 5.4: I(ℓ) = (x ≥ 9) everywhere

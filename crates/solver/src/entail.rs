@@ -36,6 +36,15 @@
 //! outright. Engine choice ([`LpEngine`]) and warm starts never change a
 //! verdict or witness; the tableau engines are kept as differential oracles.
 //!
+//! # Witnesses
+//!
+//! Every "yes" comes with a [`Combination`]: the sparse nonzero multipliers,
+//! each naming the premises its product multiplies. It is self-describing,
+//! so [`Combination::certifies`] re-checks it against the premises with
+//! `Poly`/`Rat` arithmetic alone — no LP, no product list. An entailment
+//! that holds only because the premises are unsatisfiable carries the
+//! combination summing to `−1`, which certifies any conclusion.
+//!
 //! ```
 //! use revterm_poly::{Poly, Var};
 //! use revterm_solver::{entails, entails_with_witness, EntailmentOptions};
@@ -44,14 +53,25 @@
 //! let premises = vec![&x - &Poly::constant_i64(2)]; // x - 2 >= 0
 //! let conclusion = &x.scale(&revterm_num::rat(3)) - &Poly::constant_i64(6);
 //!
-//! // x >= 2 entails 3x - 6 >= 0, with certificate λ = [0, 3].
+//! // x >= 2 entails 3x - 6 >= 0: three times premise 0.
 //! let opts = EntailmentOptions::linear();
 //! assert!(entails(&premises, &conclusion, &opts));
 //! let witness = entails_with_witness(&premises, &conclusion, &opts).unwrap();
-//! assert_eq!(witness, vec![revterm_num::rat(0), revterm_num::rat(3)]);
+//! let three = revterm_num::rat(3);
+//! assert_eq!(witness.terms().collect::<Vec<_>>(), vec![(&[0u32][..], &three)]);
+//! assert!(witness.certifies(&premises, &conclusion));
+//!
+//! // x >= 2 and -x >= 0 contradict each other, so they entail y >= 7, a
+//! // fact about a variable neither mentions, through the refutation
+//! // ½·(x - 2) + ½·(-x) = -1.
+//! let contradictory = vec![premises[0].clone(), -x.clone()];
+//! let seven = &Poly::var(Var(1)) - &Poly::constant_i64(7);
+//! let refutation = entails_with_witness(&contradictory, &seven, &opts).unwrap();
+//! assert!(refutation.certifies(&contradictory, &Poly::constant_i64(-1)));
+//! assert!(refutation.certifies(&contradictory, &seven));
 //! ```
 
-use crate::lp::{BasisCache, LpProblem, Rel, VarKind};
+use crate::lp::{BasisCache, LpProblem, LpSolution, Rel, VarKind};
 use revterm_num::Rat;
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use std::sync::Arc;
@@ -134,31 +154,199 @@ impl EntailmentOptions {
     }
 }
 
+/// A nonnegative combination of premise products,
+///
+/// ```text
+/// Σ_j λ_j · Π_{i ∈ F_j} g_i        with every λ_j > 0,
+/// ```
+///
+/// where each `F_j` is a multiset of premise indices (the empty multiset is
+/// the constant product `1`). A combination whose sum is the conclusion
+/// certifies an entailment; one whose sum is `−1` certifies that the
+/// premises are unsatisfiable, and so entail anything. It names premises,
+/// not columns of the oracle's product list, so it is checked without
+/// rebuilding that list ([`Combination::certifies`]).
+///
+/// The factor runs of all terms share one buffer, so a term costs its
+/// multiplier plus a few index words and no allocation of its own.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Combination {
+    /// The premise indices of every term's product, concatenated.
+    factors: Vec<u32>,
+    /// Per term: the end of its run in `factors`, and its multiplier.
+    terms: Vec<(u32, Rat)>,
+}
+
+impl Combination {
+    /// The empty combination (its sum is `0`).
+    pub fn new() -> Combination {
+        Combination::default()
+    }
+
+    /// Appends the term `lambda · Π_{i ∈ factors} g_i`.
+    pub fn push(&mut self, factors: &[u32], lambda: Rat) {
+        self.factors.extend_from_slice(factors);
+        let end = u32::try_from(self.factors.len()).expect("factor buffer fits u32 offsets");
+        self.terms.push((end, lambda));
+    }
+
+    /// The terms as `(premise indices, λ)` pairs, in insertion order.
+    pub fn terms(&self) -> impl Iterator<Item = (&[u32], &Rat)> + '_ {
+        let mut start = 0;
+        self.terms.iter().map(move |(end, lambda)| {
+            let factors = &self.factors[start..*end as usize];
+            start = *end as usize;
+            (factors, lambda)
+        })
+    }
+
+    /// The sum `Σ_j λ_j · Π_{i ∈ F_j} premises[i]`, or `None` if a factor
+    /// index is out of range or some `λ_j` is not strictly positive (such a
+    /// sum is not known to be nonnegative on the premise set).
+    fn sum(&self, premises: &[Poly]) -> Option<Poly> {
+        let mut terms = Vec::new();
+        for (factors, lambda) in self.terms() {
+            if !lambda.is_positive() {
+                return None;
+            }
+            let Some((&first, rest)) = factors.split_first() else {
+                terms.push((Monomial::one(), lambda.clone()));
+                continue;
+            };
+            // Single premises — every term of a Farkas combination — are
+            // scaled straight into the sum; only real products are built.
+            let first = premises.get(first as usize)?;
+            let product;
+            let poly = if rest.is_empty() {
+                first
+            } else {
+                let mut p = first.clone();
+                for &i in rest {
+                    p = &p * premises.get(i as usize)?;
+                }
+                product = p;
+                &product
+            };
+            terms.extend(poly.flat_terms().iter().map(|(m, c)| (*m, c * lambda)));
+        }
+        Some(Poly::from_terms(terms))
+    }
+
+    /// Checks, with `Poly`/`Rat` arithmetic only, that this combination
+    /// proves `⋀ premises ≥ 0 ⟹ conclusion ≥ 0`: every multiplier is
+    /// positive, every index names a premise, and the sum equals the
+    /// conclusion coefficient by coefficient — or equals `−1`, refuting the
+    /// premises. Pass `−1` as the conclusion to accept only a refutation.
+    pub fn certifies(&self, premises: &[Poly], conclusion: &Poly) -> bool {
+        self.sum(premises).is_some_and(|sum| {
+            sum == *conclusion || sum.as_constant().is_some_and(|c| c == Rat::from(-1))
+        })
+    }
+
+    /// The one-term combination `c · 1` of a constant conclusion `c ≥ 0`
+    /// (no term at all for `c = 0`).
+    fn constant(c: Rat) -> Combination {
+        let mut comb = Combination::new();
+        if c.is_positive() {
+            comb.push(&[], c);
+        }
+        comb
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.factors.shrink_to_fit();
+        self.terms.shrink_to_fit();
+    }
+}
+
+/// The candidate products of the premises: the LP's columns, each with the
+/// premise indices it multiplies.
+struct Products {
+    /// The products, in column order.
+    polys: Vec<Poly>,
+    /// `links[k] = (parent, i)`: product `k` of the list as built (before
+    /// deduplication) is product `parent` times premise `i`. Entry `0`, the
+    /// constant `1`, has no factors.
+    links: Vec<(u32, u32)>,
+    /// The as-built position of each column.
+    columns: Vec<u32>,
+}
+
+impl Products {
+    /// The premise indices column `column` multiplies, in product order.
+    fn factors_of(&self, column: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let mut k = self.columns[column] as usize;
+        while k != 0 {
+            let (parent, i) = self.links[k];
+            out.push(i);
+            k = parent as usize;
+        }
+        out.reverse();
+    }
+
+    /// The sparse combination of an LP solution's nonzero multipliers.  It
+    /// is built in a fresh buffer: nothing of the product list stays
+    /// reachable from it.
+    fn combination(&self, solution: &LpSolution) -> Combination {
+        let mut comb = Combination::new();
+        let mut factors = Vec::new();
+        for (v, lambda) in solution.iter() {
+            if lambda.is_zero() {
+                continue;
+            }
+            self.factors_of(v.0 as usize, &mut factors);
+            comb.push(&factors, lambda.clone());
+        }
+        comb.shrink_to_fit();
+        comb
+    }
+}
+
 /// Builds the list of candidate products of the premises.
-fn products(premises: &[Poly], opts: &EntailmentOptions) -> Vec<Poly> {
-    // Levels are built in place: level `s` occupies `out[level_start..]` and
-    // seeds level `s + 1`, so products are stored once instead of being
+fn products(premises: &[Poly], opts: &EntailmentOptions) -> Products {
+    // Levels are built in place: level `s` occupies `polys[level_start..]`
+    // and seeds level `s + 1`, so products are stored once instead of being
     // cloned from a scratch level vector (the list and its order are
     // exactly what the two-vector construction produced).
-    let mut out: Vec<Poly> = vec![Poly::one()];
+    let mut polys: Vec<Poly> = vec![Poly::one()];
+    let mut links: Vec<(u32, u32)> = vec![(0, 0)];
     let mut level_start = 0;
     for _ in 0..opts.max_product_size {
-        let level_end = out.len();
+        let level_end = polys.len();
         for base_idx in level_start..level_end {
-            for g in premises {
-                let prod = &out[base_idx] * g;
+            for (i, g) in premises.iter().enumerate() {
+                let prod = &polys[base_idx] * g;
                 if prod.total_degree() <= opts.max_product_degree && !prod.is_zero() {
-                    out.push(prod);
+                    polys.push(prod);
+                    links.push((base_idx as u32, i as u32));
                 }
             }
         }
         level_start = level_end;
-        if out.len() == level_end {
+        if polys.len() == level_end {
             break;
         }
     }
-    out.dedup();
-    out
+    // `Vec::dedup` keeps a product iff it differs from its predecessor;
+    // record which ones survive so their factors stay recoverable.
+    let columns: Vec<u32> = (0..polys.len())
+        .filter(|&k| k == 0 || polys[k] != polys[k - 1])
+        .map(|k| k as u32)
+        .collect();
+    polys.dedup();
+    Products { polys, links, columns }
+}
+
+/// The refutation `(−1/c) · g_i = −1` of a premise that is a negative
+/// constant `c`, if there is one.
+fn negative_premise(premises: &[Poly]) -> Option<Combination> {
+    premises.iter().enumerate().find_map(|(i, p)| {
+        let c = p.as_constant().filter(Rat::is_negative)?;
+        let mut comb = Combination::new();
+        comb.push(&[i as u32], -c.recip());
+        Some(comb)
+    })
 }
 
 /// Structural key of a multiplier LP for warm-start purposes.
@@ -182,8 +370,8 @@ fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
     hasher.finish()
 }
 
-/// Searches for a non-negative combination of `products` equal to `target`.
-/// Returns the multipliers (aligned with `products`) if one exists.
+/// Searches for a non-negative combination of `products` equal to `target`
+/// and returns its nonzero multipliers.
 ///
 /// The LP has one row per monomial occurring anywhere and one non-negative
 /// multiplier column per product; a row's nonzeros are exactly the products
@@ -193,11 +381,12 @@ fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
 /// [`structural_key`] and warm-started from the last optimal basis of its
 /// structural family.
 fn combination_witness(
-    product_list: &[Poly],
+    products: &Products,
     target: &Poly,
     opts: &EntailmentOptions,
     lp_cache: Option<&mut BasisCache>,
-) -> Option<Vec<Rat>> {
+) -> Option<Combination> {
+    let product_list = &products.polys;
     // Multiplier variables λ_j are LP variables Var(j).
     let mut lp = LpProblem::new();
     for j in 0..product_list.len() {
@@ -235,47 +424,46 @@ fn combination_witness(
             None => lp.solve_revised(),
         },
     };
-    result.solution().map(|sol| (0..product_list.len()).map(|j| sol.value(Var(j as u32))).collect())
+    result.solution().map(|sol| products.combination(sol))
 }
 
 /// Checks whether the premises entail the conclusion (`∀x. ⋀ g_i ≥ 0 ⟹ p ≥ 0`)
-/// and returns the certifying multipliers if so.
+/// and returns the certifying [`Combination`] if so.
 ///
-/// The first element of the returned vector is the constant slack `λ_0`; the
-/// remaining entries are aligned with the internally generated product list,
-/// so the witness is mainly useful for debugging and for the certificate
-/// validation tests.
+/// Every `Some` certifies its claim ([`Combination::certifies`]): its sum is
+/// the conclusion, or — when only the unsat fallback succeeded — `−1`.
 pub fn entails_with_witness(
     premises: &[Poly],
     conclusion: &Poly,
     opts: &EntailmentOptions,
-) -> Option<Vec<Rat>> {
+) -> Option<Combination> {
     entails_with_witness_impl(premises, conclusion, opts, None)
 }
 
 /// [`entails_with_witness`] with an optional [`BasisCache`] for LP warm
-/// starts (used by [`EntailmentCache`]; certificate re-validation sticks to
+/// starts (used by [`EntailmentCache`]; certificate validation sticks to
 /// the cache-free entry points so it stays independent of session state).
 fn entails_with_witness_impl(
     premises: &[Poly],
     conclusion: &Poly,
     opts: &EntailmentOptions,
     mut lp_cache: Option<&mut BasisCache>,
-) -> Option<Vec<Rat>> {
+) -> Option<Combination> {
     // Trivial case: the conclusion is a non-negative constant.
     if let Some(c) = conclusion.as_constant() {
         if !c.is_negative() {
-            return Some(vec![c]);
+            return Some(Combination::constant(c));
         }
     }
-    let product_list = products(premises, opts);
-    if let Some(witness) =
-        combination_witness(&product_list, conclusion, opts, lp_cache.as_deref_mut())
+    let products = products(premises, opts);
+    if let Some(witness) = combination_witness(&products, conclusion, opts, lp_cache.as_deref_mut())
     {
         return Some(witness);
     }
-    if opts.use_unsat_fallback && implies_false_impl(premises, opts, lp_cache) {
-        return Some(Vec::new());
+    if opts.use_unsat_fallback {
+        // The refutation LP runs over the product list just built.
+        return negative_premise(premises)
+            .or_else(|| combination_witness(&products, &Poly::constant_i64(-1), opts, lp_cache));
     }
     None
 }
@@ -292,26 +480,31 @@ pub fn entails(premises: &[Poly], conclusion: &Poly, opts: &EntailmentOptions) -
 /// the contradiction `-1 ≥ 0` as a non-negative combination of premise
 /// products.
 pub fn implies_false(premises: &[Poly], opts: &EntailmentOptions) -> bool {
+    implies_false_with_witness(premises, opts).is_some()
+}
+
+/// [`implies_false`], returning the refuting [`Combination`] (its sum is
+/// `−1`) if one is found.
+pub fn implies_false_with_witness(
+    premises: &[Poly],
+    opts: &EntailmentOptions,
+) -> Option<Combination> {
     implies_false_impl(premises, opts, None)
 }
 
-/// [`implies_false`] with an optional [`BasisCache`] for LP warm starts.
-/// The `-1 ≥ 0` query shares its structural key with the entailment queries
-/// over the same premise products (the conclusion only shifts right-hand
-/// sides), so it warm-starts from their bases and vice versa.
+/// [`implies_false_with_witness`] with an optional [`BasisCache`] for LP
+/// warm starts. The `-1 ≥ 0` query shares its structural key with the
+/// entailment queries over the same premise products (the conclusion only
+/// shifts right-hand sides), so it warm-starts from their bases and vice
+/// versa.
 fn implies_false_impl(
     premises: &[Poly],
     opts: &EntailmentOptions,
     lp_cache: Option<&mut BasisCache>,
-) -> bool {
-    if premises.iter().any(|p| match p.as_constant() {
-        Some(c) => c.is_negative(),
-        None => false,
-    }) {
-        return true;
-    }
-    let product_list = products(premises, opts);
-    combination_witness(&product_list, &Poly::constant_i64(-1), opts, lp_cache).is_some()
+) -> Option<Combination> {
+    negative_premise(premises).or_else(|| {
+        combination_witness(&products(premises, opts), &Poly::constant_i64(-1), opts, lp_cache)
+    })
 }
 
 /// A memo table for the entailment oracle, reusable across many queries on
@@ -438,7 +631,9 @@ impl EntailmentCache {
         opts: &EntailmentOptions,
         lp: &mut BasisCache,
     ) -> bool {
-        self.lookup_or(premises, None, opts, || implies_false_impl(premises, opts, Some(lp)))
+        self.lookup_or(premises, None, opts, || {
+            implies_false_impl(premises, opts, Some(lp)).is_some()
+        })
     }
 
     /// Number of memoized entries.
@@ -528,19 +723,45 @@ mod tests {
 
     #[test]
     fn witness_multipliers_reconstruct_conclusion() {
+        // Re-build each combination by hand from the premises it names.
+        let rebuild = |witness: &Combination, premises: &[Poly]| {
+            let mut sum = Poly::zero();
+            for (factors, lambda) in witness.terms() {
+                assert!(lambda.is_positive(), "multipliers must be positive");
+                let product =
+                    factors.iter().fold(Poly::one(), |acc, &i| &acc * &premises[i as usize]);
+                sum = &sum + &product.scale(lambda);
+            }
+            sum
+        };
         let opts = EntailmentOptions::linear();
         let premises = vec![&x() - &c(3), y()];
         let conclusion = &(&x() + &y()) - &c(1);
         let witness = entails_with_witness(&premises, &conclusion, &opts).unwrap();
-        // Re-build the combination over the same product list and compare.
-        let product_list = super::products(&premises, &opts);
-        assert_eq!(witness.len(), product_list.len());
-        let mut sum = Poly::zero();
-        for (lambda, p) in witness.iter().zip(product_list.iter()) {
-            assert!(!lambda.is_negative(), "multipliers must be non-negative");
-            sum = &sum + &p.scale(lambda);
-        }
-        assert_eq!(sum, conclusion);
+        assert_eq!(rebuild(&witness, &premises), conclusion);
+        assert!(witness.certifies(&premises, &conclusion));
+
+        // Products of premises name every factor: x >= 3 ⟹ x^2 >= 9.
+        let square = &(&x() * &x()) - &c(9);
+        let quadratic = vec![&x() - &c(3)];
+        let witness =
+            entails_with_witness(&quadratic, &square, &EntailmentOptions::default()).unwrap();
+        assert!(witness.terms().any(|(factors, _)| factors == [0, 0]));
+        assert_eq!(rebuild(&witness, &quadratic), square);
+
+        // When only the unsat fallback succeeds (no combination of premises
+        // over x yields y), the witness is the refutation: it sums to -1,
+        // not to the conclusion.
+        let contradictory = vec![&x() - &c(3), -x()];
+        let far = &y() - &c(1000);
+        let witness = entails_with_witness(&contradictory, &far, &opts).unwrap();
+        assert_eq!(rebuild(&witness, &contradictory), c(-1));
+        assert!(witness.certifies(&contradictory, &far));
+        assert_eq!(implies_false_with_witness(&contradictory, &opts), Some(witness));
+        // A negative constant premise refutes itself without an LP.
+        let refutation = implies_false_with_witness(&[x(), c(-4)], &opts).unwrap();
+        let quarter = Rat::packed(1, 4);
+        assert_eq!(refutation.terms().collect::<Vec<_>>(), vec![(&[1u32][..], &quarter)]);
     }
 
     #[test]
@@ -628,6 +849,12 @@ mod tests {
             let via_dense = entails_with_witness(&premises, &conclusion, &dense_opts);
             assert_eq!(via_sparse, via_dense, "tableau engines diverged on round {round}");
             assert_eq!(via_revised, via_dense, "revised engine diverged on round {round}");
+            for witness in [&via_revised, &via_sparse, &via_dense].into_iter().flatten() {
+                assert!(
+                    witness.certifies(&premises, &conclusion),
+                    "round {round}: an engine's combination does not certify its target"
+                );
+            }
             match via_sparse {
                 Some(_) => entailed += 1,
                 None => refuted += 1,
@@ -672,13 +899,57 @@ mod tests {
     #[test]
     fn product_generation_respects_budgets() {
         let premises = vec![x(), y()];
-        let small = products(&premises, &EntailmentOptions::with_budget(1, 1));
+        let small = products(&premises, &EntailmentOptions::with_budget(1, 1)).polys;
         // 1, x, y.
         assert_eq!(small.len(), 3);
         let bigger = products(&premises, &EntailmentOptions::with_budget(2, 2));
         // 1, x, y, x^2, xy, yx, y^2 (dedup keeps distinct polynomials).
-        assert!(bigger.len() >= 6);
-        assert!(bigger.iter().any(|p| p.total_degree() == 2));
-        assert!(bigger.iter().all(|p| p.total_degree() <= 2));
+        assert!(bigger.polys.len() >= 6);
+        assert!(bigger.polys.iter().any(|p| p.total_degree() == 2));
+        assert!(bigger.polys.iter().all(|p| p.total_degree() <= 2));
+    }
+
+    #[test]
+    fn product_columns_name_their_factors() {
+        // Equal consecutive premises leave equal consecutive products, which
+        // dedup drops; every surviving column still names factors whose
+        // product is exactly that column.
+        let premises = vec![x(), x(), &y() - &c(1)];
+        let list = products(&premises, &EntailmentOptions::with_budget(2, 2));
+        assert!(list.columns.len() < list.links.len(), "the premises repeat, so dedup fires");
+        let mut factors = Vec::new();
+        for (column, poly) in list.polys.iter().enumerate() {
+            list.factors_of(column, &mut factors);
+            let rebuilt = factors.iter().fold(Poly::one(), |acc, &i| &acc * &premises[i as usize]);
+            assert_eq!(&rebuilt, poly, "column {column} with factors {factors:?}");
+        }
+    }
+
+    #[test]
+    fn tampered_combinations_do_not_certify() {
+        let opts = EntailmentOptions::linear();
+        let premises = vec![&x() - &c(3), y()];
+        let conclusion = &(&x() + &y()) - &c(1);
+        let good = entails_with_witness(&premises, &conclusion, &opts).unwrap();
+        // Rebuilds `good` with its first term's factors and multiplier
+        // replaced.
+        let with_first = |factors: &[u32], lambda: Rat| {
+            let mut comb = Combination::new();
+            comb.push(factors, lambda);
+            for (f, l) in good.terms().skip(1) {
+                comb.push(f, l.clone());
+            }
+            comb
+        };
+        let (factors, lambda) = good.terms().next().unwrap();
+        assert!(with_first(factors, lambda.clone()).certifies(&premises, &conclusion));
+        assert!(!with_first(factors, -lambda.clone()).certifies(&premises, &conclusion));
+        assert!(!with_first(factors, rat(0)).certifies(&premises, &conclusion));
+        let nudged = lambda + &Rat::packed(1, 7);
+        assert!(!with_first(factors, nudged).certifies(&premises, &conclusion));
+        let out_of_range = [premises.len() as u32];
+        assert!(!with_first(&out_of_range, lambda.clone()).certifies(&premises, &conclusion));
+        // A combination certifies its own conclusion, not another one.
+        assert!(!good.certifies(&premises, &(&x() - &c(1))));
     }
 }

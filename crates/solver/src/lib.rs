@@ -44,11 +44,12 @@
 //! basis cache.
 //!
 //! Both oracles are *sound*: a positive answer comes with an explicit
-//! certificate (a feasible point, a multiplier vector), and every
-//! non-termination verdict produced by the core crate is re-validated through
-//! these oracles.  They are incomplete in general (as is any decision
-//! procedure for non-linear integer arithmetic), which only ever costs
-//! coverage, never soundness.
+//! certificate (a feasible point; for entailments, a [`Combination`] of
+//! premise products that [`Combination::certifies`] checks without an LP),
+//! and every non-termination verdict produced by the core crate rests on
+//! such combinations, each checked that way.  The oracles are incomplete in
+//! general (as is any decision procedure for non-linear integer arithmetic),
+//! which only ever costs coverage, never soundness.
 //!
 //! # Example
 //!
@@ -70,7 +71,8 @@ pub mod lp;
 mod rng;
 
 pub use entail::{
-    entails, entails_with_witness, implies_false, EntailmentCache, EntailmentOptions, LpEngine,
+    entails, entails_with_witness, implies_false, implies_false_with_witness, Combination,
+    EntailmentCache, EntailmentOptions, LpEngine,
 };
 pub use lp::{BasisCache, LpProblem, LpResult, LpSolution, LpStats, Rel, SparseRow, VarKind};
 pub use rng::SplitMix64;

@@ -167,7 +167,7 @@ impl fmt::Display for Assertion {
 /// A propositional predicate: a finite disjunction of assertions.
 ///
 /// The empty disjunction denotes `false` (the empty set of valuations).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PropPredicate {
     disjuncts: Vec<Assertion>,
 }
@@ -308,7 +308,7 @@ impl fmt::Display for PropPredicate {
 }
 
 /// A predicate map: one propositional predicate per location.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PredicateMap {
     preds: Vec<PropPredicate>,
 }

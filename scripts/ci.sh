@@ -39,6 +39,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
+# The benchmark in perfbench/ is a cargo workspace of its own, so the
+# workspace build above does not compile it; it links the prover's public
+# API (validate_certificate, ProveStats, LpStats), so build it here to catch
+# breaking changes to that API.
+echo "==> cargo build --release (perfbench)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # The dev profile keeps debug-assertions on (opt-level is raised but
 # debug_assert! stays live), so this run exercises the canonical-form
 # invariant checks in Poly/LinExpr and the eta-file pivot assertions —
