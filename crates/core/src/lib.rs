@@ -100,5 +100,6 @@ pub use config::{Budget, CheckKind, ProverConfig, ProverConfigBuilder, Strategy}
 pub use error::Error;
 pub use prover::{prove, prove_program, prove_with_configs, ProofResult, Verdict};
 pub use revterm_absint::{AbstractState, Diagnostics};
+pub use revterm_ts::TransitionSystem;
 pub use session::{ProveStats, ProverSession, SessionStats, NO_CONFIGS_LABEL};
 pub use sweep::{default_sweep, degree1_sweep, quick_sweep, sweep, ConfigOutcome, SweepReport};

@@ -272,6 +272,22 @@ impl Rat {
         matches!(self.repr, Repr::Packed { .. })
     }
 
+    /// The canonical `(numerator, denominator)` machine words of a packed
+    /// value, or `None` for the big tier. Allocation-free: this is the
+    /// accessor for kernels that run their own `i64`/`i128` arithmetic.
+    ///
+    /// ```
+    /// use revterm_num::Rat;
+    /// assert_eq!(Rat::packed(6, -8).packed_parts(), Some((-3, 4)));
+    /// assert_eq!("1/18446744073709551616".parse::<Rat>().unwrap().packed_parts(), None);
+    /// ```
+    pub fn packed_parts(&self) -> Option<(i64, i64)> {
+        match self.repr {
+            Repr::Packed { num, den } => Some((num, den)),
+            Repr::Big(_) => None,
+        }
+    }
+
     /// Returns `true` iff the value is zero.
     pub fn is_zero(&self) -> bool {
         matches!(self.repr, Repr::Packed { num: 0, .. })

@@ -72,42 +72,83 @@ pub fn ndet_candidate_values(ts: &TransitionSystem, grid: i64) -> Vec<Int> {
     values
 }
 
+/// How many positions of the cartesian-product odometer
+/// [`find_initial_valuations`] visits at most.
+const MAX_ODOMETER_POSITIONS: usize = 200_000;
+
 /// Enumerates valuations satisfying `Θ_init`, trying the candidate values for
 /// every variable (cartesian product, truncated at `bounds.max_initial`).
+///
+/// The result is that of an odometer over `candidates^n` — variable 0's
+/// digit turning fastest — that checks its first 200 000 positions against
+/// `Θ_init` and stops at the `max_initial`-th hit. A value that fails an
+/// atom mentioning only its own variable fails whatever the others hold, so
+/// each digit runs over the values its variable's atoms admit; a surviving
+/// combination's position in the full odometer is what the 200 000 cap is
+/// measured against, which keeps the output identical element for element.
 pub fn find_initial_valuations(ts: &TransitionSystem, bounds: &SearchBounds) -> Vec<Valuation> {
     let candidates = ndet_candidate_values(ts, bounds.grid);
     let n = ts.vars().len();
-    let mut result = Vec::new();
     if n == 0 {
         return vec![Valuation(Vec::new())];
     }
-    // Iterative cartesian product with early truncation.
-    let mut indices = vec![0usize; n];
-    let total = candidates.len().pow(n as u32);
-    let cap = total.min(200_000);
-    for _ in 0..cap {
-        let vals = Valuation(indices.iter().map(|&i| candidates[i].clone()).collect());
+    let width = candidates.len();
+    let cap = width
+        .checked_pow(n as u32)
+        .map_or(MAX_ODOMETER_POSITIONS, |total| total.min(MAX_ODOMETER_POSITIONS));
+    // The candidate indices each variable's single-variable atoms admit.
+    let mut admitted: Vec<Vec<usize>> = vec![(0..width).collect(); n];
+    for atom in ts.init_assertion().atoms() {
+        match atom.vars()[..] {
+            [] if atom.as_constant().is_some_and(|c| c.is_negative()) => return Vec::new(),
+            [v] if v.index() < n => admitted[v.index()]
+                .retain(|&i| !atom.eval_at_int_point(&|_| candidates[i].clone()).is_negative()),
+            _ => {}
+        }
+    }
+    if admitted.iter().any(Vec::is_empty) {
+        return Vec::new();
+    }
+    // `width^k`, the weight of digit `k`; saturating, since any position
+    // that saturates is past the cap anyway.
+    let strides: Vec<usize> =
+        std::iter::successors(Some(1usize), |s| Some(s.saturating_mul(width))).take(n).collect();
+    let mut digits = vec![0usize; n];
+    let mut result = Vec::new();
+    loop {
+        // Positions grow with the filtered odometer, so the first one past
+        // the cap ends the enumeration.
+        let position = digits
+            .iter()
+            .zip(&admitted)
+            .zip(&strides)
+            .fold(0usize, |pos, ((&d, ids), &s)| pos.saturating_add(ids[d].saturating_mul(s)));
+        if position >= cap {
+            return result;
+        }
+        let vals = Valuation(
+            digits.iter().zip(&admitted).map(|(&d, ids)| candidates[ids[d]].clone()).collect(),
+        );
         if is_initial_valuation(ts, &vals) {
             result.push(vals);
             if result.len() >= bounds.max_initial {
-                break;
+                return result;
             }
         }
         // Increment the odometer.
         let mut k = 0;
         loop {
-            indices[k] += 1;
-            if indices[k] < candidates.len() {
+            digits[k] += 1;
+            if digits[k] < admitted[k].len() {
                 break;
             }
-            indices[k] = 0;
+            digits[k] = 0;
             k += 1;
             if k == n {
                 return result;
             }
         }
     }
-    result
 }
 
 /// Collects a set of configurations reachable from the initial configurations
@@ -209,7 +250,7 @@ mod tests {
     use super::*;
     use revterm_lang::parse_program;
     use revterm_num::int;
-    use revterm_ts::{lower, Assertion, PropPredicate};
+    use revterm_ts::{lower, Assertion, PropPredicate, TransitionSystem};
 
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
@@ -239,6 +280,96 @@ mod tests {
         let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
         let inits = find_initial_valuations(&ts, &bounds);
         assert!(inits.len() > 5);
+    }
+
+    /// The plain odometer that [`find_initial_valuations`] must reproduce:
+    /// every position of `candidates^n` up to the cap, checked in order.
+    fn plain_odometer(ts: &TransitionSystem, bounds: &SearchBounds) -> Vec<Valuation> {
+        let candidates = ndet_candidate_values(ts, bounds.grid);
+        let n = ts.vars().len();
+        let mut result = Vec::new();
+        if n == 0 {
+            return vec![Valuation(Vec::new())];
+        }
+        let mut indices = vec![0usize; n];
+        let total = candidates.len().checked_pow(n as u32).unwrap_or(usize::MAX);
+        for _ in 0..total.min(MAX_ODOMETER_POSITIONS) {
+            let vals = Valuation(indices.iter().map(|&i| candidates[i].clone()).collect());
+            if is_initial_valuation(ts, &vals) {
+                result.push(vals);
+                if result.len() >= bounds.max_initial {
+                    break;
+                }
+            }
+            let mut k = 0;
+            loop {
+                indices[k] += 1;
+                if indices[k] < candidates.len() {
+                    break;
+                }
+                indices[k] = 0;
+                k += 1;
+                if k == n {
+                    return result;
+                }
+            }
+        }
+        result
+    }
+
+    /// Fourteen variables, four of them pinned, all incremented in one loop;
+    /// its constants yield 25 candidate values, and `25^14 > 2^64`.
+    const FOURTEEN_VARS: &str = "a := -40; b := -30; c := -20; d := -10; \
+        while a >= 3 do a := a + 1; b := b + 1; c := c + 1; d := d + 1; e := e + 5; \
+        f := f + 7; g := g + 1; h := h + 1; i := i + 1; j := j + 1; k := k + 1; \
+        l := l + 1; m := m + 1; n := n + 1; od";
+
+    #[test]
+    fn initial_valuations_of_a_fourteen_variable_program() {
+        // The odometer has more positions than a usize holds; sizing it
+        // must not overflow.
+        let ts = lower(&parse_program(FOURTEEN_VARS).unwrap()).unwrap();
+        let bounds = SearchBounds::default();
+        let width = ndet_candidate_values(&ts, bounds.grid).len();
+        assert!(width.checked_pow(ts.vars().len() as u32).is_none(), "{width} candidates");
+        // The pins are the four smallest candidates, so the first hit sits
+        // at position 1·25 + 2·25² + 3·25³ = 48 125; the next would need a
+        // fifth digit, at 25⁴ = 390 625, past the cap.
+        let inits = find_initial_valuations(&ts, &bounds);
+        assert_eq!(inits.len(), 1);
+        assert!(is_initial_valuation(&ts, &inits[0]));
+        assert_eq!(inits, plain_odometer(&ts, &bounds));
+    }
+
+    #[test]
+    fn filtered_enumeration_matches_the_plain_odometer() {
+        let mut systems: Vec<TransitionSystem> = revterm_suite::curated_benchmarks()
+            .iter()
+            .chain(&revterm_suite::fuzz_family(0x5eed_f22d, 40))
+            .map(|b| b.transition_system())
+            .collect();
+        systems.push(lower(&parse_program(FOURTEEN_VARS).unwrap()).unwrap());
+        let few = SearchBounds { max_initial: 3, ..SearchBounds::default() };
+        // So many results wanted that the position cap ends the enumeration.
+        let many = SearchBounds { max_initial: usize::MAX, grid: 1, ..SearchBounds::default() };
+        let mut cut_by_cap = 0;
+        for ts in &systems {
+            for bounds in [&SearchBounds::default(), &few] {
+                assert_eq!(find_initial_valuations(ts, bounds), plain_odometer(ts, bounds));
+            }
+        }
+        // The plain odometer walks all 200 000 positions here, so a handful
+        // of systems keeps the test quick.
+        for ts in systems.iter().filter(|ts| ts.vars().len() >= 4).take(8) {
+            let filtered = find_initial_valuations(ts, &many);
+            assert_eq!(filtered, plain_odometer(ts, &many));
+            let width = ndet_candidate_values(ts, many.grid).len();
+            if width.checked_pow(ts.vars().len() as u32).is_none_or(|t| t > MAX_ODOMETER_POSITIONS)
+            {
+                cut_by_cap += 1;
+            }
+        }
+        assert!(cut_by_cap > 0, "no system reached the position cap");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! so textually different sources that denote the same program share one
 //! warm session.  The pool hands sessions out by value
 //! ([`SessionPool::checkout`] / [`SessionPool::checkin`]): the server holds
-//! the pool mutex only for the O(capacity) bookkeeping, never while a prove
-//! runs, so one slow request cannot serialize the whole daemon.
+//! the pool mutex only for the O(capacity) bookkeeping, never while a source
+//! is parsed and lowered (checkout takes the lowered system) or a prove
+//! runs, so one large or slow request cannot serialize the whole daemon.
 //!
 //! A checked-out session that is never checked back in (worker panic,
 //! dropped connection mid-prove) is simply forgotten — the next request for
@@ -13,7 +14,8 @@
 //! pool, because budget cuts happen only between memoized computations (see
 //! the core crate's session documentation).
 
-use revterm::{lower_source, program_hash, Error, ProverSession};
+use revterm::{lower_source, program_hash, Error, ProverSession, TransitionSystem};
+use std::sync::Mutex;
 
 /// Running counters of pool behaviour, exposed by the `stats` and `metrics`
 /// wire operations.
@@ -61,26 +63,21 @@ impl SessionPool {
         self.stats
     }
 
-    /// Parses `source` and returns `(key, session, pool_hit)` — the pooled
-    /// session for the program if one is idle, a fresh one otherwise.  The
-    /// caller runs its request against the session and returns it with
+    /// Returns `(session, pool_hit)` for the lowered program `ts`, whose
+    /// [`revterm::program_hash`] is `key`: the pooled session for the
+    /// program if one is idle, a fresh one over `ts` otherwise.  The caller
+    /// lowers the source before taking the pool lock, so no parse runs under
+    /// it; it runs its request against the session and returns it with
     /// [`SessionPool::checkin`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Parse`] / [`Error::Analysis`] from lowering the source; the
-    /// pool is unchanged in that case.
-    pub fn checkout(&mut self, source: &str) -> Result<(u64, ProverSession, bool), Error> {
-        let ts = lower_source(source)?;
-        let key = program_hash(&ts);
+    pub fn checkout(&mut self, key: u64, ts: TransitionSystem) -> (ProverSession, bool) {
         self.tick += 1;
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             let entry = self.entries.swap_remove(i);
             self.stats.hits += 1;
-            return Ok((key, entry.session, true));
+            return (entry.session, true);
         }
         self.stats.misses += 1;
-        Ok((key, ProverSession::new(ts), false))
+        (ProverSession::new(ts), false)
     }
 
     /// Returns a session to the pool, evicting the least-recently-used
@@ -108,6 +105,25 @@ impl SessionPool {
     }
 }
 
+/// Lowers `source`, then checks the program's session out of `pool`,
+/// returning `(key, session, pool_hit)`. The parse and the lowering run
+/// before the lock is taken, so a large program never stalls another
+/// connection's checkout or checkin.
+///
+/// # Errors
+///
+/// [`Error::Parse`] / [`Error::Analysis`] from lowering the source; the
+/// pool is not touched in that case.
+pub(crate) fn checkout_source(
+    pool: &Mutex<SessionPool>,
+    source: &str,
+) -> Result<(u64, ProverSession, bool), Error> {
+    let ts = lower_source(source)?;
+    let key = program_hash(&ts);
+    let (session, hit) = pool.lock().expect("pool poisoned").checkout(key, ts);
+    Ok((key, session, hit))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,29 +133,52 @@ mod tests {
     const B: &str = "while y >= 1 do y := 2 * y; od";
     const C: &str = "while true do skip; od";
 
+    fn pool_of(capacity: usize) -> Mutex<SessionPool> {
+        Mutex::new(SessionPool::new(capacity))
+    }
+
+    fn checkout(pool: &Mutex<SessionPool>, source: &str) -> (u64, ProverSession, bool) {
+        checkout_source(pool, source).unwrap()
+    }
+
+    fn checkin(pool: &Mutex<SessionPool>, key: u64, session: ProverSession) {
+        pool.lock().unwrap().checkin(key, session);
+    }
+
+    fn stats(pool: &Mutex<SessionPool>) -> PoolStats {
+        pool.lock().unwrap().stats()
+    }
+
+    fn occupancy(pool: &Mutex<SessionPool>) -> usize {
+        pool.lock().unwrap().occupancy()
+    }
+
     #[test]
     fn checkout_checkin_hits_on_the_second_request() {
-        let mut pool = SessionPool::new(4);
-        let (key, session, hit) = pool.checkout(A).unwrap();
+        let pool = pool_of(4);
+        let (key, session, hit) = checkout(&pool, A);
         assert!(!hit);
-        pool.checkin(key, session);
-        assert_eq!(pool.occupancy(), 1);
-        let (key2, session2, hit2) = pool.checkout(A).unwrap();
+        // A miss opens the session on the system lowered outside the lock.
+        assert_eq!(session.ts(), &lower_source(A).unwrap());
+        assert_eq!(program_hash(session.ts()), key);
+        checkin(&pool, key, session);
+        assert_eq!(occupancy(&pool), 1);
+        let (key2, session2, hit2) = checkout(&pool, A);
         assert_eq!(key, key2);
         assert!(hit2);
-        assert_eq!(pool.occupancy(), 0, "checkout removes the entry");
-        pool.checkin(key2, session2);
-        assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(occupancy(&pool), 0, "checkout removes the entry");
+        checkin(&pool, key2, session2);
+        assert_eq!(stats(&pool), PoolStats { hits: 1, misses: 1, evictions: 0 });
     }
 
     #[test]
     fn pooled_sessions_keep_their_warm_caches() {
-        let mut pool = SessionPool::new(2);
-        let (key, mut session, _) = pool.checkout(A).unwrap();
+        let pool = pool_of(2);
+        let (key, mut session, _) = checkout(&pool, A);
         let cold = session.prove(&ProverConfig::default());
         assert!(cold.is_non_terminating());
-        pool.checkin(key, session);
-        let (key, mut session, hit) = pool.checkout(A).unwrap();
+        checkin(&pool, key, session);
+        let (key, mut session, hit) = checkout(&pool, A);
         assert!(hit);
         let warm = session.prove(&ProverConfig::default());
         assert!(warm.is_non_terminating());
@@ -149,46 +188,47 @@ mod tests {
             warm.stats,
             cold.stats
         );
-        pool.checkin(key, session);
+        checkin(&pool, key, session);
     }
 
     #[test]
     fn lru_eviction_drops_the_least_recently_used_entry() {
-        let mut pool = SessionPool::new(2);
+        let pool = pool_of(2);
         for src in [A, B] {
-            let (k, s, _) = pool.checkout(src).unwrap();
-            pool.checkin(k, s);
+            let (k, s, _) = checkout(&pool, src);
+            checkin(&pool, k, s);
         }
         // Touch A so B is the LRU entry, then admit C.
-        let (k, s, hit) = pool.checkout(A).unwrap();
+        let (k, s, hit) = checkout(&pool, A);
         assert!(hit);
-        pool.checkin(k, s);
-        let (k, s, _) = pool.checkout(C).unwrap();
-        pool.checkin(k, s);
-        assert_eq!(pool.occupancy(), 2);
-        assert_eq!(pool.stats().evictions, 1);
-        assert!(pool.checkout(A).unwrap().2, "A must have survived");
-        assert!(!pool.checkout(B).unwrap().2, "B must have been evicted");
+        checkin(&pool, k, s);
+        let (k, s, _) = checkout(&pool, C);
+        checkin(&pool, k, s);
+        assert_eq!(occupancy(&pool), 2);
+        assert_eq!(stats(&pool).evictions, 1);
+        assert!(checkout(&pool, A).2, "A must have survived");
+        assert!(!checkout(&pool, B).2, "B must have been evicted");
     }
 
     #[test]
     fn equivalent_sources_share_a_session_and_bad_sources_leave_the_pool_alone() {
-        let mut pool = SessionPool::new(2);
-        let (k, s, _) = pool.checkout("while x >= 0 do x := x + 1; od").unwrap();
-        pool.checkin(k, s);
+        let pool = pool_of(2);
+        let (k, s, _) = checkout(&pool, "while x >= 0 do x := x + 1; od");
+        checkin(&pool, k, s);
         // Whitespace-different source lowers to the same system.
-        let (_, _, hit) = pool.checkout("while x >= 0 do  x := x + 1;  od").unwrap();
+        let (_, session, hit) = checkout(&pool, "while x >= 0 do  x := x + 1;  od");
         assert!(hit);
-        assert!(matches!(pool.checkout("while x >="), Err(Error::Parse(_))));
-        assert_eq!(pool.stats().misses, 1);
+        assert_eq!(program_hash(session.ts()), k);
+        assert!(matches!(checkout_source(&pool, "while x >="), Err(Error::Parse(_))));
+        assert_eq!(stats(&pool), PoolStats { hits: 1, misses: 1, evictions: 0 });
     }
 
     #[test]
     fn zero_capacity_disables_pooling() {
-        let mut pool = SessionPool::new(0);
-        let (k, s, _) = pool.checkout(A).unwrap();
-        pool.checkin(k, s);
-        assert_eq!(pool.occupancy(), 0);
-        assert!(!pool.checkout(A).unwrap().2);
+        let pool = pool_of(0);
+        let (k, s, _) = checkout(&pool, A);
+        checkin(&pool, k, s);
+        assert_eq!(occupancy(&pool), 0);
+        assert!(!checkout(&pool, A).2);
     }
 }

@@ -12,7 +12,7 @@
 //! the request they are on, and [`ServerHandle::join`] reaps everything.
 
 use crate::metrics::Metrics;
-use crate::pool::SessionPool;
+use crate::pool::{checkout_source, SessionPool};
 use crate::wire;
 use revterm::api::{
     analysis_report, lower_source, program_hash, sweep_to_outcomes, ProveRequest, ProveResponse,
@@ -299,8 +299,7 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
         RequestBody::Prove { source, configs, deadline_ms } => {
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             let configs = default_if_empty(configs, revterm::quick_sweep);
-            let (key, mut session, pool_hit) =
-                shared.pool.lock().expect("pool poisoned").checkout(&source)?;
+            let (key, mut session, pool_hit) = checkout_source(&shared.pool, &source)?;
             let result = session.prove_first_with_deadline(&configs, deadline);
             let outcome = WireOutcome::from_result(&result, session.ts());
             shared.metrics.lock().expect("metrics poisoned").record_prove_stats(&result.stats);
@@ -311,8 +310,7 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             let configs = default_if_empty(configs, revterm::degree1_sweep);
             let stop_after = if stop_after == 0 { usize::MAX } else { stop_after };
-            let (key, mut session, pool_hit) =
-                shared.pool.lock().expect("pool poisoned").checkout(&source)?;
+            let (key, mut session, pool_hit) = checkout_source(&shared.pool, &source)?;
             let report = session.sweep_with_deadline(&configs, stop_after, deadline);
             let outcomes = sweep_to_outcomes(&report);
             {

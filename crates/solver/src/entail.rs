@@ -15,13 +15,18 @@
 //! complete whenever the premise polyhedron is non-empty); larger products
 //! give a Handelman-style relaxation for polynomial arithmetic.
 //!
-//! The search for multipliers is a pure rational LP feasibility problem and is
-//! discharged by [`crate::LpProblem`].  The LP is built sparsely: it has one
+//! The search for multipliers is a pure rational LP feasibility problem: one
 //! equality row per monomial and one non-negative multiplier column per
-//! premise product, and each row mentions only the products actually
-//! containing its monomial, so the rows have a handful of nonzeros no matter
-//! how many products the budget generates — the shape the sparse simplex
-//! engines ([`crate::SparseRow`]) are designed around.
+//! premise product, each row mentioning only the products that contain its
+//! monomial. For the default revised engine the LP is built column by column
+//! straight from the product list — each product's terms scattered into
+//! their monomials' rows, rows with a negative right-hand side negated — in
+//! exactly the standard form [`crate::LpProblem`]'s lowering would produce,
+//! without building rows, a variable map or a solution map first. The
+//! tableau oracles ([`LpEngine::SparseTableau`], [`LpEngine::Dense`]) still
+//! receive the LP as [`crate::LpProblem`] rows ([`crate::SparseRow`]s with a
+//! handful of nonzeros each), so every engine-agreement check also compares
+//! the column builder with the lowering it stands in for.
 //!
 //! # Warm starts across the query stream
 //!
@@ -71,7 +76,7 @@
 //! assert!(refutation.certifies(&contradictory, &seven));
 //! ```
 
-use crate::lp::{BasisCache, LpProblem, LpSolution, Rel, VarKind};
+use crate::lp::{BasisCache, ColumnForm, ColumnOutcome, LpProblem, Rel, VarKind};
 use revterm_num::Rat;
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use std::sync::Arc;
@@ -84,9 +89,10 @@ use std::sync::Arc;
 /// `num_profile` bench bin re-proves the three-way agreement on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LpEngine {
-    /// The revised simplex with the eta-file basis factorization
-    /// ([`LpProblem::solve_revised`]) — the only engine with warm starts,
-    /// and the default.
+    /// The revised simplex with the eta-file basis factorization and exact
+    /// integer pricing (the engine behind [`LpProblem::solve_revised`]),
+    /// fed the column-form LP — the only engine with warm starts, and the
+    /// default.
     #[default]
     Revised,
     /// The sparse tableau ([`LpProblem::solve`]), kept as a differential
@@ -285,17 +291,17 @@ impl Products {
         out.reverse();
     }
 
-    /// The sparse combination of an LP solution's nonzero multipliers.  It
-    /// is built in a fresh buffer: nothing of the product list stays
-    /// reachable from it.
-    fn combination(&self, solution: &LpSolution) -> Combination {
+    /// The sparse combination of the nonzero multipliers among `values`
+    /// (one per column). It is built in a fresh buffer: nothing of the
+    /// product list stays reachable from it.
+    fn combination(&self, values: &[Rat]) -> Combination {
         let mut comb = Combination::new();
         let mut factors = Vec::new();
-        for (v, lambda) in solution.iter() {
+        for (column, lambda) in values.iter().enumerate() {
             if lambda.is_zero() {
                 continue;
             }
-            self.factors_of(v.0 as usize, &mut factors);
+            self.factors_of(column, &mut factors);
             comb.push(&factors, lambda.clone());
         }
         comb.shrink_to_fit();
@@ -375,11 +381,12 @@ fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
 ///
 /// The LP has one row per monomial occurring anywhere and one non-negative
 /// multiplier column per product; a row's nonzeros are exactly the products
-/// containing that monomial, so the constraint expressions stay sparse and
-/// feed the sparse simplex engines without ever densifying. With a
-/// [`BasisCache`] and the revised engine, the LP is keyed by
-/// [`structural_key`] and warm-started from the last optimal basis of its
-/// structural family.
+/// containing that monomial. The revised engine receives it column by
+/// column ([`farkas_columns`]); the tableau oracles receive the same LP as
+/// [`LpProblem`] rows ([`farkas_rows`]), so they check the column builder
+/// against the lowering it stands in for. With a [`BasisCache`] the revised
+/// engine keys the LP by [`structural_key`] and warm-starts it from the last
+/// optimal basis of its structural family.
 fn combination_witness(
     products: &Products,
     target: &Poly,
@@ -387,44 +394,92 @@ fn combination_witness(
     lp_cache: Option<&mut BasisCache>,
 ) -> Option<Combination> {
     let product_list = &products.polys;
-    // Multiplier variables λ_j are LP variables Var(j).
-    let mut lp = LpProblem::new();
-    for j in 0..product_list.len() {
-        lp.set_var_kind(Var(j as u32), VarKind::NonNegative);
-    }
     // For every monomial occurring anywhere, the coefficients must match.
     // Monomials are Copy keys, so collecting the row set copies words.
     let mut monomials: Vec<Monomial> = target.terms().map(|(m, _)| *m).collect();
     for p in product_list {
         monomials.extend(p.terms().map(|(m, _)| *m));
     }
-    monomials.sort();
+    monomials.sort_unstable();
     monomials.dedup();
-    // Scatter each product's flat term run into its monomial's row instead
-    // of probing every product for every monomial: O(total terms) lookups,
-    // and since column indices arrive in increasing order, every
-    // `add_coeff` is an append.  Row order (sorted monomials) and row
-    // contents are identical to the probe-per-monomial construction.
+    let values = match opts.lp_engine {
+        LpEngine::Revised => {
+            let form = farkas_columns(product_list, &monomials, target);
+            let outcome = match lp_cache {
+                Some(cache) => {
+                    form.solve(None, Some(structural_key(product_list, &monomials)), cache)
+                }
+                None => form.solve(None, None, &mut BasisCache::new()),
+            };
+            match outcome {
+                ColumnOutcome::Optimal { values, .. } => values,
+                ColumnOutcome::Infeasible | ColumnOutcome::Unbounded => return None,
+            }
+        }
+        LpEngine::SparseTableau | LpEngine::Dense => {
+            let lp = farkas_rows(product_list, &monomials, target);
+            let result =
+                if opts.lp_engine == LpEngine::Dense { lp.solve_dense() } else { lp.solve() };
+            let solution = result.solution()?;
+            (0..product_list.len()).map(|j| solution.value(Var(j as u32))).collect()
+        }
+    };
+    Some(products.combination(&values))
+}
+
+/// The row of `m` in the sorted monomial row set.
+fn row_of(monomials: &[Monomial], m: &Monomial) -> usize {
+    monomials.binary_search(m).expect("row set covers every monomial")
+}
+
+/// The multiplier LP in the revised engine's column form, exactly as
+/// [`LpProblem`]'s lowering would produce it from [`farkas_rows`]: one
+/// column per product with its terms scattered into their monomials' rows,
+/// every row whose right-hand side (the target's coefficient) is negative
+/// negated, and no slack column (every row is an equality).
+fn farkas_columns(product_list: &[Poly], monomials: &[Monomial], target: &Poly) -> ColumnForm {
+    let mut rhs = vec![Rat::zero(); monomials.len()];
+    for (m, c) in target.flat_terms() {
+        rhs[row_of(monomials, m)] = c.clone();
+    }
+    let negated: Vec<bool> = rhs.iter().map(Rat::is_negative).collect();
+    for (b, &flip) in rhs.iter_mut().zip(&negated) {
+        if flip {
+            *b = -std::mem::take(b);
+        }
+    }
+    let mut form = ColumnForm::new(rhs);
+    // A product's terms are sorted by monomial, so its rows arrive sorted.
+    for p in product_list {
+        form.push_column(p.flat_terms().iter().map(|(m, c)| {
+            let i = row_of(monomials, m);
+            (i as u32, if negated[i] { -c } else { c.clone() })
+        }));
+    }
+    form
+}
+
+/// The multiplier LP as [`LpProblem`] rows, for the tableau oracles:
+/// multiplier `λ_j` is the non-negative variable `Var(j)`, and row `i`
+/// states `Σ_j λ_j · coeff(π_j, m_i) − coeff(target, m_i) = 0`.
+fn farkas_rows(product_list: &[Poly], monomials: &[Monomial], target: &Poly) -> LpProblem {
+    let mut lp = LpProblem::new();
+    for j in 0..product_list.len() {
+        lp.set_var_kind(Var(j as u32), VarKind::NonNegative);
+    }
+    // Scatter each product's flat term run into its monomial's row; column
+    // indices arrive in increasing order, so every `add_coeff` is an append.
     let mut rows: Vec<LinExpr> =
         monomials.iter().map(|m| LinExpr::constant(-target.coefficient(m))).collect();
     for (j, p) in product_list.iter().enumerate() {
         for (m, c) in p.flat_terms() {
-            let i = monomials.binary_search(m).expect("row set covers all product monomials");
-            rows[i].add_coeff(Var(j as u32), c.clone());
+            rows[row_of(monomials, m)].add_coeff(Var(j as u32), c.clone());
         }
     }
     for expr in rows {
         lp.add_constraint(expr, Rel::Eq);
     }
-    let result = match opts.lp_engine {
-        LpEngine::SparseTableau => lp.solve(),
-        LpEngine::Dense => lp.solve_dense(),
-        LpEngine::Revised => match lp_cache {
-            Some(cache) => lp.solve_revised_warm(structural_key(product_list, &monomials), cache),
-            None => lp.solve_revised(),
-        },
-    };
-    result.solution().map(|sol| products.combination(sol))
+    lp
 }
 
 /// Checks whether the premises entail the conclusion (`∀x. ⋀ g_i ≥ 0 ⟹ p ≥ 0`)
@@ -818,50 +873,72 @@ mod tests {
     fn prop_engine_choice_does_not_change_farkas_certificates() {
         // The engine knob must not change a single verdict or witness:
         // random feasible/infeasible entailment chains produce bitwise-equal
-        // Farkas certificates through all three simplex engines.
+        // certificates through all three simplex engines. The revised engine
+        // gets the LP from the column builder, the tableau engines from the
+        // `LpProblem` lowering, so this also checks the builder against the
+        // lowering. The rounds cover plain Farkas, Handelman products of two
+        // premises, and coefficients near and past `i64::MAX`.
         use crate::SplitMix64;
-        let revised_opts = EntailmentOptions::linear();
-        assert_eq!(revised_opts.lp_engine, LpEngine::Revised);
-        let sparse_opts =
-            EntailmentOptions { lp_engine: LpEngine::SparseTableau, ..EntailmentOptions::linear() };
-        let dense_opts =
-            EntailmentOptions { lp_engine: LpEngine::Dense, ..EntailmentOptions::linear() };
         let mut rng = SplitMix64::new(0x0FA1_2CA5);
-        let (mut entailed, mut refuted) = (0, 0);
-        for round in 0..40 {
-            let n = 3 + rng.next_below(4) as usize;
-            let mut premises = Vec::new();
-            let mut total = rat(0);
-            for i in 0..n {
-                let step = Rat::packed(rng.next_in_range(1, 6), rng.next_in_range(1, 4));
-                let step_poly = Poly::constant(step.clone());
-                premises
-                    .push(&Poly::var(Var(i as u32 + 1)) - &Poly::var(Var(i as u32)) - step_poly);
-                total = &total + &step;
+        for (budget, large) in [(1, false), (2, false), (1, true), (2, true)] {
+            let with_engine = |lp_engine| EntailmentOptions {
+                lp_engine,
+                ..EntailmentOptions::with_budget(budget, budget as u32)
+            };
+            let revised_opts = with_engine(LpEngine::Revised);
+            assert_eq!(revised_opts.lp_engine, EntailmentOptions::default().lp_engine);
+            let sparse_opts = with_engine(LpEngine::SparseTableau);
+            let dense_opts = with_engine(LpEngine::Dense);
+            let (mut entailed, mut refuted) = (0, 0);
+            for round in 0..40 {
+                let n = 3 + rng.next_below(4) as usize;
+                let mut premises = Vec::new();
+                let mut total = rat(0);
+                for i in 0..n {
+                    let step = Rat::packed(rng.next_in_range(1, 6), rng.next_in_range(1, 4));
+                    // Large rounds scale a premise `x_{i+1} − x_i − step ≥ 0`
+                    // by a factor near i64::MAX, or past it.
+                    let scale = if large {
+                        let near_max = rat(i64::MAX - rng.next_in_range(0, 1000));
+                        if rng.next_below(2) == 0 {
+                            near_max
+                        } else {
+                            &near_max * &rat(3)
+                        }
+                    } else {
+                        rat(1)
+                    };
+                    let step_poly = Poly::constant(step.clone());
+                    let premise =
+                        &Poly::var(Var(i as u32 + 1)) - &Poly::var(Var(i as u32)) - step_poly;
+                    premises.push(premise.scale(&scale));
+                    total = &total + &step;
+                }
+                // Entailed on even rounds (slack below the chain sum), refuted
+                // on odd rounds (conclusion overshoots the sum).
+                let slack = if round % 2 == 0 { rat(1) } else { rat(-1) };
+                let bound = &total - &slack;
+                let conclusion =
+                    &Poly::var(Var(n as u32)) - &Poly::var(Var(0)) - Poly::constant(bound);
+                let via_revised = entails_with_witness(&premises, &conclusion, &revised_opts);
+                let via_sparse = entails_with_witness(&premises, &conclusion, &sparse_opts);
+                let via_dense = entails_with_witness(&premises, &conclusion, &dense_opts);
+                let case = format!("budget {budget}, large {large}, round {round}");
+                assert_eq!(via_sparse, via_dense, "tableau engines diverged ({case})");
+                assert_eq!(via_revised, via_dense, "revised engine diverged ({case})");
+                for witness in [&via_revised, &via_sparse, &via_dense].into_iter().flatten() {
+                    assert!(
+                        witness.certifies(&premises, &conclusion),
+                        "an engine's combination does not certify its target ({case})"
+                    );
+                }
+                match via_sparse {
+                    Some(_) => entailed += 1,
+                    None => refuted += 1,
+                }
             }
-            // Entailed on even rounds (slack below the chain sum), refuted on
-            // odd rounds (conclusion overshoots the sum).
-            let slack = if round % 2 == 0 { rat(1) } else { rat(-1) };
-            let bound = &total - &slack;
-            let conclusion = &Poly::var(Var(n as u32)) - &Poly::var(Var(0)) - Poly::constant(bound);
-            let via_revised = entails_with_witness(&premises, &conclusion, &revised_opts);
-            let via_sparse = entails_with_witness(&premises, &conclusion, &sparse_opts);
-            let via_dense = entails_with_witness(&premises, &conclusion, &dense_opts);
-            assert_eq!(via_sparse, via_dense, "tableau engines diverged on round {round}");
-            assert_eq!(via_revised, via_dense, "revised engine diverged on round {round}");
-            for witness in [&via_revised, &via_sparse, &via_dense].into_iter().flatten() {
-                assert!(
-                    witness.certifies(&premises, &conclusion),
-                    "round {round}: an engine's combination does not certify its target"
-                );
-            }
-            match via_sparse {
-                Some(_) => entailed += 1,
-                None => refuted += 1,
-            }
+            assert_eq!((entailed, refuted), (20, 20), "budget {budget}, large {large}");
         }
-        assert_eq!(entailed, 20);
-        assert_eq!(refuted, 20);
     }
 
     #[test]

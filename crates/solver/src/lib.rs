@@ -29,19 +29,22 @@
 //! Bland's-rule choices and exact arithmetic makes every comparison
 //! representation-independent):
 //!
-//! * [`LpProblem::solve_revised`] — the default: a revised simplex that
-//!   keeps the basis inverse as an eta-file (product-form) factorization
-//!   and supports **warm starts** from a [`BasisCache`], which is what lets
-//!   a Houdini entailment stream skip phase 1 on structurally repeated LPs;
+//! * [`LpProblem::solve_revised`] — the default: a revised simplex over a
+//!   column-form standard form that keeps the basis inverse as an eta-file
+//!   (product-form) factorization, prices in exact integer arithmetic with
+//!   an exact `Rat` fallback, and supports **warm starts** from a
+//!   [`BasisCache`], which is what lets a Houdini entailment stream skip
+//!   phase 1 on structurally repeated LPs. The entailment oracle builds its
+//!   LPs for this engine column by column;
 //! * [`LpProblem::solve`] — the sparse tableau, kept as a differential
 //!   oracle;
 //! * [`LpProblem::solve_dense`] — the dense reference tableau, the second
 //!   differential oracle.
 //!
-//! The [`lp`] module docs describe the lowering to standard form, the eta
-//! file and the warm-start contract; the [`entail`] module docs describe the
-//! positive-combination encoding and the structural keying that drives the
-//! basis cache.
+//! The [`lp`] module docs describe the lowering to standard form, the column
+//! form, integer pricing, the eta file and the warm-start contract; the
+//! [`entail`] module docs describe the positive-combination encoding, the
+//! column builder and the structural keying that drives the basis cache.
 //!
 //! Both oracles are *sound*: a positive answer comes with an explicit
 //! certificate (a feasible point; for entailments, a [`Combination`] of

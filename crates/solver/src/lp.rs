@@ -51,6 +51,27 @@
 //! differential oracle enforced by the tests here and by the `num_profile`
 //! bench digests.
 //!
+//! # The column form and exact integer pricing
+//!
+//! The revised engine's input is a column-form standard form
+//! (`ColumnForm`): `A·x = b`, `x ≥ 0`, `b ≥ 0`, stored column by column,
+//! with the artificial identity appended by the solve. [`LpProblem`] lowers
+//! into it (standard form, then a transposition); the entailment oracle
+//! builds it straight from its product list. Phase 1, the artificial
+//! drive-out, warm starts and extraction exist once, in
+//! `ColumnForm::solve`.
+//!
+//! Pricing is where a cold solve spends its time: every Bland step computes
+//! `c_j − y·a_j` for each column until one is negative, and the columns of
+//! the Farkas/Handelman encodings are almost always integers. Each solve
+//! therefore keeps an `i64` image of every column whose entries are packed
+//! integers. At each pricing step `y` is written as `Y/d`, with `d > 0` the
+//! lcm of its denominators, and `c_j − y·a_j < 0` is decided as
+//! `c_j·d − Y·a_j < 0` in checked `i128` arithmetic — the same sign, since
+//! `d > 0`. A column, cost or `y` without an integer image, or a sum that
+//! leaves `i128`, takes the exact `Rat` computation instead, so the entering
+//! column is always the one exact pricing picks.
+//!
 //! # Warm starts
 //!
 //! The factorization is what makes warm starting cheap: given a previously
@@ -727,28 +748,115 @@ impl LpProblem {
         self.solve_revised_core(Some(key), cache)
     }
 
+    /// Lowers to the revised engine's [`ColumnForm`] and solves it there.
     fn solve_revised_core(&self, warm_key: Option<u64>, cache: &mut BasisCache) -> LpResult {
         let map = self.column_map();
         let StandardForm { rows, rhs, total_decision_cols } = self.standard_form(&map);
-        let m = rows.len();
-        let total_cols = total_decision_cols + m;
-        // Column-major copy of the constraint matrix: the revised engine
-        // works against original columns, never updated rows. Rows iterate
-        // their nonzeros in column order and the outer loop runs in row
-        // order, so each column receives its entries sorted by row. The
-        // artificial block is the identity.
-        let mut cols: Vec<SparseRow> = vec![SparseRow::new(); total_cols];
-        for (i, row) in rows.iter().enumerate() {
-            for (j, a) in row.iter() {
-                cols[j as usize].push(i as u32, a.clone());
+        // Transpose the rows: they yield their nonzeros in column order and
+        // the outer loop runs in row order, so each column receives its
+        // entries sorted by row.
+        let mut columns: Vec<Vec<(u32, Rat)>> = vec![Vec::new(); total_decision_cols];
+        for (i, row) in rows.into_iter().enumerate() {
+            for (j, a) in row.entries {
+                columns[j as usize].push((i as u32, a));
             }
         }
-        for i in 0..m {
-            cols[total_decision_cols + i].push(i as u32, Rat::one());
+        let mut form = ColumnForm::new(rhs);
+        for column in columns {
+            form.push_column(column);
         }
+        match form.solve(self.cost_vector(&map, total_decision_cols), warm_key, cache) {
+            ColumnOutcome::Infeasible => LpResult::Infeasible,
+            ColumnOutcome::Unbounded => LpResult::Unbounded,
+            ColumnOutcome::Optimal { values, cost } => {
+                let objective = match &self.objective {
+                    Some(objective) => &cost + objective.constant_part(),
+                    None => Rat::zero(),
+                };
+                LpResult::Optimal(map.reconstruct(&values, objective))
+            }
+        }
+    }
+}
+
+/// The revised engine's input: a standard form `A·x = b`, `x ≥ 0` with
+/// `b ≥ 0`, stored column by column. [`LpProblem`]'s lowering and the
+/// entailment oracle's Farkas builder both produce it, so phase 1, the
+/// artificial drive-out, warm starts and extraction live in one core,
+/// [`ColumnForm::solve`], which appends the artificial identity block after
+/// the decision columns.
+pub(crate) struct ColumnForm {
+    /// Every column's `(row, coefficient)` nonzeros, column after column;
+    /// each run is sorted by strictly increasing row and holds no zero.
+    entries: Vec<(u32, Rat)>,
+    /// Column `j` is `entries[starts[j]..starts[j + 1]]`.
+    starts: Vec<u32>,
+    rhs: Vec<Rat>,
+}
+
+/// The outcome of [`ColumnForm::solve`].
+pub(crate) enum ColumnOutcome {
+    Infeasible,
+    Unbounded,
+    /// An optimal basic solution: the value of every decision column, and
+    /// its cost `c·x` (zero for a feasibility problem).
+    Optimal {
+        values: Vec<Rat>,
+        cost: Rat,
+    },
+}
+
+impl ColumnForm {
+    /// A form over `rhs.len()` rows (every right-hand side `≥ 0`) that has
+    /// no column yet.
+    pub(crate) fn new(rhs: Vec<Rat>) -> ColumnForm {
+        debug_assert!(rhs.iter().all(|b| !b.is_negative()), "negative right-hand side");
+        ColumnForm { entries: Vec::new(), starts: vec![0], rhs }
+    }
+
+    /// Appends the next decision column, given its nonzeros in increasing
+    /// row order.
+    pub(crate) fn push_column(&mut self, nonzeros: impl IntoIterator<Item = (u32, Rat)>) {
+        let start = self.entries.len();
+        self.entries.extend(nonzeros);
+        debug_assert!(
+            self.entries[start..].windows(2).all(|w| w[0].0 < w[1].0)
+                && self.entries[start..]
+                    .iter()
+                    .all(|(i, a)| !a.is_zero() && *i < self.rhs.len() as u32),
+            "column entries must be nonzero, in range and strictly increasing by row"
+        );
+        self.starts
+            .push(u32::try_from(self.entries.len()).expect("column entries fit u32 offsets"));
+    }
+
+    fn num_cols(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn column(&self, j: usize) -> &[(u32, Rat)] {
+        &self.entries[self.starts[j] as usize..self.starts[j + 1] as usize]
+    }
+
+    /// Minimises `cost·x` over the form — or, without a cost, finds a
+    /// feasible point — with the revised simplex, warm-starting from (and
+    /// afterwards updating) the basis stored under `warm_key` in `cache`.
+    /// `cost` has one entry per decision column.
+    pub(crate) fn solve(
+        mut self,
+        cost: Option<Vec<Rat>>,
+        warm_key: Option<u64>,
+        cache: &mut BasisCache,
+    ) -> ColumnOutcome {
+        let total_decision_cols = self.num_cols();
+        let m = self.rhs.len();
+        for i in 0..m {
+            self.push_column([(i as u32, Rat::one())]);
+        }
+        let total_cols = total_decision_cols + m;
 
         cache.stats.solves += 1;
-        let mut engine = RevisedSimplex::new(&cols, &rhs, total_decision_cols);
+        let mut engine = RevisedSimplex::new(&self, total_decision_cols);
 
         let mut warmed = false;
         if let Some(key) = warm_key {
@@ -770,7 +878,7 @@ impl LpProblem {
             let banned = vec![false; total_cols];
             if !engine.simplex(&phase1_cost, &banned, &mut cache.stats) {
                 // Phase 1 objective is bounded below by 0, so this cannot happen.
-                return LpResult::Infeasible;
+                return ColumnOutcome::Infeasible;
             }
             let phase1_value: Rat = engine
                 .basis
@@ -779,7 +887,7 @@ impl LpProblem {
                 .map(|(i, &b)| &phase1_cost[b] * &engine.x_b[i])
                 .sum();
             if phase1_value.is_positive() {
-                return LpResult::Infeasible;
+                return ColumnOutcome::Infeasible;
             }
             engine.drive_out_artificials(&mut cache.stats);
         }
@@ -788,17 +896,14 @@ impl LpProblem {
         banned[total_decision_cols..].fill(true);
 
         // Phase 2 (only if an objective is present).
-        let objective_value;
-        if let Some(cost) = self.cost_vector(&map, total_cols) {
+        let mut cost_value = Rat::zero();
+        if let Some(mut cost) = cost {
+            cost.resize(total_cols, Rat::zero());
             if !engine.simplex(&cost, &banned, &mut cache.stats) {
-                return LpResult::Unbounded;
+                return ColumnOutcome::Unbounded;
             }
-            let basis_value: Rat =
+            cost_value =
                 engine.basis.iter().enumerate().map(|(i, &b)| &cost[b] * &engine.x_b[i]).sum();
-            objective_value = &basis_value
-                + self.objective.as_ref().expect("cost implies objective").constant_part();
-        } else {
-            objective_value = Rat::zero();
         }
 
         // Remember the final basis for the next structurally identical
@@ -814,11 +919,13 @@ impl LpProblem {
         }
 
         // Extract the solution.
-        let mut col_values = vec![Rat::zero(); total_cols];
-        for (i, &b) in engine.basis.iter().enumerate() {
-            col_values[b] = engine.x_b[i].clone();
+        let mut values = vec![Rat::zero(); total_decision_cols];
+        for (&b, x) in engine.basis.iter().zip(engine.x_b) {
+            if b < total_decision_cols {
+                values[b] = x;
+            }
         }
-        LpResult::Optimal(map.reconstruct(&col_values, objective_value))
+        ColumnOutcome::Optimal { values, cost: cost_value }
     }
 }
 
@@ -920,8 +1027,12 @@ struct Eta {
 /// Working state of the revised simplex: the original columns, the current
 /// basis, the eta-file factorization of its inverse, and the basic solution.
 struct RevisedSimplex<'a> {
-    cols: &'a [SparseRow],
-    rhs: &'a [Rat],
+    form: &'a ColumnForm,
+    /// The `i64` image of `form.entries`, index for index; only the runs of
+    /// the columns flagged in `int_cols` are meaningful.
+    int_entries: Vec<(u32, i64)>,
+    /// Whether every entry of column `j` is a packed integer.
+    int_cols: Vec<bool>,
     total_decision_cols: usize,
     m: usize,
     basis: Vec<usize>,
@@ -932,10 +1043,10 @@ struct RevisedSimplex<'a> {
 
 /// Dot product of a dense vector with a sparse column, skipping zero
 /// entries on both sides.
-fn sparse_dot(dense: &[Rat], col: &SparseRow) -> Rat {
+fn sparse_dot(dense: &[Rat], col: &[(u32, Rat)]) -> Rat {
     let mut acc = Rat::zero();
-    for (i, a) in col.iter() {
-        let d = &dense[i as usize];
+    for (i, a) in col {
+        let d = &dense[*i as usize];
         if !d.is_zero() {
             acc += &(d * a);
         }
@@ -943,19 +1054,69 @@ fn sparse_dot(dense: &[Rat], col: &SparseRow) -> Rat {
     acc
 }
 
+/// A dual vector `y` written as `Y/d` over machine words: `d > 0` is the lcm
+/// of the denominators of `y`'s entries and `Y = d·y` is integral.
+struct IntDual {
+    scaled: Vec<i64>,
+    d: i64,
+}
+
+impl IntDual {
+    /// The integer image of `y`, or `None` if an entry is outside the packed
+    /// tier or `d` or an entry of `Y` does not fit an `i64`.
+    fn of(y: &[Rat]) -> Option<IntDual> {
+        let mut d: i64 = 1;
+        for v in y {
+            let (_, den) = v.packed_parts()?;
+            d = (d / gcd(d, den)).checked_mul(den)?;
+        }
+        let scaled = y
+            .iter()
+            .map(|v| v.packed_parts().and_then(|(num, den)| num.checked_mul(d / den)))
+            .collect::<Option<Vec<i64>>>()?;
+        Some(IntDual { scaled, d })
+    }
+
+    /// The sign of `c·d − Y·a` for an integer cost `c` and an integer
+    /// column `a`, which is the sign of `c − y·a`; `None` if a partial sum
+    /// leaves `i128` (each product of two `i64`s fits).
+    fn reduced_sign(&self, c: i64, column: &[(u32, i64)]) -> Option<Ordering> {
+        let mut acc = i128::from(c) * i128::from(self.d);
+        for &(i, a) in column {
+            acc = acc.checked_sub(i128::from(self.scaled[i as usize]) * i128::from(a))?;
+        }
+        Some(acc.cmp(&0))
+    }
+}
+
+/// Greatest common divisor of two positive machine words.
+fn gcd(mut a: i64, mut b: i64) -> i64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The integer value of `c`, if it is a packed integer.
+fn packed_integer(c: &Rat) -> Option<i64> {
+    c.packed_parts().filter(|&(_, den)| den == 1).map(|(num, _)| num)
+}
+
 impl<'a> RevisedSimplex<'a> {
-    fn new(
-        cols: &'a [SparseRow],
-        rhs: &'a [Rat],
-        total_decision_cols: usize,
-    ) -> RevisedSimplex<'a> {
+    fn new(form: &'a ColumnForm, total_decision_cols: usize) -> RevisedSimplex<'a> {
+        let int_entries: Vec<(u32, i64)> =
+            form.entries.iter().map(|(i, a)| (*i, packed_integer(a).unwrap_or(0))).collect();
+        let int_cols = (0..form.num_cols())
+            .map(|j| form.column(j).iter().all(|(_, a)| packed_integer(a).is_some()))
+            .collect();
         RevisedSimplex {
-            cols,
-            rhs,
+            form,
+            int_entries,
+            int_cols,
             total_decision_cols,
-            m: rhs.len(),
+            m: form.rhs.len(),
             basis: Vec::new(),
-            in_basis: vec![false; cols.len()],
+            in_basis: vec![false; form.num_cols()],
             etas: Vec::new(),
             x_b: Vec::new(),
         }
@@ -965,11 +1126,11 @@ impl<'a> RevisedSimplex<'a> {
     fn cold_start(&mut self) {
         self.etas.clear();
         self.basis = (0..self.m).map(|i| self.total_decision_cols + i).collect();
-        self.in_basis = vec![false; self.cols.len()];
+        self.in_basis = vec![false; self.form.num_cols()];
         for &b in &self.basis {
             self.in_basis[b] = true;
         }
-        self.x_b = self.rhs.to_vec();
+        self.x_b = self.form.rhs.clone();
     }
 
     /// FTRAN: applies `B⁻¹` to a dense vector in place. Etas apply in
@@ -1011,8 +1172,8 @@ impl<'a> RevisedSimplex<'a> {
     /// `B⁻¹ · column j` as a dense vector.
     fn ftran_col(&self, j: usize) -> Vec<Rat> {
         let mut v = vec![Rat::zero(); self.m];
-        for (i, a) in self.cols[j].iter() {
-            v[i as usize] = a.clone();
+        for (i, a) in self.form.column(j) {
+            v[*i as usize] = a.clone();
         }
         self.ftran(&mut v);
         v
@@ -1038,23 +1199,40 @@ impl<'a> RevisedSimplex<'a> {
         self.etas.push(Eta { slot: slot as u32, entries });
     }
 
+    /// The sign of the reduced cost `c − y·a_j`. When `c`, column `j` and
+    /// `y` (as `dual`) all have integer images, the exact integer kernel
+    /// decides it; if one of them has none, or a sum leaves `i128`, the
+    /// exact `Rat` computation does. Both give the same sign.
+    fn reduced_sign(
+        &self,
+        j: usize,
+        c: &Rat,
+        c_int: Option<i64>,
+        y: &[Rat],
+        dual: Option<&IntDual>,
+    ) -> Ordering {
+        if let (Some(c), Some(dual), true) = (c_int, dual, self.int_cols[j]) {
+            let run = self.form.starts[j] as usize..self.form.starts[j + 1] as usize;
+            if let Some(sign) = dual.reduced_sign(c, &self.int_entries[run]) {
+                return sign;
+            }
+        }
+        (c - &sparse_dot(y, self.form.column(j))).cmp(&Rat::zero())
+    }
+
     /// Bland pricing: the lowest-index improving non-basic column, priced
     /// with exact reduced costs `c_j − y·a_j` where `y = B⁻ᵀ c_B` comes from
     /// one BTRAN sweep. These equal the tableau engines' maintained
     /// reduced-cost row, so every engine picks the same entering column.
-    fn price(&self, cost: &[Rat], banned: &[bool]) -> Option<usize> {
+    fn price(&self, cost: &[Rat], cost_int: &[Option<i64>], banned: &[bool]) -> Option<usize> {
         let mut y: Vec<Rat> = self.basis.iter().map(|&b| cost[b].clone()).collect();
         self.btran(&mut y);
-        for j in 0..cost.len() {
-            if banned[j] || self.in_basis[j] {
-                continue;
-            }
-            let reduced = &cost[j] - &sparse_dot(&y, &self.cols[j]);
-            if reduced.is_negative() {
-                return Some(j);
-            }
-        }
-        None
+        let dual = IntDual::of(&y);
+        (0..cost.len()).find(|&j| {
+            !banned[j]
+                && !self.in_basis[j]
+                && self.reduced_sign(j, &cost[j], cost_int[j], &y, dual.as_ref()) == Ordering::Less
+        })
     }
 
     /// The tableau engines' ratio test on `w = B⁻¹·a_entering`: lowest ratio
@@ -1105,8 +1283,9 @@ impl<'a> RevisedSimplex<'a> {
     /// Runs Bland's-rule simplex to optimality from the current (feasible)
     /// basis. Returns `false` iff the objective is unbounded below.
     fn simplex(&mut self, cost: &[Rat], banned: &[bool], stats: &mut LpStats) -> bool {
+        let cost_int: Vec<Option<i64>> = cost.iter().map(packed_integer).collect();
         loop {
-            let Some(entering) = self.price(cost, banned) else { return true };
+            let Some(entering) = self.price(cost, &cost_int, banned) else { return true };
             let w = self.ftran_col(entering);
             let Some(slot) = self.ratio_test(&w) else { return false };
             self.pivot(slot, entering, &w, stats);
@@ -1124,12 +1303,18 @@ impl<'a> RevisedSimplex<'a> {
                 continue;
             }
             // Row `slot` of the current tableau is `ρ·A` with `ρ` the
-            // corresponding row of `B⁻¹`, i.e. BTRAN of a unit vector.
+            // corresponding row of `B⁻¹`, i.e. BTRAN of a unit vector; its
+            // entry in column `j` is the reduced cost of `j` at cost zero,
+            // negated.
             let mut rho = vec![Rat::zero(); self.m];
             rho[slot] = Rat::one();
             self.btran(&mut rho);
-            let entering = (0..self.total_decision_cols)
-                .find(|&j| !self.in_basis[j] && !sparse_dot(&rho, &self.cols[j]).is_zero());
+            let dual = IntDual::of(&rho);
+            let entering = (0..self.total_decision_cols).find(|&j| {
+                !self.in_basis[j]
+                    && self.reduced_sign(j, &Rat::zero(), Some(0), &rho, dual.as_ref())
+                        != Ordering::Equal
+            });
             if let Some(j) = entering {
                 let w = self.ftran_col(j);
                 debug_assert!(!w[slot].is_zero(), "drive-out pivot on zero element");
@@ -1180,11 +1365,11 @@ impl<'a> RevisedSimplex<'a> {
         for (k, &c) in stored.iter().enumerate() {
             self.basis[slot_of[k]] = c as usize;
         }
-        self.in_basis = vec![false; self.cols.len()];
+        self.in_basis = vec![false; self.form.num_cols()];
         for &b in &self.basis {
             self.in_basis[b] = true;
         }
-        let mut x_b = self.rhs.to_vec();
+        let mut x_b = self.form.rhs.clone();
         self.ftran(&mut x_b);
         if x_b.iter().any(|v| v.is_negative()) {
             self.etas.clear();
@@ -1451,7 +1636,7 @@ fn pivot_dense(
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
-    use revterm_num::{rat, ratio, Rat};
+    use revterm_num::{rat, ratio, Int, Rat};
 
     fn e(c: i64) -> LinExpr {
         LinExpr::constant(rat(c))
@@ -1691,10 +1876,25 @@ mod tests {
     // Sparse vs dense differential testing.
     // -----------------------------------------------------------------------
 
+    /// A value for the large-magnitude rounds: small integers, integers
+    /// within 1000 of `±i64::MAX`, integers past the `i64` range, and small
+    /// fractions over pairwise coprime denominators near `2^40`, any two of
+    /// which have an lcm past `i64`.
+    fn large_value(rng: &mut SplitMix64) -> Rat {
+        let sign = if rng.next_below(2) == 0 { 1 } else { -1 };
+        match rng.next_below(4) {
+            0 => rat(sign * rng.next_in_range(1, 5)),
+            1 => rat(sign * (i64::MAX - rng.next_in_range(0, 1000))),
+            2 => Rat::from(Int::from(sign) * Int::from(u64::MAX - rng.next_below(1000))),
+            _ => Rat::packed(sign * rng.next_in_range(1, 7), (1 << 40) + rng.next_in_range(1, 3)),
+        }
+    }
+
     /// Builds a random Farkas-flavoured system: equality/inequality rows of
     /// 1–3 nonzeros over a mix of free and non-negative variables, half the
-    /// time with an objective.
-    fn random_lp(rng: &mut SplitMix64, with_objective: bool) -> LpProblem {
+    /// time with an objective. With `large`, every coefficient, right-hand
+    /// side and cost is a [`large_value`].
+    fn random_lp(rng: &mut SplitMix64, with_objective: bool, large: bool) -> LpProblem {
         let n_vars = 2 + rng.next_below(5) as usize;
         let n_rows = 2 + rng.next_below(7) as usize;
         let mut lp = LpProblem::new();
@@ -1703,13 +1903,16 @@ mod tests {
             lp.set_var_kind(Var(v as u32), kind);
         }
         for _ in 0..n_rows {
-            let mut expr =
-                LinExpr::constant(Rat::packed(rng.next_in_range(-8, 8), rng.next_in_range(1, 4)));
+            let mut expr = LinExpr::constant(if large {
+                large_value(rng)
+            } else {
+                Rat::packed(rng.next_in_range(-8, 8), rng.next_in_range(1, 4))
+            });
             for _ in 0..(1 + rng.next_below(3)) {
                 let var = rng.next_below(n_vars as u64) as u32;
-                let c = rng.next_in_range(-5, 5);
-                if c != 0 {
-                    expr.add_coeff(Var(var), rat(c));
+                let c = if large { large_value(rng) } else { rat(rng.next_in_range(-5, 5)) };
+                if !c.is_zero() {
+                    expr.add_coeff(Var(var), c);
                 }
             }
             let rel = match rng.next_below(3) {
@@ -1722,7 +1925,8 @@ mod tests {
         if with_objective {
             let mut obj = LinExpr::zero();
             for v in 0..n_vars {
-                obj.add_coeff(Var(v as u32), rat(rng.next_in_range(0, 3)));
+                let c = if large { large_value(rng) } else { rat(rng.next_in_range(0, 3)) };
+                obj.add_coeff(Var(v as u32), c);
             }
             lp.set_objective(obj);
         }
@@ -1735,24 +1939,63 @@ mod tests {
         // indistinguishable from the dense reference on feasible, infeasible
         // and unbounded instances — not just the verdict but the exact
         // solution values (all engines make the same Bland's-rule choices).
+        // The small-magnitude rounds price on the revised engine's integer
+        // kernel; the large-magnitude rounds push columns, costs and duals
+        // out of it (big-tier entries, lcms and scaled duals past `i64`,
+        // dot products past `i128`), onto the exact `Rat` fallback.
         let mut rng = SplitMix64::new(0xD1FF_5EED);
-        let (mut feasible, mut infeasible) = (0, 0);
-        for round in 0..120 {
-            let lp = random_lp(&mut rng, round % 2 == 0);
-            let sparse = lp.solve();
-            let dense = lp.solve_dense();
-            let revised = lp.solve_revised();
-            assert_eq!(sparse, dense, "sparse vs dense diverged on:\n{lp}");
-            assert_eq!(revised, dense, "revised vs dense diverged on:\n{lp}");
-            match sparse {
-                LpResult::Optimal(_) => feasible += 1,
-                LpResult::Infeasible => infeasible += 1,
-                LpResult::Unbounded => {}
+        for large in [false, true] {
+            let (mut feasible, mut infeasible) = (0, 0);
+            for round in 0..120 {
+                let lp = random_lp(&mut rng, round % 2 == 0, large);
+                let sparse = lp.solve();
+                let dense = lp.solve_dense();
+                let revised = lp.solve_revised();
+                assert_eq!(sparse, dense, "sparse vs dense diverged on:\n{lp}");
+                assert_eq!(revised, dense, "revised vs dense diverged on:\n{lp}");
+                match sparse {
+                    LpResult::Optimal(_) => feasible += 1,
+                    LpResult::Infeasible => infeasible += 1,
+                    LpResult::Unbounded => {}
+                }
             }
+            // The generator must actually exercise both exits.
+            assert!(feasible > 10, "too few feasible systems (large: {large})");
+            assert!(infeasible > 10, "too few infeasible systems (large: {large})");
         }
-        // The generator must actually exercise both exits.
-        assert!(feasible > 10, "generator produced too few feasible systems");
-        assert!(infeasible > 10, "generator produced too few infeasible systems");
+        // Phase 2 of this one prices x3 at `0 − 3·i64::MAX²`, past `i128`.
+        let big = rat(i64::MAX);
+        let mut lp = LpProblem::new();
+        for i in 0..4 {
+            lp.set_var_kind(Var(i), VarKind::NonNegative);
+        }
+        for i in 0..3 {
+            lp.add_constraint(v(i) + v(3).scale(&big) - e(1), Rel::Eq);
+        }
+        lp.set_objective((v(0) + v(1) + v(2)).scale(&big));
+        let revised = lp.solve_revised();
+        assert_eq!(revised, lp.solve_dense());
+        assert_eq!(revised.solution().map(|s| s.value(Var(3))), Some(big.recip()));
+    }
+
+    #[test]
+    fn integer_pricing_declines_what_does_not_fit() {
+        // y = (1/2, −1/3) is (3, −2)/6; with c = 1 and a = (2, 3) the
+        // reduced cost is 1 − 1 + 1 > 0, decided as 6 − 6 + 6 > 0.
+        let dual = IntDual::of(&[ratio(1, 2), ratio(-1, 3)]).expect("fits");
+        assert_eq!((dual.scaled.as_slice(), dual.d), (&[3, -2][..], 6));
+        assert_eq!(dual.reduced_sign(1, &[(0, 2), (1, 3)]), Some(Ordering::Greater));
+        assert_eq!(dual.reduced_sign(0, &[]), Some(Ordering::Equal));
+        // A big-tier entry, an lcm past i64, a scaled entry past i64.
+        assert!(IntDual::of(&[Rat::from(Int::from(u64::MAX))]).is_none());
+        let (p, q) = ((1i64 << 40) + 1, (1i64 << 40) + 3);
+        assert!(IntDual::of(&[Rat::packed(1, p), Rat::packed(1, q)]).is_none());
+        assert!(IntDual::of(&[rat(i64::MAX), ratio(1, 2)]).is_none());
+        // A dot product past i128.
+        let dual = IntDual::of(&[rat(i64::MAX), rat(i64::MAX), rat(i64::MAX)]).expect("fits");
+        let column = [(0, i64::MAX), (1, i64::MAX), (2, i64::MAX)];
+        assert_eq!(dual.reduced_sign(0, &column), None);
+        assert_eq!(dual.reduced_sign(0, &column[..1]), Some(Ordering::Less));
     }
 
     // -----------------------------------------------------------------------

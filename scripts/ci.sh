@@ -53,6 +53,13 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark's own tests pin its determinism contract: the running
+# example's degree-1 sweep costs 887 LP solves with 2 warm hits, and every
+# traced count repeats run to run. A prover change that keeps the work the
+# same keeps them green.
+echo "==> cargo test --release (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if $run_bench_smoke; then
     # Bench smoke: one cheap benchmark through the session-vs-fresh harness
     # (~1 s) so every CI run leaves a comparable speedup/verdict JSON
