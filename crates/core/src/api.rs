@@ -42,7 +42,7 @@ use std::time::Duration;
 
 pub mod json;
 
-use json::Json;
+use json::{Json, ObjRef};
 
 /// The wire-protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -209,7 +209,7 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     let obj = value.as_obj_or("config")?;
     let label = obj.str_field("label")?;
     let mut config = ProverConfig::parse_label(label)?;
-    config.resolution_degree = obj.u64_field("resolution_degree")? as u32;
+    config.resolution_degree = u32_field(&obj, "resolution_degree")?;
     let search = obj.obj_field("search")?;
     config.search.max_steps = search.u64_field("max_steps")? as usize;
     config.search.max_configs = search.u64_field("max_configs")? as usize;
@@ -217,7 +217,7 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     config.search.grid = search.i64_field("grid")?;
     let entail = obj.obj_field("entailment")?;
     config.entailment.max_product_size = entail.u64_field("max_product_size")? as usize;
-    config.entailment.max_product_degree = entail.u64_field("max_product_degree")? as u32;
+    config.entailment.max_product_degree = u32_field(&entail, "max_product_degree")?;
     config.entailment.use_unsat_fallback = entail.bool_field("use_unsat_fallback")?;
     config.entailment.lp_engine = lp_engine_from_name(entail.str_field("lp_engine")?)?;
     config.entailment.interval_fast_path = entail.bool_field("interval_fast_path")?;
@@ -231,6 +231,15 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
         max_entailment_calls: budget.opt_u64_field("max_entailment_calls")?,
     };
     Ok(config)
+}
+
+/// A required non-negative integer field that must fit in a `u32`: a wider
+/// value is a protocol error, not a silent truncation.
+fn u32_field(obj: &ObjRef<'_>, key: &str) -> Result<u32, Error> {
+    let value = obj.u64_field(key)?;
+    u32::try_from(value).map_err(|_| {
+        Error::Protocol(format!("config field {key:?} must fit in 32 bits, got {value}"))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -857,6 +866,31 @@ mod tests {
         config.search.grid = 5;
         let roundtripped = config_from_json(&config_to_json(&config)).unwrap();
         assert_eq!(roundtripped, config);
+    }
+
+    #[test]
+    fn config_degrees_past_u32_are_protocol_errors_not_truncations() {
+        let base = config_to_json(&ProverConfig::default()).to_string();
+        // `base` with the integer after `"key":` replaced by `value`.
+        let with = |key: &str, value: u64| {
+            let label = format!("\"{key}\":");
+            let at = base.find(&label).expect("field present") + label.len();
+            let digits = base[at..].find(|ch: char| !ch.is_ascii_digit()).unwrap();
+            let text = format!("{}{value}{}", &base[..at], &base[at + digits..]);
+            config_from_json(&json::parse_json(&text).unwrap())
+        };
+        for key in ["resolution_degree", "max_product_degree"] {
+            // 2^32 + 1, which an `as u32` cast truncates to 1.
+            let err = with(key, (1 << 32) + 1).unwrap_err();
+            assert!(matches!(err, Error::Protocol(_)), "{err}");
+            assert!(err.to_string().contains(key) && err.to_string().contains("4294967297"));
+            let widest = with(key, u64::from(u32::MAX)).unwrap();
+            let degree = match key {
+                "resolution_degree" => widest.resolution_degree,
+                _ => widest.entailment.max_product_degree,
+            };
+            assert_eq!(degree, u32::MAX);
+        }
     }
 
     #[test]

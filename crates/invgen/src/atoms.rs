@@ -197,7 +197,8 @@ fn guard_atoms(ts: &TransitionSystem) -> Vec<Poly> {
 /// restricted/reversed system.
 #[derive(Debug, Clone, Default)]
 pub struct PoolCache {
-    constants: Option<Vec<Int>>,
+    /// The program constants as thresholds, sorted and deduplicated.
+    constants: Option<Vec<Rat>>,
     guard_atoms: Option<Vec<Poly>>,
     /// Shape lists keyed by the `(c, degree)` components that determine them.
     shapes: Vec<((usize, u32), Vec<Poly>)>,
@@ -224,7 +225,7 @@ impl PoolCache {
             return;
         }
         if self.constants.is_none() {
-            self.constants = Some(collect_constants(ts));
+            self.constants = Some(collect_constants(ts).into_iter().map(Rat::from).collect());
         }
         if self.guard_atoms.is_none() {
             self.guard_atoms = Some(guard_atoms(ts));
@@ -249,7 +250,8 @@ impl PoolCache {
 /// Every returned polynomial `p` is a candidate conjunct `p ≥ 0` that is
 /// consistent with all sample valuations recorded for the location.  The pool
 /// size is bounded by the template parameters; with no samples at a location
-/// the thresholds come from the program constants alone.
+/// the thresholds come from the program constants alone.  Every candidate is
+/// non-constant and ranges over unprimed variables only.
 pub fn candidate_atoms(
     ts: &TransitionSystem,
     loc: Loc,
@@ -259,9 +261,81 @@ pub fn candidate_atoms(
     candidate_atoms_cached(ts, loc, samples, params, &mut PoolCache::new())
 }
 
+/// A location's samples as one row of `i64` words per sample, built only
+/// when every value of every sample is inline.
+struct SampleWords {
+    width: usize,
+    words: Vec<i64>,
+}
+
+impl SampleWords {
+    fn new(samples: &[Valuation]) -> Option<SampleWords> {
+        let width = samples.first()?.len();
+        if width == 0 {
+            return None;
+        }
+        let mut words = Vec::with_capacity(width * samples.len());
+        for v in samples {
+            if v.len() != width {
+                return None;
+            }
+            for x in &v.0 {
+                words.push(x.to_i64()?);
+            }
+        }
+        Some(SampleWords { width, words })
+    }
+
+    /// The minimum of `poly` over the rows, summed in checked `i128`.
+    /// `None` unless `poly` is linear with inline integer coefficients over
+    /// variables the rows cover and no sum overflows.
+    fn min_of(&self, poly: &Poly) -> Option<Rat> {
+        let mut constant = 0_i64;
+        let mut terms: Vec<(usize, i64)> = Vec::with_capacity(poly.num_terms());
+        for (m, c) in poly.flat_terms() {
+            let (num, 1) = c.packed_parts()? else { return None };
+            if m.is_one() {
+                constant = num;
+                continue;
+            }
+            let mut factors = m.iter();
+            let (v, e) = factors.next()?;
+            if e != 1 || factors.next().is_some() || v.index() >= self.width {
+                return None;
+            }
+            terms.push((v.index(), num));
+        }
+        let mut min: Option<i128> = None;
+        for row in self.words.chunks_exact(self.width) {
+            let mut sum = i128::from(constant);
+            for &(j, a) in &terms {
+                // |a·x| ≤ 2^126, so only the additions can overflow.
+                sum = sum.checked_add(i128::from(a) * i128::from(row[j]))?;
+            }
+            min = Some(min.map_or(sum, |m| m.min(sum)));
+        }
+        min.map(|m| Rat::from(Int::from(m)))
+    }
+}
+
+/// The minimum of `poly` over `samples` (`None` when there are none): in
+/// machine words when `words` can take it, else exactly in `Rat`.
+fn sample_min(poly: &Poly, samples: &[Valuation], words: Option<&SampleWords>) -> Option<Rat> {
+    if let Some(m) = words.and_then(|w| w.min_of(poly)) {
+        return Some(m);
+    }
+    samples.iter().map(|v| poly.eval_at_int_point(&|var: Var| v.get(var.index()).clone())).min()
+}
+
 /// [`candidate_atoms`] with the per-system artifacts served from a
 /// [`PoolCache`].  Produces bitwise-identical pools; the cache must belong to
 /// `ts` (see the `PoolCache` docs).
+///
+/// Each shape's threshold is its minimum over the location's samples.  When
+/// every sample value fits an `i64`, the samples become one word matrix per
+/// call and a linear integer-coefficient shape takes its minimum in checked
+/// `i128` sums; any other shape, sample or overflowing sum is evaluated
+/// exactly with [`Poly::eval_at_int_point`].  Both give the same `Rat`.
 pub fn candidate_atoms_cached(
     ts: &TransitionSystem,
     loc: Loc,
@@ -272,43 +346,29 @@ pub fn candidate_atoms_cached(
     cache.prepare(ts, params);
     let constants = cache.constants.as_deref().expect("prepare fills constants");
     let locals = samples.at(loc);
+    let words = SampleWords::new(locals);
     let mut pool = Vec::new();
     for shape in cache.shapes_for(params) {
         // Tightest threshold consistent with the samples: k = min over samples
-        // of shape(sample); candidate atom is shape - k >= 0.
-        let sample_min: Option<Rat> = locals
-            .iter()
-            .map(|v| shape.eval_at_int_point(&|var: Var| v.get(var.index()).clone()))
-            .min();
-        let mut thresholds: Vec<Rat> = constants.iter().map(|c| Rat::from(c.clone())).collect();
-        if let Some(m) = &sample_min {
-            thresholds.push(m.clone());
-        }
-        thresholds.sort();
-        thresholds.dedup();
-        // Keep only thresholds consistent with every sample, capped at a dozen
-        // per shape (tightest first) to bound the pool size on constant-heavy
-        // programs.
+        // of shape(sample); candidate atom is shape - k >= 0.  The consistent
+        // thresholds are the constants below that minimum and the minimum
+        // itself, capped at a dozen per shape (tightest first) to bound the
+        // pool size on constant-heavy programs.
         const MAX_THRESHOLDS_PER_SHAPE: usize = 12;
-        let consistent: Vec<Rat> = thresholds
-            .into_iter()
-            .filter(|k| match &sample_min {
-                Some(m) => k <= m,
-                None => true,
-            })
-            .collect();
-        let start = consistent.len().saturating_sub(MAX_THRESHOLDS_PER_SHAPE);
-        for k in &consistent[start..] {
-            let atom = shape - &Poly::constant(k.clone());
-            pool.push(atom);
+        let min = sample_min(shape, locals, words.as_ref());
+        let below = match &min {
+            Some(m) => &constants[..constants.partition_point(|k| k < m)],
+            None => constants,
+        };
+        let count = below.len() + usize::from(min.is_some());
+        let skip = count.saturating_sub(MAX_THRESHOLDS_PER_SHAPE);
+        for k in below.iter().chain(&min).skip(skip) {
+            pool.push(shape - &Poly::constant(k.clone()));
         }
     }
     if params.c >= 3 {
         for atom in cache.guard_atoms.as_deref().expect("prepare fills guard atoms") {
-            let ok = locals.iter().all(|v| {
-                !atom.eval_at_int_point(&|var: Var| v.get(var.index()).clone()).is_negative()
-            });
-            if ok {
+            if sample_min(atom, locals, words.as_ref()).is_none_or(|m| !m.is_negative()) {
                 pool.push(atom.clone());
             }
         }
@@ -326,6 +386,7 @@ mod tests {
     use super::*;
     use revterm_lang::parse_program;
     use revterm_num::int;
+    use revterm_solver::SplitMix64;
     use revterm_ts::lower;
 
     const RUNNING: &str =
@@ -404,6 +465,118 @@ mod tests {
         }
         // Every location after the first (per params) is served from the cache.
         assert!(cache.hits >= cache.lookups - 2, "hits {} lookups {}", cache.hits, cache.lookups);
+    }
+
+    /// The pool generator as it was before sample minima moved to machine
+    /// words: every shape evaluated at every sample in exact `Rat`.
+    fn exact_pool(
+        ts: &TransitionSystem,
+        loc: Loc,
+        samples: &SampleSet,
+        params: &TemplateParams,
+    ) -> Vec<Poly> {
+        let constants = collect_constants(ts);
+        let locals = samples.at(loc);
+        let eval =
+            |p: &Poly, v: &Valuation| p.eval_at_int_point(&|var: Var| v.get(var.index()).clone());
+        let mut pool = Vec::new();
+        for shape in shapes(ts, params) {
+            let sample_min: Option<Rat> = locals.iter().map(|v| eval(&shape, v)).min();
+            let mut thresholds: Vec<Rat> = constants.iter().map(|c| Rat::from(c.clone())).collect();
+            if let Some(m) = &sample_min {
+                thresholds.push(m.clone());
+            }
+            thresholds.sort();
+            thresholds.dedup();
+            let consistent: Vec<Rat> = thresholds
+                .into_iter()
+                .filter(|k| sample_min.as_ref().is_none_or(|m| k <= m))
+                .collect();
+            let start = consistent.len().saturating_sub(12);
+            for k in &consistent[start..] {
+                pool.push(&shape - &Poly::constant(k.clone()));
+            }
+        }
+        if params.c >= 3 {
+            for atom in guard_atoms(ts) {
+                if locals.iter().all(|v| !eval(&atom, v).is_negative()) {
+                    pool.push(atom);
+                }
+            }
+        }
+        pool.sort_by(|a, b| a.flat_terms().cmp(b.flat_terms()));
+        pool.dedup();
+        pool
+    }
+
+    #[test]
+    fn word_minima_reproduce_exact_pools() {
+        // Values at and past both ends of `i64`: sums of two of them leave
+        // `i64` (the `i128` path must carry them), and a value past the end is
+        // a non-inline `Int` (the whole location falls back to `Rat`).
+        let extremes: Vec<Int> = vec![
+            Int::from(i64::MAX),
+            Int::from(-i64::MAX),
+            Int::from(i64::MIN),
+            Int::from(i128::from(i64::MAX) + 1),
+            Int::from(i128::from(i64::MIN) - 7),
+        ];
+        let sources = [
+            RUNNING,
+            "while x + y >= 3 and z <= 40 do \
+               if x <= y then x := x + 2 * z; else y := y - x; z := z + 1; fi \
+             od",
+        ];
+        let mut rng = SplitMix64::new(0x5a3c_11e5);
+        let (mut wide_sums, mut fallbacks, mut locations) = (0, 0, 0);
+        for source in sources {
+            let ts = lower(&parse_program(source).unwrap()).unwrap();
+            let n = ts.vars().len();
+            for _ in 0..150 {
+                let mut samples = SampleSet::new();
+                for loc in ts.locations() {
+                    for _ in 0..rng.next_below(5) {
+                        let vals = (0..n)
+                            .map(|_| match rng.next_below(3) {
+                                0 => {
+                                    extremes[rng.next_below(extremes.len() as u64) as usize].clone()
+                                }
+                                _ => Int::from(rng.next_in_range(-30, 30)),
+                            })
+                            .collect();
+                        samples.add(loc, Valuation(vals));
+                    }
+                }
+                let c = 1 + rng.next_below(4) as usize;
+                let params = TemplateParams::new(c, 1, 1 + rng.next_below(2) as u32);
+                let mut cache = PoolCache::new();
+                for loc in ts.locations() {
+                    let locals = samples.at(loc);
+                    match SampleWords::new(locals) {
+                        Some(w) => {
+                            let wide = |row: &[i64]| {
+                                i64::try_from(i128::from(row[0]) + i128::from(row[1])).is_err()
+                            };
+                            if w.words.chunks_exact(w.width).any(wide) {
+                                wide_sums += 1;
+                            }
+                        }
+                        None if !locals.is_empty() => fallbacks += 1,
+                        None => {}
+                    }
+                    locations += 1;
+                    assert_eq!(
+                        candidate_atoms_cached(&ts, loc, &samples, &params, &mut cache),
+                        exact_pool(&ts, loc, &samples, &params),
+                        "pool mismatch at {loc:?} with {params:?} and samples {locals:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            wide_sums > 0 && fallbacks > 0,
+            "{wide_sums} wide-sum and {fallbacks} fallback locations of {locations}"
+        );
     }
 
     #[test]

@@ -31,6 +31,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark in perfbench/ is a cargo workspace of its own, so the two
+# steps above never look at it; format-check and lint it separately.
+echo "==> cargo fmt --check (perfbench)"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+
+echo "==> cargo clippy --all-targets -- -D warnings (perfbench)"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 # Docs gate: rustdoc must be warning-free (this catches broken intra-doc
 # links workspace-wide, which plain builds do not).
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
