@@ -8,10 +8,9 @@
 //!   feasibility/optimisation problems and entailment chains solved through
 //!   [`revterm_solver::LpProblem`]. This spends essentially all of its time
 //!   in `Rat`/`Int` arithmetic inside simplex pivoting, so it isolates the
-//!   arithmetic tower from prover logic. The whole workload runs **three
-//!   times**: through the revised simplex (`solve_revised`, the default
-//!   engine), the sparse tableau (`solve`) and the dense reference tableau
-//!   (`solve_dense`), with separate timings and digests.
+//!   arithmetic tower from prover logic. The whole workload runs **twice**:
+//!   through the revised simplex (`solve`, the engine) and the dense
+//!   reference tableau (`solve_dense`), with separate timings and digests.
 //! * **Poly-kernel microloop** — a deterministic polynomial family spanning
 //!   both monomial tiers (packed `u64` keys and interned large monomials),
 //!   whose flat merge/multiply kernels are timed and differentially digested
@@ -21,7 +20,7 @@
 //!   path" claim is asserted, not assumed.
 //! * **Degree-1 sweep** — the paper's running example swept over the
 //!   24-cell degree-1 configuration grid: fresh per-configuration `prove`
-//!   calls through each of the three LP engines, and a warm
+//!   calls through each of the two LP engines, and a warm
 //!   [`revterm::ProverSession`] (mirroring `session_vs_fresh`) whose
 //!   revised-simplex warm-start counters are reported alongside the
 //!   timings.  The same sessioned sweep then runs again with the
@@ -35,7 +34,7 @@
 //! pure functions of the computed values, so two runs (or two engines, or
 //! two builds) that print the same digest produced bitwise-identical LP
 //! solutions and prover verdicts — this is how both the "optimisations must
-//! not change any verdict" and the "all three simplex engines are
+//! not change any verdict" and the "both simplex engines are
 //! indistinguishable" acceptance criteria are checked on every run. The
 //! process exits non-zero if any engine digest or fresh/sessioned verdict
 //! comparison diverges, if the flat poly kernels diverge from the BTreeMap
@@ -192,8 +191,7 @@ fn run_microloop(
     let start = Instant::now();
     for lp in problems {
         let result = match opts.lp_engine {
-            LpEngine::Revised => lp.solve_revised(),
-            LpEngine::SparseTableau => lp.solve(),
+            LpEngine::Revised => lp.solve(),
             LpEngine::Dense => lp.solve_dense(),
         };
         match result.solution() {
@@ -239,15 +237,14 @@ fn main() {
     // --- LP-heavy microloop -------------------------------------------------
     // Two deterministic problem families, fixed up front so only the solving
     // is timed: raw simplex instances, and Farkas entailment chains (the
-    // shape the prover's consecution checks produce). Both run through all
-    // three LP engines.
+    // shape the prover's consecution checks produce). Both run through both
+    // LP engines.
     let with_engine = |engine: LpEngine| {
         let mut o = EntailmentOptions::linear();
         o.lp_engine = engine;
         o
     };
     let opts = with_engine(LpEngine::Revised);
-    let sparse_opts = with_engine(LpEngine::SparseTableau);
     let dense_opts = with_engine(LpEngine::Dense);
     let mut problems = Vec::new();
     let mut queries = Vec::new();
@@ -267,14 +264,9 @@ fn main() {
         }
     }
     let (feasible, lp_secs, lp_digest) = run_microloop(&problems, &queries, &opts);
-    let (sparse_feasible, lp_sparse_secs, lp_sparse_digest) =
-        run_microloop(&problems, &queries, &sparse_opts);
     let (dense_feasible, lp_dense_secs, lp_dense_digest) =
         run_microloop(&problems, &queries, &dense_opts);
-    let lp_digests_match = lp_digest == lp_sparse_digest
-        && lp_digest == lp_dense_digest
-        && feasible == sparse_feasible
-        && feasible == dense_feasible;
+    let lp_digests_match = lp_digest == lp_dense_digest && feasible == dense_feasible;
 
     // --- Poly-kernel microloop ----------------------------------------------
     // A deterministic polynomial family: mostly packed-tier monomials
@@ -399,7 +391,6 @@ fn main() {
         (verdicts, start.elapsed().as_secs_f64())
     };
     let (fresh, sweep_fresh_secs) = sweep_with(&engine_configs(LpEngine::Revised));
-    let (sparse, sweep_sparse_secs) = sweep_with(&engine_configs(LpEngine::SparseTableau));
     let (dense, sweep_dense_secs) = sweep_with(&engine_configs(LpEngine::Dense));
 
     let mut session = ProverSession::new(ts.clone());
@@ -452,22 +443,18 @@ fn main() {
         d.finish()
     };
     let verdict_digest = digest_of(&fresh);
-    let verdict_sparse_digest = digest_of(&sparse);
     let verdict_dense_digest = digest_of(&dense);
-    let verdict_digests_match =
-        verdict_digest == verdict_sparse_digest && verdict_digest == verdict_dense_digest;
+    let verdict_digests_match = verdict_digest == verdict_dense_digest;
     let verdicts_match = fresh == sessioned;
     let verdict_absint_off_digest = digest_of(&absint_off);
     let absint_verdicts_match = verdict_absint_off_digest == verdict_digest;
 
     println!(
-        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_sparse_secs\":{:.3},\"lp_sparse_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_sparse_secs\":{:.3},\"sweep_dense_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"session_lp_refactorizations\":{},\"session_warm_lookups\":{},\"session_warm_hits\":{},\"session_warm_hit_rate\":{:.3},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_sparse_digest\":\"{:016x}\",\"verdict_dense_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdict_digests_match\":{},\"verdicts_match\":{},\"absint_verdicts_match\":{}}}",
+        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_dense_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"session_lp_refactorizations\":{},\"session_warm_lookups\":{},\"session_warm_hits\":{},\"session_warm_hit_rate\":{:.3},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_dense_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdict_digests_match\":{},\"verdicts_match\":{},\"absint_verdicts_match\":{}}}",
         problems.len() + queries.len(),
         feasible,
         lp_secs,
         lp_digest,
-        lp_sparse_secs,
-        lp_sparse_digest,
         lp_dense_secs,
         lp_dense_digest,
         lp_digests_match,
@@ -480,7 +467,6 @@ fn main() {
         bench.name,
         configs.len(),
         sweep_fresh_secs,
-        sweep_sparse_secs,
         sweep_dense_secs,
         sweep_session_secs,
         lp_stats.solves,
@@ -494,7 +480,6 @@ fn main() {
         absint_prunes,
         sweep_absint_off_secs,
         verdict_digest,
-        verdict_sparse_digest,
         verdict_dense_digest,
         verdict_absint_off_digest,
         verdict_digests_match,
@@ -504,7 +489,7 @@ fn main() {
 
     let mut failed = false;
     if !lp_digests_match {
-        eprintln!("FAIL: the three LP engines produced diverging solutions");
+        eprintln!("FAIL: the two LP engines produced diverging solutions");
         failed = true;
     }
     if !poly_digests_match {
@@ -518,7 +503,7 @@ fn main() {
         failed = true;
     }
     if !verdict_digests_match {
-        eprintln!("FAIL: sweep verdicts diverged across the three LP engines");
+        eprintln!("FAIL: sweep verdicts diverged across the two LP engines");
         failed = true;
     }
     if !verdicts_match {

@@ -27,19 +27,17 @@
 //! are FNV-1a hashes folded over the decimal renderings of every computed
 //! value, so equal digests mean **bitwise-identical** results (same exact
 //! rationals, not just same verdicts) — across runs, across commits, and
-//! across all three LP engines (revised, sparse tableau, dense tableau).
+//! across both LP engines (revised simplex, dense reference tableau).
 //!
 //! | field | meaning |
 //! |---|---|
 //! | `lp_problems` | number of LP instances + entailment-chain queries in the microloop |
 //! | `lp_feasible` | how many of those were feasible/entailed (workload shape check) |
-//! | `lp_secs` | seconds for the whole microloop through the revised engine ([`revterm_solver::LpProblem::solve_revised`], the default) |
+//! | `lp_secs` | seconds for the whole microloop through the revised engine ([`revterm_solver::LpProblem::solve`], the default) |
 //! | `lp_digest` | FNV-1a digest of every LP solution and Farkas witness from the revised run |
-//! | `lp_sparse_secs` | same workload through the sparse tableau ([`revterm_solver::LpProblem::solve`]) |
-//! | `lp_sparse_digest` | digest of the sparse-tableau run; must equal `lp_digest` |
 //! | `lp_dense_secs` | same workload through the dense reference engine ([`revterm_solver::LpProblem::solve_dense`]) |
 //! | `lp_dense_digest` | digest of the dense run; must equal `lp_digest` |
-//! | `lp_digests_match` | three-way digest agreement (process exits 1 when false) |
+//! | `lp_digests_match` | two-way digest agreement (process exits 1 when false) |
 //! | `poly_mul_secs` | seconds for the poly-kernel microloop: flat merge-multiply over a two-tier monomial family |
 //! | `poly_mul_digest` | digest of every product's term list from the flat kernels |
 //! | `poly_digests_match` | flat kernels vs `BTreeMap` reference agreement (exit 1 when false) |
@@ -49,7 +47,6 @@
 //! | `sweep_benchmark` | benchmark used for the sweep workload (the paper's running example) |
 //! | `sweep_configs` | number of degree-1 grid cells swept (24) |
 //! | `sweep_fresh_secs` | fresh per-configuration `prove` calls, revised engine |
-//! | `sweep_sparse_secs` | the same fresh sweep forced onto the sparse tableau |
 //! | `sweep_dense_secs` | the same fresh sweep forced onto the dense tableau |
 //! | `sweep_session_secs` | the same grid through one warm [`revterm::ProverSession`] |
 //! | `session_lp_solves` | LP solves issued by the sessioned sweep ([`revterm::ProveStats::lp`] totals) |
@@ -59,9 +56,8 @@
 //! | `session_warm_hits` | of those, resumed from a stored basis (exit 1 when zero) |
 //! | `session_warm_hit_rate` | `session_warm_hits / session_warm_lookups` |
 //! | `verdict_digest` | digest of the per-cell fresh verdicts (revised engine) |
-//! | `verdict_sparse_digest` | digest of the sparse-tableau sweep verdicts; must equal `verdict_digest` |
 //! | `verdict_dense_digest` | digest of the dense-tableau sweep verdicts; must equal `verdict_digest` |
-//! | `verdict_digests_match` | three-way sweep agreement (exit 1 when false) |
+//! | `verdict_digests_match` | two-way sweep agreement (exit 1 when false) |
 //! | `verdicts_match` | fresh vs sessioned verdict agreement (exit 1 when false) |
 //!
 //! ## `session_vs_fresh` (one JSON object per benchmark)
@@ -108,11 +104,12 @@
 //! Differential fuzzing: a seeded batch of labelled random programs
 //! ([`revterm_fuzzgen::generate_batch`]) each run through the four-oracle
 //! harness ([`revterm_fuzzgen::differential`]) — baseline claim table,
-//! independent certificate validation, absint on/off digests, and the three
-//! LP engines. Any failing program is minimized in-process by the fuzzgen
-//! shrinker and embedded in the JSON (and written to `--harvest DIR` as a
-//! repro file for `tests/fuzz_regressions/`). Exits non-zero on any oracle
-//! failure or missing known-label coverage.
+//! independent certificate validation, absint on/off digests, and the
+//! revised LP engine against the dense reference. Any failing program is
+//! minimized in-process by the fuzzgen shrinker and embedded in the JSON
+//! (and written to `--harvest DIR` as a repro file for
+//! `tests/fuzz_regressions/`). Exits non-zero on any oracle failure or
+//! missing known-label coverage.
 //!
 //! | field | meaning |
 //! |---|---|

@@ -134,7 +134,6 @@ fn parse_hex_digest(s: &str) -> Result<u64, Error> {
 fn lp_engine_name(engine: LpEngine) -> &'static str {
     match engine {
         LpEngine::Revised => "revised",
-        LpEngine::SparseTableau => "sparse",
         LpEngine::Dense => "dense",
     }
 }
@@ -142,7 +141,6 @@ fn lp_engine_name(engine: LpEngine) -> &'static str {
 fn lp_engine_from_name(name: &str) -> Result<LpEngine, Error> {
     match name {
         "revised" => Ok(LpEngine::Revised),
-        "sparse" => Ok(LpEngine::SparseTableau),
         "dense" => Ok(LpEngine::Dense),
         other => Err(Error::Protocol(format!("unknown lp engine {other:?}"))),
     }
@@ -866,6 +864,33 @@ mod tests {
         config.search.grid = 5;
         let roundtripped = config_from_json(&config_to_json(&config)).unwrap();
         assert_eq!(roundtripped, config);
+    }
+
+    #[test]
+    fn lp_engine_names_are_revised_or_dense_and_nothing_else() {
+        // The default object form with the `lp_engine` value replaced by
+        // `name`.
+        let base = config_to_json(&ProverConfig::default()).to_string();
+        let field = r#""lp_engine":"revised""#;
+        assert!(base.contains(field), "{base}");
+        let with = |name: &str| {
+            let text = base.replace(field, &format!(r#""lp_engine":"{name}""#));
+            config_from_json(&json::parse_json(&text).unwrap())
+        };
+        for (name, engine) in [("revised", LpEngine::Revised), ("dense", LpEngine::Dense)] {
+            let mut config = ProverConfig::default();
+            config.entailment.lp_engine = engine;
+            let encoded = config_to_json(&config).to_string();
+            assert!(encoded.contains(&format!(r#""lp_engine":"{name}""#)), "{encoded}");
+            assert_eq!(with(name).unwrap(), config);
+        }
+        // Any other name, the retired "sparse" included, is a protocol
+        // error that names it.
+        for name in ["sparse", "Dense", ""] {
+            let err = with(name).unwrap_err();
+            assert!(matches!(err, Error::Protocol(_)), "{err}");
+            assert!(err.to_string().contains(&format!("{name:?}")), "{err}");
+        }
     }
 
     #[test]

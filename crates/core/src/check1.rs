@@ -96,21 +96,6 @@ pub(crate) fn synthesis_options(
     }
 }
 
-/// Runs Check 1 on a transition system.
-///
-/// One-shot wrapper around `check1_cached` with empty caches; prefer a
-/// [`crate::ProverSession`] when running more than one configuration.  The
-/// caller is expected to re-validate the returned certificate with
-/// [`crate::validate_certificate`] (the session and [`crate::prove`] entry
-/// points do).  If the configuration carries a [`crate::Budget`] that
-/// expires mid-search, the search is abandoned and `None` is returned (use
-/// [`crate::prove`] to distinguish a timeout from an exhausted search).
-pub fn check1(ts: &TransitionSystem, config: &ProverConfig) -> Option<NonTerminationCertificate> {
-    let guard = BudgetGuard::arm(&config.budget, 0);
-    check1_cached(ts, config, &mut Caches::default(), &mut ProveStats::default(), &guard)
-        .unwrap_or(None)
-}
-
 /// Check 1 with every derived artifact served from (and recorded into) the
 /// session caches: candidate resolutions and preferred initial valuations
 /// per search bounds, restricted systems and their atom pools per

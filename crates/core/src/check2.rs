@@ -23,18 +23,6 @@ use revterm_safety::{find_path_to, reachable_samples};
 use revterm_ts::interp::{run, Config};
 use revterm_ts::{Assertion, TransitionSystem};
 
-/// Runs Check 2 on a transition system.
-///
-/// One-shot wrapper around `check2_cached` with empty caches; prefer a
-/// [`crate::ProverSession`] when running more than one configuration.  Like
-/// [`crate::check1`], an expired [`crate::Budget`] surfaces as `None` here;
-/// [`crate::prove`] reports the structured timeout verdict.
-pub fn check2(ts: &TransitionSystem, config: &ProverConfig) -> Option<NonTerminationCertificate> {
-    let guard = BudgetGuard::arm(&config.budget, 0);
-    check2_cached(ts, config, &mut Caches::default(), &mut ProveStats::default(), &guard)
-        .unwrap_or(None)
-}
-
 /// Check 2 with every derived artifact served from (and recorded into) the
 /// session caches: the reachable forward samples per search bounds, the
 /// `(Ĩ, Θ)` pair per effective synthesis inputs, restricted and reversed

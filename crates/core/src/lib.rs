@@ -53,20 +53,27 @@
 //!
 //! # Migration from the free-function entry points
 //!
-//! The pre-session API survives as thin wrappers that open a one-shot
-//! session, with identical verdicts:
+//! Of the pre-session free functions only [`prove`] remains: it is exactly
+//! one cold [`ProverSession::prove`] call, the "fresh" run that harnesses
+//! compare sessions against. The others are gone; their session
+//! equivalents return identical verdicts:
 //!
-//! * `prove(&ts, &config)` → [`ProverSession::new`]`(ts).prove(&config)`;
 //! * `prove_with_configs(&ts, &configs)` →
-//!   [`ProverSession::prove_first`] (an **empty** config slice now reports
-//!   the documented [`NO_CONFIGS_LABEL`] instead of the ambiguous `"none"`);
+//!   [`ProverSession::new`]`(ts).`[`prove_first`](ProverSession::prove_first)`(&configs)`
+//!   (an **empty** config slice reports the documented [`NO_CONFIGS_LABEL`]);
+//! * `prove_program(&program, &config)` →
+//!   [`ProverSession::from_program`]`(&program)?.`[`prove`](ProverSession::prove)`(&config)`;
 //! * `sweep(&ts, &configs, stop)` → [`ProverSession::sweep`];
+//! * `check1(&ts, &config)` / `check2(&ts, &config)` →
+//!   [`ProverSession::prove`] with [`CheckKind::Check1`] or
+//!   [`CheckKind::Check2`] in the configuration, whose verdict carries the
+//!   already validated certificate ([`ProofResult::certificate`]);
 //! * `ProverConfig { check, .. }` struct literals → [`ProverConfig::builder`].
 //!
-//! The wrappers are kept for downstream code and scripts, but new code
-//! should hold a session: on the degree-1 configuration grid the sessioned
-//! sweep has measured several-fold faster than fresh per-configuration calls
-//! (see the `session_vs_fresh` harness in `revterm-bench`).
+//! New code should hold a session: on the degree-1 configuration grid the
+//! sessioned sweep has measured several-fold faster than fresh
+//! per-configuration calls (see the `session_vs_fresh` harness in
+//! `revterm-bench`).
 //!
 //! Every `NonTerminating` verdict carries a [`NonTerminationCertificate`]
 //! that has already been validated ([`validate_certificate`]); the prover
@@ -94,12 +101,10 @@ pub use certificate::{
     validate_certificate, CertificateError, Check1Certificate, Check2Certificate,
     NonTerminationCertificate,
 };
-pub use check1::check1;
-pub use check2::check2;
 pub use config::{Budget, CheckKind, ProverConfig, ProverConfigBuilder, Strategy};
 pub use error::Error;
-pub use prover::{prove, prove_program, prove_with_configs, ProofResult, Verdict};
+pub use prover::{prove, ProofResult, Verdict};
 pub use revterm_absint::{AbstractState, Diagnostics};
 pub use revterm_ts::TransitionSystem;
 pub use session::{ProveStats, ProverSession, SessionStats, NO_CONFIGS_LABEL};
-pub use sweep::{default_sweep, degree1_sweep, quick_sweep, sweep, ConfigOutcome, SweepReport};
+pub use sweep::{default_sweep, degree1_sweep, quick_sweep, ConfigOutcome, SweepReport};

@@ -1,18 +1,16 @@
-//! The top-level prover entry points.
+//! The prover's verdict type and its one free entry point.
 //!
-//! The free functions here ([`prove`], [`prove_with_configs`],
-//! [`crate::sweep`]) are retained for compatibility as thin wrappers that
-//! open a one-shot [`crate::ProverSession`]; new code should use a session
-//! directly so that derived artifacts are shared across configurations.
+//! [`prove`] is one cold run on a one-shot set of caches — the "fresh" run
+//! that sessions are measured and checked against; everything else goes
+//! through a [`crate::ProverSession`], which shares derived artifacts across
+//! configurations.
 
 use crate::certificate::NonTerminationCertificate;
 use crate::check1::check1_cached;
 use crate::check2::check2_cached;
 use crate::config::{Budget, CheckKind, ProverConfig};
-use crate::error::Error;
-use crate::session::{Caches, ProveStats, ProverSession};
-use revterm_lang::Program;
-use revterm_ts::{lower, TransitionSystem};
+use crate::session::{Caches, ProveStats};
+use revterm_ts::TransitionSystem;
 use std::time::{Duration, Instant};
 
 /// The verdict of a prover run.
@@ -157,40 +155,17 @@ pub(crate) fn prove_cached(
 /// validation fails (which would indicate a bug in the synthesis heuristics)
 /// the verdict is downgraded to `Unknown`.
 ///
-/// Deprecated-style wrapper: this is exactly one cold
-/// [`ProverSession::prove`] call.  Prefer opening a session when proving the
-/// same system more than once.
+/// This is exactly one cold [`crate::ProverSession::prove`] call.  Prefer
+/// opening a session when proving the same system more than once.
 pub fn prove(ts: &TransitionSystem, config: &ProverConfig) -> ProofResult {
     prove_cached(ts, config, &mut Caches::default())
-}
-
-/// Proves non-termination of a transition system, trying several
-/// configurations in order and returning the first success (or `Unknown`
-/// with the cumulative time).
-///
-/// Deprecated-style wrapper over [`ProverSession::prove_first`] on a
-/// one-shot session; prefer the session API.  On an empty `configs` slice
-/// the result is `Unknown` with the documented
-/// [`crate::NO_CONFIGS_LABEL`] label.
-pub fn prove_with_configs(ts: &TransitionSystem, configs: &[ProverConfig]) -> ProofResult {
-    ProverSession::new(ts.clone()).prove_first(configs)
-}
-
-/// Convenience entry point: lowers a program and proves it with the default
-/// Check 1 / Check 2 pair of configurations.
-///
-/// # Errors
-///
-/// Returns [`Error::Analysis`] if the program cannot be translated.
-pub fn prove_program(program: &Program, config: &ProverConfig) -> Result<ProofResult, Error> {
-    let ts = lower(program).map_err(|e| Error::Analysis(e.to_string()))?;
-    Ok(prove(&ts, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CheckKind, Strategy};
+    use crate::ProverSession;
     use revterm_lang::parse_program;
 
     const RUNNING: &str =
@@ -264,7 +239,8 @@ mod tests {
     #[test]
     fn prove_program_entry_point() {
         let program = parse_program("while true do skip; od").unwrap();
-        let result = prove_program(&program, &ProverConfig::default()).unwrap();
+        let mut session = ProverSession::from_program(&program).unwrap();
+        let result = session.prove(&ProverConfig::default());
         assert!(result.is_non_terminating());
         assert!(result.elapsed.as_secs() < 120);
         assert!(result.config_label.starts_with("check1"));
@@ -274,12 +250,14 @@ mod tests {
     fn prove_with_configs_on_empty_slice_reports_the_documented_label() {
         // Regression: the empty sweep used to return `Unknown` silently with
         // the same label as "ran and failed"; it now carries the documented
-        // sentinel label so callers can distinguish the two.
+        // sentinel label so callers can distinguish the two, and runs nothing.
         let ts = revterm_ts::lower(&parse_program("while true do skip; od").unwrap()).unwrap();
-        let result = prove_with_configs(&ts, &[]);
+        let mut session = ProverSession::new(ts);
+        let result = session.prove_first(&[]);
         assert!(!result.is_non_terminating());
         assert_eq!(result.config_label, crate::session::NO_CONFIGS_LABEL);
         assert_eq!(result.stats, crate::session::ProveStats::default());
+        assert_eq!(session.stats().proves, 0);
     }
 
     #[test]
@@ -292,7 +270,7 @@ mod tests {
                 .params(revterm_invgen::TemplateParams::new(3, 1, 1))
                 .build(),
         ];
-        let result = prove_with_configs(&ts, &configs);
+        let result = ProverSession::new(ts).prove_first(&configs);
         assert!(result.is_non_terminating());
         assert!(result.config_label.starts_with("check2"));
     }

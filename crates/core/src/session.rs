@@ -36,10 +36,11 @@ use revterm_ts::interp::{Config, Valuation};
 use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
 
-/// The label reported by [`ProverSession::prove_first`] (and the
-/// [`crate::prove_with_configs`] wrapper) when called with an **empty**
-/// configuration slice: no configuration ran, so the outcome is `Unknown`
-/// by definition, with this sentinel label instead of a configuration label.
+/// The label reported by [`ProverSession::prove_first`] and
+/// [`ProverSession::prove_first_with_deadline`] when called with an
+/// **empty** configuration slice: no configuration ran, so the outcome is
+/// `Unknown` by definition, with this sentinel label instead of the
+/// `"none"` of a slice whose configurations all ran and failed.
 pub const NO_CONFIGS_LABEL: &str = "no-configs";
 
 /// Structured per-stage statistics of one `prove` call.
@@ -427,13 +428,12 @@ impl ProverSession {
 
     /// Tries configurations in order, returning the first success.
     ///
-    /// The sessioned equivalent of [`crate::prove_with_configs`].  If no
-    /// configuration succeeds the verdict is `Unknown` with the label of the
-    /// **empty** sweep documented on [`NO_CONFIGS_LABEL`] when `configs` is
-    /// empty, or `"none"` when configurations ran but all failed.  If no
-    /// configuration succeeds but at least one was cut short by its
-    /// [`crate::Budget`], the verdict is [`crate::Verdict::Timeout`] (the
-    /// search was not exhausted, so `Unknown` would overclaim).
+    /// If no configuration succeeds the verdict is `Unknown` with the label
+    /// of the **empty** sweep documented on [`NO_CONFIGS_LABEL`] when
+    /// `configs` is empty, or `"none"` when configurations ran but all
+    /// failed.  If no configuration succeeds but at least one was cut short
+    /// by its [`crate::Budget`], the verdict is [`crate::Verdict::Timeout`]
+    /// (the search was not exhausted, so `Unknown` would overclaim).
     pub fn prove_first(&mut self, configs: &[ProverConfig]) -> ProofResult {
         self.prove_first_with_deadline(configs, None)
     }
@@ -493,9 +493,8 @@ impl ProverSession {
     /// early once `stop_after_success` successful configurations have been
     /// observed (pass `usize::MAX` to run the full grid).
     ///
-    /// The sessioned equivalent of [`crate::sweep`]: per-configuration
-    /// verdicts are identical to fresh runs, but shared artifacts are
-    /// computed once across the whole grid.
+    /// Per-configuration verdicts are identical to fresh [`crate::prove`]
+    /// runs, but shared artifacts are computed once across the whole grid.
     pub fn sweep(&mut self, configs: &[ProverConfig], stop_after_success: usize) -> SweepReport {
         self.sweep_with_deadline(configs, stop_after_success, None)
     }

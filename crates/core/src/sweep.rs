@@ -3,14 +3,14 @@
 //! The paper evaluates RevTerm by running every configuration — a choice of
 //! check, SMT solver and template size `(c, d, D)` — separately and counting
 //! a benchmark as proved non-terminating if *at least one* configuration
-//! succeeds.  [`sweep`] reproduces that protocol and records which
-//! configuration succeeded first together with its runtime, which is the raw
-//! data behind Tables 1–4.
+//! succeeds.  [`ProverSession::sweep`](crate::ProverSession::sweep)
+//! reproduces that protocol into a [`SweepReport`], which records every
+//! configuration's verdict together with its runtime — the raw data behind
+//! Tables 1–4.  This module holds the report types and the standard grids.
 
 use crate::config::{CheckKind, ProverConfig, Strategy};
-use crate::session::{ProveStats, ProverSession};
+use crate::session::ProveStats;
 use revterm_invgen::TemplateParams;
-use revterm_ts::TransitionSystem;
 use std::time::Duration;
 
 /// The outcome of one configuration on one benchmark.
@@ -124,27 +124,11 @@ pub fn degree1_sweep() -> Vec<ProverConfig> {
     default_sweep().into_iter().filter(|c| c.params.degree == 1).collect()
 }
 
-/// Runs a configuration sweep on a transition system, stopping early once
-/// `stop_after_success` successful configurations have been observed (pass
-/// `usize::MAX` to run the full grid, as the paper's per-configuration tables
-/// require).
-///
-/// Deprecated-style wrapper over [`ProverSession::sweep`] on a one-shot
-/// session; prefer keeping the session when sweeping more than once (or when
-/// also proving single configurations of the same system).
-pub fn sweep(
-    ts: &TransitionSystem,
-    configs: &[ProverConfig],
-    stop_after_success: usize,
-) -> SweepReport {
-    ProverSession::new(ts.clone()).sweep(configs, stop_after_success)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProverSession;
     use revterm_lang::parse_program;
-    use revterm_ts::lower;
 
     #[test]
     fn degree1_sweep_is_the_degree_one_slice() {
@@ -169,8 +153,8 @@ mod tests {
 
     #[test]
     fn sweep_reports_first_success_and_statistics() {
-        let ts = lower(&parse_program("while x >= 0 do x := x + 1; od").unwrap()).unwrap();
-        let report = sweep(&ts, &quick_sweep(), 1);
+        let program = parse_program("while x >= 0 do x := x + 1; od").unwrap();
+        let report = ProverSession::from_program(&program).unwrap().sweep(&quick_sweep(), 1);
         assert!(report.proved());
         let fastest = report.fastest_success().unwrap();
         assert!(fastest.proved);
@@ -182,8 +166,8 @@ mod tests {
 
     #[test]
     fn sweep_on_terminating_program_reports_nothing() {
-        let ts = lower(&parse_program("n := 0; while n <= 3 do n := n + 1; od").unwrap()).unwrap();
-        let report = sweep(&ts, &quick_sweep(), 1);
+        let program = parse_program("n := 0; while n <= 3 do n := n + 1; od").unwrap();
+        let report = ProverSession::from_program(&program).unwrap().sweep(&quick_sweep(), 1);
         assert!(!report.proved());
         assert!(report.fastest_success().is_none());
         assert_eq!(report.outcomes.len(), quick_sweep().len());

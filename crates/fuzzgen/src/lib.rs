@@ -24,8 +24,9 @@
 //! * [`oracle`] — the harness: one [`ProverSession`](revterm::ProverSession)
 //!   per program, cross-checked against (1) the sound baseline table and the
 //!   known label, (2) independent certificate validation, (3) the
-//!   abstract-interpretation pre-analysis on vs. off, and (4) the three LP
-//!   engines, which must all be digest-identical.
+//!   abstract-interpretation pre-analysis on vs. off, and (4) the revised LP
+//!   engine against the dense reference tableau, which must be
+//!   digest-identical.
 //! * [`mod@shrink`] + [`repro`] — greedy structure-preserving minimization of a
 //!   failing program under a caller-supplied predicate, and the `.rt` repro
 //!   file format used by `tests/fuzz_regressions/`.

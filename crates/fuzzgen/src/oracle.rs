@@ -15,8 +15,8 @@
 //!    its entailment fast path are sound pruning only, so the
 //!    [`outcome_digest`] must be bitwise identical with both halves
 //!    disabled; divergence is [`FailureKind::DigestDivergence`].
-//! 4. **The three LP engines** — revised / sparse-tableau / dense simplex
-//!    must produce digest-identical outcomes.
+//! 4. **Revised vs. dense LP engine** — the portfolio re-run on the dense
+//!    reference tableau must produce a digest-identical outcome.
 //!
 //! All axes run on **one reused session** (the primary portfolio warms it,
 //! the differential re-runs hit its caches): the sessioned-equals-fresh
@@ -93,7 +93,8 @@ pub struct DiffOptions {
     pub run_baselines: bool,
     /// Re-run the portfolio with the pre-analysis off (oracle 3).
     pub absint_axis: bool,
-    /// Re-run the portfolio under the two tableau LP engines (oracle 4).
+    /// Re-run the portfolio under the dense reference LP engine and compare
+    /// it with the revised engine's run (oracle 4).
     pub lp_axis: bool,
     /// Fault injection: flip the primary verdict before cross-checking.
     /// Test-only — a healthy harness must catch the flip.
@@ -286,24 +287,22 @@ pub fn differential(
         }
     }
     if opts.lp_axis && !primary.timed_out() {
-        for engine in [LpEngine::SparseTableau, LpEngine::Dense] {
-            let configs: Vec<ProverConfig> = opts
-                .portfolio
-                .iter()
-                .map(|c| {
-                    let mut alt = c.clone();
-                    alt.entailment.lp_engine = engine;
-                    alt
-                })
-                .collect();
-            let alt = session.prove_first(&configs);
-            let alt_digest = outcome_digest(&alt, &ts);
-            if !alt.timed_out() && alt_digest != digest {
-                failures.push(OracleFailure {
-                    kind: FailureKind::DigestDivergence,
-                    detail: format!("lp {engine:?}: {digest:016x} vs {alt_digest:016x}"),
-                });
-            }
+        let configs: Vec<ProverConfig> = opts
+            .portfolio
+            .iter()
+            .map(|c| {
+                let mut alt = c.clone();
+                alt.entailment.lp_engine = LpEngine::Dense;
+                alt
+            })
+            .collect();
+        let alt = session.prove_first(&configs);
+        let alt_digest = outcome_digest(&alt, &ts);
+        if !alt.timed_out() && alt_digest != digest {
+            failures.push(OracleFailure {
+                kind: FailureKind::DigestDivergence,
+                detail: format!("lp revised vs dense: {digest:016x} vs {alt_digest:016x}"),
+            });
         }
     }
 

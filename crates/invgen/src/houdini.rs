@@ -85,24 +85,30 @@ impl Default for SynthesisOptions {
 /// `require_initiation` it additionally satisfies `Θ_init ⟹ I(ℓ_init)`, so it
 /// is a genuine invariant of the system.  Sample valuations known to belong
 /// to the over-approximated set prune the candidate pool up front.
+///
+/// This is [`synthesize_invariant_budgeted`] on fresh caches with an
+/// unlimited budget.
 pub fn synthesize_invariant(
     ts: &TransitionSystem,
     samples: &SampleSet,
     options: &SynthesisOptions,
 ) -> PredicateMap {
-    synthesize_invariant_cached(
+    synthesize_invariant_budgeted(
         ts,
         samples,
         options,
         &mut PoolCache::new(),
         &mut EntailmentCache::new(),
         &mut BasisCache::new(),
+        &SynthesisBudget::unlimited(),
     )
+    .expect("an unlimited synthesis budget cannot be exhausted")
 }
 
 /// [`synthesize_invariant`] with the candidate-pool artifacts served from a
 /// [`PoolCache`], every entailment query memoized in an [`EntailmentCache`],
-/// and the underlying LPs offered a warm start from a [`BasisCache`].
+/// the underlying LPs offered a warm start from a [`BasisCache`], and the
+/// work bounded by a [`SynthesisBudget`].
 ///
 /// Produces a bitwise-identical predicate map (all three caches are pure memo
 /// tables — the basis cache can change which optimal vertex an LP reports,
@@ -114,27 +120,6 @@ pub fn synthesize_invariant(
 /// Warm starts are rare: on the curated suite's degree-1 grid 190 of 27 617
 /// LP solves (0.7 %) find a stored basis, on a cold fuzz batch 226 of 10 196
 /// (2.2 %).
-pub fn synthesize_invariant_cached(
-    ts: &TransitionSystem,
-    samples: &SampleSet,
-    options: &SynthesisOptions,
-    pool: &mut PoolCache,
-    entail: &mut EntailmentCache,
-    lp_basis: &mut BasisCache,
-) -> PredicateMap {
-    synthesize_invariant_budgeted(
-        ts,
-        samples,
-        options,
-        pool,
-        entail,
-        lp_basis,
-        &SynthesisBudget::unlimited(),
-    )
-    .expect("an unlimited synthesis budget cannot be exhausted")
-}
-
-/// [`synthesize_invariant_cached`] under a [`SynthesisBudget`].
 ///
 /// Returns `None` as soon as the budget fires (polled before the initiation
 /// pruning and between Houdini transition batches — the overrun is bounded

@@ -36,8 +36,8 @@ pub use atoms::{
     TemplateParams,
 };
 pub use houdini::{
-    invariant_implies_at, synthesize_invariant, synthesize_invariant_budgeted,
-    synthesize_invariant_cached, SynthesisBudget, SynthesisOptions,
+    invariant_implies_at, synthesize_invariant, synthesize_invariant_budgeted, SynthesisBudget,
+    SynthesisOptions,
 };
 pub use verify::{
     discharge_consecution, discharge_predicate, initiation_holds, is_inductive, predicate_entails,

@@ -22,11 +22,11 @@
 //! straight from the product list — each product's terms scattered into
 //! their monomials' rows, rows with a negative right-hand side negated — in
 //! exactly the standard form [`crate::LpProblem`]'s lowering would produce,
-//! without building rows, a variable map or a solution map first. The
-//! tableau oracles ([`LpEngine::SparseTableau`], [`LpEngine::Dense`]) still
-//! receive the LP as [`crate::LpProblem`] rows ([`crate::SparseRow`]s with a
-//! handful of nonzeros each), so every engine-agreement check also compares
-//! the column builder with the lowering it stands in for.
+//! without building rows, a variable map or a solution map first. The dense
+//! reference ([`LpEngine::Dense`]) still receives the LP as
+//! [`crate::LpProblem`] rows and lowers them itself, so every
+//! engine-agreement check also compares the column builder with the lowering
+//! it stands in for.
 //!
 //! # Warm starts across the query stream
 //!
@@ -39,7 +39,7 @@
 //! revised simplex warm-start from the last optimal basis stored under that
 //! key in a caller-owned [`crate::BasisCache`] — typically skipping phase 1
 //! outright. Engine choice ([`LpEngine`]) and warm starts never change a
-//! verdict or witness; the tableau engines are kept as differential oracles.
+//! verdict or witness; the dense tableau is kept as the differential oracle.
 //!
 //! # Witnesses
 //!
@@ -83,23 +83,19 @@ use std::sync::Arc;
 
 /// Which simplex engine discharges the multiplier LPs.
 ///
-/// All three engines return bitwise-identical verdicts and witnesses on
-/// cold solves (same Bland's-rule pivot sequence over exact rationals); the
-/// tableau engines exist as differential oracles for the default, and the
-/// `num_profile` bench bin re-proves the three-way agreement on every run.
+/// Both engines return bitwise-identical verdicts and witnesses on cold
+/// solves (same Bland's-rule pivot sequence over exact rationals); the dense
+/// tableau exists as the differential oracle for the default, and the
+/// `num_profile` bench bin re-proves the agreement on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LpEngine {
     /// The revised simplex with the eta-file basis factorization and exact
-    /// integer pricing (the engine behind [`LpProblem::solve_revised`]),
-    /// fed the column-form LP — the only engine with warm starts, and the
-    /// default.
+    /// integer pricing (the engine behind [`LpProblem::solve`]), fed the
+    /// column-form LP — the only engine with warm starts, and the default.
     #[default]
     Revised,
-    /// The sparse tableau ([`LpProblem::solve`]), kept as a differential
-    /// oracle.
-    SparseTableau,
-    /// The dense reference tableau ([`LpProblem::solve_dense`]), the second
-    /// differential oracle.
+    /// The dense reference tableau ([`LpProblem::solve_dense`]), fed the LP
+    /// as [`LpProblem`] rows: the differential oracle.
     Dense,
 }
 
@@ -382,8 +378,8 @@ fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
 /// The LP has one row per monomial occurring anywhere and one non-negative
 /// multiplier column per product; a row's nonzeros are exactly the products
 /// containing that monomial. The revised engine receives it column by
-/// column ([`farkas_columns`]); the tableau oracles receive the same LP as
-/// [`LpProblem`] rows ([`farkas_rows`]), so they check the column builder
+/// column ([`farkas_columns`]); the dense oracle receives the same LP as
+/// [`LpProblem`] rows ([`farkas_rows`]), so it checks the column builder
 /// against the lowering it stands in for. With a [`BasisCache`] the revised
 /// engine keys the LP by [`structural_key`] and warm-starts it from the last
 /// optimal basis of its structural family.
@@ -416,10 +412,8 @@ fn combination_witness(
                 ColumnOutcome::Infeasible | ColumnOutcome::Unbounded => return None,
             }
         }
-        LpEngine::SparseTableau | LpEngine::Dense => {
-            let lp = farkas_rows(product_list, &monomials, target);
-            let result =
-                if opts.lp_engine == LpEngine::Dense { lp.solve_dense() } else { lp.solve() };
+        LpEngine::Dense => {
+            let result = farkas_rows(product_list, &monomials, target).solve_dense();
             let solution = result.solution()?;
             (0..product_list.len()).map(|j| solution.value(Var(j as u32))).collect()
         }
@@ -459,7 +453,7 @@ fn farkas_columns(product_list: &[Poly], monomials: &[Monomial], target: &Poly) 
     form
 }
 
-/// The multiplier LP as [`LpProblem`] rows, for the tableau oracles:
+/// The multiplier LP as [`LpProblem`] rows, for the dense oracle:
 /// multiplier `λ_j` is the non-negative variable `Var(j)`, and row `i`
 /// states `Σ_j λ_j · coeff(π_j, m_i) − coeff(target, m_i) = 0`.
 fn farkas_rows(product_list: &[Poly], monomials: &[Monomial], target: &Poly) -> LpProblem {
@@ -873,8 +867,8 @@ mod tests {
     fn prop_engine_choice_does_not_change_farkas_certificates() {
         // The engine knob must not change a single verdict or witness:
         // random feasible/infeasible entailment chains produce bitwise-equal
-        // certificates through all three simplex engines. The revised engine
-        // gets the LP from the column builder, the tableau engines from the
+        // certificates through both simplex engines. The revised engine gets
+        // the LP from the column builder, the dense engine from the
         // `LpProblem` lowering, so this also checks the builder against the
         // lowering. The rounds cover plain Farkas, Handelman products of two
         // premises, and coefficients near and past `i64::MAX`.
@@ -887,7 +881,6 @@ mod tests {
             };
             let revised_opts = with_engine(LpEngine::Revised);
             assert_eq!(revised_opts.lp_engine, EntailmentOptions::default().lp_engine);
-            let sparse_opts = with_engine(LpEngine::SparseTableau);
             let dense_opts = with_engine(LpEngine::Dense);
             let (mut entailed, mut refuted) = (0, 0);
             for round in 0..40 {
@@ -921,18 +914,16 @@ mod tests {
                 let conclusion =
                     &Poly::var(Var(n as u32)) - &Poly::var(Var(0)) - Poly::constant(bound);
                 let via_revised = entails_with_witness(&premises, &conclusion, &revised_opts);
-                let via_sparse = entails_with_witness(&premises, &conclusion, &sparse_opts);
                 let via_dense = entails_with_witness(&premises, &conclusion, &dense_opts);
                 let case = format!("budget {budget}, large {large}, round {round}");
-                assert_eq!(via_sparse, via_dense, "tableau engines diverged ({case})");
                 assert_eq!(via_revised, via_dense, "revised engine diverged ({case})");
-                for witness in [&via_revised, &via_sparse, &via_dense].into_iter().flatten() {
+                for witness in [&via_revised, &via_dense].into_iter().flatten() {
                     assert!(
                         witness.certifies(&premises, &conclusion),
                         "an engine's combination does not certify its target ({case})"
                     );
                 }
-                match via_sparse {
+                match via_dense {
                     Some(_) => entailed += 1,
                     None => refuted += 1,
                 }
@@ -945,9 +936,10 @@ mod tests {
     fn prop_warm_started_streams_match_the_cold_oracle() {
         // A Houdini-shaped stream: one premise set, many conclusion atoms —
         // every query after the first warm-starts from the stored basis.
-        // Verdicts must match the cold (cache-free) oracle on every atom.
+        // Verdicts must match the cold dense oracle on every atom.
         use crate::SplitMix64;
         let opts = EntailmentOptions::linear();
+        let oracle_opts = EntailmentOptions { lp_engine: LpEngine::Dense, ..opts };
         let mut rng = SplitMix64::new(0x57A6_57A6);
         let mut lp = BasisCache::new();
         for _ in 0..12 {
@@ -965,7 +957,7 @@ mod tests {
                 let b = rng.next_in_range(-4, 4);
                 let conclusion = &Poly::var(Var(i)) - &Poly::constant_i64(b);
                 let warm = cache.entails(&premises, &conclusion, &opts, &mut lp);
-                let cold = entails(&premises, &conclusion, &opts);
+                let cold = entails(&premises, &conclusion, &oracle_opts);
                 assert_eq!(warm, cold, "atom {atom} diverged");
             }
         }

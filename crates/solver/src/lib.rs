@@ -12,33 +12,29 @@
 //!   non-negative multipliers `λ` with `p = λ_0 + Σ_j λ_j · π_j` where the
 //!   `π_j` range over products of the premises up to a degree bound.
 //!
-//! # The exact LP encoding, and why the tableau is sparse
+//! # The exact LP encoding, and why it is stored sparse
 //!
 //! The entailment oracle turns each query into one LP over the multiplier
 //! variables `λ_j`: one **equality row per monomial** occurring in the
 //! premise products or the conclusion, stating that the monomial's
 //! coefficients match on both sides. A given monomial occurs in only a
 //! handful of products, so each row has 3–6 nonzeros regardless of how many
-//! hundreds of multiplier columns the product budget generates. All LP data
-//! therefore stays sparse — [`SparseRow`]s are sorted, zero-free
-//! `(column, coefficient)` lists with packed machine-word [`revterm_num::Rat`]
-//! coefficients.
+//! hundreds of multiplier columns the product budget generates. The LP is
+//! therefore stored as sorted, zero-free nonzero lists with packed
+//! machine-word [`revterm_num::Rat`] coefficients.
 //!
-//! Three simplex engines share this representation and produce
-//! **bitwise-identical** results on cold solves (they make the same
-//! Bland's-rule choices and exact arithmetic makes every comparison
-//! representation-independent):
+//! Two simplex engines produce **bitwise-identical** results on cold solves
+//! (they make the same Bland's-rule choices and exact arithmetic makes
+//! every comparison representation-independent):
 //!
-//! * [`LpProblem::solve_revised`] — the default: a revised simplex over a
+//! * [`LpProblem::solve`] — the engine: a revised simplex over a
 //!   column-form standard form that keeps the basis inverse as an eta-file
 //!   (product-form) factorization, prices in exact integer arithmetic with
 //!   an exact `Rat` fallback, and supports **warm starts** from a
 //!   [`BasisCache`], which is what lets a Houdini entailment stream skip
 //!   phase 1 on structurally repeated LPs. The entailment oracle builds its
 //!   LPs for this engine column by column;
-//! * [`LpProblem::solve`] — the sparse tableau, kept as a differential
-//!   oracle;
-//! * [`LpProblem::solve_dense`] — the dense reference tableau, the second
+//! * [`LpProblem::solve_dense`] — the dense reference tableau, the
 //!   differential oracle.
 //!
 //! The [`lp`] module docs describe the lowering to standard form, the column
@@ -77,5 +73,5 @@ pub use entail::{
     entails, entails_with_witness, implies_false, implies_false_with_witness, Combination,
     EntailmentCache, EntailmentOptions, LpEngine,
 };
-pub use lp::{BasisCache, LpProblem, LpResult, LpSolution, LpStats, Rel, SparseRow, VarKind};
+pub use lp::{BasisCache, LpProblem, LpResult, LpSolution, LpStats, Rel, VarKind};
 pub use rng::SplitMix64;

@@ -3,8 +3,8 @@
 //! # Encoding
 //!
 //! An [`LpProblem`] is a list of constraints `expr REL 0` over free or
-//! non-negative variables, plus an optional minimisation objective. `solve`
-//! lowers it to standard form the classic way: every free variable is split
+//! non-negative variables, plus an optional minimisation objective. It is
+//! lowered to standard form the classic way: every free variable is split
 //! into a difference of two non-negative columns, every inequality gains a
 //! slack/surplus column, rows are sign-normalised so the right-hand side is
 //! non-negative, and one artificial column per row provides the initial
@@ -13,30 +13,26 @@
 //! artificial columns banned. Bland's rule (lowest improving column index,
 //! lowest basic variable on ties) guarantees termination.
 //!
-//! # Sparse tableau
+//! # One engine, one reference
 //!
-//! The rows produced by this workspace's Farkas/Handelman encodings have
-//! 3–6 nonzeros regardless of how many multiplier columns exist, so the
-//! tableau is stored as [`SparseRow`]s — sorted `(column, coefficient)`
-//! nonzero lists — and every simplex step works on nonzeros only: pivoting
-//! merges the sparse pivot row into the sparse target rows, and the
-//! reduced-cost scan accumulates `c_j - c_B^T T_j` by walking the nonzeros
-//! of the rows whose basic variable has non-zero cost instead of scanning
-//! every column of every row. A dense reference implementation is kept as
-//! [`LpProblem::solve_dense`]; the two produce bitwise-identical results
-//! (same pivot sequence — exact arithmetic makes every comparison
-//! representation-independent) and are differentially tested against each
-//! other on random systems.
+//! [`LpProblem::solve`] runs the revised simplex described below.
+//! [`LpProblem::solve_dense`] is the dense reference tableau: it builds its
+//! own dense rows from the constraints and re-eliminates the whole tableau
+//! on each pivot. The two make the same Bland's-rule choices and
+//! produce **bitwise-identical** results — exact arithmetic makes every
+//! comparison representation-independent — which the tests here, the
+//! entailment tests, the fuzz harness and the `num_profile` bench digests
+//! all check.
 //!
 //! # Revised simplex: the eta-file basis factorization
 //!
-//! The default engine, [`LpProblem::solve_revised`], never updates a tableau
-//! at all. It keeps the inverse of the current basis `B` in **product form**:
-//! a list of *etas* — matrices that differ from the identity in one column —
-//! with `B⁻¹ = η_k ⋯ η_2 η_1`. A pivot appends one eta (built from the
-//! entering column's FTRAN image) instead of re-eliminating every row, and
-//! the two linear systems simplex needs per iteration are solved by sweeps
-//! over the eta file that walk stored nonzeros only:
+//! The revised engine never updates a tableau at all. It keeps the inverse
+//! of the current basis `B` in **product form**: a list of *etas* —
+//! matrices that differ from the identity in one column — with
+//! `B⁻¹ = η_k ⋯ η_2 η_1`. A pivot appends one eta (built from the entering
+//! column's FTRAN image) instead of re-eliminating every row, and the two
+//! linear systems simplex needs per iteration are solved by sweeps over the
+//! eta file that walk stored nonzeros only:
 //!
 //! * **FTRAN** (`B d = a_q`): apply the etas in creation order; an eta whose
 //!   slot entry is zero in the running vector is skipped entirely.
@@ -44,22 +40,18 @@
 //!   replaces one entry of the running vector by a dot product with its
 //!   stored column.
 //!
-//! A cold `solve_revised` run prices with the exact reduced costs
-//! `c_j − y·a_j`, which equal the tableau engines' maintained reduced-cost
-//! row entry for entry, so all three engines make the same Bland's-rule
-//! choices and produce **bitwise-identical** results — the three-way
-//! differential oracle enforced by the tests here and by the `num_profile`
-//! bench digests.
+//! A cold solve prices with the exact reduced costs `c_j − y·a_j`, which
+//! equal the dense tableau's reduced-cost row entry for entry, so both
+//! engines pivot alike.
 //!
 //! # The column form and exact integer pricing
 //!
 //! The revised engine's input is a column-form standard form
 //! (`ColumnForm`): `A·x = b`, `x ≥ 0`, `b ≥ 0`, stored column by column,
 //! with the artificial identity appended by the solve. [`LpProblem`] lowers
-//! into it (standard form, then a transposition); the entailment oracle
-//! builds it straight from its product list. Phase 1, the artificial
-//! drive-out, warm starts and extraction exist once, in
-//! `ColumnForm::solve`.
+//! into it one column at a time; the entailment oracle builds it straight
+//! from its product list. Phase 1, the artificial drive-out, warm starts
+//! and extraction exist once, in `ColumnForm::solve`.
 //!
 //! Pricing is where a cold solve spends its time: every Bland step computes
 //! `c_j − y·a_j` for each column until one is negative, and the columns of
@@ -77,17 +69,17 @@
 //! The factorization is what makes warm starting cheap: given a previously
 //! optimal basis for a *structurally identical* LP (same columns, a few
 //! changed right-hand sides — exactly what a Houdini entailment stream
-//! produces), [`LpProblem::solve_revised_warm`] re-factorizes the stored
-//! basis into a fresh eta file, recomputes `x_B = B⁻¹b`, and — when that
-//! solution is feasible — skips phase 1 outright, so pure feasibility
-//! problems finish without a single pivot. A singular or infeasible warm
-//! basis falls back to the cold Bland start, so warm starting can never
-//! change a verdict. Stored bases live in a [`BasisCache`] keyed by the
-//! caller (the entailment oracle hashes the product list and monomial rows);
-//! only artificial-free bases are stored, so a key collision is at worst a
-//! wasted re-factorization, never an unsound resurrection of an artificial
-//! column. [`LpStats`] counts solves, pivots, re-factorizations and
-//! warm-start hits for the prover's statistics.
+//! produces), `ColumnForm::solve` re-factorizes the stored basis into a
+//! fresh eta file, recomputes `x_B = B⁻¹b`, and — when that solution is
+//! feasible — skips phase 1 outright, so pure feasibility problems finish
+//! without a single pivot. A singular or infeasible warm basis falls back to
+//! the cold Bland start, so warm starting can never change a verdict.
+//! Stored bases live in a [`BasisCache`] keyed by the caller (the
+//! entailment oracle hashes the product list and monomial rows); only
+//! artificial-free bases are stored, so a key collision is at worst a wasted
+//! re-factorization, never an unsound resurrection of an artificial column.
+//! [`LpStats`] counts solves, pivots, re-factorizations and warm-start hits
+//! for the prover's statistics.
 //!
 //! ```
 //! use revterm_num::rat;
@@ -131,171 +123,6 @@ pub enum VarKind {
     Free,
     /// The variable is restricted to be `≥ 0`.
     NonNegative,
-}
-
-/// A sparse tableau/constraint row: the nonzero entries of one row of the
-/// simplex tableau, as `(column, coefficient)` pairs.
-///
-/// # Invariants
-///
-/// * entries are sorted by **strictly increasing** column index (no
-///   duplicate columns);
-/// * **no explicit zeros** are stored — a column absent from the list has
-///   coefficient exactly zero;
-/// * coefficients are canonical [`Rat`]s (reduced, positive denominator),
-///   so machine-word-sized values stay in the packed tier and row kernels
-///   inherit the packed fast paths.
-///
-/// The mutating operations (`scale`, `take`, `eliminate`) preserve the
-/// invariants: scaling by a non-zero rational cannot create zeros, and the
-/// elimination merge drops cancelled entries instead of storing them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SparseRow {
-    entries: Vec<(u32, Rat)>,
-}
-
-impl SparseRow {
-    /// Creates an empty row (all coefficients zero).
-    pub fn new() -> SparseRow {
-        SparseRow::default()
-    }
-
-    /// Creates an empty row with capacity for `n` nonzeros.
-    pub fn with_capacity(n: usize) -> SparseRow {
-        SparseRow { entries: Vec::with_capacity(n) }
-    }
-
-    /// Builds a row from arbitrary `(column, coefficient)` pairs: sorts by
-    /// column, sums duplicate columns, and drops zero coefficients.
-    pub fn from_entries(entries: impl IntoIterator<Item = (u32, Rat)>) -> SparseRow {
-        let mut raw: Vec<(u32, Rat)> = entries.into_iter().collect();
-        raw.sort_by_key(|(c, _)| *c);
-        let mut row = SparseRow::with_capacity(raw.len());
-        for (col, coeff) in raw {
-            match row.entries.last_mut() {
-                Some((last, acc)) if *last == col => {
-                    *acc += &coeff;
-                    if acc.is_zero() {
-                        row.entries.pop();
-                    }
-                }
-                _ => {
-                    if !coeff.is_zero() {
-                        row.entries.push((col, coeff));
-                    }
-                }
-            }
-        }
-        row
-    }
-
-    /// Appends a nonzero coefficient at a column strictly greater than every
-    /// column already present (the builder fast path for callers that
-    /// iterate sources in column order, e.g. [`LinExpr::nonzeros`]).
-    /// Crate-internal: unlike [`SparseRow::from_entries`] it trusts the
-    /// caller with the sorted/no-zeros invariants, checking them only in
-    /// debug builds.
-    pub(crate) fn push(&mut self, col: u32, coeff: Rat) {
-        debug_assert!(!coeff.is_zero(), "explicit zero pushed into a sparse row");
-        debug_assert!(
-            self.entries.last().is_none_or(|(last, _)| *last < col),
-            "sparse row push out of order"
-        );
-        self.entries.push((col, coeff));
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` iff the row is entirely zero.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The coefficient at `col`, or `None` if it is zero.
-    pub fn get(&self, col: u32) -> Option<&Rat> {
-        self.entries.binary_search_by_key(&col, |(c, _)| *c).ok().map(|idx| &self.entries[idx].1)
-    }
-
-    /// Iterates over the nonzeros in increasing column order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Rat)> + '_ {
-        self.entries.iter().map(|(c, v)| (*c, v))
-    }
-
-    /// Negates every coefficient in place (used by the sign normalisation
-    /// that makes right-hand sides non-negative).
-    pub fn negate(&mut self) {
-        for (_, v) in self.entries.iter_mut() {
-            *v = -std::mem::take(v);
-        }
-    }
-
-    /// Scales every coefficient by a non-zero rational in place.
-    fn scale(&mut self, by: &Rat) {
-        debug_assert!(!by.is_zero(), "scaling a sparse row by zero");
-        for (_, v) in self.entries.iter_mut() {
-            *v *= by;
-        }
-    }
-
-    /// Removes the entry at `col` and returns its coefficient.
-    fn take(&mut self, col: u32) -> Option<Rat> {
-        self.entries
-            .binary_search_by_key(&col, |(c, _)| *c)
-            .ok()
-            .map(|idx| self.entries.remove(idx).1)
-    }
-
-    /// Gaussian elimination step `self -= factor * pivot`, merging the two
-    /// sorted nonzero lists into `scratch` (reused across calls to avoid
-    /// per-row allocation) and swapping the result in. The caller has
-    /// already removed `self`'s entry at the pivot column `col` (its value
-    /// was `factor`, and the pivot row holds exactly `1` there, so the
-    /// result at `col` is exactly zero and the merge skips that column).
-    /// Cancellations are dropped, keeping the no-explicit-zeros invariant.
-    fn eliminate(
-        &mut self,
-        factor: &Rat,
-        pivot: &SparseRow,
-        col: u32,
-        scratch: &mut Vec<(u32, Rat)>,
-    ) {
-        scratch.clear();
-        scratch.reserve(self.entries.len() + pivot.entries.len());
-        let lhs = &mut self.entries;
-        let rhs = &pivot.entries;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lhs.len() || j < rhs.len() {
-            let ci = lhs.get(i).map_or(u32::MAX, |(c, _)| *c);
-            let cj = rhs.get(j).map_or(u32::MAX, |(c, _)| *c);
-            match ci.cmp(&cj) {
-                Ordering::Less => {
-                    scratch.push((ci, std::mem::take(&mut lhs[i].1)));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    if cj != col {
-                        scratch.push((cj, -(factor * &rhs[j].1)));
-                    }
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    if ci != col {
-                        let w = &lhs[i].1 - &(factor * &rhs[j].1);
-                        if !w.is_zero() {
-                            scratch.push((ci, w));
-                        }
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        std::mem::swap(&mut self.entries, scratch);
-        scratch.clear();
-    }
 }
 
 /// A satisfying assignment returned by the solver.
@@ -390,7 +217,7 @@ impl fmt::Display for LpProblem {
     }
 }
 
-/// The user-variable → simplex-column mapping shared by the sparse and
+/// The user-variable → simplex-column mapping shared by the column and
 /// dense lowerings: each free variable occupies an adjacent
 /// (positive, negative) column pair, each non-negative variable one column.
 struct ColumnMap {
@@ -414,16 +241,6 @@ impl ColumnMap {
         }
         LpSolution { values, objective }
     }
-}
-
-/// The standard-form lowering shared by the sparse engines: `rows · x = rhs`
-/// with `rhs ≥ 0` over the decision columns (structural columns followed by
-/// slack/surplus columns), *without* the artificial identity block — each
-/// engine appends its own representation of it.
-struct StandardForm {
-    rows: Vec<SparseRow>,
-    rhs: Vec<Rat>,
-    total_decision_cols: usize,
 }
 
 impl LpProblem {
@@ -491,127 +308,76 @@ impl LpProblem {
         Some(cost)
     }
 
-    /// Lowers the constraints to standard form (see [`StandardForm`]).
-    fn standard_form(&self, map: &ColumnMap) -> StandardForm {
-        let m = self.constraints.len();
-        // Build sparse rows a·x = b with slack/surplus columns appended.
-        // Structural columns come in variable order and slack/artificial
-        // columns are appended with strictly larger indices, so every push
-        // below is in increasing column order.
-        let mut rows: Vec<SparseRow> = Vec::with_capacity(m);
-        let mut rhs: Vec<Rat> = Vec::with_capacity(m);
-        let mut slack_specs: Vec<(usize, Rat)> = Vec::new(); // (row, coefficient)
-        for (i, (expr, rel)) in self.constraints.iter().enumerate() {
-            let mut row = SparseRow::with_capacity(2 * expr.num_nonzeros() + 2);
-            for (v, c) in expr.nonzeros() {
-                row.push(map.col_of_pos[&v] as u32, c.clone());
-                if let Some(&neg) = map.col_of_neg.get(&v) {
-                    row.push(neg as u32, -c.clone());
-                }
-            }
-            rows.push(row);
-            rhs.push(-expr.constant_part().clone());
-            let slack = match rel {
-                Rel::Eq => None,
-                Rel::Ge => Some(-Rat::one()),
-                Rel::Le => Some(Rat::one()),
-            };
-            if let Some(c) = slack {
-                slack_specs.push((i, c));
-            }
-        }
-        let num_slack = slack_specs.len();
-        for (k, (row_idx, coeff)) in slack_specs.into_iter().enumerate() {
-            rows[row_idx].push((map.structural_cols + k) as u32, coeff);
-        }
-        let total_decision_cols = map.structural_cols + num_slack;
-        // Normalise signs so that rhs >= 0.
-        for i in 0..m {
-            if rhs[i].is_negative() {
-                rhs[i] = -std::mem::take(&mut rhs[i]);
-                rows[i].negate();
-            }
-        }
-        StandardForm { rows, rhs, total_decision_cols }
-    }
-
-    /// Solves the problem with the sparse tableau simplex engine.
-    ///
-    /// The tableau rows are [`SparseRow`]s built directly from the
-    /// constraints' [`LinExpr::nonzeros`] views — the dense coefficient
-    /// matrix is never materialised. Produces results bitwise-identical to
-    /// [`LpProblem::solve_dense`] and [`LpProblem::solve_revised`].
+    /// Solves the problem with the revised simplex (see the module docs),
+    /// cold. The results are bitwise-identical to
+    /// [`LpProblem::solve_dense`].
     pub fn solve(&self) -> LpResult {
-        let map = self.column_map();
-        let StandardForm { mut rows, mut rhs, total_decision_cols } = self.standard_form(&map);
-        let m = rows.len();
-        // Append artificial columns (one per row) to get an initial basis.
-        for (i, row) in rows.iter_mut().enumerate() {
-            row.push((total_decision_cols + i) as u32, Rat::one());
-        }
-        let total_cols = total_decision_cols + m;
-        let mut basis: Vec<usize> = (0..m).map(|i| total_decision_cols + i).collect();
-
-        // Phase 1: minimise the sum of artificial variables.
-        let phase1_cost: Vec<Rat> = (0..total_cols)
-            .map(|j| if j >= total_decision_cols { Rat::one() } else { Rat::zero() })
-            .collect();
-        let banned: Vec<bool> = vec![false; total_cols];
-        if !simplex(&mut rows, &mut rhs, &mut basis, &phase1_cost, &banned) {
-            // Phase 1 objective is bounded below by 0, so this cannot happen.
-            return LpResult::Infeasible;
-        }
-        let phase1_value: Rat =
-            basis.iter().enumerate().map(|(i, &b)| &phase1_cost[b] * &rhs[i]).sum();
-        if phase1_value.is_positive() {
-            return LpResult::Infeasible;
-        }
-        // Drive artificial variables out of the basis where possible. The
-        // entries are column-sorted, so the leading entry is the lowest
-        // nonzero column — exactly Bland's choice among decision columns.
-        let mut scratch: Vec<(u32, Rat)> = Vec::new();
-        for i in 0..m {
-            if basis[i] >= total_decision_cols {
-                let j = rows[i]
-                    .iter()
-                    .next()
-                    .map(|(c, _)| c as usize)
-                    .filter(|&c| c < total_decision_cols);
-                if let Some(j) = j {
-                    pivot(&mut rows, &mut rhs, &mut basis, i, j, &mut scratch);
-                }
-            }
-        }
-        // Ban artificial columns from ever entering again.
-        let mut banned = vec![false; total_cols];
-        banned[total_decision_cols..].fill(true);
-
-        // Phase 2 (only if an objective is present).
-        let objective_value;
-        if let Some(cost) = self.cost_vector(&map, total_cols) {
-            if !simplex(&mut rows, &mut rhs, &mut basis, &cost, &banned) {
-                return LpResult::Unbounded;
-            }
-            let basis_value: Rat = basis.iter().enumerate().map(|(i, &b)| &cost[b] * &rhs[i]).sum();
-            objective_value = &basis_value
-                + self.objective.as_ref().expect("cost implies objective").constant_part();
-        } else {
-            objective_value = Rat::zero();
-        }
-
-        // Extract the solution.
-        let mut col_values = vec![Rat::zero(); total_cols];
-        for (i, &b) in basis.iter().enumerate() {
-            col_values[b] = rhs[i].clone();
-        }
-        LpResult::Optimal(map.reconstruct(&col_values, objective_value))
+        self.solve_with(None, &mut BasisCache::new())
     }
 
-    /// Solves the problem with the dense reference simplex.
+    /// Solves with the revised engine, warm-starting from (and afterwards
+    /// updating) the basis stored under `warm_key` in `cache`. A warm start
+    /// keeps the verdict and any optimal objective value of a cold solve,
+    /// but may land on a different optimal vertex.
+    fn solve_with(&self, warm_key: Option<u64>, cache: &mut BasisCache) -> LpResult {
+        let map = self.column_map();
+        let form = self.column_form(&map);
+        let cost = self.cost_vector(&map, form.num_cols());
+        match form.solve(cost, warm_key, cache) {
+            ColumnOutcome::Infeasible => LpResult::Infeasible,
+            ColumnOutcome::Unbounded => LpResult::Unbounded,
+            ColumnOutcome::Optimal { values, cost } => {
+                let objective = match &self.objective {
+                    Some(objective) => &cost + objective.constant_part(),
+                    None => Rat::zero(),
+                };
+                LpResult::Optimal(map.reconstruct(&values, objective))
+            }
+        }
+    }
+
+    /// Lowers the constraints into the revised engine's column form, column
+    /// by column: the structural columns in [`ColumnMap`] order, then one
+    /// slack/surplus column per inequality in constraint order. A row whose
+    /// right-hand side `−constant` is negative is negated throughout.
+    fn column_form(&self, map: &ColumnMap) -> ColumnForm {
+        let negated: Vec<bool> =
+            self.constraints.iter().map(|(e, _)| e.constant_part().is_positive()).collect();
+        let signed = |i: usize, c: Rat| if negated[i] { -c } else { c };
+        // The rows are visited in order, so every column's entries arrive
+        // sorted by row.
+        let mut columns: Vec<Vec<(u32, Rat)>> = vec![Vec::new(); map.structural_cols];
+        for (i, (expr, _)) in self.constraints.iter().enumerate() {
+            for (v, c) in expr.nonzeros() {
+                columns[map.col_of_pos[&v]].push((i as u32, signed(i, c.clone())));
+            }
+        }
+        // A free variable's negative part mirrors the column just before it.
+        for &neg in map.col_of_neg.values() {
+            columns[neg] = columns[neg - 1].iter().map(|(i, a)| (*i, -a)).collect();
+        }
+        let mut form = ColumnForm::new(
+            self.constraints.iter().map(|(e, _)| e.constant_part().abs()).collect(),
+        );
+        for column in columns {
+            form.push_column(column);
+        }
+        for (i, (_, rel)) in self.constraints.iter().enumerate() {
+            let slack = match rel {
+                Rel::Eq => continue,
+                Rel::Ge => -Rat::one(),
+                Rel::Le => Rat::one(),
+            };
+            form.push_column([(i as u32, signed(i, slack))]);
+        }
+        form
+    }
+
+    /// Solves the problem with the dense reference tableau.
     ///
-    /// This is the pre-sparse tableau implementation, kept as the oracle for
-    /// differential testing: it must produce **bitwise-identical** results
-    /// to [`LpProblem::solve`] (both engines make the same Bland's-rule
+    /// This is the differential oracle for [`LpProblem::solve`]: it builds
+    /// its own dense rows from the constraints and must produce
+    /// **bitwise-identical** results (both engines make the same Bland's-rule
     /// pivot choices, and exact arithmetic makes every intermediate value
     /// representation-independent). The `num_profile` bench bin re-checks
     /// this equivalence on every run via FNV digests of the solutions.
@@ -716,66 +482,6 @@ impl LpProblem {
             col_values[b] = rhs[i].clone();
         }
         LpResult::Optimal(map.reconstruct(&col_values, objective_value))
-    }
-
-    /// Solves the problem with the revised simplex engine (cold start).
-    ///
-    /// Same two-phase Bland's-rule algorithm as [`LpProblem::solve`], but the
-    /// basis inverse is kept as an eta-file factorization (see the module
-    /// docs): each pivot appends one eta instead of re-eliminating the
-    /// tableau, and pricing/ratio vectors come from BTRAN/FTRAN sweeps over
-    /// the etas. Cold runs make exactly the pivot choices of the tableau
-    /// engines, so results are bitwise-identical to [`LpProblem::solve`] and
-    /// [`LpProblem::solve_dense`].
-    pub fn solve_revised(&self) -> LpResult {
-        let mut scratch = BasisCache::new();
-        self.solve_revised_core(None, &mut scratch)
-    }
-
-    /// Solves with the revised engine, warm-starting from (and afterwards
-    /// updating) the basis stored under `key` in `cache`.
-    ///
-    /// On a hit the stored basis is re-factorized against this problem's
-    /// columns; if the factorization is non-singular and the implied basic
-    /// solution is feasible, phase 1 is skipped entirely — pure feasibility
-    /// problems then finish without a single pivot. A missing, singular or
-    /// infeasible warm basis falls back to the cold Bland start, so the
-    /// feasibility verdict (and any optimal objective value) is always the
-    /// one a cold solve would produce. A warm-started solve may however land
-    /// on a *different* optimal vertex than a cold one; callers that need
-    /// bitwise-stable solutions should use [`LpProblem::solve_revised`].
-    pub fn solve_revised_warm(&self, key: u64, cache: &mut BasisCache) -> LpResult {
-        self.solve_revised_core(Some(key), cache)
-    }
-
-    /// Lowers to the revised engine's [`ColumnForm`] and solves it there.
-    fn solve_revised_core(&self, warm_key: Option<u64>, cache: &mut BasisCache) -> LpResult {
-        let map = self.column_map();
-        let StandardForm { rows, rhs, total_decision_cols } = self.standard_form(&map);
-        // Transpose the rows: they yield their nonzeros in column order and
-        // the outer loop runs in row order, so each column receives its
-        // entries sorted by row.
-        let mut columns: Vec<Vec<(u32, Rat)>> = vec![Vec::new(); total_decision_cols];
-        for (i, row) in rows.into_iter().enumerate() {
-            for (j, a) in row.entries {
-                columns[j as usize].push((i as u32, a));
-            }
-        }
-        let mut form = ColumnForm::new(rhs);
-        for column in columns {
-            form.push_column(column);
-        }
-        match form.solve(self.cost_vector(&map, total_decision_cols), warm_key, cache) {
-            ColumnOutcome::Infeasible => LpResult::Infeasible,
-            ColumnOutcome::Unbounded => LpResult::Unbounded,
-            ColumnOutcome::Optimal { values, cost } => {
-                let objective = match &self.objective {
-                    Some(objective) => &cost + objective.constant_part(),
-                    None => Rat::zero(),
-                };
-                LpResult::Optimal(map.reconstruct(&values, objective))
-            }
-        }
     }
 }
 
@@ -942,7 +648,7 @@ pub struct LpStats {
     pub pivots: u64,
     /// Basis re-factorizations (one per accepted warm start).
     pub refactorizations: u64,
-    /// Warm-start lookups ([`LpProblem::solve_revised_warm`] calls).
+    /// Warm-start lookups: solves given a key into a [`BasisCache`].
     pub warm_lookups: u64,
     /// Warm-start hits: a stored basis re-factorized successfully and its
     /// basic solution was feasible, so phase 1 was skipped.
@@ -984,9 +690,9 @@ impl LpStats {
 /// constraint matrix — the entailment oracle hashes its premise-product list
 /// and monomial row set, under which consecutive Houdini-stream LPs share
 /// columns and differ only in right-hand sides. Keys may collide across
-/// genuinely different problems: [`LpProblem::solve_revised_warm`] validates
-/// the stored basis (dimensions, non-singularity, feasibility) before using
-/// it, so a collision costs at most a wasted re-factorization.
+/// genuinely different problems: the revised engine validates the stored
+/// basis (dimensions, non-singularity, feasibility) before using it, so a
+/// collision costs at most a wasted re-factorization.
 #[derive(Debug, Clone, Default)]
 pub struct BasisCache {
     /// Stored optimal bases (decision-column indices, one per row).
@@ -1222,8 +928,8 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Bland pricing: the lowest-index improving non-basic column, priced
     /// with exact reduced costs `c_j − y·a_j` where `y = B⁻ᵀ c_B` comes from
-    /// one BTRAN sweep. These equal the tableau engines' maintained
-    /// reduced-cost row, so every engine picks the same entering column.
+    /// one BTRAN sweep. These equal the dense tableau's reduced-cost row, so
+    /// both engines pick the same entering column.
     fn price(&self, cost: &[Rat], cost_int: &[Option<i64>], banned: &[bool]) -> Option<usize> {
         let mut y: Vec<Rat> = self.basis.iter().map(|&b| cost[b].clone()).collect();
         self.btran(&mut y);
@@ -1235,7 +941,7 @@ impl<'a> RevisedSimplex<'a> {
         })
     }
 
-    /// The tableau engines' ratio test on `w = B⁻¹·a_entering`: lowest ratio
+    /// The dense tableau's ratio test on `w = B⁻¹·a_entering`: lowest ratio
     /// `x_B[i] / w[i]` over `w[i] > 0`, ties broken towards the lowest basic
     /// variable index.
     fn ratio_test(&self, w: &[Rat]) -> Option<usize> {
@@ -1294,7 +1000,7 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Pivots remaining artificial basic variables out wherever some
     /// decision column has a nonzero in their tableau row — the same
-    /// lowest-column choice as the tableau engines' drive-out (basic
+    /// lowest-column choice as the dense tableau's drive-out (basic
     /// decision columns are unit vectors there, with a zero in every other
     /// row, so skipping them here changes nothing).
     fn drive_out_artificials(&mut self, stats: &mut LpStats) {
@@ -1378,135 +1084,6 @@ impl<'a> RevisedSimplex<'a> {
         self.x_b = x_b;
         true
     }
-}
-
-/// Runs the sparse simplex method on a tableau that already contains a
-/// feasible basis. Returns `false` if the objective is unbounded below.
-fn simplex(
-    rows: &mut [SparseRow],
-    rhs: &mut [Rat],
-    basis: &mut [usize],
-    cost: &[Rat],
-    banned: &[bool],
-) -> bool {
-    let m = rows.len();
-    let n = cost.len();
-    // Column membership in the basis as a bitmap: the entering-column scan
-    // below runs once per pivot over all n columns, and `basis.contains`
-    // would make it O(n·m) in pure bookkeeping.
-    let mut in_basis = vec![false; n];
-    for &b in basis.iter() {
-        in_basis[b] = true;
-    }
-    // Reduced costs r_j = c_j - Σ_i c_{basis[i]} * rows[i][j], computed once
-    // from the rows whose basic variable has non-zero cost and then
-    // maintained incrementally: a pivot transforms the cost row exactly like
-    // any other tableau row (r' = r - r_entering · scaled pivot row), so each
-    // update walks only the pivot row's nonzeros. The maintained vector is
-    // the exact reduced-cost vector of the current basis — the same values
-    // the dense engine recomputes from scratch — so the two engines make
-    // identical Bland's-rule choices.
-    let mut reduced: Vec<Rat> = cost.to_vec();
-    for i in 0..m {
-        let cb = &cost[basis[i]];
-        if cb.is_zero() {
-            continue;
-        }
-        for (j, a) in rows[i].iter() {
-            reduced[j as usize] -= &(cb * a);
-        }
-    }
-    let mut scratch: Vec<(u32, Rat)> = Vec::new();
-    loop {
-        // Bland's rule: first (lowest-index) improving column.
-        let entering = (0..n).find(|&j| !banned[j] && !in_basis[j] && reduced[j].is_negative());
-        let entering = match entering {
-            Some(j) => j,
-            None => return true, // optimal
-        };
-        // Ratio test.
-        let mut leaving: Option<usize> = None;
-        let mut best_ratio: Option<Rat> = None;
-        for (i, row) in rows.iter().enumerate() {
-            let Some(a) = row.get(entering as u32) else { continue };
-            if !a.is_positive() {
-                continue;
-            }
-            let ratio = &rhs[i] / a;
-            let better = match &best_ratio {
-                None => true,
-                Some(b) => {
-                    ratio < *b
-                        || (ratio == *b
-                            && basis[i] < basis[leaving.expect("leaving set with best_ratio")])
-                }
-            };
-            if better {
-                best_ratio = Some(ratio);
-                leaving = Some(i);
-            }
-        }
-        let leaving = match leaving {
-            Some(i) => i,
-            None => return false, // unbounded
-        };
-        in_basis[basis[leaving]] = false;
-        in_basis[entering] = true;
-        pivot(rows, rhs, basis, leaving, entering, &mut scratch);
-        // Eliminate the entering column from the cost row: taking the factor
-        // zeroes r_entering, which is exactly its post-pivot value (the
-        // scaled pivot row holds 1 there).
-        let factor = std::mem::take(&mut reduced[entering]);
-        for (j, p) in rows[leaving].iter() {
-            if j as usize != entering {
-                reduced[j as usize] -= &(&factor * p);
-            }
-        }
-    }
-}
-
-/// Pivots the sparse tableau so that column `col` becomes basic in row `row`.
-///
-/// The pivot row is scaled in place (nonzeros only); every elimination is a
-/// sorted-merge of the target row with the pivot row, so it touches exactly
-/// the union of their nonzero columns and nothing else.
-fn pivot(
-    rows: &mut [SparseRow],
-    rhs: &mut [Rat],
-    basis: &mut [usize],
-    row: usize,
-    col: usize,
-    scratch: &mut Vec<(u32, Rat)>,
-) {
-    let m = rows.len();
-    let colu = col as u32;
-    let inv = rows[row].get(colu).expect("pivot on zero element").recip();
-    if !inv.is_one() {
-        rows[row].scale(&inv);
-        rhs[row] *= &inv;
-    }
-    for i in 0..m {
-        if i == row {
-            continue;
-        }
-        // Taking the entry zeroes rows[i][col], which is exactly the value
-        // elimination assigns to it (rows[row][col] == 1 after scaling).
-        let factor = match rows[i].take(colu) {
-            Some(f) => f,
-            None => continue,
-        };
-        let (pivot_row, target_row) = if i < row {
-            let (lo, hi) = rows.split_at_mut(row);
-            (&hi[0], &mut lo[i])
-        } else {
-            let (lo, hi) = rows.split_at_mut(i);
-            (&lo[row], &mut hi[0])
-        };
-        target_row.eliminate(&factor, pivot_row, colu, scratch);
-        let delta = &factor * &rhs[row];
-        rhs[i] -= &delta;
-    }
-    basis[row] = col;
 }
 
 /// Runs the dense reference simplex on a tableau that already contains a
@@ -1802,78 +1379,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------------
-    // SparseRow invariants and kernels.
-    // -----------------------------------------------------------------------
-
-    #[test]
-    fn sparse_row_construction_and_lookup() {
-        let row = SparseRow::from_entries(vec![
-            (7, rat(3)),
-            (2, rat(1)),
-            (7, rat(-3)), // cancels the first entry
-            (4, rat(0)),  // explicit zero is dropped
-            (9, ratio(1, 2)),
-        ]);
-        assert_eq!(row.nnz(), 2);
-        assert_eq!(row.get(2), Some(&rat(1)));
-        assert_eq!(row.get(7), None);
-        assert_eq!(row.get(4), None);
-        assert_eq!(row.get(9), Some(&ratio(1, 2)));
-        let cols: Vec<u32> = row.iter().map(|(c, _)| c).collect();
-        assert_eq!(cols, vec![2, 9]);
-        assert!(SparseRow::new().is_empty());
-    }
-
-    #[test]
-    fn sparse_row_eliminate_matches_dense_axpy() {
-        let mut rng = SplitMix64::new(0xE11E);
-        for _ in 0..200 {
-            let n = 12u32;
-            let dense_of = |row: &SparseRow| -> Vec<Rat> {
-                let mut out = vec![Rat::zero(); n as usize];
-                for (c, v) in row.iter() {
-                    out[c as usize] = v.clone();
-                }
-                out
-            };
-            let random_row = |rng: &mut SplitMix64, must: u32, at: &Rat| -> SparseRow {
-                let mut entries = vec![(must, at.clone())];
-                for _ in 0..rng.next_below(6) {
-                    let c = rng.next_below(n as u64) as u32;
-                    let v = rng.next_in_range(-4, 4);
-                    if v != 0 && c != must {
-                        entries.push((c, rat(v)));
-                    }
-                }
-                SparseRow::from_entries(entries)
-            };
-            let col = rng.next_below(n as u64) as u32;
-            let pivot_row = random_row(&mut rng, col, &Rat::one());
-            let factor = rat(rng.next_in_range(-3, 3));
-            let mut target = random_row(&mut rng, col, &factor);
-            if factor.is_zero() {
-                continue;
-            }
-            let expect: Vec<Rat> = dense_of(&target)
-                .iter()
-                .zip(dense_of(&pivot_row).iter())
-                .map(|(t, p)| t - &(&factor * p))
-                .collect();
-            let taken = target.take(col).expect("target holds factor at col");
-            assert_eq!(taken, factor);
-            let mut scratch = Vec::new();
-            target.eliminate(&factor, &pivot_row, col, &mut scratch);
-            assert_eq!(dense_of(&target), expect);
-            // Invariants: sorted, no explicit zeros, col cancelled.
-            let cols: Vec<u32> = target.iter().map(|(c, _)| c).collect();
-            assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not strictly ascending");
-            assert!(target.iter().all(|(_, v)| !v.is_zero()));
-            assert_eq!(target.get(col), None);
-        }
-    }
-
-    // -----------------------------------------------------------------------
-    // Sparse vs dense differential testing.
+    // Revised vs dense differential testing.
     // -----------------------------------------------------------------------
 
     /// A value for the large-magnitude rounds: small integers, integers
@@ -1934,11 +1440,14 @@ mod tests {
     }
 
     #[test]
-    fn prop_all_three_engines_agree_on_random_systems() {
-        // The sparse tableau and the cold revised engine must be
+    fn prop_revised_and_dense_engines_agree_on_random_systems() {
+        // The revised engine, on its column-form lowering, must be
         // indistinguishable from the dense reference on feasible, infeasible
         // and unbounded instances — not just the verdict but the exact
-        // solution values (all engines make the same Bland's-rule choices).
+        // solution values (both engines make the same Bland's-rule choices).
+        // The mix of free and non-negative variables, `Ge`/`Le`/`Eq` rows
+        // and right-hand sides of both signs checks the column lowering's
+        // column pairs, slacks and negated rows against the dense lowering.
         // The small-magnitude rounds price on the revised engine's integer
         // kernel; the large-magnitude rounds push columns, costs and duals
         // out of it (big-tier entries, lcms and scaled duals past `i64`,
@@ -1948,12 +1457,9 @@ mod tests {
             let (mut feasible, mut infeasible) = (0, 0);
             for round in 0..120 {
                 let lp = random_lp(&mut rng, round % 2 == 0, large);
-                let sparse = lp.solve();
-                let dense = lp.solve_dense();
-                let revised = lp.solve_revised();
-                assert_eq!(sparse, dense, "sparse vs dense diverged on:\n{lp}");
-                assert_eq!(revised, dense, "revised vs dense diverged on:\n{lp}");
-                match sparse {
+                let revised = lp.solve();
+                assert_eq!(revised, lp.solve_dense(), "revised vs dense diverged on:\n{lp}");
+                match revised {
                     LpResult::Optimal(_) => feasible += 1,
                     LpResult::Infeasible => infeasible += 1,
                     LpResult::Unbounded => {}
@@ -1973,7 +1479,7 @@ mod tests {
             lp.add_constraint(v(i) + v(3).scale(&big) - e(1), Rel::Eq);
         }
         lp.set_objective((v(0) + v(1) + v(2)).scale(&big));
-        let revised = lp.solve_revised();
+        let revised = lp.solve();
         assert_eq!(revised, lp.solve_dense());
         assert_eq!(revised.solution().map(|s| s.value(Var(3))), Some(big.recip()));
     }
@@ -2018,8 +1524,8 @@ mod tests {
     fn warm_start_skips_phase_one_on_a_repeated_problem() {
         let mut cache = BasisCache::new();
         let lp = farkas_like_lp([0, 2]);
-        let cold = lp.solve_revised_warm(42, &mut cache);
-        assert!(cold.is_feasible());
+        let cold = lp.solve_with(Some(42), &mut cache);
+        assert_eq!(cold, lp.solve_dense());
         assert_eq!(cache.stats.warm_lookups, 1);
         assert_eq!(cache.stats.warm_hits, 0);
         assert_eq!(cache.len(), 1);
@@ -2028,7 +1534,7 @@ mod tests {
 
         // Same problem again: the stored basis re-factorizes, its solution
         // is feasible, and not a single pivot is spent.
-        let warm = lp.solve_revised_warm(42, &mut cache);
+        let warm = lp.solve_with(Some(42), &mut cache);
         assert_eq!(warm, cold);
         assert_eq!(cache.stats.warm_hits, 1);
         assert_eq!(cache.stats.refactorizations, 1);
@@ -2039,12 +1545,12 @@ mod tests {
     #[test]
     fn warm_start_tracks_right_hand_side_changes() {
         // Same structure, shifted right-hand sides — the Houdini-stream
-        // shape. Every warm answer must equal the cold oracle's verdict.
+        // shape. Every warm answer must equal the dense oracle's verdict.
         let mut cache = BasisCache::new();
         for rhs in [[0i64, 2], [1, 3], [-1, 5], [2, 2], [3, 1]] {
             let lp = farkas_like_lp(rhs);
-            let warm = lp.solve_revised_warm(7, &mut cache);
-            let oracle = lp.solve();
+            let warm = lp.solve_with(Some(7), &mut cache);
+            let oracle = lp.solve_dense();
             assert_eq!(warm.is_feasible(), oracle.is_feasible(), "rhs {rhs:?}");
             // A feasible warm vertex still satisfies the constraints: both
             // equality rows hold exactly.
@@ -2069,15 +1575,15 @@ mod tests {
         lp.add_constraint(v(0) - v(1) - e(1), Rel::Eq);
         let mut cache = BasisCache::new();
         cache.map.insert(9, vec![1]); // column of y
-        let result = lp.solve_revised_warm(9, &mut cache);
-        assert_eq!(result, lp.solve());
+        let result = lp.solve_with(Some(9), &mut cache);
+        assert_eq!(result, lp.solve_dense());
         assert!(result.is_feasible());
         assert_eq!(cache.stats.warm_lookups, 1);
         assert_eq!(cache.stats.warm_hits, 0);
         assert_eq!(cache.stats.refactorizations, 0);
         // The cold solve stored its (artificial-free) final basis in place
         // of the rejected one, so the next call warm-starts.
-        let again = lp.solve_revised_warm(9, &mut cache);
+        let again = lp.solve_with(Some(9), &mut cache);
         assert_eq!(again, result);
         assert_eq!(cache.stats.warm_hits, 1);
     }
@@ -2093,8 +1599,8 @@ mod tests {
         lp.add_constraint(v(0).scale(&rat(2)) + v(1).scale(&rat(2)) - e(4), Rel::Eq);
         let mut cache = BasisCache::new();
         cache.map.insert(3, vec![0, 1]);
-        let result = lp.solve_revised_warm(3, &mut cache);
-        assert_eq!(result, lp.solve());
+        let result = lp.solve_with(Some(3), &mut cache);
+        assert_eq!(result, lp.solve_dense());
         assert!(result.is_feasible());
         assert_eq!(cache.stats.warm_hits, 0);
         assert_eq!(cache.stats.refactorizations, 0);
@@ -2109,8 +1615,8 @@ mod tests {
         for bogus in [vec![], vec![0], vec![0, 57], vec![1, 1], vec![0, 1, 2]] {
             let mut cache = BasisCache::new();
             cache.map.insert(1, bogus.clone());
-            let result = lp.solve_revised_warm(1, &mut cache);
-            assert_eq!(result, lp.solve(), "stored basis {bogus:?}");
+            let result = lp.solve_with(Some(1), &mut cache);
+            assert_eq!(result, lp.solve_dense(), "stored basis {bogus:?}");
             assert_eq!(cache.stats.warm_hits, 0, "stored basis {bogus:?}");
         }
     }
@@ -2133,8 +1639,8 @@ mod tests {
         let mut cache = BasisCache::new();
         for cost in [(2, 3), (3, 2), (2, 3), (5, 1)] {
             let lp = build(cost);
-            let warm = lp.solve_revised_warm(11, &mut cache);
-            let oracle = lp.solve();
+            let warm = lp.solve_with(Some(11), &mut cache);
+            let oracle = lp.solve_dense();
             let (warm_sol, oracle_sol) =
                 (warm.solution().expect("feasible"), oracle.solution().expect("feasible"));
             assert_eq!(warm_sol.objective(), oracle_sol.objective(), "cost {cost:?}");
@@ -2157,18 +1663,17 @@ mod tests {
         }
         lp.add_constraint(v(0) - e(2), Rel::Eq);
         lp.set_objective(v(0));
-        let cold = lp.solve_revised();
-        assert_eq!(cold, lp.solve());
-        assert_eq!(cold, lp.solve_dense());
+        let oracle = lp.solve_dense();
+        assert_eq!(lp.solve(), oracle);
         let mut cache = BasisCache::new();
-        let first = lp.solve_revised_warm(5, &mut cache);
-        assert_eq!(first, cold);
-        let second = lp.solve_revised_warm(5, &mut cache);
+        let first = lp.solve_with(Some(5), &mut cache);
+        assert_eq!(first, oracle);
+        let second = lp.solve_with(Some(5), &mut cache);
         assert_eq!(second.solution().map(|s| s.objective().clone()), Some(rat(2)));
         // Whether the degenerate optimum's basis was cacheable (artificial-
         // free) or not, the second run must reproduce the cold answer: a
         // warm hit resumes from the optimal basis and pivots zero times.
-        assert_eq!(second, cold);
+        assert_eq!(second, oracle);
     }
 
     #[test]
@@ -2210,7 +1715,7 @@ mod tests {
     fn prop_warm_started_verdicts_match_cold_on_random_streams() {
         // Random feasibility systems grouped into structural families: all
         // members of a family share a key, so later members warm-start from
-        // earlier optima. Verdicts must match the cold tableau oracle
+        // earlier optima. Verdicts must match the dense oracle
         // exactly, hits or fallbacks alike.
         let mut rng = SplitMix64::new(0x000B_A515_CAFE);
         let mut cache = BasisCache::new();
@@ -2235,8 +1740,8 @@ mod tests {
                     }
                     lp.add_constraint(expr, Rel::Eq);
                 }
-                let warm = lp.solve_revised_warm(family, &mut cache);
-                let oracle = lp.solve();
+                let warm = lp.solve_with(Some(family), &mut cache);
+                let oracle = lp.solve_dense();
                 assert_eq!(
                     warm.is_feasible(),
                     oracle.is_feasible(),

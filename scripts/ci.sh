@@ -78,9 +78,10 @@ if $run_bench_smoke; then
         | tee target/ci-artifacts/bench-smoke.json
 
     # LP-engine + poly-kernel smoke: num_profile with a small microloop runs
-    # the three simplex engines over the same problems, the flat polynomial
-    # kernels against a BTreeMap reference, the packed-monomial cache-key
-    # hashing loop under a counting allocator, and the degree-1 sweep. It
+    # the revised simplex and the dense reference tableau over the same
+    # problems, the flat polynomial kernels against a BTreeMap reference,
+    # the packed-monomial cache-key hashing loop under a counting
+    # allocator, and the degree-1 sweep. It
     # exits non-zero on any digest divergence, any heap allocation on the
     # packed hashing path, or a zero warm-start hit rate — the revised-simplex
     # and packed-monomial acceptance criteria, re-proved on every CI run.
@@ -91,6 +92,18 @@ if $run_bench_smoke; then
     echo "==> bench smoke (num_profile 30)"
     cargo run --release -q -p revterm-bench --bin num_profile 30 \
         | tee target/ci-artifacts/num-profile.json
+
+    # The pinned digests. num_profile only checks that its two engines
+    # agree with each other, so a change that moved both engines' answers
+    # the same way would pass it; these pin the microloop's LP solutions and
+    # the running example's degree-1 verdicts themselves.
+    echo "==> pinned digests (num_profile 30)"
+    for pin in '"lp_digest":"d26722705ffbc1e8"' '"verdict_digest":"46d3736ca3d67731"'; do
+        if ! grep -qF "$pin" target/ci-artifacts/num-profile.json; then
+            echo "FAIL: num_profile 30 did not print the pinned $pin" >&2
+            exit 1
+        fi
+    done
 
     # Serve smoke: an in-process revterm-serve daemon on an ephemeral port,
     # driven through the wire client. Proves the service contract on every
@@ -106,10 +119,11 @@ if $run_bench_smoke; then
     # Fuzz smoke: a fixed-seed batch of 500 generated labelled programs,
     # each cross-checked by the four-oracle differential harness (baseline
     # claim table, certificate re-validation, absint on/off digests, the
-    # three LP engines). Exits non-zero on any verdict mismatch, validation
-    # failure or digest divergence, or if either known-label family is
-    # missing from the batch — failing programs are auto-minimized by the
-    # shrinker and embedded in the JSON artifact.
+    # revised LP engine against the dense reference). Exits non-zero on any
+    # verdict mismatch, validation failure or digest divergence, or if
+    # either known-label family is missing from the batch — failing
+    # programs are auto-minimized by the shrinker and embedded in the JSON
+    # artifact.
     echo "==> fuzz smoke (fuzz_drive 500)"
     cargo run --release -q -p revterm-bench --bin fuzz_drive 500 \
         | tee target/ci-artifacts/fuzz-smoke.json
