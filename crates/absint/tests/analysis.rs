@@ -29,8 +29,9 @@ fn assert_sound(ts: &TransitionSystem, seeds: &[Vec<i64>], ndet_values: &[i64]) 
     assert!(!initial.is_empty(), "no seed satisfies the init assertion");
     let ndet: Vec<Int> = ndet_values.iter().map(|&v| Int::from(v)).collect();
     let reached = bounded_reach(ts, &initial, &ndet, 40, 4000);
+    let reached = reached.discovered();
     assert!(!reached.is_empty(), "bounded_reach explored nothing");
-    for config in &reached {
+    for config in reached {
         assert!(
             state.contains_config(config),
             "abstract state does not cover concrete config at {}",

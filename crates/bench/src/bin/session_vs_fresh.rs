@@ -1,9 +1,10 @@
 //! Measures the speedup of the session-centric prover API: for each selected
 //! benchmark, runs the **degree-1** configuration grid (24 cells) once with
 //! fresh per-configuration `prove` calls and once through a shared
-//! [`revterm::ProverSession`], checks that the per-configuration verdicts are
-//! identical, and prints one JSON object per benchmark so future PRs can
-//! track the speedup.
+//! [`revterm::ProverSession`], checks that every cell's outcome digest —
+//! label, verdict and certificate, Check 2's witness path included — is
+//! identical, and prints one JSON object per benchmark so the speedup can be
+//! tracked across commits.
 //!
 //! Only the degree-1 grid is swept: degree-2 cells pay for Handelman
 //! products in every entailment query and are minutes-expensive per
@@ -17,6 +18,7 @@
 //! example and a cheap simple loop); pass benchmark names from
 //! `revterm --list` to measure others.
 
+use revterm::api::outcome_digest;
 use revterm::{degree1_sweep, prove, ProverSession};
 use std::time::Instant;
 
@@ -40,24 +42,27 @@ fn main() {
 
         // Fresh: one cold prover per configuration (the pre-session protocol).
         let fresh_start = Instant::now();
-        let fresh: Vec<bool> = configs.iter().map(|c| prove(&ts, c).is_non_terminating()).collect();
+        let fresh: Vec<_> = configs.iter().map(|c| prove(&ts, c)).collect();
         let fresh_secs = fresh_start.elapsed().as_secs_f64();
 
-        // Sessioned: the same grid through one warm session, no early stop.
-        let mut session = ProverSession::new(ts);
+        // Sessioned: the same grid through one warm session, no early stop
+        // (what `ProverSession::sweep` runs, keeping each cell's result).
+        let mut session = ProverSession::new(ts.clone());
         let session_start = Instant::now();
-        let report = session.sweep(&configs, usize::MAX);
+        let sessioned: Vec<_> = configs.iter().map(|c| session.prove(c)).collect();
         let session_secs = session_start.elapsed().as_secs_f64();
-        let sessioned: Vec<bool> = report.outcomes.iter().map(|o| o.proved).collect();
 
-        let verdicts_match = fresh == sessioned;
+        let digests = |results: &[revterm::ProofResult]| -> Vec<u64> {
+            results.iter().map(|r| outcome_digest(r, &ts)).collect()
+        };
+        let verdicts_match = digests(&fresh) == digests(&sessioned);
         all_matched &= verdicts_match;
         let agg = session.stats().aggregate;
         println!(
             "{{\"benchmark\":\"{}\",\"configs\":{},\"proved_cells\":{},\"fresh_secs\":{:.3},\"session_secs\":{:.3},\"speedup\":{:.2},\"verdicts_match\":{},\"entailment_calls\":{},\"entailment_cache_hits\":{},\"probe_cache_hits\":{},\"artifact_cache_hits\":{},\"lp_solves\":{},\"lp_pivots\":{},\"lp_refactorizations\":{},\"lp_warm_lookups\":{},\"lp_warm_hits\":{}}}",
             bench.name,
             configs.len(),
-            sessioned.iter().filter(|p| **p).count(),
+            sessioned.iter().filter(|r| r.is_non_terminating()).count(),
             fresh_secs,
             session_secs,
             if session_secs > 0.0 { fresh_secs / session_secs } else { f64::INFINITY },
@@ -75,7 +80,7 @@ fn main() {
     }
 
     if !all_matched {
-        eprintln!("FAIL: sessioned verdicts diverged from fresh verdicts");
+        eprintln!("FAIL: sessioned outcomes diverged from fresh outcomes");
         std::process::exit(1);
     }
 }

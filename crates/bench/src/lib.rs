@@ -72,7 +72,7 @@
 //! | `fresh_secs` | cold per-configuration `prove` calls |
 //! | `session_secs` | the same grid through one warm session |
 //! | `speedup` | `fresh_secs / session_secs` |
-//! | `verdicts_match` | per-cell fresh vs sessioned agreement (exit 1 when false) |
+//! | `verdicts_match` | per-cell agreement of fresh and sessioned [`revterm::api::outcome_digest`]s — label, verdict and certificate, Check 2's witness path included (exit 1 when false) |
 //! | `entailment_calls` | entailment queries issued by the sessioned sweep |
 //! | `entailment_cache_hits` | of those, answered from [`revterm_solver::EntailmentCache`] |
 //! | `probe_cache_hits` | divergence-probe results reused across cells |

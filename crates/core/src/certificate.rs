@@ -250,12 +250,15 @@ pub(crate) fn check_evidence(
 
 /// Walks the entailment obligations of `certificate` — premises and the
 /// predicate they must entail — in one fixed order, and maps the first one
-/// `discharge` rejects to the certificate condition it belongs to.
+/// `discharge` rejects to the certificate condition it belongs to. A
+/// certificate whose shape does not fit the system is rejected before any
+/// obligation (see [`check_shape`]).
 fn for_each_obligation(
     ts: &TransitionSystem,
     certificate: &NonTerminationCertificate,
     discharge: &mut dyn FnMut(&[Poly], &PropPredicate) -> bool,
 ) -> Result<(), CertificateError> {
+    check_shape(ts, certificate)?;
     match certificate {
         NonTerminationCertificate::Check1(cert) => {
             let restricted = ts.restrict(&cert.resolution);
@@ -298,6 +301,72 @@ fn for_each_obligation(
             Ok(())
         }
     }
+}
+
+/// Checks that the parts of `certificate` fit the system, so that neither
+/// half of validation indexes past them: a resolution of existing
+/// non-deterministic assignments, one predicate per location, every
+/// polynomial over the program variables, and one value per variable and a
+/// location of the system in every configuration. A part that does not fit
+/// is reported as the condition it belongs to.
+fn check_shape(
+    ts: &TransitionSystem,
+    certificate: &NonTerminationCertificate,
+) -> Result<(), CertificateError> {
+    let over_program_vars = |polys: &[Poly]| {
+        polys.iter().all(|p| p.terms().all(|(m, _)| m.vars().all(|v| ts.vars().is_unprimed(v))))
+    };
+    let foreign = |name: &str| format!("{name} mentions a variable that is not a program variable");
+    let resolution_misfit = |resolution: &Resolution| {
+        resolution.iter().find_map(|(id, rhs)| {
+            if id >= ts.transitions().len() || !ts.transition(id).is_ndet_assign() {
+                Some(format!("the resolution resolves t{id}, not a non-deterministic assignment"))
+            } else {
+                (!over_program_vars(std::slice::from_ref(rhs))).then(|| foreign("the resolution"))
+            }
+        })
+    };
+    let map_misfit = |name: &str, map: &PredicateMap| {
+        if map.len() != ts.num_locs() {
+            return Some(format!(
+                "{name} covers {} locations, the system has {}",
+                map.len(),
+                ts.num_locs()
+            ));
+        }
+        let mut conjunctions = map.iter().flat_map(|(_, pred)| pred.disjuncts());
+        conjunctions.any(|c| !over_program_vars(c.atoms())).then(|| foreign(name))
+    };
+    match certificate {
+        NonTerminationCertificate::Check1(c) => {
+            let misfit = resolution_misfit(&c.resolution).or_else(|| map_misfit("I", &c.invariant));
+            if let Some(m) = misfit {
+                return Err(CertificateError::NotInductive(m));
+            }
+            if c.initial.len() != ts.vars().len() {
+                return Err(CertificateError::BadInitialValuation);
+            }
+        }
+        NonTerminationCertificate::Check2(c) => {
+            if let Some(m) = map_misfit("Ĩ", &c.tilde_invariant) {
+                return Err(CertificateError::TildeNotInvariant(m));
+            }
+            let misfit = resolution_misfit(&c.resolution)
+                .or_else(|| (!over_program_vars(c.theta.atoms())).then(|| foreign("Θ")))
+                .or_else(|| map_misfit("BI", &c.backward_invariant));
+            if let Some(m) = misfit {
+                return Err(CertificateError::BackwardNotInvariant(m));
+            }
+            let misfit =
+                |cfg: &Config| cfg.loc.0 >= ts.num_locs() || cfg.vals.len() != ts.vars().len();
+            if let Some(i) = c.witness_path.iter().position(misfit) {
+                return Err(CertificateError::BadWitnessPath(format!(
+                    "configuration {i} does not fit the system"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Check 1's concrete condition: the initial valuation satisfies `Θ_init`
@@ -360,7 +429,7 @@ mod tests {
     use revterm_num::Rat;
     use revterm_poly::Var;
     use revterm_solver::Combination;
-    use revterm_ts::lower;
+    use revterm_ts::{lower, Loc};
 
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
@@ -458,6 +527,105 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CertificateError::BadWitnessPath(_)));
+    }
+
+    /// A non-terminating counter whose flag never changes.
+    const COUNTER_WITH_FLAG: &str = "n := 0; b := 0; while b == 0 do n := n + 1; od";
+
+    /// A Check 2 certificate of [`COUNTER_WITH_FLAG`] whose obligations all hold (every predicate is the tautology) and
+    /// whose witness path is one initial configuration: well-formed, but its
+    /// path ends inside BI.
+    fn tautological_check2_certificate(ts: &TransitionSystem) -> Check2Certificate {
+        Check2Certificate {
+            resolution: Resolution::empty(),
+            tilde_invariant: PredicateMap::tautology(ts.num_locs()),
+            theta: Assertion::tautology(),
+            backward_invariant: PredicateMap::tautology(ts.num_locs()),
+            witness_path: vec![Config::new(ts.init_loc(), Valuation::from_i64s(&[0, 0]))],
+        }
+    }
+
+    fn rejection(ts: &TransitionSystem, cert: &NonTerminationCertificate) -> CertificateError {
+        validate_certificate(ts, cert, &EntailmentOptions::default()).unwrap_err()
+    }
+
+    /// `map` without its last location's predicate.
+    fn drop_last_location(map: &PredicateMap) -> PredicateMap {
+        PredicateMap::from_vec(map.iter().take(map.len() - 1).map(|(_, p)| p.clone()).collect())
+    }
+
+    #[test]
+    fn a_witness_configuration_that_does_not_fit_the_system_is_rejected() {
+        let ts = lower(&parse_program(COUNTER_WITH_FLAG).unwrap()).unwrap();
+        let good = tautological_check2_certificate(&ts);
+        let wrong = rejection(&ts, &NonTerminationCertificate::Check2(good.clone()));
+        assert!(matches!(&wrong, CertificateError::BadWitnessPath(m) if m.contains("in BI")));
+        let short = Config::new(ts.init_loc(), Valuation::from_i64s(&[0]));
+        let far = Config::new(Loc(ts.num_locs()), Valuation::from_i64s(&[0, 0]));
+        let paths = [vec![short], vec![good.witness_path[0].clone(), far]];
+        for (path, misfit) in paths.into_iter().zip(["configuration 0", "configuration 1"]) {
+            let bad = Check2Certificate { witness_path: path, ..good.clone() };
+            let err = rejection(&ts, &NonTerminationCertificate::Check2(bad));
+            let expected = format!("{misfit} does not fit the system");
+            assert_eq!(err, CertificateError::BadWitnessPath(expected));
+        }
+    }
+
+    #[test]
+    fn an_initial_valuation_that_does_not_fit_the_system_is_rejected() {
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let mut bad = example_54_certificate(&ts);
+        bad.initial = Valuation(Vec::new());
+        let err = rejection(&ts, &NonTerminationCertificate::Check1(bad));
+        assert_eq!(err, CertificateError::BadInitialValuation);
+    }
+
+    #[test]
+    fn a_predicate_map_that_does_not_fit_the_system_is_rejected() {
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let mut bad = example_54_certificate(&ts);
+        bad.invariant = drop_last_location(&bad.invariant);
+        let err = rejection(&ts, &NonTerminationCertificate::Check1(bad));
+        assert!(matches!(err, CertificateError::NotInductive(m) if m.contains("covers")));
+
+        let ts = lower(&parse_program(COUNTER_WITH_FLAG).unwrap()).unwrap();
+        let mut bad = tautological_check2_certificate(&ts);
+        bad.tilde_invariant = drop_last_location(&bad.tilde_invariant);
+        let err = rejection(&ts, &NonTerminationCertificate::Check2(bad));
+        assert!(matches!(err, CertificateError::TildeNotInvariant(m) if m.contains("covers")));
+        let mut bad = tautological_check2_certificate(&ts);
+        bad.backward_invariant = drop_last_location(&bad.backward_invariant);
+        let err = rejection(&ts, &NonTerminationCertificate::Check2(bad));
+        assert!(matches!(err, CertificateError::BackwardNotInvariant(m) if m.contains("covers")));
+    }
+
+    #[test]
+    fn a_resolution_of_a_transition_that_is_no_assignment_is_rejected() {
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let guard = ts.transitions().iter().find(|t| !t.is_ndet_assign()).unwrap().id;
+        let mut bad = example_54_certificate(&ts);
+        bad.resolution = Resolution::from_pairs([(guard, Poly::constant_i64(9))]);
+        let err = rejection(&ts, &NonTerminationCertificate::Check1(bad));
+        assert!(matches!(err, CertificateError::NotInductive(m) if m.contains("resolves")));
+
+        let ts = lower(&parse_program(COUNTER_WITH_FLAG).unwrap()).unwrap();
+        let mut bad = tautological_check2_certificate(&ts);
+        bad.resolution = Resolution::from_pairs([(ts.transitions().len(), Poly::zero())]);
+        let err = rejection(&ts, &NonTerminationCertificate::Check2(bad));
+        assert!(matches!(err, CertificateError::BackwardNotInvariant(m) if m.contains("resolves")));
+    }
+
+    #[test]
+    fn a_predicate_over_other_than_program_variables_is_rejected() {
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let primed = Poly::var(ts.vars().primed(0));
+        let mut bad = example_54_certificate(&ts);
+        bad.invariant.set(
+            ts.init_loc(),
+            PropPredicate::from_assertion(Assertion::ge_zero(primed - Poly::constant_i64(9))),
+        );
+        let err = rejection(&ts, &NonTerminationCertificate::Check1(bad));
+        assert!(matches!(err, CertificateError::NotInductive(m) if m.contains("not a program")));
     }
 
     /// The Check 2 certificate the prover finds for `paper_fig2_small` with

@@ -19,15 +19,17 @@ use crate::session::{
     memo, reversed_entry_for, Caches, ProveStats, RestrictedEntry, ReversedEntry,
 };
 use revterm_invgen::{synthesize_invariant_budgeted, SampleSet};
-use revterm_safety::{find_path_to, reachable_samples};
-use revterm_ts::interp::{run, Config};
+use revterm_safety::{explore, find_path_in};
+use revterm_ts::interp::{run, Config, Reach};
 use revterm_ts::{Assertion, TransitionSystem};
+use std::collections::hash_map::Entry;
 
 /// Check 2 with every derived artifact served from (and recorded into) the
-/// session caches: the reachable forward samples per search bounds, the
+/// session caches: the bounded exploration of `T` per search bounds, the
 /// `(Ĩ, Θ)` pair per effective synthesis inputs, restricted and reversed
 /// systems (with their atom pools) per resolution, backward-probe sample
-/// sets, and memoized entailment queries.
+/// sets, each `BI` together with the answer to its safety query, and
+/// memoized entailment queries.
 ///
 /// The [`BudgetGuard`] is consulted at candidate-resolution boundaries;
 /// `Err(TimedOut)` aborts the search *between* memoized computations, so
@@ -40,19 +42,20 @@ pub(crate) fn check2_cached(
     guard: &BudgetGuard,
 ) -> Result<Option<NonTerminationCertificate>, TimedOut> {
     let resolutions = caches.resolutions_for(ts, config, stats);
-    let Caches { entail, lp_basis, base_pool, forward_samples, tilde, restricted, .. } = caches;
+    let Caches { entail, lp_basis, base_pool, reach, tilde, restricted, .. } = caches;
     if guard.exhausted(entail.lookups) {
         return Err(TimedOut);
     }
 
     // Step 1: a conjunctive invariant Ĩ of the full system, seeded with
-    // concretely reachable samples.
-    let fwd = memo(
-        forward_samples,
+    // concretely reachable samples. The same exploration answers every
+    // safety query of step 3.
+    let fwd: &Reach = memo(
+        reach,
         config.search.clone(),
         &mut stats.artifact_cache_hits,
         &mut stats.artifact_cache_misses,
-        || reachable_samples(ts, &config.search),
+        || explore(ts, &config.search),
     );
 
     let tilde_options = synthesis_options(config, None, true);
@@ -64,7 +67,7 @@ pub(crate) fn check2_cached(
         cached.clone()
     } else {
         let mut sample_set = SampleSet::new();
-        for cfg in fwd.iter() {
+        for cfg in fwd.ascending() {
             sample_set.add(cfg.loc, cfg.vals.clone());
         }
         stats.synthesis_calls += 1;
@@ -129,7 +132,7 @@ pub(crate) fn check2_cached(
                 // the empty one memoized here.
                 if config.absint {
                     let state =
-                        revterm_absint::analyze_from(restricted_system, fwd.iter().take(400));
+                        revterm_absint::analyze_from(restricted_system, fwd.ascending().take(400));
                     if state.terminal_unreachable(restricted_system) {
                         stats.absint_prunes += 1;
                         return (false, SampleSet::new());
@@ -137,7 +140,7 @@ pub(crate) fn check2_cached(
                 }
                 let mut samples = SampleSet::new();
                 let mut any_terminating = false;
-                for cfg in fwd.iter().take(400) {
+                for cfg in fwd.ascending().take(400) {
                     let start = Config::new(cfg.loc, cfg.vals.clone());
                     let trace = run(
                         restricted_system,
@@ -173,42 +176,46 @@ pub(crate) fn check2_cached(
         let bi_options = synthesis_options(config, None, true);
         // `BI` is a pure function of the reversed system, the backward
         // samples (determined by the search bounds and probe steps) and the
-        // synthesis inputs, so it can be shared across configurations.
+        // synthesis inputs, so it can be shared across configurations. So is
+        // the answer to its safety query, which the key's search bounds fix
+        // too: it is memoized beside `BI`. Not expressed via `memo`: a
+        // budget-cut synthesis must not be cached.
         let synth_key = (
             (config.search.clone(), config.divergence_probe_steps),
             (bi_options.params, bi_options.entailment.clone()),
         );
-        let bi = if let Some(cached) = invariants.get(&synth_key) {
-            stats.artifact_cache_hits += 1;
-            cached.clone()
-        } else {
-            stats.synthesis_calls += 1;
-            let Some(map) = synthesize_invariant_budgeted(
-                &*reversed_system,
-                backward_samples,
-                &bi_options,
-                reversed_pool,
-                entail,
-                lp_basis,
-                &guard.synthesis_budget(),
-            ) else {
-                return Err(TimedOut);
-            };
-            stats.artifact_cache_misses += 1;
-            invariants.insert(synth_key, map.clone());
-            map
+        let (bi, witness) = match invariants.entry(synth_key) {
+            Entry::Occupied(cached) => {
+                stats.artifact_cache_hits += 1;
+                cached.into_mut()
+            }
+            Entry::Vacant(slot) => {
+                stats.synthesis_calls += 1;
+                let Some(map) = synthesize_invariant_budgeted(
+                    &*reversed_system,
+                    backward_samples,
+                    &bi_options,
+                    reversed_pool,
+                    entail,
+                    lp_basis,
+                    &guard.synthesis_budget(),
+                ) else {
+                    return Err(TimedOut);
+                };
+                stats.artifact_cache_misses += 1;
+                // Step 3: the safety query — is some configuration of ¬BI
+                // reachable in the original system?
+                let witness = find_path_in(fwd, &map.complement());
+                slot.insert((map, witness))
+            }
         };
-
-        // Step 3: the safety query — is some configuration of ¬BI reachable
-        // in the original system?
-        let complement = bi.complement();
-        if let Some(path) = find_path_to(ts, &complement, &config.search) {
+        if let Some(path) = witness {
             return Ok(Some(NonTerminationCertificate::Check2(Check2Certificate {
                 resolution,
                 tilde_invariant: tilde_map,
                 theta,
-                backward_invariant: bi,
-                witness_path: path,
+                backward_invariant: bi.clone(),
+                witness_path: path.clone(),
             })));
         }
     }

@@ -5,8 +5,9 @@
 //! a single [`crate::prove`] call performs depends only on the transition
 //! system (or on a small projection of the configuration), not on the full
 //! configuration: candidate resolutions, initial valuations, restricted and
-//! reversed systems, divergence-probe interpreter traces, reachable sample
-//! sets, candidate atom pools and — dominating everything — the exact
+//! reversed systems, divergence-probe interpreter traces, the bounded
+//! exploration of the reachable configurations and the safety-query answers
+//! read from it, candidate atom pools and — dominating everything — the exact
 //! Farkas/Handelman entailment queries.  A [`ProverSession`] owns one
 //! transition system together with memo tables for all of those artifacts, so
 //! a configuration sweep pays for each artifact once instead of once per
@@ -32,7 +33,7 @@ use revterm_invgen::{PoolCache, SampleSet};
 use revterm_lang::Program;
 use revterm_safety::SearchBounds;
 use revterm_solver::{BasisCache, EntailmentCache, EntailmentOptions, LpStats};
-use revterm_ts::interp::{Config, Valuation};
+use revterm_ts::interp::{Config, Reach, Valuation};
 use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
 
@@ -67,8 +68,8 @@ pub struct ProveStats {
     /// Interpreter probe computations that had to run.
     pub probe_cache_misses: u64,
     /// Derived artifacts (resolution lists, initial valuations, restricted
-    /// and reversed systems, reachable samples, `Ĩ`/`Θ`, certificate
-    /// evidence) served from cache.
+    /// and reversed systems, the bounded exploration, `Ĩ`/`Θ`, `BI` with
+    /// its safety-query answer, certificate evidence) served from cache.
     pub artifact_cache_hits: u64,
     /// Derived artifacts that had to be computed.
     pub artifact_cache_misses: u64,
@@ -119,14 +120,22 @@ pub struct SessionStats {
 /// `forced_false` and `max_iterations` are constant per call site.
 pub(crate) type SynthKey = (revterm_invgen::TemplateParams, revterm_solver::EntailmentOptions);
 
+/// A Check 2 backward invariant `BI` together with the answer to its safety
+/// query: the witness path into `¬BI` that the session's exploration yields,
+/// or `None`.
+pub(crate) type AnsweredInvariant = (PredicateMap, Option<Vec<Config>>);
+
 /// A reversed restricted system `T^{r,Θ}_{R_NA}` with its atom-pool cache
 /// and memoized backward invariants.
 pub(crate) struct ReversedEntry {
     pub system: TransitionSystem,
     pub pool: PoolCache,
     /// Check 2 backward invariants `BI` keyed by the backward-sample inputs
-    /// plus the synthesis inputs.
-    pub invariants: HashMap<((SearchBounds, usize), SynthKey), PredicateMap>,
+    /// plus the synthesis inputs, each with the answer to its safety query.
+    /// The key fixes every input of that query (its search bounds pick the
+    /// exploration), so a warm Check 2 cell neither complements `BI` nor
+    /// scans; the exact check replays the stored path like any other.
+    pub invariants: HashMap<((SearchBounds, usize), SynthKey), AnsweredInvariant>,
 }
 
 /// A restricted system `T_{R_NA}` plus everything memoized per resolution.
@@ -225,8 +234,10 @@ pub(crate) struct Caches {
     pub resolutions: HashMap<(i64, u32, usize), Vec<Resolution>>,
     /// Preferred initial valuations keyed by `(search bounds, cap)`.
     pub initials: HashMap<(SearchBounds, usize), Vec<Valuation>>,
-    /// Concretely reachable configurations keyed by search bounds.
-    pub forward_samples: HashMap<SearchBounds, Vec<Config>>,
+    /// The bounded exploration of the base system per search bounds: Check
+    /// 2's forward samples (in ascending order) and the configurations
+    /// every `¬BI` query scans (in discovery order).
+    pub reach: HashMap<SearchBounds, Reach>,
     /// Check 2's `(Ĩ, Θ)` keyed by the synthesis inputs that determine them.
     #[allow(clippy::type_complexity)]
     pub tilde: HashMap<
@@ -636,6 +647,63 @@ mod tests {
         ];
         for plant in planted {
             let result = fresh(plant);
+            assert!(matches!(result.verdict, crate::Verdict::Unknown), "{:?}", result.verdict);
+        }
+    }
+
+    /// The curated suite's `paper_fig2_small`.
+    const FIG2_SMALL: &str = "n := 0; b := 0; u := 0; \
+        while b == 0 and n <= 3 do \
+          u := ndet(); \
+          if u <= -1 then b := -1; elseif u == 0 then b := 0; else b := 1; fi \
+          n := n + 1; \
+          if n >= 4 and b >= 1 then while true do skip; od fi \
+        od";
+
+    #[test]
+    fn memoized_witness_supplies_a_path_but_never_a_verdict() {
+        let config = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
+        type Plant = dyn Fn(&PredicateMap, &mut Vec<Config>);
+        let fresh = |plant: &Plant| {
+            let mut session = ProverSession::from_source(FIG2_SMALL).unwrap();
+            assert!(session.prove(&config).is_non_terminating());
+            let mut witnesses: Vec<_> = session
+                .caches
+                .restricted
+                .values_mut()
+                .flat_map(|entry| entry.reversed.iter_mut())
+                .flat_map(|(_, reversed)| reversed.invariants.values_mut())
+                .filter_map(|(bi, witness)| Some((&*bi, witness.as_mut()?)))
+                .collect();
+            assert_eq!(witnesses.len(), 1, "one BI answered its query with a path");
+            let (bi, path) = witnesses.pop().unwrap();
+            plant(bi, path);
+            let result = session.prove(&config);
+            (result, session)
+        };
+        // An untouched memo answers the query again: no synthesis, and the
+        // same outcome as a fresh prove, witness path included.
+        let (reused, session) = fresh(&|_, _| {});
+        assert_eq!(reused.stats.synthesis_calls, 0, "stats: {:?}", reused.stats);
+        let cold = crate::prover::prove(session.ts(), &config);
+        assert_eq!(
+            crate::api::outcome_digest(&reused, session.ts()),
+            crate::api::outcome_digest(&cold, session.ts()),
+        );
+        // A wrong witness in the memo makes the next prove end Unknown: the
+        // exact check replays the path on every verdict.
+        let planted: [&Plant; 2] = [
+            &|_, path| {
+                path.remove(0);
+            },
+            &|bi, path| {
+                path.pop();
+                let last = path.last().expect("the path has more than one configuration");
+                assert!(bi.at(last.loc).holds_int(&last.vals.assignment()), "{last} is not in BI");
+            },
+        ];
+        for plant in planted {
+            let (result, _) = fresh(plant);
             assert!(matches!(result.verdict, crate::Verdict::Unknown), "{:?}", result.verdict);
         }
     }

@@ -11,9 +11,15 @@
 //! * non-deterministic assignments are resolved by a finite candidate set of
 //!   values, again derived from the program constants
 //!   ([`ndet_candidate_values`]);
-//! * breadth-first exploration up to configurable step/state bounds collects
-//!   reachable configurations ([`reachable_samples`]) and answers reachability
-//!   queries for predicate maps ([`find_reachable_in`]).
+//! * one breadth-first exploration up to configurable step/state bounds
+//!   ([`explore`]) collects the reachable configurations in discovery order,
+//!   each with the configuration it was first reached from, and in ascending
+//!   order ([`Reach`]);
+//! * queries read that exploration: reachable samples
+//!   ([`reachable_samples`]), a reachable configuration in a predicate map
+//!   ([`find_reachable_in`]), and Check 2's witness path into `¬BI`
+//!   ([`find_path_in`]). A caller that keeps the exploration asks every
+//!   query of it without searching again.
 //!
 //! A negative answer ("not found within bounds") is *not* a proof of
 //! unreachability; the core algorithm treats it as "unknown", exactly as the
@@ -22,7 +28,7 @@
 #![warn(missing_docs)]
 
 use revterm_num::Int;
-use revterm_ts::interp::{bounded_reach, is_initial_valuation, Config, Valuation};
+use revterm_ts::interp::{bounded_reach, is_initial_valuation, Config, Reach, Valuation};
 use revterm_ts::{PredicateMap, TransitionSystem};
 
 /// Bounds for the explicit-state search.
@@ -151,10 +157,14 @@ pub fn find_initial_valuations(ts: &TransitionSystem, bounds: &SearchBounds) -> 
     }
 }
 
-/// Collects a set of configurations reachable from the initial configurations
-/// within the given bounds.  Every returned configuration is genuinely
-/// reachable (the search is an under-approximation of the reachable set).
-pub fn reachable_samples(ts: &TransitionSystem, bounds: &SearchBounds) -> Vec<Config> {
+/// Explores the configurations reachable from the initial configurations
+/// within the given bounds: one breadth-first search from the enumerated
+/// initial valuations ([`find_initial_valuations`]), resolving
+/// non-determinism with [`ndet_candidate_values`]. Every configuration it
+/// holds is genuinely reachable (the search under-approximates the reachable
+/// set). The exploration depends only on the system and the bounds, so a
+/// caller that asks several queries keeps it and asks them all of it.
+pub fn explore(ts: &TransitionSystem, bounds: &SearchBounds) -> Reach {
     let seeds: Vec<Config> = find_initial_valuations(ts, bounds)
         .into_iter()
         .map(|v| Config::new(ts.init_loc(), v))
@@ -163,86 +173,44 @@ pub fn reachable_samples(ts: &TransitionSystem, bounds: &SearchBounds) -> Vec<Co
     bounded_reach(ts, &seeds, &ndet, bounds.max_steps, bounds.max_configs)
 }
 
+/// Returns `true` iff the configuration lies in the predicate map.
+fn lies_in(target: &PredicateMap, cfg: &Config) -> bool {
+    target.at(cfg.loc).holds_int(&cfg.vals.assignment())
+}
+
+/// The configurations of [`explore`], in ascending order.
+pub fn reachable_samples(ts: &TransitionSystem, bounds: &SearchBounds) -> Vec<Config> {
+    explore(ts, bounds).ascending().cloned().collect()
+}
+
 /// Searches for a reachable configuration contained in the given predicate
-/// map (typically `¬BI`).  Returns the witness configuration if one is found
-/// within the bounds.
+/// map: the least one of [`explore`] in ascending order, if any.
 pub fn find_reachable_in(
     ts: &TransitionSystem,
     target: &PredicateMap,
     bounds: &SearchBounds,
 ) -> Option<Config> {
-    reachable_samples(ts, bounds)
-        .into_iter()
-        .find(|cfg| target.at(cfg.loc).holds_int(&cfg.vals.assignment()))
+    explore(ts, bounds).ascending().find(|cfg| lies_in(target, cfg)).cloned()
 }
 
 /// Searches for a reachable *terminal* configuration (used in tests and by the
 /// baseline provers to detect "the program can terminate from the explored
 /// region").
 pub fn find_reachable_terminal(ts: &TransitionSystem, bounds: &SearchBounds) -> Option<Config> {
-    reachable_samples(ts, bounds).into_iter().find(|cfg| cfg.loc == ts.terminal_loc())
+    explore(ts, bounds).ascending().find(|cfg| cfg.loc == ts.terminal_loc()).cloned()
 }
 
-/// Breadth-first search that returns a complete **path** (sequence of
+/// The safety query of Check 2: a complete **path** (sequence of
 /// configurations, starting from an initial one) to the first configuration
-/// found that satisfies the target predicate map.
+/// of `reach`, in discovery order, that lies in `target` (typically `¬BI`).
+/// It is the path a breadth-first search that stops at its first hit
+/// returns.
 ///
 /// The returned path is replayable: consecutive configurations are related by
 /// a transition of the system, which is exactly what the certificate
 /// validator of the core crate re-checks.
-pub fn find_path_to(
-    ts: &TransitionSystem,
-    target: &PredicateMap,
-    bounds: &SearchBounds,
-) -> Option<Vec<Config>> {
-    use revterm_ts::interp::successors;
-    use std::collections::BTreeMap;
-    let seeds: Vec<Config> = find_initial_valuations(ts, bounds)
-        .into_iter()
-        .map(|v| Config::new(ts.init_loc(), v))
-        .collect();
-    let ndet = ndet_candidate_values(ts, bounds.grid);
-    let mut parents: BTreeMap<Config, Option<Config>> = BTreeMap::new();
-    let mut frontier: Vec<Config> = Vec::new();
-    let reconstruct = |cfg: &Config, parents: &BTreeMap<Config, Option<Config>>| {
-        let mut path = vec![cfg.clone()];
-        let mut cur = cfg.clone();
-        while let Some(Some(p)) = parents.get(&cur) {
-            path.push(p.clone());
-            cur = p.clone();
-        }
-        path.reverse();
-        path
-    };
-    for seed in seeds {
-        if target.at(seed.loc).holds_int(&seed.vals.assignment()) {
-            return Some(vec![seed]);
-        }
-        if !parents.contains_key(&seed) {
-            parents.insert(seed.clone(), None);
-            frontier.push(seed);
-        }
-    }
-    for _ in 0..bounds.max_steps {
-        if frontier.is_empty() || parents.len() >= bounds.max_configs {
-            break;
-        }
-        let mut next_frontier = Vec::new();
-        for cfg in &frontier {
-            for (_, succ) in successors(ts, cfg, &ndet) {
-                if parents.contains_key(&succ) || parents.len() >= bounds.max_configs {
-                    continue;
-                }
-                parents.insert(succ.clone(), Some(cfg.clone()));
-                if target.at(succ.loc).holds_int(&succ.vals.assignment()) {
-                    return Some(reconstruct(&succ, &parents));
-                }
-                next_frontier.push(succ);
-            }
-        }
-        frontier = next_frontier;
-    }
-    None
+pub fn find_path_in(reach: &Reach, target: &PredicateMap) -> Option<Vec<Config>> {
+    reach.path_to_first(|cfg| lies_in(target, cfg))
 }
 
 #[cfg(test)]
@@ -250,6 +218,7 @@ mod tests {
     use super::*;
     use revterm_lang::parse_program;
     use revterm_num::int;
+    use revterm_poly::Poly;
     use revterm_ts::{lower, Assertion, PropPredicate, TransitionSystem};
 
     const RUNNING: &str =
@@ -370,6 +339,196 @@ mod tests {
             }
         }
         assert!(cut_by_cap > 0, "no system reached the position cap");
+    }
+
+    /// A search per query: breadth-first, checking each configuration as it
+    /// is discovered and stopping at the first hit. [`find_path_in`] on the
+    /// one exploration must return its path.
+    fn per_query_path_to(
+        ts: &TransitionSystem,
+        target: &PredicateMap,
+        bounds: &SearchBounds,
+    ) -> Option<Vec<Config>> {
+        use revterm_ts::interp::successors;
+        use std::collections::BTreeMap;
+        let seeds: Vec<Config> = find_initial_valuations(ts, bounds)
+            .into_iter()
+            .map(|v| Config::new(ts.init_loc(), v))
+            .collect();
+        let ndet = ndet_candidate_values(ts, bounds.grid);
+        let mut parents: BTreeMap<Config, Option<Config>> = BTreeMap::new();
+        let mut frontier: Vec<Config> = Vec::new();
+        let reconstruct = |cfg: &Config, parents: &BTreeMap<Config, Option<Config>>| {
+            let mut path = vec![cfg.clone()];
+            let mut cur = cfg.clone();
+            while let Some(Some(p)) = parents.get(&cur) {
+                path.push(p.clone());
+                cur = p.clone();
+            }
+            path.reverse();
+            path
+        };
+        for seed in seeds {
+            if target.at(seed.loc).holds_int(&seed.vals.assignment()) {
+                return Some(vec![seed]);
+            }
+            if !parents.contains_key(&seed) {
+                parents.insert(seed.clone(), None);
+                frontier.push(seed);
+            }
+        }
+        for _ in 0..bounds.max_steps {
+            if frontier.is_empty() || parents.len() >= bounds.max_configs {
+                break;
+            }
+            let mut next_frontier = Vec::new();
+            for cfg in &frontier {
+                for (_, succ) in successors(ts, cfg, &ndet) {
+                    if parents.contains_key(&succ) || parents.len() >= bounds.max_configs {
+                        continue;
+                    }
+                    parents.insert(succ.clone(), Some(cfg.clone()));
+                    if target.at(succ.loc).holds_int(&succ.vals.assignment()) {
+                        return Some(reconstruct(&succ, &parents));
+                    }
+                    next_frontier.push(succ);
+                }
+            }
+            frontier = next_frontier;
+        }
+        None
+    }
+
+    /// A search per call: the same breadth-first search over a `BTreeSet`,
+    /// which hands the configurations back in ascending order, as
+    /// [`reachable_samples`] must. Also reports whether `max_configs` cut a
+    /// layer part-way through.
+    fn per_query_samples(ts: &TransitionSystem, bounds: &SearchBounds) -> (Vec<Config>, bool) {
+        use revterm_ts::interp::successors;
+        use std::collections::BTreeSet;
+        let from: Vec<Config> = find_initial_valuations(ts, bounds)
+            .into_iter()
+            .map(|v| Config::new(ts.init_loc(), v))
+            .collect();
+        let ndet = ndet_candidate_values(ts, bounds.grid);
+        let mut seen: BTreeSet<Config> = from.iter().cloned().collect();
+        let mut frontier: Vec<Config> = from;
+        let mut cut_mid_layer = false;
+        for _ in 0..bounds.max_steps {
+            if frontier.is_empty() || seen.len() >= bounds.max_configs {
+                break;
+            }
+            let mut next_frontier = Vec::new();
+            for cfg in &frontier {
+                for (_, succ) in successors(ts, cfg, &ndet) {
+                    if seen.len() >= bounds.max_configs {
+                        cut_mid_layer |= !seen.contains(&succ);
+                        break;
+                    }
+                    if seen.insert(succ.clone()) {
+                        next_frontier.push(succ);
+                    }
+                }
+            }
+            frontier = next_frontier;
+        }
+        (seen.into_iter().collect(), cut_mid_layer)
+    }
+
+    /// SplitMix64: a tiny deterministic generator for the randomized test
+    /// below (no external crates are available in this workspace).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    #[test]
+    fn one_exploration_answers_every_query_as_the_per_query_searches_did() {
+        let benchmarks = revterm_suite::curated_benchmarks();
+        let fuzzed = revterm_suite::fuzz_family(0x5eed_f22d, 40);
+        let mut rng = Rng(0x0e91_0a7c_b5f5_2d11);
+        let (mut hits, mut misses, mut long_paths, mut mid_layer_cuts) = (0, 0, 0, 0);
+        for benchmark in benchmarks.iter().chain(&fuzzed) {
+            let ts = &benchmark.transition_system();
+            let seeds = find_initial_valuations(ts, &SearchBounds::default()).len();
+            let mut bounds: Vec<SearchBounds> = (1..=3)
+                .map(|max_steps| SearchBounds { max_steps, ..SearchBounds::default() })
+                .collect();
+            // `nt_square_growth` squares its counter on every loop iteration:
+            // 60 steps build numbers of 2^30 bits, seconds per search
+            // (ROADMAP item 1), so it runs at the short bounds only.
+            if benchmark.name != "nt_square_growth" {
+                bounds.push(SearchBounds::default());
+                bounds.push(SearchBounds {
+                    max_configs: seeds + 1 + rng.below(300),
+                    ..SearchBounds::default()
+                });
+            }
+            // The system's own guard and Θ_init atoms; the interpreter only
+            // evaluates unprimed variables.
+            let atoms: Vec<Poly> = ts
+                .transitions()
+                .iter()
+                .flat_map(|t| t.relation.atoms())
+                .chain(ts.init_assertion().atoms())
+                .filter(|p| p.vars().iter().all(|&v| ts.vars().is_unprimed(v)))
+                .cloned()
+                .collect();
+            let n = ts.num_locs();
+            let mut targets = vec![PredicateMap::tautology(n), PredicateMap::unsatisfiable(n)];
+            let mut at_exit = PredicateMap::unsatisfiable(n);
+            at_exit.set(ts.terminal_loc(), PropPredicate::tautology());
+            targets.push(at_exit);
+            for _ in 0..4 {
+                if atoms.is_empty() {
+                    break;
+                }
+                let mut conjunction = PredicateMap::tautology(n);
+                for loc in ts.locations() {
+                    let picked =
+                        (0..1 + rng.below(3)).map(|_| atoms[rng.below(atoms.len())].clone());
+                    conjunction
+                        .set(loc, PropPredicate::from_assertion(Assertion::from_polys(picked)));
+                }
+                targets.push(conjunction.complement());
+            }
+            for bounds in &bounds {
+                let reach = explore(ts, bounds);
+                let (samples, cut) = per_query_samples(ts, bounds);
+                mid_layer_cuts += usize::from(cut);
+                assert!(reach.ascending().eq(samples.iter()));
+                assert_eq!(reachable_samples(ts, bounds), samples);
+                // The tautology's witness is the first seed.
+                let first_seed = reach.discovered().first().map(|c| vec![c.clone()]);
+                assert_eq!(find_path_in(&reach, &targets[0]), first_seed);
+                for target in &targets {
+                    let path = find_path_in(&reach, target);
+                    assert_eq!(path, per_query_path_to(ts, target, bounds));
+                    match path {
+                        Some(path) => {
+                            hits += 1;
+                            long_paths += usize::from(path.len() > 2);
+                        }
+                        None => misses += 1,
+                    }
+                }
+                // The one-shot queries each explore again, so one target each.
+                let target = &targets[rng.below(targets.len())];
+                let least_in = samples.iter().find(|c| lies_in(target, c));
+                assert_eq!(find_reachable_in(ts, target, bounds).as_ref(), least_in);
+                let least_exit = samples.iter().find(|c| c.loc == ts.terminal_loc());
+                assert_eq!(find_reachable_terminal(ts, bounds).as_ref(), least_exit);
+            }
+        }
+        assert!(hits > 0 && misses > 0 && long_paths > 0, "{hits} {misses} {long_paths}");
+        assert!(mid_layer_cuts > 0, "no bound cut a layer part-way through");
     }
 
     #[test]

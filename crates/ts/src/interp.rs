@@ -13,6 +13,7 @@ use crate::assertion::Assertion;
 use crate::system::{Loc, Transition, TransitionKind, TransitionSystem};
 use revterm_num::Int;
 use revterm_poly::Var;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A valuation of the program variables (by index).
@@ -214,41 +215,98 @@ pub fn run(
     trace
 }
 
-/// Collects all configurations reachable from the given set within
-/// `max_steps` steps and with at most `max_configs` distinct configurations,
-/// using `ndet_values` as candidate values for non-deterministic assignments.
+/// The configurations a bounded breadth-first exploration discovered (see
+/// [`bounded_reach`]).
+///
+/// They are kept in discovery order — the seeds first, then each BFS layer
+/// in the order its configurations were first reached — each with the
+/// configuration that first reached it, and also in ascending order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// The configurations in discovery order.
+    configs: Vec<Config>,
+    /// `parents[i]` indexes the configuration `configs[i]` was first
+    /// reached from; `None` for a seed.
+    parents: Vec<Option<usize>>,
+    /// Indices into `configs`, ordered by ascending configuration.
+    ascending: Vec<usize>,
+}
+
+impl Reach {
+    /// The configurations in discovery order.
+    pub fn discovered(&self) -> &[Config] {
+        &self.configs
+    }
+
+    /// The configurations in ascending order.
+    pub fn ascending(&self) -> impl ExactSizeIterator<Item = &Config> + '_ {
+        self.ascending.iter().map(|&i| &self.configs[i])
+    }
+
+    /// The BFS path to the first configuration, in discovery order, that
+    /// satisfies `target`: it starts at a seed, and each configuration on it
+    /// is the one its successor was first reached from.
+    pub fn path_to_first(&self, target: impl Fn(&Config) -> bool) -> Option<Vec<Config>> {
+        let hit = self.configs.iter().position(target)?;
+        let mut path = vec![self.configs[hit].clone()];
+        let mut current = hit;
+        while let Some(parent) = self.parents[current] {
+            path.push(self.configs[parent].clone());
+            current = parent;
+        }
+        path.reverse();
+        Some(path)
+    }
+}
+
+/// Explores the configurations reachable from the given set breadth-first,
+/// for at most `max_steps` layers and until `max_configs` distinct
+/// configurations are known, using `ndet_values` as candidate values for
+/// non-deterministic assignments.
 ///
 /// This is a bounded, explicit-state reachability search; it under-approximates
 /// the true reachable set (which is what a sound safety check for Check 2
-/// needs: any configuration found is genuinely reachable).
+/// needs: any configuration found is genuinely reachable, along the path
+/// [`Reach::path_to_first`] rebuilds). The seeds are all kept, even past
+/// `max_configs`; a layer stops as soon as the cap is reached.
 pub fn bounded_reach(
     ts: &TransitionSystem,
     from: &[Config],
     ndet_values: &[Int],
     max_steps: usize,
     max_configs: usize,
-) -> Vec<Config> {
-    use std::collections::BTreeSet;
-    let mut seen: BTreeSet<Config> = from.iter().cloned().collect();
-    let mut frontier: Vec<Config> = from.to_vec();
+) -> Reach {
+    let mut seen: HashSet<Config> = HashSet::new();
+    let mut reach = Reach::default();
+    for seed in from {
+        if seen.insert(seed.clone()) {
+            reach.configs.push(seed.clone());
+            reach.parents.push(None);
+        }
+    }
+    // Each layer is a contiguous run of the discovery order.
+    let mut layer = 0..reach.configs.len();
     for _ in 0..max_steps {
-        if frontier.is_empty() || seen.len() >= max_configs {
+        if layer.is_empty() || reach.configs.len() >= max_configs {
             break;
         }
-        let mut next_frontier = Vec::new();
-        for cfg in &frontier {
-            for (_, succ) in successors(ts, cfg, ndet_values) {
-                if seen.len() >= max_configs {
+        let next = reach.configs.len();
+        for i in layer {
+            for (_, succ) in successors(ts, &reach.configs[i], ndet_values) {
+                if reach.configs.len() >= max_configs {
                     break;
                 }
                 if seen.insert(succ.clone()) {
-                    next_frontier.push(succ);
+                    reach.configs.push(succ);
+                    reach.parents.push(Some(i));
                 }
             }
         }
-        frontier = next_frontier;
+        layer = next..reach.configs.len();
     }
-    seen.into_iter().collect()
+    reach.ascending = (0..reach.configs.len()).collect();
+    reach.ascending.sort_unstable_by(|&a, &b| reach.configs[a].cmp(&reach.configs[b]));
+    reach
 }
 
 #[cfg(test)]
@@ -337,19 +395,25 @@ mod tests {
     fn bounded_reach_is_sound() {
         let ts = running_ts();
         let init = Config::new(ts.init_loc(), Valuation::from_i64s(&[9, 0]));
-        let reached = bounded_reach(&ts, std::slice::from_ref(&init), &[int(0), int(9)], 20, 2000);
-        assert!(reached.contains(&init));
-        // Every reached configuration other than the seeds must be the target
-        // of a transition from another reached configuration — spot check by
-        // re-running successors.
-        for cfg in reached.iter().take(50) {
-            for (_, succ) in successors(&ts, cfg, &[int(0), int(9)]) {
-                // successor valuations have the right arity
-                assert_eq!(succ.vals.len(), 2);
+        let ndet = [int(0), int(9)];
+        let reached = bounded_reach(&ts, std::slice::from_ref(&init), &ndet, 20, 2000);
+        assert_eq!(reached.discovered()[0], init);
+        // Every configuration's path is a genuine run from the seed: each
+        // step is a successor of the configuration before it.
+        for cfg in reached.discovered().iter().take(50) {
+            let path = reached.path_to_first(|c| c == cfg).unwrap();
+            assert_eq!((path.first(), path.last()), (Some(&init), Some(cfg)));
+            for step in path.windows(2) {
+                assert!(successors(&ts, &step[0], &ndet).iter().any(|(_, s)| *s == step[1]));
             }
         }
+        // Both orders hold the same configurations, the second one sorted.
+        let ascending: Vec<&Config> = reached.ascending().collect();
+        assert!(ascending.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ascending.len(), reached.discovered().len());
+        assert!(reached.discovered().iter().all(|c| ascending.binary_search(&c).is_ok()));
         // The terminal location is reachable (choose x := 0).
-        assert!(reached.iter().any(|c| is_terminal(&ts, c)));
+        assert!(reached.discovered().iter().any(|c| is_terminal(&ts, c)));
     }
 
     #[test]

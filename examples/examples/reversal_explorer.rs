@@ -29,11 +29,14 @@ fn main() {
     let init = Config::new(ts.init_loc(), Valuation(vec![Int::zero()]));
     let reachable = bounded_reach(&ts, std::slice::from_ref(&init), &[], 50, 1000);
     println!("\nconfigurations reachable from {init}:");
-    for cfg in &reachable {
+    for cfg in reachable.ascending() {
         println!("  {cfg}");
     }
     let terminal = Config::new(ts.terminal_loc(), Valuation(vec![Int::from(4_i64)]));
-    assert!(reachable.contains(&terminal), "the terminal configuration must be reachable");
+    assert!(
+        reachable.discovered().contains(&terminal),
+        "the terminal configuration must be reachable"
+    );
     println!("\nLemma 3.3 check: {terminal} is reachable from {init} in T,");
     println!("hence {init} is reachable from {terminal} in the reversed system.");
 }

@@ -69,12 +69,16 @@ echo "==> cargo test --release (perfbench)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if $run_bench_smoke; then
-    # Bench smoke: one cheap benchmark through the session-vs-fresh harness
-    # (~1 s) so every CI run leaves a comparable speedup/verdict JSON
-    # artifact. The harness exits non-zero if verdicts diverge.
-    echo "==> bench smoke (session_vs_fresh nt_counter_up)"
+    # Bench smoke: two cheap benchmarks through the session-vs-fresh harness
+    # (~3 s) so every CI run leaves a comparable speedup/verdict JSON
+    # artifact. The harness exits non-zero if any cell's outcome digest
+    # (label, verdict, certificate) differs between a fresh prove and the
+    # session. paper_fig2_small's degree-1 grid has 12 Check 2 proofs, so
+    # the session's memoized safety-query answers (witness paths) are
+    # compared with fresh searches on every run.
+    echo "==> bench smoke (session_vs_fresh nt_counter_up paper_fig2_small)"
     mkdir -p target/ci-artifacts
-    cargo run --release -q -p revterm-bench --bin session_vs_fresh nt_counter_up \
+    cargo run --release -q -p revterm-bench --bin session_vs_fresh nt_counter_up paper_fig2_small \
         | tee target/ci-artifacts/bench-smoke.json
 
     # LP-engine + poly-kernel smoke: num_profile with a small microloop runs

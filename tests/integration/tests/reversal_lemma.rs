@@ -46,6 +46,7 @@ fn lemma_3_3_reachability_is_symmetric_under_reversal() {
     let ts = build(COUNTER);
     let init = Config::new(ts.init_loc(), Valuation(vec![int(0)]));
     let forward = bounded_reach(&ts, std::slice::from_ref(&init), &[], 50, 500);
+    let forward = forward.discovered();
 
     // The reversed system cannot be executed with the structured interpreter
     // (its transitions are unstructured), so we check Lemma 3.3 through the
@@ -55,7 +56,7 @@ fn lemma_3_3_reachability_is_symmetric_under_reversal() {
     // whenever c' is a successor of c in T, c is a successor of c' in the
     // reversed system.
     let reversed = ts.reverse(Assertion::tautology());
-    for cfg in &forward {
+    for cfg in forward {
         for (tid, succ) in revterm_ts::interp::successors(&ts, cfg, &[]) {
             let rev = reversed.transition(tid);
             assert!(
