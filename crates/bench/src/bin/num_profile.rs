@@ -24,8 +24,9 @@
 //!   [`revterm::ProverSession`] (mirroring `session_vs_fresh`) whose
 //!   revised-simplex warm-start counters are reported alongside the
 //!   timings.  The same sessioned sweep then runs again with the
-//!   abstract-interpretation machinery disabled (`absint: false` plus
-//!   `interval_fast_path: false`): the on/off verdict digests must match
+//!   abstract-interpretation machinery disabled (`interval_fast_path:
+//!   false`, the one flag for the fast path and the probe prune): the
+//!   on/off verdict digests must match
 //!   (absint is sound pruning only), the on-sweep must report a nonzero
 //!   fast-path/prune count (the machinery actually engaged), and the
 //!   fixpoint analysis itself is timed as `absint_analyze_secs`.
@@ -421,7 +422,6 @@ fn main() {
         .iter()
         .map(|c| {
             let mut c = c.clone();
-            c.absint = false;
             c.entailment.interval_fast_path = false;
             c
         })

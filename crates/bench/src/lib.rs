@@ -52,7 +52,7 @@
 //! | `session_lp_solves` | LP solves issued by the sessioned sweep ([`revterm::ProveStats::lp`] totals) |
 //! | `session_lp_pivots` | simplex pivots across those solves |
 //! | `session_lp_refactorizations` | warm-start basis refactorizations |
-//! | `session_warm_lookups` | solves that consulted the session [`revterm_solver::BasisCache`] |
+//! | `session_warm_lookups` | solves that consulted the bases stored in the session's [`revterm_solver::EntailmentCache`] |
 //! | `session_warm_hits` | of those, resumed from a stored basis (exit 1 when zero) |
 //! | `session_warm_hit_rate` | `session_warm_hits / session_warm_lookups` |
 //! | `verdict_digest` | digest of the per-cell fresh verdicts (revised engine) |
@@ -80,7 +80,7 @@
 //! | `lp_solves` | LP solves issued by the sessioned sweep |
 //! | `lp_pivots` | simplex pivots across those solves |
 //! | `lp_refactorizations` | warm-start basis refactorizations |
-//! | `lp_warm_lookups` | solves that consulted the session [`revterm_solver::BasisCache`] |
+//! | `lp_warm_lookups` | solves that consulted the bases stored in the session's [`revterm_solver::EntailmentCache`] |
 //! | `lp_warm_hits` | of those, resumed from a stored optimal basis |
 //!
 //! ## `serve_smoke` (one JSON object per run)

@@ -247,7 +247,6 @@ fn run_prove(args: Vec<String>) -> ExitCode {
     };
     if no_absint {
         for config in &mut configs {
-            config.absint = false;
             config.entailment.interval_fast_path = false;
         }
     }

@@ -175,7 +175,6 @@ pub fn config_to_json(config: &ProverConfig) -> Json {
         ("max_resolutions", Json::from(config.max_resolutions as u64)),
         ("max_initial_configs", Json::from(config.max_initial_configs as u64)),
         ("divergence_probe_steps", Json::from(config.divergence_probe_steps as u64)),
-        ("absint", Json::Bool(config.absint)),
         (
             "budget",
             Json::obj(vec![
@@ -222,7 +221,8 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     config.max_resolutions = obj.u64_field("max_resolutions")? as usize;
     config.max_initial_configs = obj.u64_field("max_initial_configs")? as usize;
     config.divergence_probe_steps = obj.u64_field("divergence_probe_steps")? as usize;
-    config.absint = obj.bool_field("absint")?;
+    // An older client's `absint` field, now `interval_fast_path`'s job, is
+    // ignored like any field not read here.
     let budget = obj.obj_field("budget")?;
     config.budget = Budget {
         time_limit: budget.opt_u64_field("time_limit_ms")?.map(Duration::from_millis),
@@ -864,6 +864,20 @@ mod tests {
         config.search.grid = 5;
         let roundtripped = config_from_json(&config_to_json(&config)).unwrap();
         assert_eq!(roundtripped, config);
+    }
+
+    #[test]
+    fn config_from_json_ignores_the_absint_field_of_older_clients() {
+        // Older clients send `absint` beside `interval_fast_path`, now the
+        // one flag for both halves of the machinery: either value is ignored.
+        let config = ProverConfig::builder().absint(false).build();
+        let text = config_to_json(&config).to_string();
+        assert!(!text.contains("absint"), "{text}");
+        for absint in [true, false] {
+            let old = text.replace(r#","budget""#, &format!(r#","absint":{absint},"budget""#));
+            assert_ne!(old, text);
+            assert_eq!(config_from_json(&json::parse_json(&old).unwrap()).unwrap(), config);
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 
 use crate::certificate::{Check1Certificate, NonTerminationCertificate};
 use crate::config::{ProverConfig, Strategy};
-use crate::prover::{BudgetGuard, TimedOut};
-use crate::session::{memo, Caches, ProveStats, RestrictedEntry};
-use revterm_invgen::{synthesize_invariant_budgeted, SampleSet, SynthesisOptions, TemplateParams};
+use crate::prover::TimedOut;
+use crate::session::{memo, memo_synthesis, Caches, ProveStats, RestrictedEntry};
+use revterm_invgen::{
+    synthesize_invariant, SampleSet, SynthesisBudget, SynthesisOptions, TemplateParams,
+};
 use revterm_poly::Poly;
 use revterm_safety::{find_initial_valuations, ndet_candidate_values};
 use revterm_ts::interp::{run, Config, Valuation};
@@ -102,25 +104,26 @@ pub(crate) fn synthesis_options(
 /// resolution, divergence-probe traces per `(resolution, initial)` pair, and
 /// memoized entailment queries.
 ///
-/// The [`BudgetGuard`] is consulted at candidate boundaries (and before each
-/// synthesis call); `Err(TimedOut)` aborts the search *between* memoized
-/// computations, so every cache entry the call leaves behind is complete.
+/// The budget is polled at candidate boundaries and by each synthesis;
+/// `Err(TimedOut)` aborts the search *between* memoized computations (a
+/// synthesis it cuts short is not memoized), so every cache entry the call
+/// leaves behind is complete.
 pub(crate) fn check1_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
     caches: &mut Caches,
     stats: &mut ProveStats,
-    guard: &BudgetGuard,
+    budget: &SynthesisBudget,
 ) -> Result<Option<NonTerminationCertificate>, TimedOut> {
     let initials = caches.initials_for(ts, config, stats);
     if initials.is_empty() {
         return Ok(None);
     }
     let resolutions = caches.resolutions_for(ts, config, stats);
-    let Caches { entail, lp_basis, restricted, .. } = caches;
+    let Caches { entail, restricted, .. } = caches;
     let mut synthesis_budget = 8usize;
     for resolution in resolutions {
-        if guard.exhausted(entail.lookups) {
+        if budget.exhausted(entail.lookups) {
             return Err(TimedOut);
         }
         let entry = memo(
@@ -133,7 +136,7 @@ pub(crate) fn check1_cached(
         let RestrictedEntry { system: restricted_system, pool, probes, invariants, .. } = entry;
         let restricted_system = &*restricted_system;
         for initial in initials.iter().take(config.max_initial_configs) {
-            if guard.exhausted(entail.lookups) {
+            if budget.exhausted(entail.lookups) {
                 return Err(TimedOut);
             }
             stats.candidates_tried += 1;
@@ -175,35 +178,16 @@ pub(crate) fn check1_cached(
                 (initial.clone(), config.divergence_probe_steps),
                 (options.params, options.entailment.clone()),
             );
-            // Not expressed via `memo`: a budget-cut synthesis is not a
-            // fixpoint and must not be cached (a later retry with a larger
-            // budget would otherwise be served the truncated result).
-            let invariant = if let Some(map) = invariants.get(&synth_key) {
-                stats.artifact_cache_hits += 1;
-                map.clone()
-            } else {
+            let invariant = memo_synthesis(invariants, synth_key, stats, || {
                 // Samples: everything the probe visited belongs to the set
                 // the invariant must contain.
                 let mut samples = SampleSet::new();
                 for cfg in trace.iter() {
                     samples.add(cfg.loc, cfg.vals.clone());
                 }
-                stats.synthesis_calls += 1;
-                let Some(map) = synthesize_invariant_budgeted(
-                    restricted_system,
-                    &samples,
-                    &options,
-                    pool,
-                    entail,
-                    lp_basis,
-                    &guard.synthesis_budget(),
-                ) else {
-                    return Err(TimedOut);
-                };
-                stats.artifact_cache_misses += 1;
-                invariants.insert(synth_key, map.clone());
-                map
-            };
+                synthesize_invariant(restricted_system, &samples, &options, pool, entail, budget)
+            })?
+            .clone();
 
             // Success condition: every transition into ℓ_out is blocked.
             // A closure contradiction is a Farkas derivation of `-1 ≥ 0`
@@ -224,11 +208,11 @@ pub(crate) fn check1_cached(
                         if fast
                             && revterm_absint::close_premises(premises.iter()).is_contradiction()
                         {
-                            lp_basis.stats.absint_fast_paths += 1;
+                            entail.record_fast_path();
                             return true;
                         }
                         let premises: Arc<[Poly]> = premises.into();
-                        entail.implies_false(&premises, &config.entailment, lp_basis)
+                        entail.implies_false(&premises, &config.entailment)
                     })
                 });
             if !blocked {

@@ -14,15 +14,14 @@
 use crate::certificate::{Check2Certificate, NonTerminationCertificate};
 use crate::check1::synthesis_options;
 use crate::config::ProverConfig;
-use crate::prover::{BudgetGuard, TimedOut};
+use crate::prover::TimedOut;
 use crate::session::{
-    memo, reversed_entry_for, Caches, ProveStats, RestrictedEntry, ReversedEntry,
+    memo, memo_synthesis, reversed_entry_for, Caches, ProveStats, RestrictedEntry, ReversedEntry,
 };
-use revterm_invgen::{synthesize_invariant_budgeted, SampleSet};
+use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisBudget};
 use revterm_safety::{explore, find_path_in};
 use revterm_ts::interp::{run, Config, Reach};
 use revterm_ts::{Assertion, TransitionSystem};
-use std::collections::hash_map::Entry;
 
 /// Check 2 with every derived artifact served from (and recorded into) the
 /// session caches: the bounded exploration of `T` per search bounds, the
@@ -31,19 +30,20 @@ use std::collections::hash_map::Entry;
 /// sets, each `BI` together with the answer to its safety query, and
 /// memoized entailment queries.
 ///
-/// The [`BudgetGuard`] is consulted at candidate-resolution boundaries;
-/// `Err(TimedOut)` aborts the search *between* memoized computations, so
-/// every cache entry the call leaves behind is complete.
+/// The budget is polled at candidate-resolution boundaries and by each
+/// synthesis; `Err(TimedOut)` aborts the search *between* memoized
+/// computations (a synthesis it cuts short is not memoized), so every cache
+/// entry the call leaves behind is complete.
 pub(crate) fn check2_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
     caches: &mut Caches,
     stats: &mut ProveStats,
-    guard: &BudgetGuard,
+    budget: &SynthesisBudget,
 ) -> Result<Option<NonTerminationCertificate>, TimedOut> {
     let resolutions = caches.resolutions_for(ts, config, stats);
-    let Caches { entail, lp_basis, base_pool, reach, tilde, restricted, .. } = caches;
-    if guard.exhausted(entail.lookups) {
+    let Caches { entail, base_pool, reach, tilde, restricted, .. } = caches;
+    if budget.exhausted(entail.lookups) {
         return Err(TimedOut);
     }
 
@@ -60,36 +60,19 @@ pub(crate) fn check2_cached(
 
     let tilde_options = synthesis_options(config, None, true);
     let tilde_key = (tilde_options.params, config.entailment.clone(), config.search.clone());
-    // Not expressed via `memo`: a budget-cut synthesis is not a fixpoint and
-    // must not be cached (same rule as Check 1's invariant table).
-    let (tilde_map, theta) = if let Some(cached) = tilde.get(&tilde_key) {
-        stats.artifact_cache_hits += 1;
-        cached.clone()
-    } else {
+    let (tilde_map, theta) = memo_synthesis(tilde, tilde_key, stats, || {
         let mut sample_set = SampleSet::new();
         for cfg in fwd.ascending() {
             sample_set.add(cfg.loc, cfg.vals.clone());
         }
-        stats.synthesis_calls += 1;
-        let Some(map) = synthesize_invariant_budgeted(
-            ts,
-            &sample_set,
-            &tilde_options,
-            base_pool,
-            entail,
-            lp_basis,
-            &guard.synthesis_budget(),
-        ) else {
-            return Err(TimedOut);
-        };
+        let map = synthesize_invariant(ts, &sample_set, &tilde_options, base_pool, entail, budget)?;
         let theta: Assertion = match map.at(ts.terminal_loc()).disjuncts() {
             [single] => single.clone(),
             _ => Assertion::tautology(),
         };
-        stats.artifact_cache_misses += 1;
-        tilde.insert(tilde_key, (map.clone(), theta.clone()));
-        (map, theta)
-    };
+        Some((map, theta))
+    })?
+    .clone();
 
     // Step 2: per candidate resolution, synthesize a backward invariant of
     // the reversed restricted system and query reachability of its complement.
@@ -98,7 +81,7 @@ pub(crate) fn check2_cached(
         if synthesis_budget == 0 {
             break;
         }
-        if guard.exhausted(entail.lookups) {
+        if budget.exhausted(entail.lookups) {
             return Err(TimedOut);
         }
         stats.candidates_tried += 1;
@@ -130,7 +113,7 @@ pub(crate) fn check2_cached(
                 // If even the abstract envelope cannot reach ℓ_out, no probe
                 // can terminate, and the result it would compute is exactly
                 // the empty one memoized here.
-                if config.absint {
+                if config.entailment.interval_fast_path {
                     let state =
                         revterm_absint::analyze_from(restricted_system, fwd.ascending().take(400));
                     if state.terminal_unreachable(restricted_system) {
@@ -158,8 +141,7 @@ pub(crate) fn check2_cached(
                 (any_terminating, samples)
             },
         );
-        let any_terminating_probe = *any_terminating_probe;
-        if !any_terminating_probe {
+        if !*any_terminating_probe {
             // Nothing reaches ℓ_out under this resolution within the probe
             // bounds; Check 1 is the natural route for such resolutions.
             continue;
@@ -178,37 +160,25 @@ pub(crate) fn check2_cached(
         // samples (determined by the search bounds and probe steps) and the
         // synthesis inputs, so it can be shared across configurations. So is
         // the answer to its safety query, which the key's search bounds fix
-        // too: it is memoized beside `BI`. Not expressed via `memo`: a
-        // budget-cut synthesis must not be cached.
+        // too: it is memoized beside `BI`.
         let synth_key = (
             (config.search.clone(), config.divergence_probe_steps),
             (bi_options.params, bi_options.entailment.clone()),
         );
-        let (bi, witness) = match invariants.entry(synth_key) {
-            Entry::Occupied(cached) => {
-                stats.artifact_cache_hits += 1;
-                cached.into_mut()
-            }
-            Entry::Vacant(slot) => {
-                stats.synthesis_calls += 1;
-                let Some(map) = synthesize_invariant_budgeted(
-                    &*reversed_system,
-                    backward_samples,
-                    &bi_options,
-                    reversed_pool,
-                    entail,
-                    lp_basis,
-                    &guard.synthesis_budget(),
-                ) else {
-                    return Err(TimedOut);
-                };
-                stats.artifact_cache_misses += 1;
-                // Step 3: the safety query — is some configuration of ¬BI
-                // reachable in the original system?
-                let witness = find_path_in(fwd, &map.complement());
-                slot.insert((map, witness))
-            }
-        };
+        let (bi, witness) = memo_synthesis(invariants, synth_key, stats, || {
+            let map = synthesize_invariant(
+                reversed_system,
+                backward_samples,
+                &bi_options,
+                reversed_pool,
+                entail,
+                budget,
+            )?;
+            // Step 3: the safety query — is some configuration of ¬BI
+            // reachable in the original system?
+            let witness = find_path_in(fwd, &map.complement());
+            Some((map, witness))
+        })?;
         if let Some(path) = witness {
             return Ok(Some(NonTerminationCertificate::Check2(Check2Certificate {
                 resolution,

@@ -11,11 +11,12 @@ use std::time::Duration;
 /// optional cap on entailment-oracle calls.
 ///
 /// The prover checks the budget at *candidate boundaries* — between candidate
-/// `(resolution, initial)` pairs and before each invariant synthesis — never
-/// inside a memoized computation, so an interrupted run leaves every session
-/// cache entry fully computed (an interrupted session is never poisoned; the
-/// next call on it behaves exactly like a call on a fresh session with the
-/// same warm caches).  When the budget expires the verdict is the structured
+/// `(resolution, initial)` pairs and before each invariant synthesis — and
+/// between the transition batches of each synthesis.  A synthesis it cuts
+/// short is never memoized, so an interrupted run leaves every session cache
+/// entry fully computed (an interrupted session is never poisoned; the next
+/// call on it behaves exactly like a call on a fresh session with the same
+/// warm caches).  When the budget expires the verdict is the structured
 /// [`crate::Verdict::Timeout`], which the wire layer maps to
 /// [`Error::Timeout`].
 ///
@@ -125,19 +126,10 @@ pub struct ProverConfig {
     /// Number of interpreter steps used to classify a run as "apparently
     /// diverging" before attempting invariant synthesis.
     pub divergence_probe_steps: usize,
-    /// Run the abstract-interpretation pre-analysis (`revterm_absint`) to
-    /// skip probe batches whose outcome it proves.  Sound pruning only:
-    /// verdicts, certificates and digests are bitwise identical with the
-    /// pre-analysis off — this knob exists for differential testing and
-    /// benchmarking (`--no-absint` in the CLI), and is deliberately not part
-    /// of [`ProverConfig::label`].  The sibling entailment fast path is
-    /// toggled separately via
-    /// `EntailmentOptions::interval_fast_path`.
-    pub absint: bool,
     /// Cooperative per-call budget (deadline and work cap); unlimited by
-    /// default.  Like `absint`, deliberately not part of
-    /// [`ProverConfig::label`]: a budget never changes *what* is computed,
-    /// only how far the computation is allowed to run.
+    /// default.  Deliberately not part of [`ProverConfig::label`]: a budget
+    /// never changes *what* is computed, only how far the computation is
+    /// allowed to run.
     pub budget: Budget,
 }
 
@@ -153,7 +145,6 @@ impl Default for ProverConfig {
             max_resolutions: 24,
             max_initial_configs: 6,
             divergence_probe_steps: 120,
-            absint: true,
             budget: Budget::default(),
         }
     }
@@ -188,7 +179,7 @@ impl ProverConfig {
     ///
     /// The label is a stable, parseable round-trip: for any configuration
     /// whose non-labelled fields (search bounds, entailment budget, caps,
-    /// `absint`, [`Budget`]) are at their defaults — which is true of every
+    /// [`Budget`]) are at their defaults — which is true of every
     /// grid cell produced by [`crate::default_sweep`] —
     /// `ProverConfig::parse_label(&config.label())` reconstructs the
     /// configuration exactly.  This is how wire requests and sweep reports
@@ -332,13 +323,14 @@ impl ProverConfigBuilder {
         self
     }
 
-    /// Toggles the abstract-interpretation pre-analysis *and* the interval
-    /// entailment fast path together (the two halves of the `absint`
-    /// machinery; see [`ProverConfig::absint`]).  Results are bitwise
-    /// identical either way — `false` is for differential testing and
-    /// benchmarking.
+    /// Toggles the `absint` machinery: the interval entailment fast path and
+    /// the pre-analysis that skips Check 2 probe batches whose outcome it
+    /// proves.  Both read the one flag
+    /// `EntailmentOptions::interval_fast_path`, which is deliberately not
+    /// part of [`ProverConfig::label`].  Results are bitwise identical
+    /// either way — `false` is for differential testing and benchmarking
+    /// (`--no-absint` in the CLI).
     pub fn absint(mut self, on: bool) -> Self {
-        self.config.absint = on;
         self.config.entailment.interval_fast_path = on;
         self
     }
@@ -392,10 +384,12 @@ mod tests {
 
     #[test]
     fn absint_toggle_flips_both_knobs() {
+        // The fast path and the probe prune both read this one flag.
         let on = ProverConfig::default();
-        assert!(on.absint && on.entailment.interval_fast_path);
+        assert!(on.entailment.interval_fast_path);
         let off = ProverConfig::builder().absint(false).build();
-        assert!(!off.absint && !off.entailment.interval_fast_path);
+        assert!(!off.entailment.interval_fast_path);
+        assert_eq!(off, ProverConfig { entailment: off.entailment.clone(), ..on.clone() });
         // Deliberately not part of the label: results are identical either
         // way, so the knob must not split sweep reports into new cells.
         assert_eq!(off.label(), on.label());

@@ -51,6 +51,12 @@
 //! ([`ProveStats`]): candidates tried, synthesis and entailment calls, cache
 //! hits.
 //!
+//! A configuration's [`Budget`] is armed once per prove as invgen's
+//! `SynthesisBudget`, the one budget value of the run: both checks poll it
+//! at candidate boundaries and hand it to every synthesis, which polls it
+//! between Houdini batches. A synthesis it cuts short is never memoized, so
+//! a [`Verdict::Timeout`] leaves the session exactly as usable as before.
+//!
 //! # Migration from the free-function entry points
 //!
 //! Of the pre-session free functions only [`prove`] remains: it is exactly

@@ -10,6 +10,7 @@ use crate::check1::check1_cached;
 use crate::check2::check2_cached;
 use crate::config::{Budget, CheckKind, ProverConfig};
 use crate::session::{Caches, ProveStats};
+use revterm_invgen::SynthesisBudget;
 use revterm_ts::TransitionSystem;
 use std::time::{Duration, Instant};
 
@@ -25,61 +26,15 @@ pub enum Verdict {
     /// The configuration's cooperative [`Budget`] expired before the search
     /// finished.  Unlike [`Verdict::Unknown`] this does *not* mean the
     /// configuration was exhausted — re-running with a larger budget may
-    /// still prove non-termination.  The interruption happens only at
-    /// candidate boundaries, so the session that produced this verdict is
-    /// never left with partially computed cache entries.
+    /// still prove non-termination.  The interruption happens at candidate
+    /// boundaries or between Houdini batches, and a cut-short synthesis is
+    /// never memoized, so the session that produced this verdict is never
+    /// left with partially computed cache entries.
     Timeout,
 }
 
-/// Sentinel returned by the cached checks when the budget guard fires.
+/// Sentinel returned by the cached checks when the budget fires.
 pub(crate) struct TimedOut;
-
-/// An armed [`Budget`]: the wall-clock deadline (fixed when the `prove` call
-/// starts) and the absolute entailment-lookup count at which to stop.
-pub(crate) struct BudgetGuard {
-    deadline: Option<Instant>,
-    entail_stop: Option<u64>,
-}
-
-impl BudgetGuard {
-    /// Arms a budget at call start.  `entail_lookups_now` is the session's
-    /// current entailment-lookup counter, so the work cap counts only this
-    /// call's queries.
-    pub(crate) fn arm(budget: &Budget, entail_lookups_now: u64) -> BudgetGuard {
-        BudgetGuard {
-            deadline: budget.time_limit.map(|limit| Instant::now() + limit),
-            entail_stop: budget.max_entailment_calls.map(|cap| entail_lookups_now + cap),
-        }
-    }
-
-    /// The same limits as an invgen [`SynthesisBudget`], so one Houdini run
-    /// can stop mid-fixpoint instead of only between candidates.  A
-    /// cut-short synthesis is never memoized (the checks return `TimedOut`
-    /// without caching), keeping the sessioned-equals-fresh contract.
-    pub(crate) fn synthesis_budget(&self) -> revterm_invgen::SynthesisBudget {
-        revterm_invgen::SynthesisBudget {
-            deadline: self.deadline,
-            entail_call_stop: self.entail_stop,
-        }
-    }
-
-    /// Returns `true` iff a limit has expired.  Called between candidates
-    /// and before synthesis; the synthesis loops themselves poll via
-    /// [`BudgetGuard::synthesis_budget`].
-    pub(crate) fn exhausted(&self, entail_lookups_now: u64) -> bool {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        if let Some(stop) = self.entail_stop {
-            if entail_lookups_now >= stop {
-                return true;
-            }
-        }
-        false
-    }
-}
 
 /// The result of a prover run: the verdict plus timing and per-stage
 /// statistics.
@@ -128,11 +83,17 @@ pub(crate) fn prove_cached(
     let start = Instant::now();
     let mut stats = ProveStats::default();
     let (lookups_before, hits_before) = (caches.entail.lookups, caches.entail.hits);
-    let lp_before = caches.lp_basis.stats;
-    let guard = BudgetGuard::arm(&config.budget, lookups_before);
+    let lp_before = caches.entail.lp_stats();
+    // The budget armed for this call: the deadline counts from its start and
+    // the work cap counts only its own entailment lookups.
+    let Budget { time_limit, max_entailment_calls } = config.budget;
+    let budget = SynthesisBudget {
+        deadline: time_limit.map(|limit| start + limit),
+        entail_call_stop: max_entailment_calls.map(|cap| lookups_before.saturating_add(cap)),
+    };
     let candidate = match config.check {
-        CheckKind::Check1 => check1_cached(ts, config, caches, &mut stats, &guard),
-        CheckKind::Check2 => check2_cached(ts, config, caches, &mut stats, &guard),
+        CheckKind::Check1 => check1_cached(ts, config, caches, &mut stats, &budget),
+        CheckKind::Check2 => check2_cached(ts, config, caches, &mut stats, &budget),
     };
     let verdict = match candidate {
         Ok(Some(cert)) => match caches.validate(ts, &cert, &config.entailment, &mut stats) {
@@ -144,7 +105,7 @@ pub(crate) fn prove_cached(
     };
     stats.entailment_calls = caches.entail.lookups - lookups_before;
     stats.entailment_cache_hits = caches.entail.hits - hits_before;
-    stats.lp = caches.lp_basis.stats.delta_since(&lp_before);
+    stats.lp = caches.entail.lp_stats().delta_since(&lp_before);
     ProofResult { verdict, elapsed: start.elapsed(), config_label: config.label(), stats }
 }
 

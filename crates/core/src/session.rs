@@ -15,7 +15,9 @@
 //!
 //! Every cache is a pure memo table: a sessioned run returns *bitwise
 //! identical* verdicts and certificates to fresh per-configuration runs, only
-//! faster.  Certificate validation splits in two halves (see
+//! faster.  The synthesized artifacts (Check 1's `I`, Check 2's `(Ĩ, Θ)` and
+//! each `BI`) are memoized through one helper that never stores a synthesis
+//! the budget cut short.  Certificate validation splits in two halves (see
 //! [`crate::validate_certificate`]): the session memoizes the *evidence* —
 //! the Farkas/Handelman multipliers that discharge a certificate's
 //! obligations — so a certificate met again skips the LPs that find them;
@@ -27,12 +29,12 @@ use crate::certificate::{
     NonTerminationCertificate,
 };
 use crate::config::ProverConfig;
-use crate::prover::{prove_cached, ProofResult};
+use crate::prover::{prove_cached, ProofResult, TimedOut};
 use crate::sweep::{ConfigOutcome, SweepReport};
 use revterm_invgen::{PoolCache, SampleSet};
 use revterm_lang::Program;
 use revterm_safety::SearchBounds;
-use revterm_solver::{BasisCache, EntailmentCache, EntailmentOptions, LpStats};
+use revterm_solver::{EntailmentCache, EntailmentOptions, LpStats};
 use revterm_ts::interp::{Config, Reach, Valuation};
 use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
@@ -78,8 +80,9 @@ pub struct ProveStats {
     /// terminal location is provably unreachable).  The memoized result is
     /// bitwise identical to what the probes would have produced.
     pub absint_prunes: u64,
-    /// LP engine counters (solves, pivots, warm-start hits) for the queries
-    /// this call routed through the session's basis cache.
+    /// LP engine counters (solves, pivots, warm-start hits) of the misses
+    /// this call sent through the session's entailment memo, plus the
+    /// queries it answered by the interval fast path.
     pub lp: LpStats,
 }
 
@@ -191,6 +194,32 @@ pub(crate) fn memo<'m, K: Eq + std::hash::Hash, V>(
     }
 }
 
+/// [`memo`] for a synthesized artifact, which a budget can cut short: on a
+/// miss `synthesize` runs, and its `None` (the budget fired mid-synthesis)
+/// is returned as [`TimedOut`] without touching the table, since a cut-short
+/// synthesis is not a fixpoint and a later run with a larger budget must not
+/// be served it. `synthesis_calls` counts every attempt, and
+/// `artifact_cache_misses` only the ones that completed.
+pub(crate) fn memo_synthesis<'m, K: Eq + std::hash::Hash, V>(
+    map: &'m mut HashMap<K, V>,
+    key: K,
+    stats: &mut ProveStats,
+    synthesize: impl FnOnce() -> Option<V>,
+) -> Result<&'m mut V, TimedOut> {
+    match map.entry(key) {
+        std::collections::hash_map::Entry::Occupied(e) => {
+            stats.artifact_cache_hits += 1;
+            Ok(e.into_mut())
+        }
+        std::collections::hash_map::Entry::Vacant(v) => {
+            stats.synthesis_calls += 1;
+            let value = synthesize().ok_or(TimedOut)?;
+            stats.artifact_cache_misses += 1;
+            Ok(v.insert(value))
+        }
+    }
+}
+
 /// The reversed system for `theta` in a [`RestrictedEntry`]'s `reversed`
 /// list, building and caching it on first use.  Returns the entry together
 /// with a hit flag.  Takes the fields separately (rather than `&mut
@@ -222,12 +251,10 @@ pub(crate) fn reversed_entry_for<'a>(
 #[derive(Default)]
 pub(crate) struct Caches {
     /// Global entailment memo (keyed purely on polynomials, so it is shared
-    /// across the base, restricted and reversed systems).
+    /// across the base, restricted and reversed systems). Its misses
+    /// warm-start their LPs from the bases it stores and count their LP work
+    /// in its `lp_stats`.
     pub entail: EntailmentCache,
-    /// Optimal-basis memo for the revised simplex, keyed on the structural
-    /// shape of each entailment LP so that repeated Houdini queries warm-start
-    /// instead of re-running phase 1 (see `revterm_solver::lp`).
-    pub lp_basis: BasisCache,
     /// Atom-pool artifacts of the base system (Check 2's `Ĩ` synthesis).
     pub base_pool: PoolCache,
     /// Candidate resolutions keyed by `(grid, resolution degree, cap)`.
@@ -257,10 +284,10 @@ pub(crate) struct Caches {
 
 impl Caches {
     /// Validates a candidate certificate: evidence from the memo, or freshly
-    /// generated (with cold LPs that touch neither the entailment memo nor
-    /// the basis cache) and memoized once it passes; then the exact check,
-    /// which runs on every call — so a wrong memo entry can only turn a
-    /// verdict into a rejection, never into a proof.
+    /// generated (with cold LPs that do not touch the entailment memo) and
+    /// memoized once it passes; then the exact check, which runs on every
+    /// call — so a wrong memo entry can only turn a verdict into a
+    /// rejection, never into a proof.
     pub(crate) fn validate(
         &mut self,
         ts: &TransitionSystem,
@@ -705,6 +732,41 @@ mod tests {
         for plant in planted {
             let (result, _) = fresh(plant);
             assert!(matches!(result.verdict, crate::Verdict::Unknown), "{:?}", result.verdict);
+        }
+    }
+
+    #[test]
+    fn a_budget_cut_inside_a_synthesis_is_never_memoized() {
+        // Deterministic work caps that cut Check 1's `I` on the running
+        // example (its only synthesis), and Check 2's `Ĩ` (the first
+        // synthesis of a prove) and `BI` (after `Ĩ` completed) on
+        // `paper_fig2_small`. A cut run's `synthesis_calls` says where the
+        // cut landed: the synthesis it counted last is the one cut short.
+        let check2 = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
+        let cases = [
+            (RUNNING, ProverConfig::default(), 1, 1),
+            (FIG2_SMALL, check2.clone(), 8, 1),
+            (FIG2_SMALL, check2.clone(), 64, 1),
+            (FIG2_SMALL, check2.clone(), 100, 2),
+            (FIG2_SMALL, check2, 300, 2),
+        ];
+        for (source, config, cap, cut_in) in cases {
+            let fresh = ProverSession::from_source(source).unwrap().prove(&config);
+            let mut session = ProverSession::from_source(source).unwrap();
+            let mut capped = config.clone();
+            capped.budget.max_entailment_calls = Some(cap);
+            let cut = session.prove(&capped);
+            let case = format!("{} capped at {cap}", config.label());
+            assert!(cut.timed_out(), "{case} was not cut");
+            assert_eq!(cut.stats.synthesis_calls, cut_in, "{case}: {:?}", cut.stats);
+            let after = session.prove(&config);
+            let digest = |result: &ProofResult| crate::api::outcome_digest(result, session.ts());
+            assert_eq!(digest(&after), digest(&fresh), "{case}");
+            // What the cut run synthesized before the cut is memoized; what
+            // it cut short is not, so the uncapped prove synthesizes it
+            // again, and everything a fresh prove synthesizes after it.
+            let synthesized = after.stats.synthesis_calls + (cut_in - 1);
+            assert_eq!(synthesized, fresh.stats.synthesis_calls, "{case}: {:?}", after.stats);
         }
     }
 

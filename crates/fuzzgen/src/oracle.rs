@@ -272,7 +272,6 @@ pub fn differential(
             .iter()
             .map(|c| {
                 let mut off = c.clone();
-                off.absint = false;
                 off.entailment.interval_fast_path = false;
                 off
             })

@@ -16,14 +16,19 @@ use std::collections::BTreeMap;
 /// * `c ≥ 2` — adds octagon atoms (`±x ± y − k ≥ 0`);
 /// * `c ≥ 3` — adds guard-derived atoms (the atoms of the transition guards
 ///   and their negation boundaries);
-/// * `degree ≥ 2` — adds simple quadratic atoms (`±x² − k ≥ 0`, `x·y − k ≥ 0`);
-/// * `d` — maximal number of disjuncts a synthesized predicate may have
-///   (disjunctive synthesis splits sample sets into at most `d` groups).
+/// * `degree ≥ 2` — adds simple quadratic atoms (`±x² − k ≥ 0`, `x·y − k ≥ 0`).
+///
+/// `d` is the paper's bound on disjuncts per predicate. Synthesis here is
+/// conjunctive: Houdini returns one conjunction per location whatever `d`
+/// says, so `d` shapes no pool and no result. It names the configuration
+/// (its label) and is what a sweep report filters on
+/// (`SweepReport::proved_within` in the core crate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TemplateParams {
     /// Maximal number of conjuncts per disjunct (richness of the atom pool).
     pub c: usize,
-    /// Maximal number of disjuncts.
+    /// The paper's maximal number of disjuncts; synthesis never reads it
+    /// (see the type docs).
     pub d: usize,
     /// Maximal polynomial degree of a template atom.
     pub degree: u32,
@@ -191,8 +196,8 @@ fn guard_atoms(ts: &TransitionSystem) -> Vec<Poly> {
 ///
 /// These three ingredients of [`candidate_atoms`] depend only on the
 /// transition system (and, for shapes, on the template parameters) — not on
-/// the sample sets — yet the uncached pool generator recomputes them once per
-/// location per synthesis call.  A `PoolCache` is valid for exactly **one**
+/// the sample sets — so one cache serves every location and every synthesis
+/// call on its system.  A `PoolCache` is valid for exactly **one**
 /// transition system; the session-centric prover API keeps one per cached
 /// restricted/reversed system.
 #[derive(Debug, Clone, Default)]
@@ -243,22 +248,6 @@ impl PoolCache {
             .map(|(_, s)| s.as_slice())
             .expect("prepare fills the shape list")
     }
-}
-
-/// Generates the candidate atom pool for a location.
-///
-/// Every returned polynomial `p` is a candidate conjunct `p ≥ 0` that is
-/// consistent with all sample valuations recorded for the location.  The pool
-/// size is bounded by the template parameters; with no samples at a location
-/// the thresholds come from the program constants alone.  Every candidate is
-/// non-constant and ranges over unprimed variables only.
-pub fn candidate_atoms(
-    ts: &TransitionSystem,
-    loc: Loc,
-    samples: &SampleSet,
-    params: &TemplateParams,
-) -> Vec<Poly> {
-    candidate_atoms_cached(ts, loc, samples, params, &mut PoolCache::new())
 }
 
 /// A location's samples as one row of `i64` words per sample, built only
@@ -327,16 +316,22 @@ fn sample_min(poly: &Poly, samples: &[Valuation], words: Option<&SampleWords>) -
     samples.iter().map(|v| poly.eval_at_int_point(&|var: Var| v.get(var.index()).clone())).min()
 }
 
-/// [`candidate_atoms`] with the per-system artifacts served from a
-/// [`PoolCache`].  Produces bitwise-identical pools; the cache must belong to
-/// `ts` (see the `PoolCache` docs).
+/// Generates the candidate atom pool for a location, with the per-system
+/// artifacts served from a [`PoolCache`] (which must belong to `ts`, see its
+/// docs; a fresh one gives the same pool).
+///
+/// Every returned polynomial `p` is a candidate conjunct `p ≥ 0` that is
+/// consistent with all sample valuations recorded for the location.  The pool
+/// size is bounded by the template parameters; with no samples at a location
+/// the thresholds come from the program constants alone.  Every candidate is
+/// non-constant and ranges over unprimed variables only.
 ///
 /// Each shape's threshold is its minimum over the location's samples.  When
 /// every sample value fits an `i64`, the samples become one word matrix per
 /// call and a linear integer-coefficient shape takes its minimum in checked
 /// `i128` sums; any other shape, sample or overflowing sum is evaluated
 /// exactly with [`Poly::eval_at_int_point`].  Both give the same `Rat`.
-pub fn candidate_atoms_cached(
+pub fn candidate_atoms(
     ts: &TransitionSystem,
     loc: Loc,
     samples: &SampleSet,
@@ -396,6 +391,16 @@ mod tests {
         lower(&parse_program(RUNNING).unwrap()).unwrap()
     }
 
+    /// [`candidate_atoms`] on a fresh cache.
+    fn fresh_pool(
+        ts: &TransitionSystem,
+        loc: Loc,
+        samples: &SampleSet,
+        params: &TemplateParams,
+    ) -> Vec<Poly> {
+        candidate_atoms(ts, loc, samples, params, &mut PoolCache::new())
+    }
+
     #[test]
     fn constants_include_guard_thresholds() {
         let ts = running_ts();
@@ -431,7 +436,7 @@ mod tests {
         let mut samples = SampleSet::new();
         samples.add(ts.init_loc(), Valuation::from_i64s(&[9, 0]));
         samples.add(ts.init_loc(), Valuation::from_i64s(&[12, 120]));
-        let pool = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(2, 1, 1));
+        let pool = fresh_pool(&ts, ts.init_loc(), &samples, &TemplateParams::new(2, 1, 1));
         assert!(!pool.is_empty());
         // Every candidate atom is satisfied by every sample.
         for atom in &pool {
@@ -458,8 +463,8 @@ mod tests {
         let mut cache = PoolCache::new();
         for params in [TemplateParams::new(1, 1, 1), TemplateParams::new(3, 2, 2)] {
             for loc in ts.locations() {
-                let fresh = candidate_atoms(&ts, loc, &samples, &params);
-                let cached = candidate_atoms_cached(&ts, loc, &samples, &params, &mut cache);
+                let fresh = fresh_pool(&ts, loc, &samples, &params);
+                let cached = candidate_atoms(&ts, loc, &samples, &params, &mut cache);
                 assert_eq!(fresh, cached, "pool mismatch at {loc:?} with {params:?}");
             }
         }
@@ -566,7 +571,7 @@ mod tests {
                     }
                     locations += 1;
                     assert_eq!(
-                        candidate_atoms_cached(&ts, loc, &samples, &params, &mut cache),
+                        candidate_atoms(&ts, loc, &samples, &params, &mut cache),
                         exact_pool(&ts, loc, &samples, &params),
                         "pool mismatch at {loc:?} with {params:?} and samples {locals:?}"
                     );
@@ -583,9 +588,9 @@ mod tests {
     fn richer_parameters_grow_the_pool() {
         let ts = running_ts();
         let samples = SampleSet::new();
-        let small = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(1, 1, 1));
-        let medium = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(2, 1, 1));
-        let large = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(3, 2, 2));
+        let small = fresh_pool(&ts, ts.init_loc(), &samples, &TemplateParams::new(1, 1, 1));
+        let medium = fresh_pool(&ts, ts.init_loc(), &samples, &TemplateParams::new(2, 1, 1));
+        let large = fresh_pool(&ts, ts.init_loc(), &samples, &TemplateParams::new(3, 2, 2));
         assert!(small.len() < medium.len());
         assert!(medium.len() < large.len());
         // c = 1 only produces single-variable atoms.

@@ -1,10 +1,10 @@
 //! Guess-and-check (Houdini-style) synthesis of inductive predicate maps.
 
-use crate::atoms::{candidate_atoms_cached, PoolCache, SampleSet, TemplateParams};
-use crate::verify::{adaptive_opts, is_inductive, predicate_entails};
+use crate::atoms::{candidate_atoms, PoolCache, SampleSet, TemplateParams};
+use crate::verify::{adaptive_opts, is_inductive};
 use revterm_absint::{close_premises, PremiseClosure};
 use revterm_poly::Poly;
-use revterm_solver::{BasisCache, EntailmentCache, EntailmentOptions};
+use revterm_solver::{EntailmentCache, EntailmentOptions};
 use revterm_ts::{Assertion, Loc, PredicateMap, PropPredicate, Transition, TransitionSystem};
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,53 +86,27 @@ impl Default for SynthesisOptions {
 /// is a genuine invariant of the system.  Sample valuations known to belong
 /// to the over-approximated set prune the candidate pool up front.
 ///
-/// This is [`synthesize_invariant_budgeted`] on fresh caches with an
-/// unlimited budget.
-pub fn synthesize_invariant(
-    ts: &TransitionSystem,
-    samples: &SampleSet,
-    options: &SynthesisOptions,
-) -> PredicateMap {
-    synthesize_invariant_budgeted(
-        ts,
-        samples,
-        options,
-        &mut PoolCache::new(),
-        &mut EntailmentCache::new(),
-        &mut BasisCache::new(),
-        &SynthesisBudget::unlimited(),
-    )
-    .expect("an unlimited synthesis budget cannot be exhausted")
-}
-
-/// [`synthesize_invariant`] with the candidate-pool artifacts served from a
-/// [`PoolCache`], every entailment query memoized in an [`EntailmentCache`],
-/// the underlying LPs offered a warm start from a [`BasisCache`], and the
-/// work bounded by a [`SynthesisBudget`].
-///
-/// Produces a bitwise-identical predicate map (all three caches are pure memo
-/// tables — the basis cache can change which optimal vertex an LP reports,
-/// but never the feasibility verdict the entailment layer consumes); the pool
-/// cache must belong to `ts`, while the entailment and basis caches are keyed
-/// purely on polynomials and may be shared across systems.  The
-/// session-centric prover API threads long-lived caches through here so that
-/// configuration sweeps discharge each recurring consecution obligation once.
-/// Warm starts are rare: on the curated suite's degree-1 grid 190 of 27 617
-/// LP solves (0.7 %) find a stored basis, on a cold fuzz batch 226 of 10 196
-/// (2.2 %).
+/// The candidate-pool artifacts come from a [`PoolCache`], every entailment
+/// query is memoized in an [`EntailmentCache`] (whose misses warm-start
+/// their LPs from bases it stores), and the work is bounded by a
+/// [`SynthesisBudget`].  Both caches are pure memo tables, so the predicate
+/// map is bitwise identical whichever caches are passed; the pool cache must
+/// belong to `ts`, while the entailment cache is keyed purely on polynomials
+/// and may be shared across systems.  The session-centric prover API threads
+/// long-lived caches through here so that configuration sweeps discharge
+/// each recurring consecution obligation once; a one-off caller passes
+/// fresh caches and [`SynthesisBudget::unlimited`].
 ///
 /// Returns `None` as soon as the budget fires (polled before the initiation
 /// pruning and between Houdini transition batches — the overrun is bounded
 /// by one batch).  A `None` result is a *cut-short* computation, not a
 /// fixpoint: callers must not cache it or treat it as an invariant.
-#[allow(clippy::too_many_arguments)]
-pub fn synthesize_invariant_budgeted(
+pub fn synthesize_invariant(
     ts: &TransitionSystem,
     samples: &SampleSet,
     options: &SynthesisOptions,
     pool: &mut PoolCache,
     entail: &mut EntailmentCache,
-    lp_basis: &mut BasisCache,
     budget: &SynthesisBudget,
 ) -> Option<PredicateMap> {
     let mut atom_sets: Vec<Vec<Poly>> = ts
@@ -141,7 +115,7 @@ pub fn synthesize_invariant_budgeted(
             if Some(loc) == options.forced_false {
                 Vec::new()
             } else {
-                candidate_atoms_cached(ts, loc, samples, &options.params, pool)
+                candidate_atoms(ts, loc, samples, &options.params, pool)
             }
         })
         .collect();
@@ -167,12 +141,12 @@ pub fn synthesize_invariant_budgeted(
             // `implies_false` disjunct below is already known to hold.
             if let Some(cl) = &theta_closure {
                 if cl.entails(atom) || cl.is_contradiction() {
-                    lp_basis.stats.absint_fast_paths += 1;
+                    entail.record_fast_path();
                     return true;
                 }
             }
-            entail.entails(&theta, atom, &options.entailment, lp_basis)
-                || entail.implies_false(&theta, &options.entailment, lp_basis)
+            entail.entails(&theta, atom, &options.entailment)
+                || entail.implies_false(&theta, &options.entailment)
         });
     }
 
@@ -232,7 +206,7 @@ pub fn synthesize_invariant_budgeted(
             // it the `implies_false` veto below would fire (its LP is
             // feasible by the very same derivation).  Skip the batch.
             if premises.closure.as_ref().is_some_and(PremiseClosure::is_contradiction) {
-                lp_basis.stats.absint_fast_paths += 1;
+                entail.record_fast_path();
                 continue;
             }
             let target = t.target.0;
@@ -245,7 +219,7 @@ pub fn synthesize_invariant_budgeted(
                         return true;
                     }
                     if premises.closure.as_ref().is_some_and(|cl| cl.entails(primed)) {
-                        lp_basis.stats.absint_fast_paths += 1;
+                        entail.record_fast_path();
                         return true;
                     }
                     let shared = premises.shared(source, t);
@@ -253,7 +227,6 @@ pub fn synthesize_invariant_budgeted(
                         shared,
                         primed,
                         &adaptive_opts(shared, primed.total_degree(), &options.entailment),
-                        lp_basis,
                     )
                 })
                 .map(|(i, _)| i)
@@ -262,11 +235,7 @@ pub fn synthesize_invariant_budgeted(
                 // Check unsatisfiability once before committing to a drop: if
                 // the premises are contradictory the obligations hold anyway.
                 let shared = premises.shared(source, t);
-                if entail.implies_false(
-                    shared,
-                    &adaptive_opts(shared, 0, &options.entailment),
-                    lp_basis,
-                ) {
+                if entail.implies_false(shared, &adaptive_opts(shared, 0, &options.entailment)) {
                     continue;
                 }
                 atom_sets[target] = kept.iter().map(|&i| atom_sets[target][i].clone()).collect();
@@ -333,28 +302,10 @@ impl TransitionPremises {
     }
 }
 
-/// Convenience: checks whether the synthesized map, together with the
-/// initiation condition, certifies that a predicate holds at a location for
-/// all reachable configurations (used in tests).
-pub fn invariant_implies_at(
-    _ts: &TransitionSystem,
-    map: &PredicateMap,
-    loc: Loc,
-    fact: &Poly,
-    opts: &EntailmentOptions,
-) -> bool {
-    map.at(loc).disjuncts().iter().all(|d| {
-        predicate_entails(
-            d.atoms(),
-            &PropPredicate::from_assertion(Assertion::ge_zero(fact.clone())),
-            opts,
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::predicate_entails;
     use revterm_lang::parse_program;
     use revterm_num::int;
     use revterm_poly::Var;
@@ -364,6 +315,35 @@ mod tests {
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
 
+    /// [`synthesize_invariant`] on fresh caches with an unlimited budget.
+    fn synthesize(
+        ts: &TransitionSystem,
+        samples: &SampleSet,
+        options: &SynthesisOptions,
+    ) -> PredicateMap {
+        let (mut pool, mut entail) = (PoolCache::new(), EntailmentCache::new());
+        synthesize_invariant(
+            ts,
+            samples,
+            options,
+            &mut pool,
+            &mut entail,
+            &SynthesisBudget::unlimited(),
+        )
+        .expect("an unlimited synthesis budget cannot be exhausted")
+    }
+
+    /// Whether every disjunct of `map` at `loc` entails `fact ≥ 0`.
+    fn invariant_implies_at(
+        map: &PredicateMap,
+        loc: Loc,
+        fact: &Poly,
+        opts: &EntailmentOptions,
+    ) -> bool {
+        let fact = PropPredicate::from_assertion(Assertion::ge_zero(fact.clone()));
+        map.at(loc).disjuncts().iter().all(|d| predicate_entails(d.atoms(), &fact, opts))
+    }
+
     #[test]
     fn forward_invariant_of_simple_counter() {
         // n := 0; while n <= 5 do n := n + 1; od
@@ -372,16 +352,16 @@ mod tests {
         let mut samples = SampleSet::new();
         samples.add(ts.init_loc(), Valuation::from_i64s(&[0]));
         let options = SynthesisOptions::default();
-        let map = synthesize_invariant(&ts, &samples, &options);
+        let map = synthesize(&ts, &samples, &options);
         // The map is inductive and initiation holds.
         assert!(is_inductive(&ts, &map, &options.entailment, &[]).is_ok());
         assert!(crate::initiation_holds(&ts, &map, &options.entailment));
         // It implies n >= 0 at the loop head.
         let n = Poly::var(Var(0));
-        assert!(invariant_implies_at(&ts, &map, ts.init_loc(), &n, &options.entailment));
+        assert!(invariant_implies_at(&map, ts.init_loc(), &n, &options.entailment));
         // And n <= 6 at the terminal location (the loop exits with n = 6).
         let bound = Poly::constant_i64(6) - &n;
-        assert!(invariant_implies_at(&ts, &map, ts.terminal_loc(), &bound, &options.entailment));
+        assert!(invariant_implies_at(&map, ts.terminal_loc(), &bound, &options.entailment));
     }
 
     #[test]
@@ -406,12 +386,11 @@ mod tests {
             forced_false: Some(restricted.terminal_loc()),
             ..SynthesisOptions::default()
         };
-        let map = synthesize_invariant(&restricted, &samples, &options);
+        let map = synthesize(&restricted, &samples, &options);
 
         // The invariant entails x >= 9 at the outer loop head.
         let x = Poly::var(Var(0));
         assert!(invariant_implies_at(
-            &restricted,
             &map,
             restricted.init_loc(),
             &(&x - &Poly::constant_i64(9)),
@@ -441,14 +420,13 @@ mod tests {
         // though no sample is provided.
         let ts = lower(&parse_program("x := 5; while x >= 0 do x := x - 1; od").unwrap()).unwrap();
         let options = SynthesisOptions::default();
-        let map = synthesize_invariant(&ts, &SampleSet::new(), &options);
+        let map = synthesize(&ts, &SampleSet::new(), &options);
         assert!(crate::initiation_holds(&ts, &map, &options.entailment));
         assert!(is_inductive(&ts, &map, &options.entailment, &[]).is_ok());
         // x <= 5 is an invariant of this program and should be implied at the
         // loop head.
         let x = Poly::var(Var(0));
         assert!(invariant_implies_at(
-            &ts,
             &map,
             ts.init_loc(),
             &(Poly::constant_i64(5) - &x),
@@ -498,8 +476,9 @@ mod tests {
         let options = SynthesisOptions::default();
         let at_least_five = &x - &five;
         let c = Loc(2);
-        assert!(crate::candidate_atoms(&ts, c, &samples, &options.params).contains(&at_least_five));
-        let map = synthesize_invariant(&ts, &samples, &options);
+        let pool = candidate_atoms(&ts, c, &samples, &options.params, &mut PoolCache::new());
+        assert!(pool.contains(&at_least_five));
+        let map = synthesize(&ts, &samples, &options);
         assert!(!map.at(c).disjuncts()[0].atoms().contains(&at_least_five));
         assert!(is_inductive(&ts, &map, &options.entailment, &[]).is_ok());
     }
@@ -519,7 +498,7 @@ mod tests {
             forced_false: Some(ts.terminal_loc()),
             ..SynthesisOptions::default()
         };
-        let map = synthesize_invariant(&ts, &SampleSet::new(), &options);
+        let map = synthesize(&ts, &SampleSet::new(), &options);
         assert!(map.at(ts.terminal_loc()).is_empty());
     }
 }

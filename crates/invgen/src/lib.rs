@@ -22,6 +22,12 @@
 //!    ([`discharge_consecution`]) the core crate also walks to validate whole
 //!    BI-certificates, with evidence ([`Discharge`]) it checks without an LP.
 //!
+//! Synthesis has one entry point, [`synthesize_invariant`]. Its caller owns
+//! the caches it reads and fills — a [`PoolCache`] per system and a
+//! `revterm_solver::EntailmentCache`, whose LP warm starts stay inside it —
+//! and the [`SynthesisBudget`] it polls; a one-off call passes fresh caches
+//! and an unlimited budget.
+//!
 //! Everything is exact: a predicate map returned by this crate is inductive
 //! by construction *and* by verification.
 
@@ -31,14 +37,8 @@ mod atoms;
 mod houdini;
 mod verify;
 
-pub use atoms::{
-    candidate_atoms, candidate_atoms_cached, collect_constants, PoolCache, SampleSet,
-    TemplateParams,
-};
-pub use houdini::{
-    invariant_implies_at, synthesize_invariant, synthesize_invariant_budgeted, SynthesisBudget,
-    SynthesisOptions,
-};
+pub use atoms::{candidate_atoms, collect_constants, PoolCache, SampleSet, TemplateParams};
+pub use houdini::{synthesize_invariant, SynthesisBudget, SynthesisOptions};
 pub use verify::{
     discharge_consecution, discharge_predicate, initiation_holds, is_inductive, predicate_entails,
     AtomProof, Discharge, InductivenessViolation,

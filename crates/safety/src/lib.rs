@@ -15,8 +15,8 @@
 //!   ([`explore`]) collects the reachable configurations in discovery order,
 //!   each with the configuration it was first reached from, and in ascending
 //!   order ([`Reach`]);
-//! * queries read that exploration: reachable samples
-//!   ([`reachable_samples`]), a reachable configuration in a predicate map
+//! * queries read that exploration: the reachable samples
+//!   ([`Reach::ascending`]), a reachable configuration in a predicate map
 //!   ([`find_reachable_in`]), and Check 2's witness path into `¬BI`
 //!   ([`find_path_in`]). A caller that keeps the exploration asks every
 //!   query of it without searching again.
@@ -178,11 +178,6 @@ fn lies_in(target: &PredicateMap, cfg: &Config) -> bool {
     target.at(cfg.loc).holds_int(&cfg.vals.assignment())
 }
 
-/// The configurations of [`explore`], in ascending order.
-pub fn reachable_samples(ts: &TransitionSystem, bounds: &SearchBounds) -> Vec<Config> {
-    explore(ts, bounds).ascending().cloned().collect()
-}
-
 /// Searches for a reachable configuration contained in the given predicate
 /// map: the least one of [`explore`] in ascending order, if any.
 pub fn find_reachable_in(
@@ -191,13 +186,6 @@ pub fn find_reachable_in(
     bounds: &SearchBounds,
 ) -> Option<Config> {
     explore(ts, bounds).ascending().find(|cfg| lies_in(target, cfg)).cloned()
-}
-
-/// Searches for a reachable *terminal* configuration (used in tests and by the
-/// baseline provers to detect "the program can terminate from the explored
-/// region").
-pub fn find_reachable_terminal(ts: &TransitionSystem, bounds: &SearchBounds) -> Option<Config> {
-    explore(ts, bounds).ascending().find(|cfg| cfg.loc == ts.terminal_loc()).cloned()
 }
 
 /// The safety query of Check 2: a complete **path** (sequence of
@@ -401,7 +389,7 @@ mod tests {
 
     /// A search per call: the same breadth-first search over a `BTreeSet`,
     /// which hands the configurations back in ascending order, as
-    /// [`reachable_samples`] must. Also reports whether `max_configs` cut a
+    /// [`Reach::ascending`] must. Also reports whether `max_configs` cut a
     /// layer part-way through.
     fn per_query_samples(ts: &TransitionSystem, bounds: &SearchBounds) -> (Vec<Config>, bool) {
         use revterm_ts::interp::successors;
@@ -504,7 +492,6 @@ mod tests {
                 let (samples, cut) = per_query_samples(ts, bounds);
                 mid_layer_cuts += usize::from(cut);
                 assert!(reach.ascending().eq(samples.iter()));
-                assert_eq!(reachable_samples(ts, bounds), samples);
                 // The tautology's witness is the first seed.
                 let first_seed = reach.discovered().first().map(|c| vec![c.clone()]);
                 assert_eq!(find_path_in(&reach, &targets[0]), first_seed);
@@ -519,12 +506,10 @@ mod tests {
                         None => misses += 1,
                     }
                 }
-                // The one-shot queries each explore again, so one target each.
+                // The one-shot query explores again, so one target.
                 let target = &targets[rng.below(targets.len())];
                 let least_in = samples.iter().find(|c| lies_in(target, c));
                 assert_eq!(find_reachable_in(ts, target, bounds).as_ref(), least_in);
-                let least_exit = samples.iter().find(|c| c.loc == ts.terminal_loc());
-                assert_eq!(find_reachable_terminal(ts, bounds).as_ref(), least_exit);
             }
         }
         assert!(hits > 0 && misses > 0 && long_paths > 0, "{hits} {misses} {long_paths}");
@@ -534,8 +519,8 @@ mod tests {
     #[test]
     fn reachability_finds_terminal_of_terminating_program() {
         let ts = lower(&parse_program("n := 0; while n <= 5 do n := n + 1; od").unwrap()).unwrap();
-        let cfg = find_reachable_terminal(&ts, &SearchBounds::default()).unwrap();
-        assert_eq!(cfg.loc, ts.terminal_loc());
+        let reach = explore(&ts, &SearchBounds::default());
+        let cfg = reach.ascending().find(|cfg| cfg.loc == ts.terminal_loc()).unwrap();
         assert_eq!(cfg.vals.get(0), &int(6));
     }
 
@@ -572,7 +557,8 @@ mod tests {
     fn non_deterministic_program_exploration() {
         let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
         let bounds = SearchBounds { max_steps: 15, max_configs: 1500, ..SearchBounds::default() };
-        let samples = reachable_samples(&ts, &bounds);
+        let reach = explore(&ts, &bounds);
+        let samples: Vec<&Config> = reach.ascending().collect();
         assert!(!samples.is_empty());
         // The terminal location is reachable (choose a value < 9 for x).
         assert!(samples.iter().any(|c| c.loc == ts.terminal_loc()));

@@ -37,9 +37,13 @@
 //! and differ only in right-hand sides (the conclusion's coefficients), so
 //! the oracle keys each LP by a hash of `(products, monomials)` and lets the
 //! revised simplex warm-start from the last optimal basis stored under that
-//! key in a caller-owned [`crate::BasisCache`] — typically skipping phase 1
-//! outright. Engine choice ([`LpEngine`]) and warm starts never change a
-//! verdict or witness; the dense tableau is kept as the differential oracle.
+//! key — typically skipping phase 1 outright. The stored bases and the
+//! [`crate::LpStats`] counters belong to the memo ([`EntailmentCache`]):
+//! its misses are the only solves that warm-start, and callers see warm
+//! starts only as counters ([`EntailmentCache::lp_stats`]). The free
+//! functions solve cold. Engine choice ([`LpEngine`]) and warm starts never
+//! change a verdict or witness; the dense tableau is kept as the
+//! differential oracle.
 //!
 //! # Witnesses
 //!
@@ -76,7 +80,7 @@
 //! assert!(refutation.certifies(&contradictory, &seven));
 //! ```
 
-use crate::lp::{BasisCache, ColumnForm, ColumnOutcome, LpProblem, Rel, VarKind};
+use crate::lp::{BasisCache, ColumnForm, ColumnOutcome, LpProblem, LpStats, Rel, VarKind};
 use revterm_num::Rat;
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use std::sync::Arc;
@@ -113,14 +117,17 @@ pub struct EntailmentOptions {
     pub use_unsat_fallback: bool,
     /// Which simplex engine discharges the multiplier LPs. Verdicts and
     /// witnesses do not depend on the choice; only [`LpEngine::Revised`]
-    /// can exploit a [`BasisCache`] for warm starts.
+    /// warm-starts from the bases an [`EntailmentCache`] stores.
     pub lp_engine: LpEngine,
     /// Allow callers to answer all-linear entailment queries by interval
     /// closure of the premises (the `revterm_absint` fast path) instead of
-    /// building an LP.  The fast path only ever claims entailments that
-    /// carry an explicit Farkas certificate, so answers are bitwise
-    /// identical either way; the flag exists as the differential knob for
-    /// the `absint` on/off determinism gate.
+    /// building an LP, and let the prover skip the probe batches the
+    /// pre-analysis proves futile.  Both halves are sound pruning only: the
+    /// fast path claims only entailments that carry an explicit Farkas
+    /// certificate, so answers are bitwise identical either way; the flag
+    /// exists as the differential knob for the `absint` on/off determinism
+    /// gate. [`EntailmentCache`] keys on it with the other options, so an
+    /// off query is never answered from on work.
     pub interval_fast_path: bool,
 }
 
@@ -380,7 +387,7 @@ fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
 /// containing that monomial. The revised engine receives it column by
 /// column ([`farkas_columns`]); the dense oracle receives the same LP as
 /// [`LpProblem`] rows ([`farkas_rows`]), so it checks the column builder
-/// against the lowering it stands in for. With a [`BasisCache`] the revised
+/// against the lowering it stands in for. With stored bases the revised
 /// engine keys the LP by [`structural_key`] and warm-starts it from the last
 /// optimal basis of its structural family.
 fn combination_witness(
@@ -489,9 +496,9 @@ pub fn entails_with_witness(
     entails_with_witness_impl(premises, conclusion, opts, None)
 }
 
-/// [`entails_with_witness`] with an optional [`BasisCache`] for LP warm
-/// starts (used by [`EntailmentCache`]; certificate validation sticks to
-/// the cache-free entry points so it stays independent of session state).
+/// [`entails_with_witness`] with optional stored bases for LP warm starts
+/// (those of an [`EntailmentCache`]; certificate validation sticks to the
+/// cache-free entry points so it stays independent of session state).
 fn entails_with_witness_impl(
     premises: &[Poly],
     conclusion: &Poly,
@@ -541,8 +548,8 @@ pub fn implies_false_with_witness(
     implies_false_impl(premises, opts, None)
 }
 
-/// [`implies_false_with_witness`] with an optional [`BasisCache`] for LP
-/// warm starts. The `-1 ≥ 0` query shares its structural key with the
+/// [`implies_false_with_witness`] with optional stored bases for LP warm
+/// starts. The `-1 ≥ 0` query shares its structural key with the
 /// entailment queries over the same premise products (the conclusion only
 /// shifts right-hand sides), so it warm-starts from their bases and vice
 /// versa.
@@ -573,9 +580,11 @@ fn implies_false_impl(
 /// instead of cloning the whole premise vector per entry.
 ///
 /// The cache also keeps hit/lookup counters so callers (the session-centric
-/// prover API) can report cache effectiveness. Misses compute through a
-/// caller-supplied [`BasisCache`] so the underlying LPs warm-start across
-/// the query stream.
+/// prover API) can report cache effectiveness. Misses solve their LPs
+/// through bases the cache stores itself, so the underlying LPs warm-start
+/// across the query stream; [`EntailmentCache::lp_stats`] reports the LP
+/// work, and [`EntailmentCache::record_fast_path`] counts the queries a
+/// caller answered by interval closure instead of asking.
 #[derive(Debug, Clone, Default)]
 pub struct EntailmentCache {
     /// Buckets keyed by the hash of the *borrowed* query, so that cache hits
@@ -583,6 +592,9 @@ pub struct EntailmentCache {
     /// premises or conclusion; owned keys are built on insertion only (and
     /// even then the premises are an `Arc` bump, not a deep clone).
     map: std::collections::HashMap<u64, Vec<(EntailmentKey, bool)>>,
+    /// The optimal bases the misses' LPs warm-start from, and the LP
+    /// counters of every miss.
+    bases: BasisCache,
     /// Number of queries answered from the memo table.
     pub hits: u64,
     /// Total number of queries routed through the cache.
@@ -637,17 +649,18 @@ impl EntailmentCache {
         premises: &Arc<[Poly]>,
         conclusion: Option<&Poly>,
         opts: &EntailmentOptions,
-        compute: impl FnOnce() -> bool,
+        compute: impl FnOnce(&mut BasisCache) -> bool,
     ) -> bool {
-        self.lookups += 1;
-        let bucket = self.map.entry(query_hash(premises, conclusion, opts)).or_default();
+        let EntailmentCache { map, bases, hits, lookups } = self;
+        *lookups += 1;
+        let bucket = map.entry(query_hash(premises, conclusion, opts)).or_default();
         if let Some((_, answer)) =
             bucket.iter().find(|(k, _)| k.matches(premises, conclusion, opts))
         {
-            self.hits += 1;
+            *hits += 1;
             return *answer;
         }
-        let answer = compute();
+        let answer = compute(bases);
         bucket.push((
             EntailmentKey {
                 premises: Arc::clone(premises),
@@ -659,30 +672,38 @@ impl EntailmentCache {
         answer
     }
 
-    /// Memoized [`entails`]; misses discharge their LPs through `lp` so the
-    /// underlying multiplier problems warm-start across the query stream.
+    /// Memoized [`entails`]; misses warm-start their multiplier LPs from the
+    /// bases earlier misses stored.
     pub fn entails(
         &mut self,
         premises: &Arc<[Poly]>,
         conclusion: &Poly,
         opts: &EntailmentOptions,
-        lp: &mut BasisCache,
     ) -> bool {
-        self.lookup_or(premises, Some(conclusion), opts, || {
-            entails_with_witness_impl(premises, conclusion, opts, Some(lp)).is_some()
+        self.lookup_or(premises, Some(conclusion), opts, |bases| {
+            entails_with_witness_impl(premises, conclusion, opts, Some(bases)).is_some()
         })
     }
 
-    /// Memoized [`implies_false`]; misses discharge their LPs through `lp`.
-    pub fn implies_false(
-        &mut self,
-        premises: &Arc<[Poly]>,
-        opts: &EntailmentOptions,
-        lp: &mut BasisCache,
-    ) -> bool {
-        self.lookup_or(premises, None, opts, || {
-            implies_false_impl(premises, opts, Some(lp)).is_some()
+    /// Memoized [`implies_false`]; misses warm-start like
+    /// [`EntailmentCache::entails`].
+    pub fn implies_false(&mut self, premises: &Arc<[Poly]>, opts: &EntailmentOptions) -> bool {
+        self.lookup_or(premises, None, opts, |bases| {
+            implies_false_impl(premises, opts, Some(bases)).is_some()
         })
+    }
+
+    /// Counts one query a caller answered by interval closure of its
+    /// premises (the `revterm_absint` fast path) without asking the memo.
+    pub fn record_fast_path(&mut self) {
+        self.bases.stats.absint_fast_paths += 1;
+    }
+
+    /// The LP counters of every miss so far, plus the fast paths recorded
+    /// with [`EntailmentCache::record_fast_path`]. Monotone: snapshot and
+    /// subtract ([`LpStats::delta_since`]) to attribute work to one call.
+    pub fn lp_stats(&self) -> LpStats {
+        self.bases.stats
     }
 
     /// Number of memoized entries.
@@ -837,7 +858,6 @@ mod tests {
     fn entailment_cache_matches_uncached_oracle_and_counts_hits() {
         let opts = EntailmentOptions::linear();
         let mut cache = EntailmentCache::new();
-        let mut lp = BasisCache::new();
         let queries: Vec<(Arc<[Poly]>, Poly)> = vec![
             (vec![&x() - &c(3)].into(), &x() - &c(1)),
             (vec![&x() - &c(1)].into(), &x() - &c(3)),
@@ -845,22 +865,24 @@ mod tests {
         ];
         for (premises, conclusion) in &queries {
             let fresh = entails(premises, conclusion, &opts);
-            assert_eq!(cache.entails(premises, conclusion, &opts, &mut lp), fresh);
+            assert_eq!(cache.entails(premises, conclusion, &opts), fresh);
             // Second query is a hit and must agree.
             let hits_before = cache.hits;
-            assert_eq!(cache.entails(premises, conclusion, &opts, &mut lp), fresh);
+            assert_eq!(cache.entails(premises, conclusion, &opts), fresh);
             assert_eq!(cache.hits, hits_before + 1);
         }
         // implies_false queries are keyed separately from entails queries.
         let contradiction: Arc<[Poly]> = vec![&x() - &c(3), -x()].into();
-        assert!(cache.implies_false(&contradiction, &opts, &mut lp));
-        assert!(cache.implies_false(&contradiction, &opts, &mut lp));
+        assert!(cache.implies_false(&contradiction, &opts));
+        assert!(cache.implies_false(&contradiction, &opts));
         assert!(!cache.is_empty());
         assert_eq!(cache.len(), 4);
         assert!(cache.lookups > cache.hits);
         // The LP layer saw only the misses, and counted them.
         assert_eq!(cache.lookups - cache.hits, cache.len() as u64);
-        assert!(lp.stats.solves > 0);
+        assert!(cache.lp_stats().solves > 0);
+        cache.record_fast_path();
+        assert_eq!(cache.lp_stats().absint_fast_paths, 1);
     }
 
     #[test]
@@ -935,13 +957,13 @@ mod tests {
     #[test]
     fn prop_warm_started_streams_match_the_cold_oracle() {
         // A Houdini-shaped stream: one premise set, many conclusion atoms —
-        // every query after the first warm-starts from the stored basis.
-        // Verdicts must match the cold dense oracle on every atom.
+        // every miss after the first warm-starts from the basis the memo
+        // stored. Verdicts must match the cold dense oracle on every atom.
         use crate::SplitMix64;
         let opts = EntailmentOptions::linear();
         let oracle_opts = EntailmentOptions { lp_engine: LpEngine::Dense, ..opts };
         let mut rng = SplitMix64::new(0x57A6_57A6);
-        let mut lp = BasisCache::new();
+        let mut cache = EntailmentCache::new();
         for _ in 0..12 {
             let n = 2 + rng.next_below(3) as usize;
             let mut premises: Vec<Poly> = Vec::new();
@@ -951,18 +973,18 @@ mod tests {
                 premises.push(&Poly::var(Var(i as u32)) - &Poly::constant_i64(b));
             }
             let premises: Arc<[Poly]> = premises.into();
-            let mut cache = EntailmentCache::new();
             for atom in 0..6u32 {
                 let i = rng.next_below(n as u64) as u32;
                 let b = rng.next_in_range(-4, 4);
                 let conclusion = &Poly::var(Var(i)) - &Poly::constant_i64(b);
-                let warm = cache.entails(&premises, &conclusion, &opts, &mut lp);
+                let warm = cache.entails(&premises, &conclusion, &opts);
                 let cold = entails(&premises, &conclusion, &oracle_opts);
                 assert_eq!(warm, cold, "atom {atom} diverged");
             }
         }
-        assert!(lp.stats.warm_hits > 0, "the stream produced no LP warm starts");
-        assert_eq!(lp.stats.warm_lookups, lp.stats.solves);
+        let stats = cache.lp_stats();
+        assert!(stats.warm_hits > 0, "the stream produced no LP warm starts");
+        assert_eq!(stats.warm_lookups, stats.solves);
     }
 
     #[test]

@@ -30,17 +30,20 @@
 //! * [`LpProblem::solve`] — the engine: a revised simplex over a
 //!   column-form standard form that keeps the basis inverse as an eta-file
 //!   (product-form) factorization, prices in exact integer arithmetic with
-//!   an exact `Rat` fallback, and supports **warm starts** from a
-//!   [`BasisCache`], which is what lets a Houdini entailment stream skip
+//!   an exact `Rat` fallback, and supports **warm starts** from stored
+//!   optimal bases, which is what lets a Houdini entailment stream skip
 //!   phase 1 on structurally repeated LPs. The entailment oracle builds its
-//!   LPs for this engine column by column;
+//!   LPs for this engine column by column; the only store of bases is
+//!   private to the entailment memo [`EntailmentCache`], so warm starts are
+//!   a detail of this crate that no caller sees;
 //! * [`LpProblem::solve_dense`] — the dense reference tableau, the
 //!   differential oracle.
 //!
 //! The [`lp`] module docs describe the lowering to standard form, the column
 //! form, integer pricing, the eta file and the warm-start contract; the
 //! [`entail`] module docs describe the positive-combination encoding, the
-//! column builder and the structural keying that drives the basis cache.
+//! column builder and the structural keying that drives the memo's stored
+//! bases.
 //!
 //! Both oracles are *sound*: a positive answer comes with an explicit
 //! certificate (a feasible point; for entailments, a [`Combination`] of
@@ -73,5 +76,5 @@ pub use entail::{
     entails, entails_with_witness, implies_false, implies_false_with_witness, Combination,
     EntailmentCache, EntailmentOptions, LpEngine,
 };
-pub use lp::{BasisCache, LpProblem, LpResult, LpSolution, LpStats, Rel, VarKind};
+pub use lp::{LpProblem, LpResult, LpSolution, LpStats, Rel, VarKind};
 pub use rng::SplitMix64;

@@ -74,12 +74,13 @@
 //! feasible — skips phase 1 outright, so pure feasibility problems finish
 //! without a single pivot. A singular or infeasible warm basis falls back to
 //! the cold Bland start, so warm starting can never change a verdict.
-//! Stored bases live in a [`BasisCache`] keyed by the caller (the
-//! entailment oracle hashes the product list and monomial rows); only
-//! artificial-free bases are stored, so a key collision is at worst a wasted
-//! re-factorization, never an unsound resurrection of an artificial column.
-//! [`LpStats`] counts solves, pivots, re-factorizations and warm-start hits
-//! for the prover's statistics.
+//! Stored bases live in a crate-private `BasisCache` keyed by the caller:
+//! the one that exists is owned by the entailment memo
+//! ([`crate::EntailmentCache`]), which hashes the product list and monomial
+//! rows. Only artificial-free bases are stored, so a key collision is at
+//! worst a wasted re-factorization, never an unsound resurrection of an
+//! artificial column. [`LpStats`] counts solves, pivots, re-factorizations
+//! and warm-start hits for the prover's statistics.
 //!
 //! ```
 //! use revterm_num::rat;
@@ -648,7 +649,8 @@ pub struct LpStats {
     pub pivots: u64,
     /// Basis re-factorizations (one per accepted warm start).
     pub refactorizations: u64,
-    /// Warm-start lookups: solves given a key into a [`BasisCache`].
+    /// Warm-start lookups: solves given a key into the entailment memo's
+    /// stored bases.
     pub warm_lookups: u64,
     /// Warm-start hits: a stored basis re-factorized successfully and its
     /// basic solution was feasible, so phase 1 was skipped.
@@ -684,7 +686,8 @@ impl LpStats {
 }
 
 /// A cache of optimal simplex bases keyed by LP *structure*, plus the
-/// [`LpStats`] counters of every solve routed through it.
+/// [`LpStats`] counters of every solve routed through it. Crate-private:
+/// [`crate::EntailmentCache`] owns the one the prover uses.
 ///
 /// The key is chosen by the caller as a hash of whatever determines the
 /// constraint matrix — the entailment oracle hashes its premise-product list
@@ -694,27 +697,17 @@ impl LpStats {
 /// basis (dimensions, non-singularity, feasibility) before using it, so a
 /// collision costs at most a wasted re-factorization.
 #[derive(Debug, Clone, Default)]
-pub struct BasisCache {
+pub(crate) struct BasisCache {
     /// Stored optimal bases (decision-column indices, one per row).
     map: std::collections::HashMap<u64, Vec<u32>>,
     /// Counters across every solve routed through this cache.
-    pub stats: LpStats,
+    pub(crate) stats: LpStats,
 }
 
 impl BasisCache {
     /// Creates an empty cache.
-    pub fn new() -> BasisCache {
+    pub(crate) fn new() -> BasisCache {
         BasisCache::default()
-    }
-
-    /// Number of stored bases.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` iff no basis has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -1528,7 +1521,7 @@ mod tests {
         assert_eq!(cold, lp.solve_dense());
         assert_eq!(cache.stats.warm_lookups, 1);
         assert_eq!(cache.stats.warm_hits, 0);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.map.len(), 1);
         let pivots_after_cold = cache.stats.pivots;
         assert!(pivots_after_cold > 0, "cold solve must pivot");
 
@@ -1708,7 +1701,6 @@ mod tests {
         );
         assert_eq!(a.solves, 4);
         assert_eq!(a.pivots, 14);
-        assert!(BasisCache::new().is_empty());
     }
 
     #[test]

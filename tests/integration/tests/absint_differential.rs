@@ -81,7 +81,6 @@ fn program(rng: &mut Rng) -> String {
 /// The same configuration with both halves of the absint machinery off.
 fn absint_off(config: &ProverConfig) -> ProverConfig {
     let mut off = config.clone();
-    off.absint = false;
     off.entailment.interval_fast_path = false;
     off
 }
