@@ -31,11 +31,13 @@ use revterm_invgen::{
     synthesize_invariant, PoolCache, SampleSet, SynthesisBudget, SynthesisOptions, TemplateParams,
 };
 use revterm_poly::Poly;
-use revterm_safety::{find_initial_valuations, ndet_candidate_values, SearchBounds};
+use revterm_safety::{
+    explore, find_initial_valuations, find_path_in, ndet_candidate_values, SearchBounds,
+};
 use revterm_solver::{entails, implies_false, EntailmentCache, EntailmentOptions};
 use revterm_ts::graph::cyclic_sccs;
-use revterm_ts::interp::{successors, Config};
-use revterm_ts::{Loc, TransitionSystem};
+use revterm_ts::interp::{successors, Config, Reach};
+use revterm_ts::{Loc, PredicateMap, TransitionSystem};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -162,6 +164,10 @@ impl BaselineProver for QuasiInvariantProver {
     fn analyze(&self, ts: &TransitionSystem) -> BaselineResult {
         let start = Instant::now();
         let entailment = EntailmentOptions::default();
+        // The synthesis and the exploration do not depend on the SCC: each
+        // runs at most once, when the first SCC needs it.
+        let mut invariant: Option<PredicateMap> = None;
+        let mut reach: Option<Reach> = None;
         for scc in cyclic_sccs(ts) {
             if scc.contains(&ts.terminal_loc()) {
                 continue;
@@ -176,23 +182,24 @@ impl BaselineProver for QuasiInvariantProver {
             // part.  Locations outside the SCC are irrelevant: we only
             // require that (a) the map is inductive along transitions inside
             // the SCC and (b) every transition leaving the SCC is blocked.
-            let samples = SampleSet::new();
-            let options = SynthesisOptions {
-                params: self.params,
-                entailment: entailment.clone(),
-                require_initiation: false,
-                forced_false: None,
-                max_iterations: 32,
-            };
-            let map = synthesize_invariant(
-                ts,
-                &samples,
-                &options,
-                &mut PoolCache::new(),
-                &mut EntailmentCache::new(),
-                &SynthesisBudget::unlimited(),
-            )
-            .expect("an unlimited synthesis budget cannot be exhausted");
+            let map = invariant.get_or_insert_with(|| {
+                let options = SynthesisOptions {
+                    params: self.params,
+                    entailment: entailment.clone(),
+                    require_initiation: false,
+                    forced_false: None,
+                    max_iterations: 32,
+                };
+                synthesize_invariant(
+                    ts,
+                    &SampleSet::new(),
+                    &options,
+                    &mut PoolCache::new(),
+                    &mut EntailmentCache::new(),
+                    &SynthesisBudget::unlimited(),
+                )
+                .expect("an unlimited synthesis budget cannot be exhausted")
+            });
             let exits_blocked = ts.transitions().iter().all(|t| {
                 if !scc_set.contains(&t.source) || scc_set.contains(&t.target) {
                     return true;
@@ -207,11 +214,12 @@ impl BaselineProver for QuasiInvariantProver {
                 continue;
             }
             // Non-trivial quasi-invariant found; check it is reachable.
-            let mut target = revterm_ts::PredicateMap::unsatisfiable(ts.num_locs());
+            let mut target = PredicateMap::unsatisfiable(ts.num_locs());
             for &loc in &scc {
                 target.set(loc, map.at(loc).clone());
             }
-            if revterm_safety::find_reachable_in(ts, &target, &self.bounds).is_some() {
+            let reach = reach.get_or_insert_with(|| explore(ts, &self.bounds));
+            if find_path_in(reach, &target).is_some() {
                 return result(BaselineVerdict::NonTerminating, start);
             }
         }
@@ -246,7 +254,10 @@ impl BaselineProver for AccelerationProver {
         // Concrete acceleration: probe deterministic runs (constant
         // resolution 0/1) and check whether the same location is revisited
         // with the guard-relevant expression not decreasing; the symbolic
-        // check below then certifies it.
+        // check below then certifies it.  The exploration that answers the
+        // reachability checks does not depend on the SCC: it runs at most
+        // once, when the first SCC needs it.
+        let mut reach: Option<Reach> = None;
         for scc in cyclic_sccs(ts) {
             if scc.contains(&ts.terminal_loc()) {
                 continue;
@@ -294,7 +305,7 @@ impl BaselineProver for AccelerationProver {
                 continue;
             }
             // Reachability of the guard inside the SCC.
-            let mut target = revterm_ts::PredicateMap::unsatisfiable(ts.num_locs());
+            let mut target = PredicateMap::unsatisfiable(ts.num_locs());
             for &loc in &scc {
                 target.set(
                     loc,
@@ -303,7 +314,8 @@ impl BaselineProver for AccelerationProver {
                     )),
                 );
             }
-            if revterm_safety::find_reachable_in(ts, &target, &self.bounds).is_some() {
+            let reach = reach.get_or_insert_with(|| explore(ts, &self.bounds));
+            if find_path_in(reach, &target).is_some() {
                 return result(BaselineVerdict::NonTerminating, start);
             }
         }

@@ -57,9 +57,10 @@ fn main() {
         };
         let verdicts_match = digests(&fresh) == digests(&sessioned);
         all_matched &= verdicts_match;
+        let fresh_synthesis_calls: usize = fresh.iter().map(|r| r.stats.synthesis_calls).sum();
         let agg = session.stats().aggregate;
         println!(
-            "{{\"benchmark\":\"{}\",\"configs\":{},\"proved_cells\":{},\"fresh_secs\":{:.3},\"session_secs\":{:.3},\"speedup\":{:.2},\"verdicts_match\":{},\"entailment_calls\":{},\"entailment_cache_hits\":{},\"probe_cache_hits\":{},\"artifact_cache_hits\":{},\"lp_solves\":{},\"lp_pivots\":{},\"lp_refactorizations\":{},\"lp_warm_lookups\":{},\"lp_warm_hits\":{}}}",
+            "{{\"benchmark\":\"{}\",\"configs\":{},\"proved_cells\":{},\"fresh_secs\":{:.3},\"session_secs\":{:.3},\"speedup\":{:.2},\"verdicts_match\":{},\"fresh_synthesis_calls\":{},\"synthesis_calls\":{},\"entailment_calls\":{},\"entailment_cache_hits\":{},\"probe_cache_hits\":{},\"artifact_cache_hits\":{},\"lp_solves\":{},\"lp_pivots\":{},\"lp_refactorizations\":{},\"lp_warm_lookups\":{},\"lp_warm_hits\":{}}}",
             bench.name,
             configs.len(),
             sessioned.iter().filter(|r| r.is_non_terminating()).count(),
@@ -67,6 +68,8 @@ fn main() {
             session_secs,
             if session_secs > 0.0 { fresh_secs / session_secs } else { f64::INFINITY },
             verdicts_match,
+            fresh_synthesis_calls,
+            agg.synthesis_calls,
             agg.entailment_calls,
             agg.entailment_cache_hits,
             agg.probe_cache_hits,

@@ -73,6 +73,8 @@
 //! | `session_secs` | the same grid through one warm session |
 //! | `speedup` | `fresh_secs / session_secs` |
 //! | `verdicts_match` | per-cell agreement of fresh and sessioned [`revterm::api::outcome_digest`]s — label, verdict and certificate, Check 2's witness path included (exit 1 when false) |
+//! | `fresh_synthesis_calls` | Houdini syntheses the fresh per-configuration `prove` calls ran, summed over the grid |
+//! | `synthesis_calls` | Houdini syntheses the sessioned sweep ran. The session memoizes each one under the pool key `(c, degree)` and the entailment options, so a cell that repeats another cell's synthesis inputs runs none of its own: every `d = 2` cell repeats its `d = 1` twin's |
 //! | `entailment_calls` | entailment queries issued by the sessioned sweep |
 //! | `entailment_cache_hits` | of those, answered from [`revterm_solver::EntailmentCache`] |
 //! | `probe_cache_hits` | divergence-probe results reused across cells |

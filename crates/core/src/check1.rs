@@ -8,7 +8,7 @@
 use crate::certificate::{Check1Certificate, NonTerminationCertificate};
 use crate::config::{ProverConfig, Strategy};
 use crate::prover::TimedOut;
-use crate::session::{memo, memo_synthesis, Caches, ProveStats, RestrictedEntry};
+use crate::session::{memo, memo_synthesis, Caches, ProveStats, RestrictedEntry, SynthKey};
 use revterm_invgen::{
     synthesize_invariant, SampleSet, SynthesisBudget, SynthesisOptions, TemplateParams,
 };
@@ -174,10 +174,8 @@ pub(crate) fn check1_cached(
             // system, the probe trace (which seeds the samples) and the
             // synthesis inputs — all captured by this key — so it can be
             // shared across configurations that agree on them.
-            let synth_key = (
-                (initial.clone(), config.divergence_probe_steps),
-                (options.params, options.entailment.clone()),
-            );
+            let synth_key =
+                ((initial.clone(), config.divergence_probe_steps), SynthKey::of(&options));
             let invariant = memo_synthesis(invariants, synth_key, stats, || {
                 // Samples: everything the probe visited belongs to the set
                 // the invariant must contain.

@@ -17,6 +17,7 @@ use crate::config::ProverConfig;
 use crate::prover::TimedOut;
 use crate::session::{
     memo, memo_synthesis, reversed_entry_for, Caches, ProveStats, RestrictedEntry, ReversedEntry,
+    SynthKey,
 };
 use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisBudget};
 use revterm_safety::{explore, find_path_in};
@@ -58,14 +59,16 @@ pub(crate) fn check2_cached(
         || explore(ts, &config.search),
     );
 
-    let tilde_options = synthesis_options(config, None, true);
-    let tilde_key = (tilde_options.params, config.entailment.clone(), config.search.clone());
+    // `Ĩ` and every `BI` are synthesized with the same options.
+    let options = synthesis_options(config, None, true);
+    let synth_key = SynthKey::of(&options);
+    let tilde_key = (synth_key.clone(), config.search.clone());
     let (tilde_map, theta) = memo_synthesis(tilde, tilde_key, stats, || {
         let mut sample_set = SampleSet::new();
         for cfg in fwd.ascending() {
             sample_set.add(cfg.loc, cfg.vals.clone());
         }
-        let map = synthesize_invariant(ts, &sample_set, &tilde_options, base_pool, entail, budget)?;
+        let map = synthesize_invariant(ts, &sample_set, &options, base_pool, entail, budget)?;
         let theta: Assertion = match map.at(ts.terminal_loc()).disjuncts() {
             [single] => single.clone(),
             _ => Assertion::tautology(),
@@ -155,21 +158,17 @@ pub(crate) fn check2_cached(
             stats.artifact_cache_misses += 1;
         }
         let ReversedEntry { system: reversed_system, pool: reversed_pool, invariants } = reversed;
-        let bi_options = synthesis_options(config, None, true);
         // `BI` is a pure function of the reversed system, the backward
         // samples (determined by the search bounds and probe steps) and the
         // synthesis inputs, so it can be shared across configurations. So is
         // the answer to its safety query, which the key's search bounds fix
         // too: it is memoized beside `BI`.
-        let synth_key = (
-            (config.search.clone(), config.divergence_probe_steps),
-            (bi_options.params, bi_options.entailment.clone()),
-        );
-        let (bi, witness) = memo_synthesis(invariants, synth_key, stats, || {
+        let bi_key = ((config.search.clone(), config.divergence_probe_steps), synth_key.clone());
+        let (bi, witness) = memo_synthesis(invariants, bi_key, stats, || {
             let map = synthesize_invariant(
                 reversed_system,
                 backward_samples,
-                &bi_options,
+                &options,
                 reversed_pool,
                 entail,
                 budget,

@@ -16,13 +16,14 @@
 //! Every cache is a pure memo table: a sessioned run returns *bitwise
 //! identical* verdicts and certificates to fresh per-configuration runs, only
 //! faster.  The synthesized artifacts (Check 1's `I`, Check 2's `(Ĩ, Θ)` and
-//! each `BI`) are memoized through one helper that never stores a synthesis
-//! the budget cut short.  Certificate validation splits in two halves (see
-//! [`crate::validate_certificate`]): the session memoizes the *evidence* —
-//! the Farkas/Handelman multipliers that discharge a certificate's
-//! obligations — so a certificate met again skips the LPs that find them;
-//! the *exact check* of that evidence never goes through a cache, and it
-//! runs on every `NonTerminating` verdict.
+//! each `BI`) are keyed on what the synthesis reads ([`SynthKey`], which
+//! leaves out the template's `d`) and memoized through one helper that never
+//! stores a synthesis the budget cut short.  Certificate validation splits in
+//! two halves (see [`crate::validate_certificate`]): the session memoizes the
+//! *evidence* — the Farkas/Handelman multipliers that discharge a
+//! certificate's obligations — so a certificate met again skips the LPs that
+//! find them; the *exact check* of that evidence never goes through a cache,
+//! and it runs on every `NonTerminating` verdict.
 
 use crate::certificate::{
     check_evidence, generate_evidence, CertificateError, Evidence, EvidenceKey,
@@ -31,7 +32,7 @@ use crate::certificate::{
 use crate::config::ProverConfig;
 use crate::prover::{prove_cached, ProofResult, TimedOut};
 use crate::sweep::{ConfigOutcome, SweepReport};
-use revterm_invgen::{PoolCache, SampleSet};
+use revterm_invgen::{PoolCache, SampleSet, SynthesisOptions};
 use revterm_lang::Program;
 use revterm_safety::SearchBounds;
 use revterm_solver::{EntailmentCache, EntailmentOptions, LpStats};
@@ -116,12 +117,32 @@ pub struct SessionStats {
     pub aggregate: ProveStats,
 }
 
-/// Memo key for a synthesized invariant: every input that determines the
-/// Houdini result besides the transition system and the sample set (which
-/// are fixed by the cache the key lives in): the effective template
-/// parameters and the entailment budget.  `require_initiation`,
-/// `forced_false` and `max_iterations` are constant per call site.
-pub(crate) type SynthKey = (revterm_invgen::TemplateParams, revterm_solver::EntailmentOptions);
+/// Memo key for a synthesized invariant: what [`synthesize_invariant`]
+/// reads of its [`SynthesisOptions`] besides the per-call-site constants
+/// (`require_initiation`, `forced_false`, `max_iterations`). The transition
+/// system and the sample set are fixed by the table the key lives in.
+///
+/// The key is taken from the options a check passes to the synthesis, so the
+/// strategy's mapping of the template parameters is already applied. It
+/// holds the parameters' [`TemplateParams::pool_key`] `(c, degree)` and the
+/// entailment options. The template's `d` is absent: synthesis is
+/// conjunctive and never reads it, so a `d = 2` cell is served the `I`,
+/// `(Ĩ, Θ)` and `BI` its `d = 1` twin synthesized.
+///
+/// [`synthesize_invariant`]: revterm_invgen::synthesize_invariant
+/// [`TemplateParams::pool_key`]: revterm_invgen::TemplateParams::pool_key
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SynthKey {
+    pool: (usize, u32),
+    entailment: EntailmentOptions,
+}
+
+impl SynthKey {
+    /// The key of a synthesis run with `options`.
+    pub(crate) fn of(options: &SynthesisOptions) -> SynthKey {
+        SynthKey { pool: options.params.pool_key(), entailment: options.entailment.clone() }
+    }
+}
 
 /// A Check 2 backward invariant `BI` together with the answer to its safety
 /// query: the witness path into `¬BI` that the session's exploration yields,
@@ -265,12 +286,9 @@ pub(crate) struct Caches {
     /// 2's forward samples (in ascending order) and the configurations
     /// every `¬BI` query scans (in discovery order).
     pub reach: HashMap<SearchBounds, Reach>,
-    /// Check 2's `(Ĩ, Θ)` keyed by the synthesis inputs that determine them.
-    #[allow(clippy::type_complexity)]
-    pub tilde: HashMap<
-        (revterm_invgen::TemplateParams, revterm_solver::EntailmentOptions, SearchBounds),
-        (PredicateMap, Assertion),
-    >,
+    /// Check 2's `(Ĩ, Θ)` keyed by the synthesis inputs and the search bounds
+    /// of the exploration that seeds its samples.
+    pub tilde: HashMap<(SynthKey, SearchBounds), (PredicateMap, Assertion)>,
     /// Restricted systems and their per-resolution artifacts.
     pub restricted: HashMap<Resolution, RestrictedEntry>,
     /// The interval/sign pre-analysis of the base system, computed on first
@@ -767,6 +785,34 @@ mod tests {
             // again, and everything a fresh prove synthesizes after it.
             let synthesized = after.stats.synthesis_calls + (cut_in - 1);
             assert_eq!(synthesized, fresh.stats.synthesis_calls, "{case}: {:?}", after.stats);
+        }
+    }
+
+    #[test]
+    fn a_d2_cell_reuses_every_synthesis_of_its_d1_twin() {
+        // Synthesis never reads the template's `d`, and no synthesis memo
+        // keys on it: whichever twin runs second on a session synthesizes
+        // nothing and still reaches a fresh prove's outcome.
+        let check1 = ProverConfig::builder().template(2, 1, 1).build();
+        let check2 = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
+        for (source, d1) in [(RUNNING, check1), (FIG2_SMALL, check2)] {
+            let mut d2 = d1.clone();
+            d2.params.d = 2;
+            for (first, twin) in [(&d1, &d2), (&d2, &d1)] {
+                let mut session = ProverSession::from_source(source).unwrap();
+                let cold = session.prove(first);
+                let case = format!("{} after {}", twin.label(), first.label());
+                assert!(cold.stats.synthesis_calls > 0, "{case}: {:?}", cold.stats);
+                let warm = session.prove(twin);
+                assert!(warm.is_non_terminating(), "{case}: {:?}", warm.verdict);
+                assert_eq!(warm.stats.synthesis_calls, 0, "{case}: {:?}", warm.stats);
+                let fresh = crate::prover::prove(session.ts(), twin);
+                assert_eq!(
+                    crate::api::outcome_digest(&warm, session.ts()),
+                    crate::api::outcome_digest(&fresh, session.ts()),
+                    "{case}"
+                );
+            }
         }
     }
 

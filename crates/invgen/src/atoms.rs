@@ -22,7 +22,10 @@ use std::collections::BTreeMap;
 /// conjunctive: Houdini returns one conjunction per location whatever `d`
 /// says, so `d` shapes no pool and no result. It names the configuration
 /// (its label) and is what a sweep report filters on
-/// (`SweepReport::proved_within` in the core crate).
+/// (`SweepReport::proved_within` in the core crate), but it is absent from
+/// every memo key: the pool cache and the core crate's synthesis memos key on
+/// [`TemplateParams::pool_key`], so a `d = 2` configuration reuses what its
+/// `d = 1` twin synthesized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TemplateParams {
     /// Maximal number of conjuncts per disjunct (richness of the atom pool).
@@ -44,6 +47,12 @@ impl TemplateParams {
     /// Creates template parameters.
     pub fn new(c: usize, d: usize, degree: u32) -> TemplateParams {
         TemplateParams { c, d, degree }
+    }
+
+    /// The components that shape the candidate pool, `(c, degree)`, and so
+    /// the whole synthesis: the key of every memo of a synthesized artifact.
+    pub fn pool_key(&self) -> (usize, u32) {
+        (self.c, self.degree)
     }
 }
 
@@ -205,7 +214,8 @@ pub struct PoolCache {
     /// The program constants as thresholds, sorted and deduplicated.
     constants: Option<Vec<Rat>>,
     guard_atoms: Option<Vec<Poly>>,
-    /// Shape lists keyed by the `(c, degree)` components that determine them.
+    /// Shape lists keyed by the components that determine them
+    /// ([`TemplateParams::pool_key`]).
     shapes: Vec<((usize, u32), Vec<Poly>)>,
     /// Number of `prepare` calls answered entirely from the cache.
     pub hits: u64,
@@ -223,7 +233,7 @@ impl PoolCache {
     /// computed, counting a hit when everything was already present.
     fn prepare(&mut self, ts: &TransitionSystem, params: &TemplateParams) {
         self.lookups += 1;
-        let shape_key = (params.c, params.degree);
+        let shape_key = params.pool_key();
         let have_shapes = self.shapes.iter().any(|(k, _)| *k == shape_key);
         if self.constants.is_some() && self.guard_atoms.is_some() && have_shapes {
             self.hits += 1;
@@ -241,7 +251,7 @@ impl PoolCache {
     }
 
     fn shapes_for(&self, params: &TemplateParams) -> &[Poly] {
-        let shape_key = (params.c, params.degree);
+        let shape_key = params.pool_key();
         self.shapes
             .iter()
             .find(|(k, _)| *k == shape_key)

@@ -16,8 +16,8 @@
 //!   each with the configuration it was first reached from, and in ascending
 //!   order ([`Reach`]);
 //! * queries read that exploration: the reachable samples
-//!   ([`Reach::ascending`]), a reachable configuration in a predicate map
-//!   ([`find_reachable_in`]), and Check 2's witness path into `¬BI`
+//!   ([`Reach::ascending`]) and a path to a reachable configuration in a
+//!   predicate map, such as Check 2's witness path into `¬BI`
 //!   ([`find_path_in`]). A caller that keeps the exploration asks every
 //!   query of it without searching again.
 //!
@@ -176,16 +176,6 @@ pub fn explore(ts: &TransitionSystem, bounds: &SearchBounds) -> Reach {
 /// Returns `true` iff the configuration lies in the predicate map.
 fn lies_in(target: &PredicateMap, cfg: &Config) -> bool {
     target.at(cfg.loc).holds_int(&cfg.vals.assignment())
-}
-
-/// Searches for a reachable configuration contained in the given predicate
-/// map: the least one of [`explore`] in ascending order, if any.
-pub fn find_reachable_in(
-    ts: &TransitionSystem,
-    target: &PredicateMap,
-    bounds: &SearchBounds,
-) -> Option<Config> {
-    explore(ts, bounds).ascending().find(|cfg| lies_in(target, cfg)).cloned()
 }
 
 /// The safety query of Check 2: a complete **path** (sequence of
@@ -506,10 +496,6 @@ mod tests {
                         None => misses += 1,
                     }
                 }
-                // The one-shot query explores again, so one target.
-                let target = &targets[rng.below(targets.len())];
-                let least_in = samples.iter().find(|c| lies_in(target, c));
-                assert_eq!(find_reachable_in(ts, target, bounds).as_ref(), least_in);
             }
         }
         assert!(hits > 0 && misses > 0 && long_paths > 0, "{hits} {misses} {long_paths}");
@@ -537,7 +523,9 @@ mod tests {
                 n.clone() - revterm_poly::Poly::constant_i64(3),
             )),
         );
-        let hit = find_reachable_in(&ts, &target, &SearchBounds::default()).unwrap();
+        let reach = explore(&ts, &SearchBounds::default());
+        let path = find_path_in(&reach, &target).unwrap();
+        let hit = path.last().unwrap();
         assert_eq!(hit.loc, ts.init_loc());
         assert!(hit.vals.get(0) >= &int(3));
 
@@ -550,7 +538,7 @@ mod tests {
                 n - revterm_poly::Poly::constant_i64(100),
             )),
         );
-        assert!(find_reachable_in(&ts, &unreachable, &SearchBounds::default()).is_none());
+        assert!(find_path_in(&reach, &unreachable).is_none());
     }
 
     #[test]
