@@ -227,8 +227,8 @@ impl PremiseClosure {
     ///
     /// Returns `false` on [`PremiseClosure::Contradiction`]: whether the LP
     /// would answer `true` for an arbitrary conclusion under contradictory
-    /// premises depends on `use_unsat_fallback`, so the *caller* decides
-    /// what a contradiction licenses.
+    /// premises depends on whether its refutation fits the caller's product
+    /// budget, so the *caller* decides what a contradiction licenses.
     pub fn entails(&self, conclusion: &Poly) -> bool {
         match self {
             PremiseClosure::Contradiction => false,

@@ -285,14 +285,7 @@ impl BaselineProver for AccelerationProver {
                 guard.iter().all(|g| {
                     let mut premises = guard.clone();
                     premises.extend(t.relation.atoms().iter().cloned());
-                    let primed = g.rename(&|v| {
-                        if ts.vars().is_unprimed(v) {
-                            ts.vars().primed(v.index())
-                        } else {
-                            v
-                        }
-                    });
-                    entails(&premises, &primed, &entailment)
+                    entails(&premises, &ts.vars().prime_poly(g), &entailment)
                 })
             });
             // Additionally every location in the SCC must have at least one
@@ -377,13 +370,7 @@ impl BaselineProver for RankingProver {
             let ranked = candidates.iter().any(|f| {
                 inside.iter().all(|t| {
                     let premises: Vec<Poly> = t.relation.atoms().to_vec();
-                    let f_primed = f.rename(&|v| {
-                        if ts.vars().is_unprimed(v) {
-                            ts.vars().primed(v.index())
-                        } else {
-                            v
-                        }
-                    });
+                    let f_primed = ts.vars().prime_poly(f);
                     // f(x) >= 0 and f(x) - f(x') >= 1 under the transition.
                     entails(&premises, f, &entailment)
                         && entails(&premises, &(f - &f_primed - Poly::one()), &entailment)

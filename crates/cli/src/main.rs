@@ -245,19 +245,19 @@ fn run_prove(args: Vec<String>) -> ExitCode {
         Some(kind) => vec![ProverConfig::builder().check(kind).build()],
         None => revterm::quick_sweep(),
     };
-    if no_absint {
-        for config in &mut configs {
-            config.entailment.interval_fast_path = false;
-        }
-    }
+    // One deadline for the whole invocation, in every configuration's budget.
     let deadline = deadline_ms.map(|ms| std::time::Instant::now() + Duration::from_millis(ms));
+    for config in &mut configs {
+        config.entailment.interval_fast_path = !no_absint;
+        config.budget.deadline = deadline;
+    }
 
     if run_suite {
         let mut proved = 0;
         let suite = revterm_suite::full_suite();
         for b in &suite {
             let mut session = b.session();
-            let result = session.prove_first_with_deadline(&configs, deadline);
+            let result = session.prove_first(&configs);
             let verdict = if result.is_non_terminating() {
                 "NO (non-terminating)"
             } else if result.timed_out() {
@@ -293,7 +293,7 @@ fn run_prove(args: Vec<String>) -> ExitCode {
         );
     }
     let mut session = ProverSession::new(ts);
-    let result = session.prove_first_with_deadline(&configs, deadline);
+    let result = session.prove_first(&configs);
     if show_stats {
         print_stats(&result);
     }

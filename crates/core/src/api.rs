@@ -35,6 +35,7 @@ use crate::prover::{ProofResult, Verdict};
 use crate::session::ProveStats;
 use crate::sweep::SweepReport;
 use crate::CheckKind;
+use revterm_safety::SearchBounds;
 use revterm_solver::{LpEngine, LpStats};
 use revterm_ts::TransitionSystem;
 use std::hash::{Hash, Hasher};
@@ -149,25 +150,17 @@ fn lp_engine_from_name(name: &str) -> Result<LpEngine, Error> {
 /// Serializes a full configuration.  The labelled axes travel as the
 /// [`ProverConfig::label`] string; every non-labelled field is explicit, so
 /// the encoding round-trips configurations that stray from the defaults.
+/// The one exception is [`Budget::deadline`], a point in this process's
+/// clock: a request carries its deadline as `deadline_ms` instead.
 pub fn config_to_json(config: &ProverConfig) -> Json {
     Json::obj(vec![
         ("label", Json::from(config.label())),
         ("resolution_degree", Json::from(config.resolution_degree as u64)),
         (
-            "search",
-            Json::obj(vec![
-                ("max_steps", Json::from(config.search.max_steps as u64)),
-                ("max_configs", Json::from(config.search.max_configs as u64)),
-                ("max_initial", Json::from(config.search.max_initial as u64)),
-                ("grid", Json::from(config.search.grid)),
-            ]),
-        ),
-        (
             "entailment",
             Json::obj(vec![
                 ("max_product_size", Json::from(config.entailment.max_product_size as u64)),
                 ("max_product_degree", Json::from(config.entailment.max_product_degree as u64)),
-                ("use_unsat_fallback", Json::Bool(config.entailment.use_unsat_fallback)),
                 ("lp_engine", Json::from(lp_engine_name(config.entailment.lp_engine))),
                 ("interval_fast_path", Json::Bool(config.entailment.interval_fast_path)),
             ]),
@@ -199,6 +192,11 @@ pub fn config_to_json(config: &ProverConfig) -> Json {
 
 /// Deserializes a configuration: either a bare label string (non-labelled
 /// fields take defaults) or the full object form of [`config_to_json`].
+///
+/// An older client's object also carries the search bounds (`search`) and
+/// `entailment.use_unsat_fallback`, which are no longer settable: each is
+/// accepted when it holds the value the prover uses and refused with an
+/// [`Error::Protocol`] naming the field otherwise.
 pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     if let Some(label) = value.as_str() {
         return ProverConfig::parse_label(label);
@@ -207,15 +205,23 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     let label = obj.str_field("label")?;
     let mut config = ProverConfig::parse_label(label)?;
     config.resolution_degree = u32_field(&obj, "resolution_degree")?;
-    let search = obj.obj_field("search")?;
-    config.search.max_steps = search.u64_field("max_steps")? as usize;
-    config.search.max_configs = search.u64_field("max_configs")? as usize;
-    config.search.max_initial = search.u64_field("max_initial")? as usize;
-    config.search.grid = search.i64_field("grid")?;
+    if obj.get("search").is_some() {
+        let search = obj.obj_field("search")?;
+        let bounds = SearchBounds::default();
+        for (key, fixed) in [
+            ("max_steps", Json::from(bounds.max_steps as u64)),
+            ("max_configs", Json::from(bounds.max_configs as u64)),
+            ("max_initial", Json::from(bounds.max_initial as u64)),
+            ("grid", Json::from(bounds.grid)),
+        ] {
+            fixed_field(&format!("search.{key}"), search.get(key), &fixed)?;
+        }
+    }
     let entail = obj.obj_field("entailment")?;
+    let unsat_fallback = entail.get("use_unsat_fallback");
+    fixed_field("entailment.use_unsat_fallback", unsat_fallback, &Json::Bool(true))?;
     config.entailment.max_product_size = entail.u64_field("max_product_size")? as usize;
     config.entailment.max_product_degree = u32_field(&entail, "max_product_degree")?;
-    config.entailment.use_unsat_fallback = entail.bool_field("use_unsat_fallback")?;
     config.entailment.lp_engine = lp_engine_from_name(entail.str_field("lp_engine")?)?;
     config.entailment.interval_fast_path = entail.bool_field("interval_fast_path")?;
     config.max_resolutions = obj.u64_field("max_resolutions")? as usize;
@@ -227,8 +233,20 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     config.budget = Budget {
         time_limit: budget.opt_u64_field("time_limit_ms")?.map(Duration::from_millis),
         max_entailment_calls: budget.opt_u64_field("max_entailment_calls")?,
+        ..Budget::default()
     };
     Ok(config)
+}
+
+/// Refuses a retired setting an older client sent (`value`) unless it holds
+/// the `fixed` value the prover now always uses; absent is fine.
+fn fixed_field(name: &str, value: Option<&Json>, fixed: &Json) -> Result<(), Error> {
+    match value {
+        Some(value) if value != fixed => Err(Error::Protocol(format!(
+            "config field {name:?} is no longer settable: it is fixed at {fixed}, got {value}"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// A required non-negative integer field that must fit in a `u32`: a wider
@@ -315,9 +333,10 @@ pub enum RequestBody {
         /// Configurations to try; empty means the server default
         /// ([`crate::quick_sweep`]).
         configs: Vec<ProverConfig>,
-        /// Whole-request wall-clock deadline in milliseconds, distributed
-        /// over the configurations by the server (each configuration's own
-        /// [`Budget`] still applies on top).
+        /// Whole-request wall-clock deadline in milliseconds, counted from
+        /// when the server starts the request and written into every
+        /// configuration's [`Budget::deadline`] (each configuration's own
+        /// time limit and work cap still apply beside it).
         deadline_ms: Option<u64>,
     },
     /// Run a configuration sweep and report every outcome
@@ -330,7 +349,8 @@ pub enum RequestBody {
         configs: Vec<ProverConfig>,
         /// Stop after this many successes (0 is normalized to "run all").
         stop_after: usize,
-        /// Whole-request wall-clock deadline in milliseconds.
+        /// Whole-request wall-clock deadline in milliseconds, written into
+        /// every configuration's [`Budget::deadline`] like a prove's.
         deadline_ms: Option<u64>,
     },
     /// Run the abstract-interpretation pre-analysis and respond with the
@@ -861,7 +881,6 @@ mod tests {
             .build();
         config.entailment.lp_engine = LpEngine::Dense;
         config.budget.max_entailment_calls = Some(12345);
-        config.search.grid = 5;
         let roundtripped = config_from_json(&config_to_json(&config)).unwrap();
         assert_eq!(roundtripped, config);
     }
@@ -877,6 +896,37 @@ mod tests {
             let old = text.replace(r#","budget""#, &format!(r#","absint":{absint},"budget""#));
             assert_ne!(old, text);
             assert_eq!(config_from_json(&json::parse_json(&old).unwrap()).unwrap(), config);
+        }
+    }
+
+    #[test]
+    fn config_from_json_accepts_retired_fields_only_at_their_fixed_values() {
+        // An older client's object carries the search bounds and the unsat
+        // fallback flag, now fixed; at those values it decodes to the same
+        // configuration.
+        let config = ProverConfig::builder().template(3, 1, 1).max_resolutions(7).build();
+        let text = config_to_json(&config).to_string();
+        let entailment = r#""entailment":{"#;
+        assert!(text.contains(entailment) && !text.contains("search"), "{text}");
+        let old = |grid: &str, unsat_fallback: &str| {
+            let retired = format!(
+                r#""search":{{"max_steps":60,"max_configs":4000,"max_initial":64,"grid":{grid}}},{entailment}"use_unsat_fallback":{unsat_fallback},"#
+            );
+            config_from_json(&json::parse_json(&text.replace(entailment, &retired)).unwrap())
+        };
+        assert_eq!(old("2", "true").unwrap(), config);
+        // Any other value is refused, naming the field.
+        for (grid, unsat_fallback, field) in [
+            ("5", "true", "search.grid"),
+            ("\"2\"", "true", "search.grid"),
+            ("2", "false", "entailment.use_unsat_fallback"),
+        ] {
+            match old(grid, unsat_fallback) {
+                Err(Error::Protocol(message)) => {
+                    assert!(message.contains(&format!("{field:?}")), "{message}")
+                }
+                other => panic!("grid {grid}, fallback {unsat_fallback}: {other:?}"),
+            }
         }
     }
 

@@ -13,7 +13,7 @@ use revterm_invgen::{
     synthesize_invariant, SampleSet, SynthesisBudget, SynthesisOptions, TemplateParams,
 };
 use revterm_poly::Poly;
-use revterm_safety::{find_initial_valuations, ndet_candidate_values};
+use revterm_safety::{find_initial_valuations, ndet_candidate_values, SearchBounds};
 use revterm_ts::interp::{run, Config, Valuation};
 use revterm_ts::{Resolution, TransitionSystem};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ pub(crate) fn candidate_resolutions(
     if ndet_ids.is_empty() {
         return vec![Resolution::empty()];
     }
-    let mut rhs_candidates: Vec<Poly> = ndet_candidate_values(ts, config.search.grid)
+    let mut rhs_candidates: Vec<Poly> = ndet_candidate_values(ts, SearchBounds::default().grid)
         .into_iter()
         .map(|c| Poly::constant(revterm_num::Rat::from(c)))
         .collect();
@@ -100,7 +100,7 @@ pub(crate) fn synthesis_options(
 
 /// Check 1 with every derived artifact served from (and recorded into) the
 /// session caches: candidate resolutions and preferred initial valuations
-/// per search bounds, restricted systems and their atom pools per
+/// per cap, restricted systems and their atom pools per
 /// resolution, divergence-probe traces per `(resolution, initial)` pair, and
 /// memoized entailment queries.
 ///
@@ -121,7 +121,8 @@ pub(crate) fn check1_cached(
     }
     let resolutions = caches.resolutions_for(ts, config, stats);
     let Caches { entail, restricted, .. } = caches;
-    let mut synthesis_budget = 8usize;
+    // At most this many invariant syntheses per prove.
+    let mut syntheses_left = 8usize;
     for resolution in resolutions {
         if budget.exhausted(entail.lookups) {
             return Err(TimedOut);
@@ -164,10 +165,10 @@ pub(crate) fn check1_cached(
             if reached_terminal || trace.len() <= config.divergence_probe_steps / 2 {
                 continue;
             }
-            if synthesis_budget == 0 {
+            if syntheses_left == 0 {
                 return Ok(None);
             }
-            synthesis_budget -= 1;
+            syntheses_left -= 1;
 
             let options = synthesis_options(config, Some(restricted_system.terminal_loc()), false);
             // The synthesized invariant is a pure function of the restricted
@@ -237,8 +238,9 @@ pub(crate) fn check1_cached(
 /// spread sample.  Diverging executions necessarily start by entering the
 /// body, so these candidates are by far the most promising.
 pub(crate) fn preferred_initials(ts: &TransitionSystem, config: &ProverConfig) -> Vec<Valuation> {
-    let all = find_initial_valuations(ts, &config.search);
-    let ndet = ndet_candidate_values(ts, config.search.grid);
+    let bounds = SearchBounds::default();
+    let all = find_initial_valuations(ts, &bounds);
+    let ndet = ndet_candidate_values(ts, bounds.grid);
     let (mut preferred, rest): (Vec<Valuation>, Vec<Valuation>) = all.into_iter().partition(|v| {
         let cfg = Config::new(ts.init_loc(), v.clone());
         revterm_ts::interp::successors(ts, &cfg, &ndet)

@@ -16,20 +16,19 @@ use crate::check1::synthesis_options;
 use crate::config::ProverConfig;
 use crate::prover::TimedOut;
 use crate::session::{
-    memo, memo_synthesis, reversed_entry_for, Caches, ProveStats, RestrictedEntry, ReversedEntry,
-    SynthKey,
+    memo, memo_synthesis, Caches, ProveStats, RestrictedEntry, ReversedEntry, SynthKey,
 };
 use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisBudget};
-use revterm_safety::{explore, find_path_in};
+use revterm_safety::{explore, find_path_in, SearchBounds};
 use revterm_ts::interp::{run, Config, Reach};
 use revterm_ts::{Assertion, TransitionSystem};
 
 /// Check 2 with every derived artifact served from (and recorded into) the
-/// session caches: the bounded exploration of `T` per search bounds, the
-/// `(Ĩ, Θ)` pair per effective synthesis inputs, restricted and reversed
-/// systems (with their atom pools) per resolution, backward-probe sample
-/// sets, each `BI` together with the answer to its safety query, and
-/// memoized entailment queries.
+/// session caches: the one bounded exploration of `T`, the `(Ĩ, Θ)` pair
+/// per effective synthesis inputs, restricted and reversed systems (with
+/// their atom pools) per resolution, backward-probe sample sets, each `BI`
+/// together with the answer to its safety query, and memoized entailment
+/// queries.
 ///
 /// The budget is polled at candidate-resolution boundaries and by each
 /// synthesis; `Err(TimedOut)` aborts the search *between* memoized
@@ -44,26 +43,21 @@ pub(crate) fn check2_cached(
 ) -> Result<Option<NonTerminationCertificate>, TimedOut> {
     let resolutions = caches.resolutions_for(ts, config, stats);
     let Caches { entail, base_pool, reach, tilde, restricted, .. } = caches;
-    if budget.exhausted(entail.lookups) {
-        return Err(TimedOut);
-    }
 
     // Step 1: a conjunctive invariant Ĩ of the full system, seeded with
     // concretely reachable samples. The same exploration answers every
     // safety query of step 3.
-    let fwd: &Reach = memo(
-        reach,
-        config.search.clone(),
-        &mut stats.artifact_cache_hits,
-        &mut stats.artifact_cache_misses,
-        || explore(ts, &config.search),
-    );
+    if reach.is_some() {
+        stats.artifact_cache_hits += 1;
+    } else {
+        stats.artifact_cache_misses += 1;
+    }
+    let fwd: &Reach = reach.get_or_insert_with(|| explore(ts, &SearchBounds::default()));
 
     // `Ĩ` and every `BI` are synthesized with the same options.
     let options = synthesis_options(config, None, true);
     let synth_key = SynthKey::of(&options);
-    let tilde_key = (synth_key.clone(), config.search.clone());
-    let (tilde_map, theta) = memo_synthesis(tilde, tilde_key, stats, || {
+    let (tilde_map, theta) = memo_synthesis(tilde, synth_key.clone(), stats, || {
         let mut sample_set = SampleSet::new();
         for cfg in fwd.ascending() {
             sample_set.add(cfg.loc, cfg.vals.clone());
@@ -79,9 +73,10 @@ pub(crate) fn check2_cached(
 
     // Step 2: per candidate resolution, synthesize a backward invariant of
     // the reversed restricted system and query reachability of its complement.
-    let mut synthesis_budget = 4usize;
+    // At most this many backward-invariant syntheses per prove.
+    let mut syntheses_left = 4usize;
     for resolution in resolutions {
-        if synthesis_budget == 0 {
+        if syntheses_left == 0 {
             break;
         }
         if budget.exhausted(entail.lookups) {
@@ -103,10 +98,9 @@ pub(crate) fn check2_cached(
         // reachable configurations of T; every configuration on a probe run
         // that reaches ℓ_out is backward-reachable from ℓ_out in the reversed
         // system and must therefore be contained in BI.
-        let backward_key = (config.search.clone(), config.divergence_probe_steps);
         let (any_terminating_probe, backward_samples) = &*memo(
             backward,
-            backward_key,
+            config.divergence_probe_steps,
             &mut stats.probe_cache_hits,
             &mut stats.probe_cache_misses,
             || {
@@ -149,21 +143,21 @@ pub(crate) fn check2_cached(
             // bounds; Check 1 is the natural route for such resolutions.
             continue;
         }
-        synthesis_budget -= 1;
+        syntheses_left -= 1;
 
-        let (reversed, reversed_hit) = reversed_entry_for(reversed, restricted_system, &theta);
-        if reversed_hit {
-            stats.artifact_cache_hits += 1;
-        } else {
-            stats.artifact_cache_misses += 1;
-        }
-        let ReversedEntry { system: reversed_system, pool: reversed_pool, invariants } = reversed;
+        let ReversedEntry { system: reversed_system, pool: reversed_pool, invariants } = memo(
+            reversed,
+            theta.clone(),
+            &mut stats.artifact_cache_hits,
+            &mut stats.artifact_cache_misses,
+            || ReversedEntry::new(restricted_system.reverse(theta.clone())),
+        );
         // `BI` is a pure function of the reversed system, the backward
-        // samples (determined by the search bounds and probe steps) and the
-        // synthesis inputs, so it can be shared across configurations. So is
-        // the answer to its safety query, which the key's search bounds fix
-        // too: it is memoized beside `BI`.
-        let bi_key = ((config.search.clone(), config.divergence_probe_steps), synth_key.clone());
+        // samples (determined by the probe steps) and the synthesis inputs,
+        // so it can be shared across configurations. So is the answer to its
+        // safety query, which asks the session's one exploration: it is
+        // memoized beside `BI`.
+        let bi_key = (config.divergence_probe_steps, synth_key.clone());
         let (bi, witness) = memo_synthesis(invariants, bi_key, stats, || {
             let map = synthesize_invariant(
                 reversed_system,

@@ -2,16 +2,17 @@
 
 use crate::error::Error;
 use revterm_invgen::TemplateParams;
-use revterm_safety::SearchBounds;
 use revterm_solver::EntailmentOptions;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// A cooperative per-request budget: an optional wall-clock limit and an
-/// optional cap on entailment-oracle calls.
+/// A cooperative per-run budget: an optional wall-clock limit, an optional
+/// whole-request deadline and an optional cap on entailment-oracle calls.
 ///
-/// The prover checks the budget at *candidate boundaries* — between candidate
-/// `(resolution, initial)` pairs and before each invariant synthesis — and
+/// This is the one limit of a run.  A prove arms it when it starts — the
+/// earlier of `start + time_limit` and `deadline` is the cutoff — and polls
+/// it before any work, at *candidate boundaries* (between candidate
+/// `(resolution, initial)` pairs and before each invariant synthesis) and
 /// between the transition batches of each synthesis.  A synthesis it cuts
 /// short is never memoized, so an interrupted run leaves every session cache
 /// entry fully computed (an interrupted session is never poisoned; the next
@@ -21,15 +22,20 @@ use std::time::Duration;
 /// [`Error::Timeout`].
 ///
 /// The default budget is unlimited, so existing callers are unaffected; the
-/// budget is deliberately **not** part of [`ProverConfig::label`] (two runs
-/// that differ only in budget are the same configuration, one of them merely
-/// cut short).
+/// budget is deliberately **not** part of [`ProverConfig::label`] or of any
+/// cache key (two runs that differ only in budget are the same
+/// configuration, one of them merely cut short).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
-    /// Wall-clock limit for one `prove` call (`None` = unlimited).  The
-    /// deadline is armed when the call starts, so the same configuration
-    /// value can be reused across requests.
+    /// Wall-clock limit for one `prove` call (`None` = unlimited).  It is
+    /// armed when the call starts, so the same configuration value can be
+    /// reused across requests.
     pub time_limit: Option<Duration>,
+    /// A point in time shared by every run of one request (`None` = none):
+    /// the daemon and the CLI write their `deadline_ms` here, into each
+    /// configuration of the request.  A run that starts at or after it times
+    /// out before doing any work.
+    pub deadline: Option<Instant>,
     /// Maximal number of entailment-oracle lookups one `prove` call may
     /// issue (`None` = unlimited).  Unlike the wall clock this cap is
     /// deterministic: the same request with the same cap times out at the
@@ -45,12 +51,12 @@ impl Budget {
 
     /// A wall-clock-only budget.
     pub fn with_time_limit(limit: Duration) -> Budget {
-        Budget { time_limit: Some(limit), max_entailment_calls: None }
+        Budget { time_limit: Some(limit), ..Budget::default() }
     }
 
-    /// Returns `true` iff neither limit is set.
+    /// Returns `true` iff no limit is set.
     pub fn is_unlimited(&self) -> bool {
-        self.time_limit.is_none() && self.max_entailment_calls.is_none()
+        *self == Budget::default()
     }
 }
 
@@ -102,7 +108,12 @@ impl fmt::Display for Strategy {
 }
 
 /// A full prover configuration: which check, which synthesis strategy, the
-/// template parameters `(c, d, D)`, resolution degree and search bounds.
+/// template parameters `(c, d, D)`, resolution degree, entailment options,
+/// candidate caps and budget.
+///
+/// The bounds of the explicit-state searches (initial valuations, sampling,
+/// safety queries) are not settable: both checks use
+/// [`revterm_safety::SearchBounds::default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProverConfig {
     /// Which check to run.
@@ -113,9 +124,6 @@ pub struct ProverConfig {
     pub params: TemplateParams,
     /// Maximal degree of the polynomials used to resolve non-determinism.
     pub resolution_degree: u32,
-    /// Bounds for the explicit-state searches (initial valuations, sampling,
-    /// safety queries).
-    pub search: SearchBounds,
     /// Entailment budget.
     pub entailment: EntailmentOptions,
     /// Maximal number of candidate resolutions of non-determinism tried.
@@ -140,7 +148,6 @@ impl Default for ProverConfig {
             strategy: Strategy::Houdini,
             params: TemplateParams::new(2, 1, 1),
             resolution_degree: 1,
-            search: SearchBounds::default(),
             entailment: EntailmentOptions::default(),
             max_resolutions: 24,
             max_initial_configs: 6,
@@ -178,9 +185,9 @@ impl ProverConfig {
     /// Human-readable label, e.g. `check1/houdini/(c=2,d=1,D=1)`.
     ///
     /// The label is a stable, parseable round-trip: for any configuration
-    /// whose non-labelled fields (search bounds, entailment budget, caps,
-    /// [`Budget`]) are at their defaults — which is true of every
-    /// grid cell produced by [`crate::default_sweep`] —
+    /// whose non-labelled fields (entailment options, caps, [`Budget`]) are
+    /// at their defaults — which is true of every grid cell produced by
+    /// [`crate::default_sweep`] —
     /// `ProverConfig::parse_label(&config.label())` reconstructs the
     /// configuration exactly.  This is how wire requests and sweep reports
     /// name configurations textually.
@@ -291,12 +298,6 @@ impl ProverConfigBuilder {
         self
     }
 
-    /// Bounds for the explicit-state searches.
-    pub fn search(mut self, search: SearchBounds) -> Self {
-        self.config.search = search;
-        self
-    }
-
     /// Entailment budget.
     pub fn entailment(mut self, entailment: EntailmentOptions) -> Self {
         self.config.entailment = entailment;
@@ -377,7 +378,6 @@ mod tests {
         assert_eq!(built.divergence_probe_steps, 80);
         // Untouched fields keep their defaults.
         let default = ProverConfig::default();
-        assert_eq!(built.search, default.search);
         assert_eq!(built.entailment, default.entailment);
         assert_eq!(ProverConfigBuilder::new().build().label(), default.label());
     }
@@ -389,7 +389,7 @@ mod tests {
         assert!(on.entailment.interval_fast_path);
         let off = ProverConfig::builder().absint(false).build();
         assert!(!off.entailment.interval_fast_path);
-        assert_eq!(off, ProverConfig { entailment: off.entailment.clone(), ..on.clone() });
+        assert_eq!(off, ProverConfig { entailment: off.entailment.clone(), ..on });
         // Deliberately not part of the label: results are identical either
         // way, so the knob must not split sweep reports into new cells.
         assert_eq!(off.label(), on.label());
@@ -438,6 +438,8 @@ mod tests {
             .budget(Budget { max_entailment_calls: Some(100), ..Budget::unlimited() })
             .build();
         assert_eq!(capped.budget.max_entailment_calls, Some(100));
+        let until = Budget { deadline: Some(Instant::now()), ..Budget::unlimited() };
+        assert!(!until.is_unlimited());
         assert_eq!(
             Budget::with_time_limit(std::time::Duration::from_secs(1)).time_limit,
             Some(std::time::Duration::from_secs(1))

@@ -26,10 +26,11 @@ pub enum Verdict {
     /// The configuration's cooperative [`Budget`] expired before the search
     /// finished.  Unlike [`Verdict::Unknown`] this does *not* mean the
     /// configuration was exhausted — re-running with a larger budget may
-    /// still prove non-termination.  The interruption happens at candidate
-    /// boundaries or between Houdini batches, and a cut-short synthesis is
-    /// never memoized, so the session that produced this verdict is never
-    /// left with partially computed cache entries.
+    /// still prove non-termination.  The interruption happens before any
+    /// work (a budget already spent), at candidate boundaries or between
+    /// Houdini batches, and a cut-short synthesis is never memoized, so the
+    /// session that produced this verdict is never left with partially
+    /// computed cache entries.
     Timeout,
 }
 
@@ -75,6 +76,11 @@ impl ProofResult {
 /// Runs one configuration against the session caches, validating any
 /// candidate certificate — evidence from the session memo or freshly
 /// generated, then the exact check — before reporting non-termination.
+///
+/// The configuration's [`Budget`] is armed here and polled once before any
+/// work, so a run whose budget is already spent (a zero limit or work cap,
+/// or a deadline that has passed) is a [`Verdict::Timeout`] that touched no
+/// cache.
 pub(crate) fn prove_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
@@ -84,16 +90,21 @@ pub(crate) fn prove_cached(
     let mut stats = ProveStats::default();
     let (lookups_before, hits_before) = (caches.entail.lookups, caches.entail.hits);
     let lp_before = caches.entail.lp_stats();
-    // The budget armed for this call: the deadline counts from its start and
-    // the work cap counts only its own entailment lookups.
-    let Budget { time_limit, max_entailment_calls } = config.budget;
+    // The budget armed for this call: the time limit counts from its start,
+    // the request's deadline is absolute, and the work cap counts only this
+    // call's own entailment lookups.
+    let Budget { time_limit, deadline, max_entailment_calls } = config.budget;
     let budget = SynthesisBudget {
-        deadline: time_limit.map(|limit| start + limit),
+        deadline: [time_limit.map(|limit| start + limit), deadline].into_iter().flatten().min(),
         entail_call_stop: max_entailment_calls.map(|cap| lookups_before.saturating_add(cap)),
     };
-    let candidate = match config.check {
-        CheckKind::Check1 => check1_cached(ts, config, caches, &mut stats, &budget),
-        CheckKind::Check2 => check2_cached(ts, config, caches, &mut stats, &budget),
+    let candidate = if budget.exhausted(lookups_before) {
+        Err(TimedOut)
+    } else {
+        match config.check {
+            CheckKind::Check1 => check1_cached(ts, config, caches, &mut stats, &budget),
+            CheckKind::Check2 => check2_cached(ts, config, caches, &mut stats, &budget),
+        }
     };
     let verdict = match candidate {
         Ok(Some(cert)) => match caches.validate(ts, &cert, &config.entailment, &mut stats) {

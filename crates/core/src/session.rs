@@ -34,14 +34,12 @@ use crate::prover::{prove_cached, ProofResult, TimedOut};
 use crate::sweep::{ConfigOutcome, SweepReport};
 use revterm_invgen::{PoolCache, SampleSet, SynthesisOptions};
 use revterm_lang::Program;
-use revterm_safety::SearchBounds;
 use revterm_solver::{EntailmentCache, EntailmentOptions, LpStats};
 use revterm_ts::interp::{Config, Reach, Valuation};
 use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
 
-/// The label reported by [`ProverSession::prove_first`] and
-/// [`ProverSession::prove_first_with_deadline`] when called with an
+/// The label reported by [`ProverSession::prove_first`] when called with an
 /// **empty** configuration slice: no configuration ran, so the outcome is
 /// `Unknown` by definition, with this sentinel label instead of the
 /// `"none"` of a slice whose configurations all ran and failed.
@@ -154,12 +152,19 @@ pub(crate) type AnsweredInvariant = (PredicateMap, Option<Vec<Config>>);
 pub(crate) struct ReversedEntry {
     pub system: TransitionSystem,
     pub pool: PoolCache,
-    /// Check 2 backward invariants `BI` keyed by the backward-sample inputs
-    /// plus the synthesis inputs, each with the answer to its safety query.
-    /// The key fixes every input of that query (its search bounds pick the
-    /// exploration), so a warm Check 2 cell neither complements `BI` nor
-    /// scans; the exact check replays the stored path like any other.
-    pub invariants: HashMap<((SearchBounds, usize), SynthKey), AnsweredInvariant>,
+    /// Check 2 backward invariants `BI` keyed by the backward-sample input
+    /// (the probe steps) plus the synthesis inputs, each with the answer to
+    /// its safety query. The key fixes every input of that query (the
+    /// session has one exploration), so a warm Check 2 cell neither
+    /// complements `BI` nor scans; the exact check replays the stored path
+    /// like any other.
+    pub invariants: HashMap<(usize, SynthKey), AnsweredInvariant>,
+}
+
+impl ReversedEntry {
+    pub(crate) fn new(system: TransitionSystem) -> ReversedEntry {
+        ReversedEntry { system, pool: PoolCache::new(), invariants: HashMap::new() }
+    }
 }
 
 /// A restricted system `T_{R_NA}` plus everything memoized per resolution.
@@ -171,11 +176,11 @@ pub(crate) struct RestrictedEntry {
     /// Check 1 invariants keyed by the probe that seeded the samples plus
     /// the synthesis inputs.
     pub invariants: HashMap<((Valuation, usize), SynthKey), PredicateMap>,
-    /// Check 2 backward samples: `(search bounds, probe steps)` →
+    /// Check 2 backward samples: probe steps →
     /// `(any probe reached ℓ_out, samples on terminating probes)`.
-    pub backward: HashMap<(SearchBounds, usize), (bool, SampleSet)>,
-    /// Reversed systems keyed by `Θ` (few distinct values; linear scan).
-    pub reversed: Vec<(Assertion, ReversedEntry)>,
+    pub backward: HashMap<usize, (bool, SampleSet)>,
+    /// Reversed systems keyed by `Θ`.
+    pub reversed: HashMap<Assertion, ReversedEntry>,
 }
 
 impl RestrictedEntry {
@@ -186,7 +191,7 @@ impl RestrictedEntry {
             probes: HashMap::new(),
             invariants: HashMap::new(),
             backward: HashMap::new(),
-            reversed: Vec::new(),
+            reversed: HashMap::new(),
         }
     }
 }
@@ -241,32 +246,6 @@ pub(crate) fn memo_synthesis<'m, K: Eq + std::hash::Hash, V>(
     }
 }
 
-/// The reversed system for `theta` in a [`RestrictedEntry`]'s `reversed`
-/// list, building and caching it on first use.  Returns the entry together
-/// with a hit flag.  Takes the fields separately (rather than `&mut
-/// RestrictedEntry`) so callers can keep disjoint borrows of the entry's
-/// other caches alive.
-pub(crate) fn reversed_entry_for<'a>(
-    reversed: &'a mut Vec<(Assertion, ReversedEntry)>,
-    restricted_system: &TransitionSystem,
-    theta: &Assertion,
-) -> (&'a mut ReversedEntry, bool) {
-    // Indexed (not iterator-based) lookup to satisfy the borrow checker.
-    let pos = reversed.iter().position(|(t, _)| t == theta);
-    match pos {
-        Some(i) => (&mut reversed[i].1, true),
-        None => {
-            let entry = ReversedEntry {
-                system: restricted_system.reverse(theta.clone()),
-                pool: PoolCache::new(),
-                invariants: HashMap::new(),
-            };
-            reversed.push((theta.clone(), entry));
-            (&mut reversed.last_mut().expect("just pushed").1, false)
-        }
-    }
-}
-
 /// All memo tables of a session.  `Default` gives the empty caches used by
 /// the one-shot free-function wrappers.
 #[derive(Default)]
@@ -278,22 +257,19 @@ pub(crate) struct Caches {
     pub entail: EntailmentCache,
     /// Atom-pool artifacts of the base system (Check 2's `Ĩ` synthesis).
     pub base_pool: PoolCache,
-    /// Candidate resolutions keyed by `(grid, resolution degree, cap)`.
-    pub resolutions: HashMap<(i64, u32, usize), Vec<Resolution>>,
-    /// Preferred initial valuations keyed by `(search bounds, cap)`.
-    pub initials: HashMap<(SearchBounds, usize), Vec<Valuation>>,
-    /// The bounded exploration of the base system per search bounds: Check
-    /// 2's forward samples (in ascending order) and the configurations
+    /// Candidate resolutions keyed by `(resolution degree, cap)`.
+    pub resolutions: HashMap<(u32, usize), Vec<Resolution>>,
+    /// Preferred initial valuations keyed by their cap.
+    pub initials: HashMap<usize, Vec<Valuation>>,
+    /// The bounded exploration of the base system, computed on first use:
+    /// Check 2's forward samples (in ascending order) and the configurations
     /// every `¬BI` query scans (in discovery order).
-    pub reach: HashMap<SearchBounds, Reach>,
-    /// Check 2's `(Ĩ, Θ)` keyed by the synthesis inputs and the search bounds
-    /// of the exploration that seeds its samples.
-    pub tilde: HashMap<(SynthKey, SearchBounds), (PredicateMap, Assertion)>,
+    pub reach: Option<Reach>,
+    /// Check 2's `(Ĩ, Θ)` keyed by the synthesis inputs (its samples come
+    /// from the session's one exploration).
+    pub tilde: HashMap<SynthKey, (PredicateMap, Assertion)>,
     /// Restricted systems and their per-resolution artifacts.
     pub restricted: HashMap<Resolution, RestrictedEntry>,
-    /// The interval/sign pre-analysis of the base system, computed on first
-    /// use (see [`ProverSession::abstract_state`]).
-    pub absint: Option<revterm_absint::AbstractState>,
     /// Evidence of the certificates this session has validated, keyed by
     /// the certificate parts that fix their obligations.  It supplies
     /// multipliers, never a verdict: see [`Caches::validate`].
@@ -332,7 +308,7 @@ impl Caches {
         config: &ProverConfig,
         stats: &mut ProveStats,
     ) -> Vec<Resolution> {
-        let key = (config.search.grid, config.resolution_degree, config.max_resolutions);
+        let key = (config.resolution_degree, config.max_resolutions);
         memo(
             &mut self.resolutions,
             key,
@@ -350,10 +326,9 @@ impl Caches {
         config: &ProverConfig,
         stats: &mut ProveStats,
     ) -> Vec<Valuation> {
-        let key = (config.search.clone(), config.max_initial_configs);
         memo(
             &mut self.initials,
-            key,
+            config.max_initial_configs,
             &mut stats.artifact_cache_hits,
             &mut stats.artifact_cache_misses,
             || crate::check1::preferred_initials(ts, config),
@@ -384,21 +359,6 @@ pub struct ProverSession {
     ts: TransitionSystem,
     caches: Caches,
     stats: SessionStats,
-}
-
-/// Clamps a configuration's budget to the time remaining until `deadline`
-/// (identity when `deadline` is `None`).  The budget is excluded from
-/// [`ProverConfig::label`] and from every cache key, so clamping changes
-/// *when* a run is cut short but never *what* any completed run computes.
-fn clamp_to_deadline(config: &ProverConfig, deadline: Option<std::time::Instant>) -> ProverConfig {
-    let Some(deadline) = deadline else { return config.clone() };
-    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-    let mut clamped = config.clone();
-    clamped.budget.time_limit = Some(match clamped.budget.time_limit {
-        Some(own) => own.min(remaining),
-        None => remaining,
-    });
-    clamped
 }
 
 impl ProverSession {
@@ -441,33 +401,6 @@ impl ProverSession {
         &self.stats
     }
 
-    /// The interval/sign abstract interpretation of this session's system,
-    /// computed on first call and cached for the session's lifetime (the
-    /// system is immutable, so the fixpoint never needs recomputing).
-    ///
-    /// This is the session-level entry point to the pre-analysis facts —
-    /// per-location envelopes, reachability, constancy — that the
-    /// `revterm analyze` subcommand renders; the prover itself consults the
-    /// same machinery internally for sound pruning only.
-    pub fn abstract_state(&mut self) -> &revterm_absint::AbstractState {
-        self.caches.absint.get_or_insert_with(|| revterm_absint::analyze(&self.ts))
-    }
-
-    /// Statistics of the monomial interning pool, surfaced next to the
-    /// session's memo-table counters.
-    ///
-    /// Monomials that do not fit the packed single-word tier are interned in
-    /// a pool of stable ids (see [`revterm_poly::mono_pool_stats`]).  The
-    /// pool is process-global rather than session-owned — interned entries
-    /// are immutable and shared by every polynomial in the process, so
-    /// scoping them per session would only duplicate entries — but sessions
-    /// are the natural place to *read* it: on the paper's degree-1/2
-    /// templates this count staying at zero is how the "everything stayed on
-    /// the allocation-free packed path" claim is checked.
-    pub fn mono_pool_stats(&self) -> revterm_poly::MonoPoolStats {
-        revterm_poly::mono_pool_stats()
-    }
-
     /// Proves non-termination with a single configuration, reusing every
     /// artifact previous calls on this session have already computed.
     ///
@@ -489,40 +422,15 @@ impl ProverSession {
     /// `configs` is empty, or `"none"` when configurations ran but all
     /// failed.  If no configuration succeeds but at least one was cut short
     /// by its [`crate::Budget`], the verdict is [`crate::Verdict::Timeout`]
-    /// (the search was not exhausted, so `Unknown` would overclaim).
+    /// (the search was not exhausted, so `Unknown` would overclaim).  A
+    /// request deadline lives in each configuration's budget, so once it
+    /// passes every remaining configuration times out before doing any work.
     pub fn prove_first(&mut self, configs: &[ProverConfig]) -> ProofResult {
-        self.prove_first_with_deadline(configs, None)
-    }
-
-    /// [`ProverSession::prove_first`] under a whole-request deadline.
-    ///
-    /// Before each configuration runs, its [`crate::Budget`] time limit is
-    /// clamped to the time remaining until `deadline`; configurations whose
-    /// turn comes at or after the deadline are not run at all and the result
-    /// is a structured [`crate::Verdict::Timeout`] (an already-expired
-    /// deadline therefore *always* yields `Timeout`, never a verdict
-    /// computed on zero allotted time).  With `deadline: None` this is *exactly*
-    /// [`ProverSession::prove_first`] — the `revterm-serve` daemon routes
-    /// every prove request through here, which is what makes daemon verdicts
-    /// bitwise-identical to in-process ones when no deadline is given.
-    pub fn prove_first_with_deadline(
-        &mut self,
-        configs: &[ProverConfig],
-        deadline: Option<std::time::Instant>,
-    ) -> ProofResult {
         let start = std::time::Instant::now();
         let mut stats = ProveStats::default();
         let mut any_timeout = false;
         for config in configs {
-            // A configuration whose turn comes at or after the deadline is
-            // not run at all: even "no real work" has unpolled setup phases
-            // that could legitimately conclude `Unknown`, and reporting
-            // `Unknown` for a search that was never given time overclaims.
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                any_timeout = true;
-                break;
-            }
-            let result = self.prove(&clamp_to_deadline(config, deadline));
+            let result = self.prove(config);
             stats.accumulate(&result.stats);
             any_timeout |= result.timed_out();
             if result.is_non_terminating() {
@@ -551,40 +459,14 @@ impl ProverSession {
     ///
     /// Per-configuration verdicts are identical to fresh [`crate::prove`]
     /// runs, but shared artifacts are computed once across the whole grid.
+    /// A configuration whose budget is spent when its turn comes (a request
+    /// deadline that has passed) is recorded with [`ConfigOutcome::timed_out`]
+    /// set, so a cut-short sweep is distinguishable from an exhausted one.
     pub fn sweep(&mut self, configs: &[ProverConfig], stop_after_success: usize) -> SweepReport {
-        self.sweep_with_deadline(configs, stop_after_success, None)
-    }
-
-    /// [`ProverSession::sweep`] under a whole-request deadline (see
-    /// [`ProverSession::prove_first_with_deadline`] for the clamping rule).
-    /// Configurations whose turn comes after the deadline are recorded with
-    /// [`ConfigOutcome::timed_out`] set rather than silently dropped, so a
-    /// cut-short sweep is distinguishable from an exhausted one.
-    pub fn sweep_with_deadline(
-        &mut self,
-        configs: &[ProverConfig],
-        stop_after_success: usize,
-        deadline: Option<std::time::Instant>,
-    ) -> SweepReport {
         let mut report = SweepReport::default();
         let mut successes = 0usize;
         for config in configs {
-            // Same rule as `prove_first_with_deadline`: past the deadline a
-            // configuration is recorded as timed out, not actually run.
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                report.outcomes.push(ConfigOutcome {
-                    label: config.label(),
-                    check: config.check,
-                    strategy: config.strategy,
-                    params: config.params,
-                    proved: false,
-                    timed_out: true,
-                    elapsed: std::time::Duration::ZERO,
-                    stats: ProveStats::default(),
-                });
-                continue;
-            }
-            let result = self.prove(&clamp_to_deadline(config, deadline));
+            let result = self.prove(config);
             let proved = result.is_non_terminating();
             report.outcomes.push(ConfigOutcome {
                 label: config.label(),
@@ -716,8 +598,8 @@ mod tests {
                 .caches
                 .restricted
                 .values_mut()
-                .flat_map(|entry| entry.reversed.iter_mut())
-                .flat_map(|(_, reversed)| reversed.invariants.values_mut())
+                .flat_map(|entry| entry.reversed.values_mut())
+                .flat_map(|reversed| reversed.invariants.values_mut())
                 .filter_map(|(bi, witness)| Some((&*bi, witness.as_mut()?)))
                 .collect();
             assert_eq!(witnesses.len(), 1, "one BI answered its query with a path");
@@ -818,12 +700,16 @@ mod tests {
 
     #[test]
     fn prove_first_on_empty_slice_reports_the_documented_label() {
+        // Regression: the empty sweep used to return `Unknown` silently with
+        // the same label as "ran and failed"; it now carries the documented
+        // sentinel label so callers can distinguish the two, and runs nothing.
         let ts = revterm_ts::lower(&parse_program("while true do skip; od").unwrap()).unwrap();
         let mut session = ProverSession::new(ts);
         let result = session.prove_first(&[]);
         assert!(!result.is_non_terminating());
         assert_eq!(result.config_label, NO_CONFIGS_LABEL);
         assert_eq!(result.stats, ProveStats::default());
+        assert_eq!(session.stats().proves, 0);
         // A non-empty slice that fails everywhere keeps the legacy label.
         let ts2 =
             revterm_ts::lower(&parse_program("n := 0; while n <= 3 do n := n + 1; od").unwrap())
@@ -858,6 +744,42 @@ mod tests {
         let mut cold = ProverSession::from_source(RUNNING).unwrap();
         let all_cut = cold.prove_first(&[strict]);
         assert!(matches!(all_cut.verdict, crate::Verdict::Timeout));
+    }
+
+    #[test]
+    fn a_spent_budget_times_out_before_any_work() {
+        // A zero work cap, a zero time limit and a deadline already passed
+        // are each spent when the run starts: the verdict is `Timeout`, no
+        // counter moves and no cache is touched.
+        use crate::Budget;
+        let spent = [
+            Budget { max_entailment_calls: Some(0), ..Budget::default() },
+            Budget::with_time_limit(std::time::Duration::ZERO),
+            Budget { deadline: Some(std::time::Instant::now()), ..Budget::default() },
+        ];
+        for check in [CheckKind::Check1, CheckKind::Check2] {
+            for budget in spent {
+                let mut session = ProverSession::from_source(RUNNING).unwrap();
+                let cut =
+                    session.prove(&ProverConfig::builder().check(check).budget(budget).build());
+                let case = format!("{check} with {budget:?}");
+                assert!(cut.timed_out(), "{case}: {:?}", cut.verdict);
+                assert_eq!(cut.stats, ProveStats::default(), "{case}");
+                let Caches { entail, resolutions, initials, reach, restricted, evidence, .. } =
+                    &session.caches;
+                assert_eq!(entail.lookups, 0, "{case}");
+                assert!(resolutions.is_empty() && initials.is_empty(), "{case}");
+                assert!(reach.is_none() && restricted.is_empty() && evidence.is_empty(), "{case}");
+            }
+        }
+        // A sweep whose deadline has passed records every cell as timed out.
+        let mut late = quick_sweep();
+        for config in &mut late {
+            config.budget.deadline = Some(std::time::Instant::now());
+        }
+        let report = ProverSession::from_source(RUNNING).unwrap().sweep(&late, usize::MAX);
+        assert_eq!(report.outcomes.len(), late.len());
+        assert!(report.outcomes.iter().all(|o| o.timed_out && !o.proved), "{report:?}");
     }
 
     #[test]

@@ -132,6 +132,7 @@ pub fn default_portfolio() -> Vec<ProverConfig> {
     let budget = Budget {
         time_limit: Some(std::time::Duration::from_millis(1_200)),
         max_entailment_calls: Some(800),
+        deadline: None,
     };
     vec![
         ProverConfig::builder()

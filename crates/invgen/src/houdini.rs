@@ -151,13 +151,6 @@ pub fn synthesize_invariant(
     }
 
     // Houdini fixpoint: drop atoms that are not preserved by some transition.
-    // The unprimed → primed rename is a fixed map of the system, and the
-    // fixpoint only ever *removes* atoms, so each atom's primed form is
-    // computed once here and carried through the sweeps in a parallel list
-    // instead of being re-renamed per transition per iteration.
-    let prime = |atom: &Poly| {
-        atom.rename(&|v| if ts.vars().is_unprimed(v) { ts.vars().primed(v.index()) } else { v })
-    };
     // Candidates are non-constant and range over unprimed variables, so a
     // primed candidate holds a primed variable: it can be one of the
     // transition's relation atoms verbatim but never a source atom, and the
@@ -168,8 +161,15 @@ pub fn synthesize_invariant(
         }),
         "candidate atoms must be non-constant and range over unprimed variables"
     );
-    let mut primed_sets: Vec<Vec<Poly>> =
-        atom_sets.iter().map(|set| set.iter().map(prime).collect()).collect();
+    // The unprimed → primed rename is a fixed map of the system, and the
+    // fixpoint only ever *removes* atoms, so each atom's primed form is
+    // computed once here and carried through the sweeps in a parallel list
+    // instead of being re-renamed per transition per iteration.
+    let vars = ts.vars();
+    let mut primed_sets: Vec<Vec<Poly>> = atom_sets
+        .iter()
+        .map(|set| set.iter().map(|atom| vars.prime_poly(atom)).collect())
+        .collect();
     // A transition's premises are its source's atoms followed by its relation
     // atoms, so they change only when the source's atom set shrinks.
     // `versions` counts those shrinks per location; each transition keeps its

@@ -160,13 +160,7 @@ pub fn discharge_consecution(
         if disjuncts.is_empty() || !include(t) {
             continue;
         }
-        let target_pred_primed = map.at(t.target).rename(&|v| {
-            if ts.vars().is_unprimed(v) {
-                ts.vars().primed(v.index())
-            } else {
-                v
-            }
-        });
+        let target_pred_primed = map.at(t.target).rename(&|v| ts.vars().prime(v));
         for (j, disjunct) in disjuncts.iter().enumerate() {
             let mut premises: Vec<Poly> = disjunct.atoms().to_vec();
             premises.extend(t.relation.atoms().iter().cloned());

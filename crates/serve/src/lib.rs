@@ -34,18 +34,20 @@
 //!
 //! A verdict served by the daemon is bitwise-identical to the in-process
 //! verdict for the same request: prove requests route through
-//! [`revterm::ProverSession::prove_first_with_deadline`], which *is*
-//! `prove_first` when the request carries no deadline, and session caches
-//! are pure memo tables.  The `serve_smoke` bench and the integration tests
+//! [`revterm::ProverSession::prove_first`] and sweep requests through
+//! [`revterm::ProverSession::sweep`], the in-process entry points
+//! themselves, and session caches are pure memo tables.  The `serve_smoke` bench and the integration tests
 //! check the [`revterm::outcome_digest`] fingerprints across the boundary.
 //!
 //! # Deadlines
 //!
-//! Per-request deadlines are cooperative: the remaining time is folded into
-//! each configuration's [`revterm::Budget`] and checked at candidate
-//! boundaries inside the prover, so a timed-out request reports a
-//! structured `timeout` verdict and leaves the pooled session fully
-//! consistent — never a poisoned session, never a killed worker.
+//! Per-request deadlines are cooperative: a request's `deadline_ms` is
+//! written into each configuration's [`revterm::Budget`] as
+//! [`revterm::Budget::deadline`], the one limit the prover polls (before a
+//! run starts, at candidate boundaries and between Houdini batches), so a
+//! timed-out request reports a structured `timeout` verdict and leaves the
+//! pooled session fully consistent — never a poisoned session, never a
+//! killed worker.
 
 #![warn(missing_docs)]
 

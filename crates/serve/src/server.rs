@@ -297,21 +297,19 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
             })
         }
         RequestBody::Prove { source, configs, deadline_ms } => {
-            let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            let configs = default_if_empty(configs, revterm::quick_sweep);
+            let configs = request_configs(configs, revterm::quick_sweep, deadline_ms);
             let (key, mut session, pool_hit) = checkout_source(&shared.pool, &source)?;
-            let result = session.prove_first_with_deadline(&configs, deadline);
+            let result = session.prove_first(&configs);
             let outcome = WireOutcome::from_result(&result, session.ts());
             shared.metrics.lock().expect("metrics poisoned").record_prove_stats(&result.stats);
             shared.pool.lock().expect("pool poisoned").checkin(key, session);
             Ok(ResponseBody::Proved { outcome, pool_hit, program_hash: key })
         }
         RequestBody::Sweep { source, configs, stop_after, deadline_ms } => {
-            let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            let configs = default_if_empty(configs, revterm::degree1_sweep);
+            let configs = request_configs(configs, revterm::degree1_sweep, deadline_ms);
             let stop_after = if stop_after == 0 { usize::MAX } else { stop_after };
             let (key, mut session, pool_hit) = checkout_source(&shared.pool, &source)?;
-            let report = session.sweep_with_deadline(&configs, stop_after, deadline);
+            let report = session.sweep(&configs, stop_after);
             let outcomes = sweep_to_outcomes(&report);
             {
                 let mut metrics = shared.metrics.lock().expect("metrics poisoned");
@@ -348,13 +346,18 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
     }
 }
 
-fn default_if_empty(
+/// The configurations a request runs: its own, or `default()` when it sent
+/// none, each with the request's `deadline_ms` written into its
+/// [`revterm::Budget`] (so every configuration shares one deadline).
+fn request_configs(
     configs: Vec<ProverConfig>,
     default: fn() -> Vec<ProverConfig>,
+    deadline_ms: Option<u64>,
 ) -> Vec<ProverConfig> {
-    if configs.is_empty() {
-        default()
-    } else {
-        configs
+    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let mut configs = if configs.is_empty() { default() } else { configs };
+    for config in &mut configs {
+        config.budget.deadline = deadline;
     }
+    configs
 }

@@ -112,9 +112,6 @@ pub struct EntailmentOptions {
     pub max_product_size: usize,
     /// Maximal total degree of a product that is kept.
     pub max_product_degree: u32,
-    /// Also attempt to show that the premises are unsatisfiable over the
-    /// reals (in which case any conclusion is entailed).
-    pub use_unsat_fallback: bool,
     /// Which simplex engine discharges the multiplier LPs. Verdicts and
     /// witnesses do not depend on the choice; only [`LpEngine::Revised`]
     /// warm-starts from the bases an [`EntailmentCache`] stores.
@@ -136,7 +133,6 @@ impl Default for EntailmentOptions {
         EntailmentOptions {
             max_product_size: 2,
             max_product_degree: 4,
-            use_unsat_fallback: true,
             lp_engine: LpEngine::Revised,
             interval_fast_path: true,
         }
@@ -516,12 +512,10 @@ fn entails_with_witness_impl(
     {
         return Some(witness);
     }
-    if opts.use_unsat_fallback {
-        // The refutation LP runs over the product list just built.
-        return negative_premise(premises)
-            .or_else(|| combination_witness(&products, &Poly::constant_i64(-1), opts, lp_cache));
-    }
-    None
+    // Unsat fallback: premises that are unsatisfiable over the reals entail
+    // any conclusion. The refutation LP runs over the product list just built.
+    negative_premise(premises)
+        .or_else(|| combination_witness(&products, &Poly::constant_i64(-1), opts, lp_cache))
 }
 
 /// Checks whether the premises entail the conclusion.

@@ -1,27 +1,8 @@
-//! Graph algorithms on the location graph of a transition system.
-//!
-//! These are used by the invariant-generation layer (templates are placed at
-//! cutpoints), by the baseline provers (SCC enumeration, lasso search) and by
-//! the benchmark harness (structural statistics).
+//! Strongly connected components of the location graph of a transition
+//! system, which the baseline provers enumerate to find the cycles a
+//! non-terminating run can stay in.
 
 use crate::system::{Loc, TransitionSystem};
-use std::collections::BTreeSet;
-
-/// Locations reachable from the initial location in the location graph
-/// (ignoring transition relations).
-pub fn reachable_locs(ts: &TransitionSystem) -> BTreeSet<Loc> {
-    let mut seen = BTreeSet::new();
-    let mut stack = vec![ts.init_loc()];
-    while let Some(loc) = stack.pop() {
-        if !seen.insert(loc) {
-            continue;
-        }
-        for t in ts.transitions_from(loc) {
-            stack.push(t.target);
-        }
-    }
-    seen
-}
 
 /// Strongly connected components of the location graph, in reverse
 /// topological order (Tarjan's algorithm, iterative formulation).
@@ -104,76 +85,6 @@ pub fn cyclic_sccs(ts: &TransitionSystem) -> Vec<Vec<Loc>> {
         .collect()
 }
 
-/// Cutpoints: a set of locations that intersects every cycle of the location
-/// graph (computed as the targets of DFS back edges from the initial
-/// location, plus self-loop locations).  These are the locations at which the
-/// invariant-generation layer places predicate templates, following the
-/// standard practice referenced by the paper (Section 6).
-pub fn cutpoints(ts: &TransitionSystem) -> BTreeSet<Loc> {
-    let n = ts.num_locs();
-    let mut color = vec![0u8; n]; // 0 = white, 1 = grey, 2 = black
-    let mut cut = BTreeSet::new();
-    // Explicit DFS.
-    let mut stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-    let succs =
-        |v: usize| -> Vec<usize> { ts.transitions_from(Loc(v)).map(|t| t.target.0).collect() };
-    for start in (0..n).map(|i| (ts.init_loc().0 + i) % n) {
-        if color[start] != 0 {
-            continue;
-        }
-        color[start] = 1;
-        stack.push((start, succs(start), 0));
-        while let Some((v, children, mut ci)) = stack.pop() {
-            let mut descended = false;
-            while ci < children.len() {
-                let w = children[ci];
-                ci += 1;
-                if color[w] == 0 {
-                    color[w] = 1;
-                    stack.push((v, children, ci));
-                    stack.push((w, succs(w), 0));
-                    descended = true;
-                    break;
-                } else if color[w] == 1 {
-                    // Back edge: w is on the current DFS path.
-                    cut.insert(Loc(w));
-                }
-            }
-            if !descended {
-                color[v] = 2;
-            }
-        }
-    }
-    cut
-}
-
-/// Simple structural statistics of a transition system, used by the
-/// benchmark harness tables.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GraphStats {
-    /// Number of locations.
-    pub locations: usize,
-    /// Number of transitions.
-    pub transitions: usize,
-    /// Number of non-deterministic assignment transitions.
-    pub ndet_transitions: usize,
-    /// Number of non-trivial (cyclic) SCCs.
-    pub cyclic_sccs: usize,
-    /// Number of cutpoints.
-    pub cutpoints: usize,
-}
-
-/// Computes [`GraphStats`] for a system.
-pub fn stats(ts: &TransitionSystem) -> GraphStats {
-    GraphStats {
-        locations: ts.num_locs(),
-        transitions: ts.transitions().len(),
-        ndet_transitions: ts.ndet_transitions().count(),
-        cyclic_sccs: cyclic_sccs(ts).len(),
-        cutpoints: cutpoints(ts).len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,13 +93,6 @@ mod tests {
 
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
-
-    #[test]
-    fn reachability_covers_all_lowered_locations() {
-        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
-        let reach = reachable_locs(&ts);
-        assert_eq!(reach.len(), ts.num_locs());
-    }
 
     #[test]
     fn sccs_partition_locations() {
@@ -219,31 +123,5 @@ mod tests {
         let cyc = cyclic_sccs(&ts);
         assert_eq!(cyc.len(), 1);
         assert_eq!(cyc[0], vec![ts.terminal_loc()]);
-    }
-
-    #[test]
-    fn cutpoints_cover_loop_heads() {
-        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
-        let cps = cutpoints(&ts);
-        // Both loop heads plus the terminal self-loop location are cutpoints.
-        assert!(cps.contains(&ts.init_loc()));
-        assert!(cps.contains(&ts.terminal_loc()));
-        assert!(cps.len() >= 3);
-        // Removing the cutpoints breaks every cycle: check that every cyclic
-        // SCC intersects the cutpoint set.
-        for c in cyclic_sccs(&ts) {
-            assert!(c.iter().any(|l| cps.contains(l)), "scc {c:?} not covered");
-        }
-    }
-
-    #[test]
-    fn stats_are_consistent() {
-        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
-        let s = stats(&ts);
-        assert_eq!(s.locations, ts.num_locs());
-        assert_eq!(s.transitions, ts.transitions().len());
-        assert_eq!(s.ndet_transitions, 1);
-        assert!(s.cutpoints >= 2);
-        assert!(s.cyclic_sccs >= 1);
     }
 }

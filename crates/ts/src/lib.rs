@@ -17,7 +17,8 @@
 //!   type `(c, d)` used for invariants and backward invariants.
 //! * [`interp`] — a concrete-semantics interpreter used by the bounded
 //!   safety prover and by the test suite as ground truth.
-//! * [`graph`] — SCCs, reachability and cutpoints of the location graph.
+//! * [`graph`] — SCCs of the location graph, which the baseline provers
+//!   enumerate.
 //!
 //! # Example
 //!

@@ -127,16 +127,20 @@ impl VarTable {
         p.rename(&|v| self.swap_primes(v))
     }
 
+    /// Maps an unprimed program variable to its primed counterpart; other
+    /// variables are unchanged.
+    pub fn prime(&self, v: Var) -> Var {
+        if self.is_unprimed(v) {
+            self.primed(v.index())
+        } else {
+            v
+        }
+    }
+
     /// Renames unprimed program variables to primed ones (other variables are
     /// unchanged).
     pub fn prime_poly(&self, p: &Poly) -> Poly {
-        p.rename(&|v| {
-            if self.is_unprimed(v) {
-                self.primed(v.index())
-            } else {
-                v
-            }
-        })
+        p.rename(&|v| self.prime(v))
     }
 
     /// Human-readable name of a variable (`x` or `x'`), falling back to the
@@ -222,6 +226,9 @@ mod tests {
         let p = Poly::var(Var(0)) + Poly::var(Var(1)).scale(&rat(2));
         let q = t.prime_poly(&p);
         assert_eq!(q.vars(), vec![Var(2), Var(3)]);
+        // Primed and non-program variables are left alone.
+        assert_eq!(t.prime(Var(1)), Var(3));
+        assert_eq!([t.prime(Var(3)), t.prime(Var(7))], [Var(3), Var(7)]);
     }
 
     #[test]

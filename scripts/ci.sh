@@ -8,7 +8,9 @@
 #
 # The workspace has zero external crates by design; CARGO_NET_OFFLINE makes
 # any accidental dependency addition fail loudly instead of hitting the
-# network.
+# network. Every cargo step that resolves dependencies runs with --locked,
+# in both workspaces, so a change that would rewrite Cargo.lock or
+# perfbench/Cargo.lock fails the gate instead of silently editing it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,45 +30,45 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 # The benchmark in perfbench/ is a cargo workspace of its own, so the two
 # steps above never look at it; format-check and lint it separately.
 echo "==> cargo fmt --check (perfbench)"
 cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
-echo "==> cargo clippy --all-targets -- -D warnings (perfbench)"
-cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+echo "==> cargo clippy --locked --all-targets -- -D warnings (perfbench)"
+cargo clippy --locked --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Docs gate: rustdoc must be warning-free (this catches broken intra-doc
 # links workspace-wide, which plain builds do not).
-echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+echo "==> cargo doc --locked --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --quiet
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --locked --release"
+cargo build --locked --release
 
 # The benchmark in perfbench/ is a cargo workspace of its own, so the
 # workspace build above does not compile it; it links the prover's public
 # API (validate_certificate, ProveStats, LpStats), so build it here to catch
 # breaking changes to that API.
-echo "==> cargo build --release (perfbench)"
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> cargo build --locked --release (perfbench)"
+cargo build --locked --release --offline --manifest-path perfbench/Cargo.toml
 
 # The dev profile keeps debug-assertions on (opt-level is raised but
 # debug_assert! stays live), so this run exercises the canonical-form
 # invariant checks in Poly/LinExpr and the eta-file pivot assertions —
 # release builds compile them out.
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --locked -q"
+cargo test --locked -q
 
 # The benchmark's own tests pin its determinism contract: the running
 # example's degree-1 sweep costs 887 LP solves with 2 warm hits, and every
 # traced count repeats run to run. A prover change that keeps the work the
 # same keeps them green.
-echo "==> cargo test --release (perfbench)"
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> cargo test --locked --release (perfbench)"
+cargo test --locked --release --offline --manifest-path perfbench/Cargo.toml
 
 if $run_bench_smoke; then
     # Bench smoke: two cheap benchmarks through the session-vs-fresh harness
@@ -78,7 +80,7 @@ if $run_bench_smoke; then
     # compared with fresh searches on every run.
     echo "==> bench smoke (session_vs_fresh nt_counter_up paper_fig2_small)"
     mkdir -p target/ci-artifacts
-    cargo run --release -q -p revterm-bench --bin session_vs_fresh nt_counter_up paper_fig2_small \
+    cargo run --locked --release -q -p revterm-bench --bin session_vs_fresh nt_counter_up paper_fig2_small \
         | tee target/ci-artifacts/bench-smoke.json
 
     # LP-engine + poly-kernel smoke: num_profile with a small microloop runs
@@ -94,7 +96,7 @@ if $run_bench_smoke; then
     # (no fast paths and no prunes taken), or on any absint path taken while
     # the pre-analysis is disabled.
     echo "==> bench smoke (num_profile 30)"
-    cargo run --release -q -p revterm-bench --bin num_profile 30 \
+    cargo run --locked --release -q -p revterm-bench --bin num_profile 30 \
         | tee target/ci-artifacts/num-profile.json
 
     # The pinned digests. num_profile only checks that its two engines
@@ -117,7 +119,7 @@ if $run_bench_smoke; then
     # healthy, and sweep/analyze/metrics/shutdown flowing over the protocol.
     # Leaves a JSON latency artifact next to the other smoke outputs.
     echo "==> serve smoke (serve_smoke)"
-    cargo run --release -q -p revterm-bench --bin serve_smoke \
+    cargo run --locked --release -q -p revterm-bench --bin serve_smoke \
         | tee target/ci-artifacts/serve-smoke.json
 
     # Fuzz smoke: a fixed-seed batch of 500 generated labelled programs,
@@ -129,7 +131,7 @@ if $run_bench_smoke; then
     # programs are auto-minimized by the shrinker and embedded in the JSON
     # artifact.
     echo "==> fuzz smoke (fuzz_drive 500)"
-    cargo run --release -q -p revterm-bench --bin fuzz_drive 500 \
+    cargo run --locked --release -q -p revterm-bench --bin fuzz_drive 500 \
         | tee target/ci-artifacts/fuzz-smoke.json
 fi
 

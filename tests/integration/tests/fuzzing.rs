@@ -2,7 +2,7 @@
 //! deadline behaviour on generated programs, and the injected-flip demo that
 //! proves the differential harness catches a lying prover end to end.
 
-use revterm::{outcome_digest, ProverSession};
+use revterm::{outcome_digest, ProverConfig, ProverSession};
 use revterm_fuzzgen::{
     default_portfolio, differential, generate_batch, load_dir, shrink, DiffOptions, FailureKind,
     GenConfig,
@@ -13,6 +13,16 @@ use std::time::{Duration, Instant};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../fuzz_regressions")
+}
+
+/// The fuzzing portfolio with `deadline` written into every configuration's
+/// budget, the way the daemon and the CLI apply a request deadline.
+fn portfolio_until(deadline: Instant) -> Vec<ProverConfig> {
+    let mut portfolio = default_portfolio();
+    for config in &mut portfolio {
+        config.budget.deadline = Some(deadline);
+    }
+    portfolio
 }
 
 /// Every checked-in repro file must load, and replaying it through the full
@@ -53,7 +63,7 @@ fn expired_deadline_is_structured_timeout_and_does_not_poison_session() {
     for g in generate_batch(0xdead_11fe, 10, &GenConfig::default()) {
         let ts = revterm_ts::lower(&g.program).expect("generated programs lower");
         let mut session = ProverSession::new(ts.clone());
-        let cut = session.prove_first_with_deadline(&portfolio, Some(Instant::now()));
+        let cut = session.prove_first(&portfolio_until(Instant::now()));
         assert!(cut.timed_out(), "seed {:016x}: 0-ms deadline must time out", g.seed);
         assert!(cut.certificate().is_none());
 
@@ -81,8 +91,7 @@ fn midrun_deadline_is_structured_timeout_and_does_not_poison_session() {
     let ts = revterm_ts::lower(&case.program).expect("corpus programs lower");
     let portfolio = default_portfolio();
     let mut session = ProverSession::new(ts.clone());
-    let cut = session
-        .prove_first_with_deadline(&portfolio, Some(Instant::now() + Duration::from_millis(1)));
+    let cut = session.prove_first(&portfolio_until(Instant::now() + Duration::from_millis(1)));
     assert!(cut.timed_out(), "1-ms deadline must cut this program mid-run");
 
     let warm = session.prove_first(&portfolio);
