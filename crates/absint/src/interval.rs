@@ -136,6 +136,18 @@ impl Interval {
         self.hi.as_ref()
     }
 
+    /// Replaces the lower bound; the caller keeps it at most the upper one.
+    pub(crate) fn set_lo(&mut self, lo: Rat) {
+        debug_assert!(self.hi.as_ref().is_none_or(|h| &lo <= h), "interval would be empty");
+        self.lo = Some(lo);
+    }
+
+    /// Replaces the upper bound; the caller keeps it at least the lower one.
+    pub(crate) fn set_hi(&mut self, hi: Rat) {
+        debug_assert!(self.lo.as_ref().is_none_or(|l| l <= &hi), "interval would be empty");
+        self.hi = Some(hi);
+    }
+
     /// Is this the unconstrained interval?
     pub fn is_top(&self) -> bool {
         self.lo.is_none() && self.hi.is_none()

@@ -15,11 +15,16 @@
 //!    variables, unreachable locations, constant guards).
 //!
 //! 2. **Premise closure** — [`close_premises`] interval-closes one
-//!    entailment query's premise set.  Because every bound it derives is an
-//!    explicit nonnegative (Farkas) combination of the premises, a positive
-//!    answer from [`PremiseClosure::entails`] is *guaranteed* to agree with
-//!    the multiplier LP, so Houdini and the blocked-transition check use it
-//!    to skip LP solves outright (`absint_fast_paths` in `LpStats`).
+//!    entailment query's premise set.  Every bound it derives is an
+//!    explicit nonnegative (Farkas) combination of the premises, and the
+//!    closure records it: a positive answer from
+//!    [`PremiseClosure::entails`] comes with that combination
+//!    ([`PremiseClosure::combination`], a [`FarkasCombination`]) and a
+//!    contradiction with its refutation, so the answer is *guaranteed* to
+//!    agree with the multiplier LP.  Houdini and the blocked-transition check
+//!    use it to skip LP solves outright (`absint_fast_paths` in `LpStats`);
+//!    certificate evidence generation ships its combinations, which the
+//!    exact check verifies, and solves an LP only for what it cannot decide.
 //!
 //! Both are **sound pruning only**: the facts may only skip work whose
 //! outcome is already forced, never change a verdict, certificate, or perf
@@ -72,5 +77,7 @@ mod closure;
 mod interval;
 
 pub use analysis::{analyze, analyze_from, diagnostics, AbstractState, Diagnostics};
-pub use closure::{close_premises, IntervalEnv, PremiseClosure, CLOSURE_ROUNDS};
+pub use closure::{
+    close_premises, FarkasCombination, IntervalEnv, PremiseClosure, Refutation, CLOSURE_ROUNDS,
+};
 pub use interval::{Interval, SignFact};

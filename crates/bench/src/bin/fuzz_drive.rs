@@ -30,7 +30,7 @@ use revterm_fuzzgen::{
     KnownLabel, ReproCase,
 };
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const DEFAULT_COUNT: usize = 500;
 const DEFAULT_SEED: u64 = 0x5eed_f22d;
@@ -95,6 +95,7 @@ fn main() {
     let mut proved_nt = 0u64;
     let mut label_nt_proved = 0u64;
     let mut timeouts = 0u64;
+    let mut validate_time = Duration::ZERO;
     let mut failing = Vec::new();
 
     for g in &batch {
@@ -120,6 +121,7 @@ fn main() {
         if report.timed_out {
             timeouts += 1;
         }
+        validate_time += report.validate_time;
         if report.passed() {
             continue;
         }
@@ -212,6 +214,7 @@ fn main() {
             ),
         ),
         ("elapsed_ms", Json::from(elapsed_ms)),
+        ("validate_ms", Json::from(validate_time.as_millis() as u64)),
     ]);
     println!("{json}");
 

@@ -128,6 +128,7 @@
 //! | `failure_counts` | oracle failures by kind (`verdict-mismatch` / `invalid-certificate` / `digest-divergence`) |
 //! | `failing` | per-failure records: seed, family, label, failure details, shrunk repro source |
 //! | `elapsed_ms` | wall-clock for the whole batch |
+//! | `validate_ms` | wall-clock the certificate-validation oracle spent (`validate_certificate` on each primary certificate), part of `elapsed_ms`; the shrinker's re-runs are not counted |
 
 use revterm::{ProverConfig, SweepReport};
 use revterm_baselines::{BaselineProver, BaselineVerdict, RankingProver};

@@ -106,17 +106,29 @@ pub fn certificate_digest(cert: &crate::NonTerminationCertificate, ts: &Transiti
 /// The fingerprint of a whole [`ProofResult`]: the verdict kind, the
 /// configuration label and (for proofs) the [`certificate_digest`].
 pub fn outcome_digest(result: &ProofResult, ts: &TransitionSystem) -> u64 {
+    let certificate = result.certificate().map(|cert| certificate_digest(cert, ts));
+    fold_outcome_digest(&result.config_label, verdict_name(&result.verdict), certificate)
+}
+
+/// The outcome fingerprint from its parts: the configuration label, the
+/// wire verdict and, for a proof, its [`certificate_digest`].
+fn fold_outcome_digest(label: &str, verdict: &str, certificate: Option<u64>) -> u64 {
     let mut hasher = revterm_num::Fnv64::new();
-    result.config_label.hash(&mut hasher);
-    match &result.verdict {
-        Verdict::NonTerminating(cert) => {
-            "non-terminating".hash(&mut hasher);
-            certificate_digest(cert, ts).hash(&mut hasher);
-        }
-        Verdict::Unknown => "unknown".hash(&mut hasher),
-        Verdict::Timeout => "timeout".hash(&mut hasher),
+    label.hash(&mut hasher);
+    verdict.hash(&mut hasher);
+    if let Some(digest) = certificate {
+        digest.hash(&mut hasher);
     }
     hasher.finish()
+}
+
+/// The wire name of a verdict.
+fn verdict_name(verdict: &Verdict) -> &'static str {
+    match verdict {
+        Verdict::NonTerminating(_) => "non-terminating",
+        Verdict::Unknown => "unknown",
+        Verdict::Timeout => "timeout",
+    }
 }
 
 /// Renders a `u64` fingerprint in the fixed-width hex form used on the wire.
@@ -511,24 +523,24 @@ pub struct WireOutcome {
 }
 
 impl WireOutcome {
-    /// Builds the wire outcome of an in-process [`ProofResult`].
+    /// Builds the wire outcome of an in-process [`ProofResult`]. The
+    /// certificate is rendered and hashed once: its digest is folded into
+    /// the [`outcome_digest`] as well.
     pub fn from_result(result: &ProofResult, ts: &TransitionSystem) -> WireOutcome {
-        let verdict = match &result.verdict {
-            Verdict::NonTerminating(_) => "non-terminating",
-            Verdict::Unknown => "unknown",
-            Verdict::Timeout => "timeout",
-        };
+        let verdict = verdict_name(&result.verdict);
+        let certificate = result.certificate().map(|cert| WireCertificate {
+            check: cert.check_kind(),
+            digest: certificate_digest(cert, ts),
+            summary: cert.summary(ts),
+        });
+        let digest = certificate.as_ref().map(|cert| cert.digest);
         WireOutcome {
             label: result.config_label.clone(),
             verdict: verdict.to_string(),
-            digest: outcome_digest(result, ts),
+            digest: fold_outcome_digest(&result.config_label, verdict, digest),
             elapsed_us: result.elapsed.as_micros() as u64,
             stats: result.stats,
-            certificate: result.certificate().map(|cert| WireCertificate {
-                check: cert.check_kind(),
-                digest: certificate_digest(cert, ts),
-                summary: cert.summary(ts),
-            }),
+            certificate,
         }
     }
 
@@ -791,13 +803,10 @@ pub fn sweep_to_outcomes(report: &SweepReport) -> Vec<WireOutcome> {
             } else {
                 "unknown"
             };
-            let mut hasher = revterm_num::Fnv64::new();
-            o.label.hash(&mut hasher);
-            verdict.hash(&mut hasher);
             WireOutcome {
                 label: o.label.clone(),
                 verdict: verdict.to_string(),
-                digest: hasher.finish(),
+                digest: fold_outcome_digest(&o.label, verdict, None),
                 elapsed_us: o.elapsed.as_micros() as u64,
                 stats: o.stats,
                 certificate: None,
@@ -1118,6 +1127,33 @@ mod tests {
         assert_eq!(hex_digest(0xabc), "0000000000000abc");
         assert_eq!(parse_hex_digest("0000000000000abc").unwrap(), 0xabc);
         assert!(parse_hex_digest("zz").is_err());
+    }
+
+    #[test]
+    fn wire_outcomes_carry_the_digests_of_their_results() {
+        let mut session = ProverSession::from_source("while x >= 0 do x := x + 1; od").unwrap();
+        let check2 = ProverConfig::builder().check(CheckKind::Check2).build();
+        let proofs = [session.prove(&ProverConfig::default()), session.prove(&check2)];
+        let kinds: Vec<CheckKind> =
+            proofs.iter().map(|r| r.certificate().unwrap().check_kind()).collect();
+        assert_eq!(kinds, [CheckKind::Check1, CheckKind::Check2]);
+        let without_proof = |verdict| ProofResult {
+            verdict,
+            elapsed: Duration::ZERO,
+            config_label: proofs[0].config_label.clone(),
+            stats: ProveStats::default(),
+        };
+        let others = [without_proof(Verdict::Unknown), without_proof(Verdict::Timeout)];
+        for result in proofs.into_iter().chain(others) {
+            let wire = WireOutcome::from_result(&result, session.ts());
+            assert_eq!(wire.digest, outcome_digest(&result, session.ts()), "{}", wire.verdict);
+            assert_eq!(
+                wire.certificate.map(|cert| cert.digest),
+                result.certificate().map(|cert| certificate_digest(cert, session.ts())),
+                "{}",
+                wire.verdict
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,13 @@
 //! A certificate's entailment obligations — consecution of its invariants,
 //! initiation, `Θ ⊆ BI(ℓ_out)` — are walked in one fixed order by
 //! `for_each_obligation`. *Evidence generation* discharges each of them
-//! with fresh, cache-free LPs and keeps what discharged it: the premise
-//! that matches an atom verbatim, or the sparse Farkas/Handelman
-//! multipliers ([`revterm_invgen::Discharge`]). The *exact check* walks the
+//! with [`revterm_invgen::discharge_predicate`] — the interval closure
+//! first, a fresh, cache-free LP for the rest — and keeps what discharged
+//! it: the premise that matches an atom verbatim, the closure's combination
+//! of single premises, or the sparse Farkas/Handelman multipliers of an LP
+//! ([`revterm_invgen::Discharge`]). Every answer is the one LP-only
+//! generation gives (with the fast path off, it is LP-only); only the
+//! multipliers differ, and they are in no digest. The *exact check* walks the
 //! same obligations again and accepts each only if its evidence certifies
 //! it with `Poly`/`Rat` arithmetic, then replays the concrete conditions
 //! (Check 1's initial valuation, Check 2's witness path). It never calls the
@@ -158,9 +162,10 @@ impl std::error::Error for CertificateError {}
 /// evidence generation followed by the exact check (see the module docs).
 ///
 /// This check is independent of the synthesis machinery and of any session
-/// state: it only uses the exact entailment oracle, `Poly`/`Rat` arithmetic
-/// and the concrete semantics, so a bug in the synthesis heuristics cannot
-/// silently produce an incorrect verdict.
+/// state: evidence comes from the interval closure first and a cold LP for
+/// the rest, and the verdict from `Poly`/`Rat` arithmetic and the concrete
+/// semantics alone, so a bug in the synthesis heuristics — or in the
+/// closure or the LP — cannot silently produce an incorrect verdict.
 pub fn validate_certificate(
     ts: &TransitionSystem,
     certificate: &NonTerminationCertificate,
@@ -206,8 +211,9 @@ impl EvidenceKey {
 }
 
 /// The first half of validation: discharges every entailment obligation of
-/// `certificate` with fresh LPs (no session cache is involved) and keeps the
-/// evidence, or reports the first obligation that does not hold.
+/// `certificate` — the interval closure first, a fresh LP for the rest (no
+/// session cache is involved) — and keeps the evidence, or reports the
+/// first obligation that does not hold.
 pub(crate) fn generate_evidence(
     ts: &TransitionSystem,
     certificate: &NonTerminationCertificate,
@@ -703,28 +709,38 @@ mod tests {
         variants
     }
 
+    /// `opts` with the interval fast path off: every obligation's evidence
+    /// comes from an LP.
+    fn lp_only(opts: &EntailmentOptions) -> EntailmentOptions {
+        EntailmentOptions { interval_fast_path: false, ..opts.clone() }
+    }
+
     /// Checks `certificate` against its own evidence, against every tampered
     /// variant of it, and against the evidence of `other`, a different valid
-    /// certificate of the same program.
+    /// certificate of the same program — once with the closure's evidence
+    /// and once with LP-only evidence.
     fn assert_checker_rejects_tampering(
         ts: &TransitionSystem,
         certificate: &NonTerminationCertificate,
         other: &NonTerminationCertificate,
     ) {
-        let opts = EntailmentOptions::default();
-        let evidence = generate_evidence(ts, certificate, &opts).unwrap();
-        assert_eq!(check_evidence(ts, certificate, &evidence), Ok(()));
-        for (defect, tampered) in tampered_variants(&evidence) {
-            assert_ne!(tampered, evidence, "{defect}: the variant is unchanged");
-            assert!(check_evidence(ts, certificate, &tampered).is_err(), "{defect} was accepted");
+        let closure = EntailmentOptions::default();
+        for opts in [lp_only(&closure), closure] {
+            let evidence = generate_evidence(ts, certificate, &opts).unwrap();
+            assert_eq!(check_evidence(ts, certificate, &evidence), Ok(()));
+            for (defect, tampered) in tampered_variants(&evidence) {
+                assert_ne!(tampered, evidence, "{defect}: the variant is unchanged");
+                let verdict = check_evidence(ts, certificate, &tampered);
+                assert!(verdict.is_err(), "{defect} was accepted under {opts:?}");
+            }
+            assert_ne!(EvidenceKey::of(certificate, &opts), EvidenceKey::of(other, &opts));
+            let foreign = generate_evidence(ts, other, &opts).unwrap();
+            assert_eq!(check_evidence(ts, other, &foreign), Ok(()));
+            assert!(
+                check_evidence(ts, certificate, &foreign).is_err(),
+                "evidence of another certificate was accepted under {opts:?}"
+            );
         }
-        assert_ne!(EvidenceKey::of(certificate, &opts), EvidenceKey::of(other, &opts));
-        let foreign = generate_evidence(ts, other, &opts).unwrap();
-        assert_eq!(check_evidence(ts, other, &foreign), Ok(()));
-        assert!(
-            check_evidence(ts, certificate, &foreign).is_err(),
-            "evidence of another certificate was accepted"
-        );
     }
 
     #[test]
@@ -741,5 +757,87 @@ mod tests {
         // A wider template finds a different Θ and BI for the same program.
         let (cert, other) = (fig2_small_certificate(&ts, 1), fig2_small_certificate(&ts, 2));
         assert_checker_rejects_tampering(&ts, &cert, &other);
+    }
+
+    /// `map` without the first atom of the first nonempty conjunction at a
+    /// location other than `ℓ_out`, if there is one.
+    fn drop_one_atom(ts: &TransitionSystem, map: &PredicateMap) -> Option<PredicateMap> {
+        let (loc, pred) = map.iter().find(|(loc, pred)| {
+            *loc != ts.terminal_loc() && pred.disjuncts().iter().any(|d| !d.is_empty())
+        })?;
+        let mut disjuncts = pred.disjuncts().to_vec();
+        let conjunction = disjuncts.iter_mut().find(|d| !d.is_empty())?;
+        *conjunction = Assertion::from_polys(conjunction.atoms()[1..].iter().cloned());
+        let mut tampered = map.clone();
+        tampered.set(loc, PropPredicate::from_disjuncts(disjuncts));
+        Some(tampered)
+    }
+
+    /// A certificate and its tampered versions: one atom dropped from each
+    /// predicate map, and (Check 2) Θ replaced by the tautology.
+    fn with_tampered_versions(
+        ts: &TransitionSystem,
+        certificate: &NonTerminationCertificate,
+    ) -> Vec<NonTerminationCertificate> {
+        let mut versions = vec![certificate.clone()];
+        match certificate {
+            NonTerminationCertificate::Check1(c) => {
+                if let Some(invariant) = drop_one_atom(ts, &c.invariant) {
+                    let tampered = Check1Certificate { invariant, ..c.clone() };
+                    versions.push(NonTerminationCertificate::Check1(tampered));
+                }
+            }
+            NonTerminationCertificate::Check2(c) => {
+                if let Some(tilde_invariant) = drop_one_atom(ts, &c.tilde_invariant) {
+                    let tampered = Check2Certificate { tilde_invariant, ..c.clone() };
+                    versions.push(NonTerminationCertificate::Check2(tampered));
+                }
+                if let Some(backward_invariant) = drop_one_atom(ts, &c.backward_invariant) {
+                    let tampered = Check2Certificate { backward_invariant, ..c.clone() };
+                    versions.push(NonTerminationCertificate::Check2(tampered));
+                }
+                let tampered = Check2Certificate { theta: Assertion::tautology(), ..c.clone() };
+                versions.push(NonTerminationCertificate::Check2(tampered));
+            }
+        }
+        versions
+    }
+
+    #[test]
+    fn closure_evidence_validates_exactly_as_lp_only_evidence() {
+        // Every quick-grid certificate of the curated suite, and its tampered
+        // versions, get the same `Result` — error variant and message
+        // included — whether evidence generation lets the interval closure
+        // answer first or solves an LP for every atom.
+        let (mut certificates, mut rejected) = (0, 0);
+        for benchmark in revterm_suite::curated_benchmarks() {
+            // Its Check 1 probe squares a bignum on every step.
+            if benchmark.name == "nt_square_growth" {
+                continue;
+            }
+            let ts = benchmark.transition_system();
+            let mut session = crate::ProverSession::new(ts.clone());
+            for config in crate::quick_sweep() {
+                let Some(certificate) = session.prove(&config).certificate().cloned() else {
+                    continue;
+                };
+                certificates += 1;
+                let off = lp_only(&config.entailment);
+                for version in with_tampered_versions(&ts, &certificate) {
+                    let with_closure = validate_certificate(&ts, &version, &config.entailment);
+                    let lp_only = validate_certificate(&ts, &version, &off);
+                    assert_eq!(
+                        with_closure,
+                        lp_only,
+                        "{} under {}",
+                        benchmark.name,
+                        config.label()
+                    );
+                    rejected += usize::from(with_closure.is_err());
+                }
+            }
+        }
+        assert!(certificates >= 30, "only {certificates} certificates");
+        assert!(rejected >= 20, "only {rejected} tampered versions were rejected");
     }
 }

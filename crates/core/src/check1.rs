@@ -194,9 +194,7 @@ pub(crate) fn check1_cached(
             // `implies_false` LP whenever its product budget admits
             // single-premise columns — so the fast path below can only skip
             // the LP, never disagree with it.
-            let fast = config.entailment.interval_fast_path
-                && config.entailment.max_product_size >= 1
-                && config.entailment.max_product_degree >= 1;
+            let fast = config.entailment.closure_fast_path();
             let blocked = restricted_system
                 .transitions_to(restricted_system.terminal_loc())
                 .filter(|t| t.source != restricted_system.terminal_loc())

@@ -85,8 +85,9 @@
 //! that has already been validated ([`validate_certificate`]); the prover
 //! never reports non-termination on the basis of an unchecked synthesis
 //! result.  Validation is evidence generation — the Farkas/Handelman
-//! multipliers of every obligation, found with cold LPs — followed by an
-//! exact check of that evidence with `Poly`/`Rat` arithmetic alone.  The
+//! multipliers of every obligation, read off the interval closure first and
+//! found with a cold LP for the rest — followed by an exact check of that
+//! evidence with `Poly`/`Rat` arithmetic alone.  The
 //! multipliers may come from the session, which memoizes them per
 //! certificate; the exact check never does, and it runs on every verdict.
 

@@ -21,9 +21,10 @@
 //! stores a synthesis the budget cut short.  Certificate validation splits in
 //! two halves (see [`crate::validate_certificate`]): the session memoizes the
 //! *evidence* — the Farkas/Handelman multipliers that discharge a
-//! certificate's obligations — so a certificate met again skips the LPs that
-//! find them; the *exact check* of that evidence never goes through a cache,
-//! and it runs on every `NonTerminating` verdict.
+//! certificate's obligations, read off the interval closure first and found
+//! with an LP for the rest — so a certificate met again skips finding them;
+//! the *exact check* of that evidence never goes through a cache, and it
+//! runs on every `NonTerminating` verdict.
 
 use crate::certificate::{
     check_evidence, generate_evidence, CertificateError, Evidence, EvidenceKey,
@@ -59,8 +60,9 @@ pub struct ProveStats {
     /// Entailment-oracle queries routed through the session memo (including
     /// ones answered from it).  Certificate validation is not counted here:
     /// its evidence comes from the session's evidence memo (counted as an
-    /// artifact) or from fresh LPs outside the entailment memo, and its
-    /// exact check needs no oracle.
+    /// artifact) or is generated outside the entailment memo (the interval
+    /// closure first, a fresh LP for the rest), and its exact check needs no
+    /// oracle.
     pub entailment_calls: u64,
     /// Entailment queries answered from the session memo table.
     pub entailment_cache_hits: u64,
@@ -278,8 +280,9 @@ pub(crate) struct Caches {
 
 impl Caches {
     /// Validates a candidate certificate: evidence from the memo, or freshly
-    /// generated (with cold LPs that do not touch the entailment memo) and
-    /// memoized once it passes; then the exact check, which runs on every
+    /// generated (the interval closure first, a cold LP for the rest, none
+    /// of it touching the entailment memo) and memoized once it passes;
+    /// then the exact check, which runs on every
     /// call — so a wrong memo entry can only turn a verdict into a
     /// rejection, never into a proof.
     pub(crate) fn validate(

@@ -9,12 +9,16 @@
 //!    by-construction [`KnownLabel`] — is a [`FailureKind::VerdictMismatch`].
 //! 2. **Certificate validation** — a `NonTerminating` verdict must carry a
 //!    certificate that the independent (uncached) checker accepts under
-//!    default entailment options; anything else is
-//!    [`FailureKind::InvalidCertificate`].
+//!    default entailment options, whose evidence comes from the interval
+//!    closure first and an LP for the rest; anything else is
+//!    [`FailureKind::InvalidCertificate`]. [`DiffReport::validate_time`]
+//!    times it.
 //! 3. **Absint on vs. off** — the abstract-interpretation pre-analysis and
 //!    its entailment fast path are sound pruning only, so the
 //!    [`outcome_digest`] must be bitwise identical with both halves
-//!    disabled; divergence is [`FailureKind::DigestDivergence`].
+//!    disabled; divergence is [`FailureKind::DigestDivergence`]. The off
+//!    run validates its certificate with LP-only evidence (the session keys
+//!    evidence on the options), so the LP path stays fuzzed on every proof.
 //! 4. **Revised vs. dense LP engine** — the portfolio re-run on the dense
 //!    reference tableau must produce a digest-identical outcome.
 //!
@@ -40,6 +44,7 @@ use revterm_invgen::TemplateParams;
 use revterm_lang::Program;
 use revterm_solver::{EntailmentOptions, LpEngine};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// What went wrong for one program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,6 +173,9 @@ pub struct DiffReport {
     pub baseline_verdicts: Vec<(String, BaselineVerdict)>,
     /// Every oracle failure (empty = the program passed).
     pub failures: Vec<OracleFailure>,
+    /// Wall-clock time oracle 2 spent validating the primary certificate
+    /// (zero when there is none).
+    pub validate_time: Duration,
 }
 
 impl DiffReport {
@@ -195,8 +203,12 @@ pub fn differential(
     let mut failures = Vec::new();
 
     // Oracle 2: certificate validation, independent of the session caches.
+    let mut validate_time = Duration::ZERO;
     if let Some(cert) = primary.certificate() {
-        if let Err(e) = validate_certificate(&ts, cert, &EntailmentOptions::default()) {
+        let start = Instant::now();
+        let validated = validate_certificate(&ts, cert, &EntailmentOptions::default());
+        validate_time = start.elapsed();
+        if let Err(e) = validated {
             failures.push(OracleFailure {
                 kind: FailureKind::InvalidCertificate,
                 detail: format!("certificate rejected by independent validation: {e}"),
@@ -313,6 +325,7 @@ pub fn differential(
         digest,
         baseline_verdicts,
         failures,
+        validate_time,
     })
 }
 

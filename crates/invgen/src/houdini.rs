@@ -122,11 +122,8 @@ pub fn synthesize_invariant(
 
     // Interval fast path: a "yes" from the premise closure is always a
     // nonnegative combination of single premises, which the multiplier LP
-    // (products of size >= 1, degree >= 1) can express, so skipping the LP
-    // cannot flip an answer.  Guard on the budget so the argument holds.
-    let fast = options.entailment.interval_fast_path
-        && options.entailment.max_product_size >= 1
-        && options.entailment.max_product_degree >= 1;
+    // can express under this gate, so skipping the LP cannot flip an answer.
+    let fast = options.entailment.closure_fast_path();
 
     // Initiation pruning: atoms at ℓ_init must follow from Θ_init.
     if budget.exhausted(entail.lookups) {

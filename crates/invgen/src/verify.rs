@@ -4,10 +4,13 @@
 //! consecution obligations. [`is_inductive`] answers them with
 //! [`predicate_entails`] inside the synthesis loop; the core crate's
 //! certificate validation answers them twice — once generating each
-//! obligation's [`Discharge`] with the LP-backed oracle
-//! ([`discharge_predicate`]), once re-checking that evidence without an LP
-//! ([`Discharge::certifies`]).
+//! obligation's [`Discharge`] ([`discharge_predicate`]: the interval closure
+//! first, an LP for the rest), once re-checking that evidence without an LP
+//! ([`Discharge::certifies`]). [`predicate_entails`] accepts a discharge
+//! only once it certifies, so no answer rests on the closure or the LP
+//! alone.
 
+use revterm_absint::{close_premises, FarkasCombination};
 use revterm_poly::Poly;
 use revterm_solver::{
     entails_with_witness, implies_false_with_witness, Combination, EntailmentOptions,
@@ -105,22 +108,37 @@ impl Discharge {
 /// follow (an atom that is itself a premise needs no LP), else a refutation
 /// of the premises — unsatisfiable premises entail anything, including the
 /// empty predicate. Returns the evidence, or `None` if neither is found.
+///
+/// Under the fast-path gate ([`EntailmentOptions::closure_fast_path`]) the
+/// premises are interval-closed once first: a contradiction becomes
+/// [`Discharge::Unsat`], every atom the closure proves takes the closure's
+/// combination, and only the other atoms get an LP. A closure "yes" is
+/// always an LP "yes" under that gate, so every answer — and with it every
+/// chosen disjunct — is the one LP-only generation gives; only the
+/// multipliers differ. With the fast path off, every atom gets an LP.
 pub fn discharge_predicate(
     premises: &[Poly],
     predicate: &PropPredicate,
     opts: &EntailmentOptions,
 ) -> Option<Discharge> {
+    let closure = opts.closure_fast_path().then(|| close_premises(premises));
+    if let Some(refutation) = closure.as_ref().and_then(|c| c.refutation(premises)) {
+        return Some(Discharge::Unsat(solver_form(&refutation)));
+    }
     'disjuncts: for (index, disjunct) in predicate.disjuncts().iter().enumerate() {
         let mut atoms = Vec::with_capacity(disjunct.atoms().len());
         for atom in disjunct.atoms() {
-            let proof = match premises.iter().position(|p| p == atom) {
-                Some(i) => AtomProof::Premise(i),
-                None => {
-                    let opts = adaptive_opts(premises, atom.total_degree(), opts);
-                    match entails_with_witness(premises, atom, &opts) {
-                        Some(combination) => AtomProof::Farkas(combination),
-                        None => continue 'disjuncts,
-                    }
+            let proof = if let Some(i) = premises.iter().position(|p| p == atom) {
+                AtomProof::Premise(i)
+            } else if let Some(farkas) =
+                closure.as_ref().and_then(|c| c.combination(premises, atom))
+            {
+                AtomProof::Farkas(solver_form(&farkas))
+            } else {
+                let opts = adaptive_opts(premises, atom.total_degree(), opts);
+                match entails_with_witness(premises, atom, &opts) {
+                    Some(combination) => AtomProof::Farkas(combination),
+                    None => continue 'disjuncts,
                 }
             };
             atoms.push(proof);
@@ -130,14 +148,29 @@ pub fn discharge_predicate(
     implies_false_with_witness(premises, &adaptive_opts(premises, 1, opts)).map(Discharge::Unsat)
 }
 
+/// A closure's combination as the terms `constant · 1` (when positive) and
+/// `λ_k · premise_k`, in that order — the order of the LP's columns.
+fn solver_form(farkas: &FarkasCombination) -> Combination {
+    let mut combination = Combination::new();
+    if farkas.constant.is_positive() {
+        combination.push(&[], farkas.constant.clone());
+    }
+    for (premise, lambda) in &farkas.premises {
+        combination.push(&[*premise], lambda.clone());
+    }
+    combination
+}
+
 /// Checks whether the premises entail a propositional predicate, i.e. entail
-/// *some* disjunct of it (or are unsatisfiable).
+/// *some* disjunct of it (or are unsatisfiable): a discharge is found and
+/// its evidence certifies the entailment.
 pub fn predicate_entails(
     premises: &[Poly],
     predicate: &PropPredicate,
     opts: &EntailmentOptions,
 ) -> bool {
-    discharge_predicate(premises, predicate, opts).is_some()
+    discharge_predicate(premises, predicate, opts)
+        .is_some_and(|discharge| discharge.certifies(premises, predicate))
 }
 
 /// Runs `discharge` on the consecution obligations of `map` over the

@@ -118,13 +118,15 @@ pub struct EntailmentOptions {
     pub lp_engine: LpEngine,
     /// Allow callers to answer all-linear entailment queries by interval
     /// closure of the premises (the `revterm_absint` fast path) instead of
-    /// building an LP, and let the prover skip the probe batches the
-    /// pre-analysis proves futile.  Both halves are sound pruning only: the
-    /// fast path claims only entailments that carry an explicit Farkas
-    /// certificate, so answers are bitwise identical either way; the flag
-    /// exists as the differential knob for the `absint` on/off determinism
-    /// gate. [`EntailmentCache`] keys on it with the other options, so an
-    /// off query is never answered from on work.
+    /// building an LP — Houdini, Check 1's blocked-transition test and
+    /// certificate evidence generation, behind
+    /// [`EntailmentOptions::closure_fast_path`] — and let the prover skip
+    /// the probe batches the pre-analysis proves futile.  Both halves are
+    /// sound pruning only: the fast path claims only entailments that carry
+    /// an explicit Farkas certificate, so answers are bitwise identical
+    /// either way; the flag exists as the differential knob for the
+    /// `absint` on/off determinism gate. [`EntailmentCache`] keys on it with
+    /// the other options, so an off query is never answered from on work.
     pub interval_fast_path: bool,
 }
 
@@ -148,6 +150,17 @@ impl EntailmentOptions {
     /// Options with a given product size / degree budget.
     pub fn with_budget(max_product_size: usize, max_product_degree: u32) -> Self {
         EntailmentOptions { max_product_size, max_product_degree, ..Default::default() }
+    }
+
+    /// Whether an interval closure of the premises may answer for the
+    /// multiplier LP under these options: the fast path is on, and the
+    /// product budget offers the columns a closure's combination uses — the
+    /// constant `1` and every single linear premise (size and degree at
+    /// least 1). Under this gate a closure "yes" is always an LP "yes", so
+    /// Houdini, Check 1's blocked-transition test and evidence generation
+    /// all take the closure's answer first.
+    pub fn closure_fast_path(&self) -> bool {
+        self.interval_fast_path && self.max_product_size >= 1 && self.max_product_degree >= 1
     }
 
     /// A copy of these options restricted to the plain-Farkas budget

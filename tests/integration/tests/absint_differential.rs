@@ -5,7 +5,9 @@
 //! machinery on or off, every verdict and every certificate must be
 //! identical.  This suite drives a SplitMix64-seeded family of random
 //! programs through both modes and asserts exactly that, validating each
-//! certificate with the independent checker on both sides.
+//! certificate with the independent checker under both modes' options —
+//! evidence from the interval closure first, and LP-only evidence — which
+//! must give the same result.
 
 use revterm::{quick_sweep, validate_certificate, ProverConfig, ProverSession};
 use revterm_lang::parse_program;
@@ -119,10 +121,16 @@ fn random_programs_prove_identically_with_absint_on_and_off() {
                 (Some(a), Some(b)) => {
                     assert_eq!(a.check_kind(), b.check_kind(), "check kind diverged: {source}");
                     assert_eq!(a.resolution(), b.resolution(), "resolution diverged: {source}");
-                    validate_certificate(&ts, a, &config.entailment)
-                        .expect("absint-on certificate must validate");
-                    validate_certificate(&ts, b, &config.entailment)
-                        .expect("absint-off certificate must validate");
+                    let lp_only = absint_off(&config).entailment;
+                    for (side, cert) in [("absint-on", a), ("absint-off", b)] {
+                        let with_closure = validate_certificate(&ts, cert, &config.entailment);
+                        assert_eq!(
+                            with_closure,
+                            validate_certificate(&ts, cert, &lp_only),
+                            "closure and LP-only evidence disagree on the {side} certificate: {source}"
+                        );
+                        with_closure.unwrap_or_else(|e| panic!("{side} certificate rejected: {e}"));
+                    }
                 }
                 (None, None) => {}
                 _ => panic!("certificate presence diverged on round {round}: {source}"),
