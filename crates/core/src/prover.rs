@@ -114,6 +114,8 @@ pub(crate) fn prove_cached(
         Ok(None) => Verdict::Unknown,
         Err(TimedOut) => Verdict::Timeout,
     };
+    // The LP skeletons of the last premise set serve one prove only.
+    caches.entail.release_skeletons();
     stats.entailment_calls = caches.entail.lookups - lookups_before;
     stats.entailment_cache_hits = caches.entail.hits - hits_before;
     stats.lp = caches.entail.lp_stats().delta_since(&lp_before);

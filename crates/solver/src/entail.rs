@@ -18,32 +18,45 @@
 //! The search for multipliers is a pure rational LP feasibility problem: one
 //! equality row per monomial and one non-negative multiplier column per
 //! premise product, each row mentioning only the products that contain its
-//! monomial. For the default revised engine the LP is built column by column
-//! straight from the product list — each product's terms scattered into
-//! their monomials' rows, rows with a negative right-hand side negated — in
-//! exactly the standard form [`crate::LpProblem`]'s lowering would produce,
-//! without building rows, a variable map or a solution map first. The dense
-//! reference ([`LpEngine::Dense`]) still receives the LP as
-//! [`crate::LpProblem`] rows and lowers them itself, so every
-//! engine-agreement check also compares the column builder with the lowering
-//! it stands in for.
+//! monomial.
+//!
+//! # One skeleton per premise set
+//!
+//! Everything of that LP except the right-hand side is fixed by the premises
+//! and the product budget, so it is built once per premise set and option
+//! set, as a *skeleton*: the product list with the premise indices each
+//! product multiplies, the sorted monomials of the products, each product's
+//! terms as a run of `(monomial position, coefficient)` entries, and the
+//! warm-start key's hasher after the product list. A query merges the
+//! conclusion's monomials into those rows (usually none is new; a new one
+//! shifts the positions after it), writes the right-hand side, and copies
+//! the runs once, negating the rows whose right-hand side is negative. That
+//! is the standard form [`crate::LpProblem`]'s lowering would produce, with
+//! no rows, variable map or solution map built first. The dense reference
+//! ([`LpEngine::Dense`]) still receives the LP as [`crate::LpProblem`] rows
+//! over the same products and lowers them itself, so every engine-agreement
+//! check also compares the skeleton's columns with the lowering they stand
+//! in for. The free functions build a one-off skeleton per call.
 //!
 //! # Warm starts across the query stream
 //!
 //! Consecutive queries in a Houdini fixpoint share their premise set: the
 //! loop checks every candidate conclusion atom against the same premises
-//! before it drops anything. The multiplier LPs of such a family share their
-//! entire constraint *matrix* (columns = premise products, rows = monomials)
-//! and differ only in right-hand sides (the conclusion's coefficients), so
-//! the oracle keys each LP by a hash of `(products, monomials)` and lets the
+//! before it drops anything, then asks the same set for a refutation. The
+//! memo ([`EntailmentCache`]) keeps the skeletons of the premise set it is
+//! currently asked about, so such a batch, its unsat fallbacks and its
+//! `implies_false` veto build the LP skeleton once. Their LPs share the
+//! constraint *matrix* (columns = premise products, rows = monomials) and
+//! differ only in right-hand sides (the conclusion's coefficients), so the
+//! oracle keys each LP by a hash of `(products, monomials)` — finished per
+//! LP from the skeleton's hasher with one pass over the rows — and lets the
 //! revised simplex warm-start from the last optimal basis stored under that
-//! key — typically skipping phase 1 outright. The stored bases and the
-//! [`crate::LpStats`] counters belong to the memo ([`EntailmentCache`]):
-//! its misses are the only solves that warm-start, and callers see warm
-//! starts only as counters ([`EntailmentCache::lp_stats`]). The free
-//! functions solve cold. Engine choice ([`LpEngine`]) and warm starts never
-//! change a verdict or witness; the dense tableau is kept as the
-//! differential oracle.
+//! key, typically skipping phase 1 outright. The stored bases and the
+//! [`crate::LpStats`] counters belong to the memo: its misses are the only
+//! solves that warm-start, and callers see warm starts only as counters
+//! ([`EntailmentCache::lp_stats`]). The free functions solve cold. Engine
+//! choice ([`LpEngine`]) and warm starts never change a verdict or witness;
+//! the dense tableau is kept as the differential oracle.
 //!
 //! # Witnesses
 //!
@@ -81,8 +94,10 @@
 //! ```
 
 use crate::lp::{BasisCache, ColumnForm, ColumnOutcome, LpProblem, LpStats, Rel, VarKind};
-use revterm_num::Rat;
+use revterm_num::{Fnv64, Rat};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which simplex engine discharges the multiplier LPs.
@@ -279,6 +294,7 @@ impl Combination {
 
 /// The candidate products of the premises: the LP's columns, each with the
 /// premise indices it multiplies.
+#[derive(Debug, Clone)]
 struct Products {
     /// The products, in column order.
     polys: Vec<Poly>,
@@ -367,74 +383,197 @@ fn negative_premise(premises: &[Poly]) -> Option<Combination> {
     })
 }
 
-/// Structural key of a multiplier LP for warm-start purposes.
+/// One premise set's multiplier LP under one product budget, minus the
+/// right-hand side: everything of the LP that the conclusion does not
+/// change, built once and shared by every query over the premise set.
 ///
-/// The constraint *matrix* of the LP built by [`combination_witness`] is a
-/// pure function of the product list (one column per product) and the
-/// monomial row set — the conclusion only contributes the constant parts,
-/// i.e. the right-hand sides. Hashing `(products, monomials)` therefore
-/// groups exactly the LPs that share columns and differ in few rows, which
-/// is what makes a stored basis worth re-factorizing: inside one Houdini
-/// fixpoint iteration, every conclusion atom checked against the same
-/// premise set lands on the same key.
-fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    // The key material is a flat word stream — packed monomial keys and
-    // small-tier rationals — so FNV's byte-fold loop beats SipHash's block
-    // permutation here, and the workspace digests already standardize on it.
-    let mut hasher = revterm_num::Fnv64::new();
-    product_list.hash(&mut hasher);
-    monomials.hash(&mut hasher);
-    hasher.finish()
+/// The LP has one row per monomial occurring in a product or the
+/// conclusion, and one non-negative multiplier column per product; a row's
+/// nonzeros are exactly the products containing that monomial. The
+/// conclusion contributes only right-hand sides, plus a row for each of its
+/// monomials no product has.
+#[derive(Debug, Clone)]
+struct Skeleton {
+    /// The products (the columns), with the premise indices each multiplies.
+    products: Products,
+    /// The sorted monomials of the products: the rows of every LP whose
+    /// conclusion brings no monomial of its own.
+    universe: Vec<Monomial>,
+    /// Every product's terms as `(position in universe, coefficient)`,
+    /// product after product; the positions of a run increase.
+    runs: Vec<(u32, Rat)>,
+    /// Product `j`'s run is `runs[starts[j]..starts[j + 1]]`.
+    starts: Vec<u32>,
+    /// The warm-start key's hasher after the product list.
+    hashed: Fnv64,
 }
 
-/// Searches for a non-negative combination of `products` equal to `target`
-/// and returns its nonzero multipliers.
-///
-/// The LP has one row per monomial occurring anywhere and one non-negative
-/// multiplier column per product; a row's nonzeros are exactly the products
-/// containing that monomial. The revised engine receives it column by
-/// column ([`farkas_columns`]); the dense oracle receives the same LP as
-/// [`LpProblem`] rows ([`farkas_rows`]), so it checks the column builder
-/// against the lowering it stands in for. With stored bases the revised
-/// engine keys the LP by [`structural_key`] and warm-starts it from the last
-/// optimal basis of its structural family.
-fn combination_witness(
-    products: &Products,
-    target: &Poly,
-    opts: &EntailmentOptions,
-    lp_cache: Option<&mut BasisCache>,
-) -> Option<Combination> {
-    let product_list = &products.polys;
-    // For every monomial occurring anywhere, the coefficients must match.
-    // Monomials are Copy keys, so collecting the row set copies words.
-    let mut monomials: Vec<Monomial> = target.terms().map(|(m, _)| *m).collect();
-    for p in product_list {
-        monomials.extend(p.terms().map(|(m, _)| *m));
+/// One query's row set: the skeleton's universe merged with the monomials of
+/// the conclusion.
+struct Rows<'a> {
+    /// The sorted, duplicate-free monomials.
+    monomials: Cow<'a, [Monomial]>,
+    /// The row of each universe position, when the conclusion added rows
+    /// (otherwise position and row coincide).
+    moved: Option<Vec<u32>>,
+}
+
+impl Skeleton {
+    /// The skeleton of `premises` under the product budget of `opts`.
+    fn build(premises: &[Poly], opts: &EntailmentOptions) -> Skeleton {
+        let products = products(premises, opts);
+        // Monomials are Copy keys, so collecting the row set copies words.
+        let mut universe: Vec<Monomial> =
+            products.polys.iter().flat_map(|p| p.terms().map(|(m, _)| *m)).collect();
+        universe.sort_unstable();
+        universe.dedup();
+        let mut runs = Vec::new();
+        let mut starts = Vec::with_capacity(products.polys.len() + 1);
+        starts.push(0);
+        // A product's terms are sorted by monomial, so its positions arrive
+        // sorted.
+        for p in &products.polys {
+            runs.extend(
+                p.flat_terms().iter().map(|(m, c)| (row_of(&universe, m) as u32, c.clone())),
+            );
+            starts.push(u32::try_from(runs.len()).expect("product terms fit u32 offsets"));
+        }
+        // The key material is a flat word stream — packed monomial keys and
+        // small-tier rationals — so FNV's byte-fold loop beats SipHash's
+        // block permutation here, and the workspace digests already
+        // standardize on it.
+        let mut hashed = Fnv64::new();
+        products.polys.hash(&mut hashed);
+        Skeleton { products, universe, runs, starts, hashed }
     }
-    monomials.sort_unstable();
-    monomials.dedup();
-    let values = match opts.lp_engine {
-        LpEngine::Revised => {
-            let form = farkas_columns(product_list, &monomials, target);
-            let outcome = match lp_cache {
-                Some(cache) => {
-                    form.solve(None, Some(structural_key(product_list, &monomials)), cache)
-                }
-                None => form.solve(None, None, &mut BasisCache::new()),
-            };
-            match outcome {
-                ColumnOutcome::Optimal { values, .. } => values,
-                ColumnOutcome::Infeasible | ColumnOutcome::Unbounded => return None,
+
+    /// The row set of an LP whose target is `target`.
+    fn rows(&self, target: &Poly) -> Rows<'_> {
+        // The target's terms are sorted, so the monomials it adds are too.
+        let mut added = target
+            .terms()
+            .map(|(m, _)| *m)
+            .filter(|m| self.universe.binary_search(m).is_err())
+            .peekable();
+        if added.peek().is_none() {
+            return Rows { monomials: Cow::Borrowed(&self.universe), moved: None };
+        }
+        let mut monomials = Vec::with_capacity(self.universe.len() + target.num_terms());
+        let mut moved = Vec::with_capacity(self.universe.len());
+        for &m in &self.universe {
+            while let Some(a) = added.next_if(|a| *a < m) {
+                monomials.push(a);
+            }
+            moved.push(monomials.len() as u32);
+            monomials.push(m);
+        }
+        monomials.extend(added);
+        Rows { monomials: Cow::Owned(monomials), moved: Some(moved) }
+    }
+
+    /// The LP's revised-engine column form, exactly as [`LpProblem`]'s
+    /// lowering would produce it from [`farkas_rows`]: one column per
+    /// product with its terms in their monomials' rows, every row whose
+    /// right-hand side (the target's coefficient) is negative negated, and
+    /// no slack column (every row is an equality).
+    fn columns(&self, rows: &Rows<'_>, target: &Poly) -> ColumnForm {
+        let m = rows.monomials.len();
+        let mut rhs = vec![Rat::zero(); m];
+        for (mono, c) in target.flat_terms() {
+            rhs[row_of(&rows.monomials, mono)] = c.clone();
+        }
+        let negated: Vec<bool> = rhs.iter().map(Rat::is_negative).collect();
+        for (b, &flip) in rhs.iter_mut().zip(&negated) {
+            if flip {
+                *b = -std::mem::take(b);
             }
         }
-        LpEngine::Dense => {
-            let result = farkas_rows(product_list, &monomials, target).solve_dense();
-            let solution = result.solution()?;
-            (0..product_list.len()).map(|j| solution.value(Var(j as u32))).collect()
-        }
-    };
-    Some(products.combination(&values))
+        // The moves are monotone, so every run stays sorted by row. Both
+        // buffers keep room for the artificial block the solve appends.
+        let mut entries = Vec::with_capacity(self.runs.len() + m);
+        entries.extend(self.runs.iter().map(|(at, c)| {
+            let row = rows.moved.as_ref().map_or(*at, |moved| moved[*at as usize]);
+            (row, if negated[row as usize] { -c } else { c.clone() })
+        }));
+        let mut starts = Vec::with_capacity(self.starts.len() + m);
+        starts.extend_from_slice(&self.starts);
+        ColumnForm::from_runs(rhs, entries, starts)
+    }
+
+    /// The warm-start key of the LP over `rows`: the hash of
+    /// `(products, rows)`.
+    ///
+    /// The constraint *matrix* is a pure function of the product list (one
+    /// column per product) and the row set — the conclusion only contributes
+    /// right-hand sides. The key therefore groups exactly the LPs that share
+    /// columns and differ in few rows, which is what makes a stored basis
+    /// worth re-factorizing: inside one Houdini fixpoint iteration, every
+    /// conclusion atom checked against the same premise set lands on the
+    /// same key.
+    fn key(&self, rows: &[Monomial]) -> u64 {
+        let mut hasher = self.hashed;
+        rows.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Searches for a non-negative combination of the products equal to
+    /// `target` and returns its nonzero multipliers.
+    ///
+    /// The revised engine receives the LP column by column
+    /// ([`Skeleton::columns`]); the dense oracle receives it as
+    /// [`LpProblem`] rows ([`farkas_rows`]), so it checks the skeleton's
+    /// columns against the lowering they stand in for. With stored bases the
+    /// revised engine keys the LP by [`Skeleton::key`] and warm-starts it
+    /// from the last optimal basis of its structural family.
+    fn witness(
+        &self,
+        target: &Poly,
+        engine: LpEngine,
+        bases: Option<&mut BasisCache>,
+    ) -> Option<Combination> {
+        let rows = self.rows(target);
+        let values = match engine {
+            LpEngine::Revised => {
+                let form = self.columns(&rows, target);
+                let outcome = match bases {
+                    Some(cache) => form.solve(None, Some(self.key(&rows.monomials)), cache),
+                    None => form.solve(None, None, &mut BasisCache::new()),
+                };
+                match outcome {
+                    ColumnOutcome::Optimal { values, .. } => values,
+                    ColumnOutcome::Infeasible | ColumnOutcome::Unbounded => return None,
+                }
+            }
+            LpEngine::Dense => {
+                let product_list = &self.products.polys;
+                let result = farkas_rows(product_list, &rows.monomials, target).solve_dense();
+                let solution = result.solution()?;
+                (0..product_list.len()).map(|j| solution.value(Var(j as u32))).collect()
+            }
+        };
+        Some(self.products.combination(&values))
+    }
+
+    /// [`entails_with_witness`] over the products of `premises`, for a
+    /// conclusion that is not a non-negative constant.
+    fn entailment(
+        &self,
+        premises: &[Poly],
+        conclusion: &Poly,
+        engine: LpEngine,
+        mut bases: Option<&mut BasisCache>,
+    ) -> Option<Combination> {
+        // Unsat fallback: premises that are unsatisfiable over the reals
+        // entail any conclusion.
+        self.witness(conclusion, engine, bases.as_deref_mut())
+            .or_else(|| negative_premise(premises))
+            .or_else(|| self.refutation(engine, bases))
+    }
+
+    /// A combination of the products summing to `−1`.
+    fn refutation(&self, engine: LpEngine, bases: Option<&mut BasisCache>) -> Option<Combination> {
+        self.witness(&Poly::constant_i64(-1), engine, bases)
+    }
 }
 
 /// The row of `m` in the sorted monomial row set.
@@ -442,31 +581,10 @@ fn row_of(monomials: &[Monomial], m: &Monomial) -> usize {
     monomials.binary_search(m).expect("row set covers every monomial")
 }
 
-/// The multiplier LP in the revised engine's column form, exactly as
-/// [`LpProblem`]'s lowering would produce it from [`farkas_rows`]: one
-/// column per product with its terms scattered into their monomials' rows,
-/// every row whose right-hand side (the target's coefficient) is negative
-/// negated, and no slack column (every row is an equality).
-fn farkas_columns(product_list: &[Poly], monomials: &[Monomial], target: &Poly) -> ColumnForm {
-    let mut rhs = vec![Rat::zero(); monomials.len()];
-    for (m, c) in target.flat_terms() {
-        rhs[row_of(monomials, m)] = c.clone();
-    }
-    let negated: Vec<bool> = rhs.iter().map(Rat::is_negative).collect();
-    for (b, &flip) in rhs.iter_mut().zip(&negated) {
-        if flip {
-            *b = -std::mem::take(b);
-        }
-    }
-    let mut form = ColumnForm::new(rhs);
-    // A product's terms are sorted by monomial, so its rows arrive sorted.
-    for p in product_list {
-        form.push_column(p.flat_terms().iter().map(|(m, c)| {
-            let i = row_of(monomials, m);
-            (i as u32, if negated[i] { -c } else { c.clone() })
-        }));
-    }
-    form
+/// The one-term combination of a conclusion that is a non-negative
+/// constant, which every premise set entails without an LP.
+fn constant_conclusion(conclusion: &Poly) -> Option<Combination> {
+    conclusion.as_constant().filter(|c| !c.is_negative()).map(Combination::constant)
 }
 
 /// The multiplier LP as [`LpProblem`] rows, for the dense oracle:
@@ -497,38 +615,17 @@ fn farkas_rows(product_list: &[Poly], monomials: &[Monomial], target: &Poly) -> 
 ///
 /// Every `Some` certifies its claim ([`Combination::certifies`]): its sum is
 /// the conclusion, or — when only the unsat fallback succeeded — `−1`.
+///
+/// It builds a one-off skeleton of the premises and solves cold: certificate
+/// validation relies on that to stay independent of session state.
 pub fn entails_with_witness(
     premises: &[Poly],
     conclusion: &Poly,
     opts: &EntailmentOptions,
 ) -> Option<Combination> {
-    entails_with_witness_impl(premises, conclusion, opts, None)
-}
-
-/// [`entails_with_witness`] with optional stored bases for LP warm starts
-/// (those of an [`EntailmentCache`]; certificate validation sticks to the
-/// cache-free entry points so it stays independent of session state).
-fn entails_with_witness_impl(
-    premises: &[Poly],
-    conclusion: &Poly,
-    opts: &EntailmentOptions,
-    mut lp_cache: Option<&mut BasisCache>,
-) -> Option<Combination> {
-    // Trivial case: the conclusion is a non-negative constant.
-    if let Some(c) = conclusion.as_constant() {
-        if !c.is_negative() {
-            return Some(Combination::constant(c));
-        }
-    }
-    let products = products(premises, opts);
-    if let Some(witness) = combination_witness(&products, conclusion, opts, lp_cache.as_deref_mut())
-    {
-        return Some(witness);
-    }
-    // Unsat fallback: premises that are unsatisfiable over the reals entail
-    // any conclusion. The refutation LP runs over the product list just built.
-    negative_premise(premises)
-        .or_else(|| combination_witness(&products, &Poly::constant_i64(-1), opts, lp_cache))
+    constant_conclusion(conclusion).or_else(|| {
+        Skeleton::build(premises, opts).entailment(premises, conclusion, opts.lp_engine, None)
+    })
 }
 
 /// Checks whether the premises entail the conclusion.
@@ -548,26 +645,14 @@ pub fn implies_false(premises: &[Poly], opts: &EntailmentOptions) -> bool {
 
 /// [`implies_false`], returning the refuting [`Combination`] (its sum is
 /// `−1`) if one is found.
+/// Like [`entails_with_witness`], it builds a one-off skeleton and solves
+/// cold.
 pub fn implies_false_with_witness(
     premises: &[Poly],
     opts: &EntailmentOptions,
 ) -> Option<Combination> {
-    implies_false_impl(premises, opts, None)
-}
-
-/// [`implies_false_with_witness`] with optional stored bases for LP warm
-/// starts. The `-1 ≥ 0` query shares its structural key with the
-/// entailment queries over the same premise products (the conclusion only
-/// shifts right-hand sides), so it warm-starts from their bases and vice
-/// versa.
-fn implies_false_impl(
-    premises: &[Poly],
-    opts: &EntailmentOptions,
-    lp_cache: Option<&mut BasisCache>,
-) -> Option<Combination> {
-    negative_premise(premises).or_else(|| {
-        combination_witness(&products(premises, opts), &Poly::constant_i64(-1), opts, lp_cache)
-    })
+    negative_premise(premises)
+        .or_else(|| Skeleton::build(premises, opts).refutation(opts.lp_engine, None))
 }
 
 /// A memo table for the entailment oracle, reusable across many queries on
@@ -586,6 +671,16 @@ fn implies_false_impl(
 /// atoms against it, so a cache insertion stores a reference-counted pointer
 /// instead of cloning the whole premise vector per entry.
 ///
+/// The cache keeps the LP skeletons of the premise set it is currently
+/// asked about, one per option set, recognised by `Arc::ptr_eq` against a
+/// clone of that set's `Arc`, together with the set's share of the lookup
+/// hash. A run of queries on one allocation — a Houdini batch, its unsat
+/// fallbacks and its `implies_false` veto — hashes the premises once and
+/// builds each skeleton once; a query on any other allocation, equal or
+/// not, replaces them. [`EntailmentCache::release_skeletons`] drops them
+/// and the `Arc` clone; the prover calls it at the end of every prove, so
+/// no skeleton outlives the prove that built it.
+///
 /// The cache also keeps hit/lookup counters so callers (the session-centric
 /// prover API) can report cache effectiveness. Misses solve their LPs
 /// through bases the cache stores itself, so the underlying LPs warm-start
@@ -602,6 +697,9 @@ pub struct EntailmentCache {
     /// The optimal bases the misses' LPs warm-start from, and the LP
     /// counters of every miss.
     bases: BasisCache,
+    /// The premise set of the latest query, until the next query on another
+    /// allocation or [`EntailmentCache::release_skeletons`].
+    current: Option<PremiseSet>,
     /// Number of queries answered from the memo table.
     pub hits: u64,
     /// Total number of queries routed through the cache.
@@ -630,19 +728,51 @@ impl EntailmentKey {
     }
 }
 
-/// Hashes the borrowed form of a query; agreement with the derived `Hash` of
-/// [`EntailmentKey`] is not required (the hash only selects a bucket, the
-/// owned keys inside are compared structurally).
-fn query_hash(premises: &[Poly], conclusion: Option<&Poly>, opts: &EntailmentOptions) -> u64 {
-    use std::hash::{Hash, Hasher};
-    // Hashing a query walks each polynomial's flat term slice and folds
-    // `(packed monomial word, small rational)` runs — no tree traversal, no
-    // clones, no allocation on the packed tiers.
-    let mut hasher = revterm_num::Fnv64::new();
-    premises.hash(&mut hasher);
-    conclusion.hash(&mut hasher);
-    opts.hash(&mut hasher);
-    hasher.finish()
+/// The premise set an [`EntailmentCache`] is currently asked about.
+#[derive(Debug, Clone)]
+struct PremiseSet {
+    /// A clone of the caller's allocation, which queries are matched
+    /// against by pointer; holding it keeps the address from being reused.
+    premises: Arc<[Poly]>,
+    /// The lookup hasher after the premises. A query finishes it with its
+    /// conclusion and options. The bucket hash need not agree with the
+    /// derived `Hash` of [`EntailmentKey`]: it only selects a bucket, and
+    /// the owned keys inside are compared structurally.
+    hashed: Fnv64,
+    /// The skeletons of `premises`, one per option set, each built by the
+    /// first miss that needs an LP under those options.
+    skeletons: Vec<(EntailmentOptions, Skeleton)>,
+}
+
+impl PremiseSet {
+    fn new(premises: &Arc<[Poly]>) -> PremiseSet {
+        // Hashing walks each polynomial's flat term slice and folds
+        // `(packed monomial word, small rational)` runs — no tree traversal,
+        // no clones, no allocation on the packed tiers.
+        let mut hashed = Fnv64::new();
+        premises.hash(&mut hashed);
+        PremiseSet { premises: Arc::clone(premises), hashed, skeletons: Vec::new() }
+    }
+
+    /// The bucket hash of a query on these premises.
+    fn query_hash(&self, conclusion: Option<&Poly>, opts: &EntailmentOptions) -> u64 {
+        let mut hasher = self.hashed;
+        conclusion.hash(&mut hasher);
+        opts.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The skeleton under `opts`, built on first use.
+    fn skeleton(&mut self, opts: &EntailmentOptions) -> &Skeleton {
+        let at = match self.skeletons.iter().position(|(built_for, _)| built_for == opts) {
+            Some(at) => at,
+            None => {
+                self.skeletons.push((opts.clone(), Skeleton::build(&self.premises, opts)));
+                self.skeletons.len() - 1
+            }
+        };
+        &self.skeletons[at].1
+    }
 }
 
 impl EntailmentCache {
@@ -656,18 +786,22 @@ impl EntailmentCache {
         premises: &Arc<[Poly]>,
         conclusion: Option<&Poly>,
         opts: &EntailmentOptions,
-        compute: impl FnOnce(&mut BasisCache) -> bool,
+        compute: impl FnOnce(&mut PremiseSet, &mut BasisCache) -> bool,
     ) -> bool {
-        let EntailmentCache { map, bases, hits, lookups } = self;
+        let EntailmentCache { map, bases, current, hits, lookups } = self;
         *lookups += 1;
-        let bucket = map.entry(query_hash(premises, conclusion, opts)).or_default();
+        let set = match current {
+            Some(set) if Arc::ptr_eq(&set.premises, premises) => set,
+            _ => current.insert(PremiseSet::new(premises)),
+        };
+        let bucket = map.entry(set.query_hash(conclusion, opts)).or_default();
         if let Some((_, answer)) =
             bucket.iter().find(|(k, _)| k.matches(premises, conclusion, opts))
         {
             *hits += 1;
             return *answer;
         }
-        let answer = compute(bases);
+        let answer = compute(set, bases);
         bucket.push((
             EntailmentKey {
                 premises: Arc::clone(premises),
@@ -687,17 +821,33 @@ impl EntailmentCache {
         conclusion: &Poly,
         opts: &EntailmentOptions,
     ) -> bool {
-        self.lookup_or(premises, Some(conclusion), opts, |bases| {
-            entails_with_witness_impl(premises, conclusion, opts, Some(bases)).is_some()
+        self.lookup_or(premises, Some(conclusion), opts, |set, bases| {
+            constant_conclusion(conclusion).is_some()
+                || set
+                    .skeleton(opts)
+                    .entailment(premises, conclusion, opts.lp_engine, Some(bases))
+                    .is_some()
         })
     }
 
     /// Memoized [`implies_false`]; misses warm-start like
-    /// [`EntailmentCache::entails`].
+    /// [`EntailmentCache::entails`]. The `-1 ≥ 0` query shares its
+    /// warm-start key with the entailment queries over the same premise
+    /// products whose conclusions add no row (the conclusion only shifts
+    /// right-hand sides), so it warm-starts from their bases and vice versa.
     pub fn implies_false(&mut self, premises: &Arc<[Poly]>, opts: &EntailmentOptions) -> bool {
-        self.lookup_or(premises, None, opts, |bases| {
-            implies_false_impl(premises, opts, Some(bases)).is_some()
+        self.lookup_or(premises, None, opts, |set, bases| {
+            negative_premise(premises).is_some()
+                || set.skeleton(opts).refutation(opts.lp_engine, Some(bases)).is_some()
         })
+    }
+
+    /// Drops the skeletons of the premise set the cache was last asked
+    /// about, and its clone of that set's `Arc`. Memo entries, bases and
+    /// counters stay; the next query rebuilds what it needs, with the same
+    /// answers and LP work.
+    pub fn release_skeletons(&mut self) {
+        self.current = None;
     }
 
     /// Counts one query a caller answered by interval closure of its
@@ -1049,5 +1199,300 @@ mod tests {
         assert!(!with_first(&out_of_range, lambda.clone()).certifies(&premises, &conclusion));
         // A combination certifies its own conclusion, not another one.
         assert!(!good.certifies(&premises, &(&x() - &c(1))));
+    }
+
+    /// The per-query LP builder the skeleton replaced — the product list,
+    /// row set, columns and warm-start key rebuilt for every query — and the
+    /// memo's full-premise lookup hash: the reference the property tests hold
+    /// the skeleton and the cached hash prefix to.
+    mod reference {
+        use crate::entail::{
+            farkas_rows, negative_premise, products, row_of, Combination, EntailmentOptions,
+            LpEngine, Products,
+        };
+        use crate::lp::{BasisCache, ColumnForm, ColumnOutcome};
+        use revterm_num::{Fnv64, Rat};
+        use revterm_poly::{Monomial, Poly, Var};
+        use std::hash::{Hash, Hasher};
+
+        /// The row set: every monomial of the target or a product, sorted.
+        pub(super) fn row_set(product_list: &[Poly], target: &Poly) -> Vec<Monomial> {
+            let mut monomials: Vec<Monomial> = target.terms().map(|(m, _)| *m).collect();
+            for p in product_list {
+                monomials.extend(p.terms().map(|(m, _)| *m));
+            }
+            monomials.sort_unstable();
+            monomials.dedup();
+            monomials
+        }
+
+        pub(super) fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
+            let mut hasher = Fnv64::new();
+            product_list.hash(&mut hasher);
+            monomials.hash(&mut hasher);
+            hasher.finish()
+        }
+
+        pub(super) fn farkas_columns(
+            product_list: &[Poly],
+            monomials: &[Monomial],
+            target: &Poly,
+        ) -> ColumnForm {
+            let mut rhs = vec![Rat::zero(); monomials.len()];
+            for (m, c) in target.flat_terms() {
+                rhs[row_of(monomials, m)] = c.clone();
+            }
+            let negated: Vec<bool> = rhs.iter().map(Rat::is_negative).collect();
+            for (b, &flip) in rhs.iter_mut().zip(&negated) {
+                if flip {
+                    *b = -std::mem::take(b);
+                }
+            }
+            let mut form = ColumnForm::new(rhs);
+            for p in product_list {
+                form.push_column(p.flat_terms().iter().map(|(m, c)| {
+                    let i = row_of(monomials, m);
+                    (i as u32, if negated[i] { -c } else { c.clone() })
+                }));
+            }
+            form
+        }
+
+        fn combination_witness(
+            products: &Products,
+            target: &Poly,
+            opts: &EntailmentOptions,
+        ) -> Option<Combination> {
+            let product_list = &products.polys;
+            let monomials = row_set(product_list, target);
+            let values = match opts.lp_engine {
+                LpEngine::Revised => {
+                    let form = farkas_columns(product_list, &monomials, target);
+                    match form.solve(None, None, &mut BasisCache::new()) {
+                        ColumnOutcome::Optimal { values, .. } => values,
+                        ColumnOutcome::Infeasible | ColumnOutcome::Unbounded => return None,
+                    }
+                }
+                LpEngine::Dense => {
+                    let result = farkas_rows(product_list, &monomials, target).solve_dense();
+                    let solution = result.solution()?;
+                    (0..product_list.len()).map(|j| solution.value(Var(j as u32))).collect()
+                }
+            };
+            Some(products.combination(&values))
+        }
+
+        pub(super) fn entails_with_witness(
+            premises: &[Poly],
+            conclusion: &Poly,
+            opts: &EntailmentOptions,
+        ) -> Option<Combination> {
+            if let Some(c) = conclusion.as_constant() {
+                if !c.is_negative() {
+                    return Some(Combination::constant(c));
+                }
+            }
+            let products = products(premises, opts);
+            if let Some(witness) = combination_witness(&products, conclusion, opts) {
+                return Some(witness);
+            }
+            negative_premise(premises)
+                .or_else(|| combination_witness(&products, &Poly::constant_i64(-1), opts))
+        }
+
+        pub(super) fn implies_false_with_witness(
+            premises: &[Poly],
+            opts: &EntailmentOptions,
+        ) -> Option<Combination> {
+            negative_premise(premises).or_else(|| {
+                combination_witness(&products(premises, opts), &Poly::constant_i64(-1), opts)
+            })
+        }
+
+        pub(super) fn query_hash(
+            premises: &[Poly],
+            conclusion: Option<&Poly>,
+            opts: &EntailmentOptions,
+        ) -> u64 {
+            let mut hasher = Fnv64::new();
+            premises.hash(&mut hasher);
+            conclusion.hash(&mut hasher);
+            opts.hash(&mut hasher);
+            hasher.finish()
+        }
+    }
+
+    /// A random polynomial over `Var(0..nvars)` of degree at most `degree`:
+    /// a constant plus up to three further terms, each coefficient in
+    /// `[-3, 3]`.
+    fn random_poly(rng: &mut crate::SplitMix64, nvars: u32, degree: u32) -> Poly {
+        let mut p = Poly::constant_i64(rng.next_in_range(-3, 3));
+        for _ in 0..1 + rng.next_below(3) {
+            let mut term = Poly::constant_i64(rng.next_in_range(-3, 3));
+            for _ in 0..1 + rng.next_below(u64::from(degree)) {
+                term = &term * &Poly::var(Var(rng.next_below(u64::from(nvars)) as u32));
+            }
+            p = &p + &term;
+        }
+        p
+    }
+
+    #[test]
+    fn prop_skeleton_lp_matches_the_per_query_builder() {
+        // Linear and quadratic premise sets under product budgets 1 and 2,
+        // some with a repeated premise (so dedup drops equal consecutive
+        // products), against conclusions inside and outside the products'
+        // monomials, with negative coefficients and the constant -1. The
+        // skeleton must give the reference builder's rows, columns,
+        // right-hand side and warm-start key, and the same witnesses on
+        // both engines; the memo's cached premise hash must finish to the
+        // full-query hash.
+        use crate::SplitMix64;
+        let mut rng = SplitMix64::new(0x5CE1_E705);
+        let (mut added_rows, mut negated_rows, mut entailed, mut refuted) = (0, 0, 0, 0);
+        for (premise_degree, budget) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            for round in 0..12 {
+                let mut premises: Vec<Poly> = (0..2 + rng.next_below(3))
+                    .map(|_| random_poly(&mut rng, 3, premise_degree))
+                    .filter(|p| !p.is_zero())
+                    .collect();
+                if round % 3 == 0 {
+                    if let Some(first) = premises.first().cloned() {
+                        premises.insert(1, first);
+                    }
+                }
+                let opts = EntailmentOptions::with_budget(budget, 2 * budget as u32);
+                let skeleton = Skeleton::build(&premises, &opts);
+                let product_list = &skeleton.products.polys;
+                // Conclusions over one more variable than the premises use,
+                // up to degree 2, and the refutation target.
+                let mut conclusions: Vec<Poly> =
+                    (0..6).map(|_| random_poly(&mut rng, 4, 2)).collect();
+                conclusions.push(Poly::constant_i64(-1));
+                conclusions.push(-&premises[0]);
+                for conclusion in &conclusions {
+                    let case = format!("degree {premise_degree}, budget {budget}, round {round}");
+                    let monomials = reference::row_set(product_list, conclusion);
+                    let rows = skeleton.rows(conclusion);
+                    assert_eq!(&*rows.monomials, &monomials[..], "rows ({case})");
+                    added_rows += usize::from(rows.moved.is_some());
+                    negated_rows +=
+                        conclusion.flat_terms().iter().filter(|(_, c)| c.is_negative()).count();
+                    assert_eq!(
+                        skeleton.columns(&rows, conclusion),
+                        reference::farkas_columns(product_list, &monomials, conclusion),
+                        "columns and right-hand side ({case})"
+                    );
+                    assert_eq!(
+                        skeleton.key(&rows.monomials),
+                        reference::structural_key(product_list, &monomials),
+                        "warm-start key ({case})"
+                    );
+                    let shared: Arc<[Poly]> = premises.clone().into();
+                    assert_eq!(
+                        PremiseSet::new(&shared).query_hash(Some(conclusion), &opts),
+                        reference::query_hash(&premises, Some(conclusion), &opts),
+                        "memo bucket hash ({case})"
+                    );
+                    for lp_engine in [LpEngine::Revised, LpEngine::Dense] {
+                        let opts = EntailmentOptions { lp_engine, ..opts.clone() };
+                        let witness = entails_with_witness(&premises, conclusion, &opts);
+                        assert_eq!(
+                            witness,
+                            reference::entails_with_witness(&premises, conclusion, &opts),
+                            "entailment witness on {lp_engine:?} ({case})"
+                        );
+                        match witness {
+                            Some(_) => entailed += 1,
+                            None => refuted += 1,
+                        }
+                    }
+                }
+                let shared: Arc<[Poly]> = premises.clone().into();
+                assert_eq!(
+                    PremiseSet::new(&shared).query_hash(None, &opts),
+                    reference::query_hash(&premises, None, &opts)
+                );
+                for lp_engine in [LpEngine::Revised, LpEngine::Dense] {
+                    let opts = EntailmentOptions { lp_engine, ..opts.clone() };
+                    assert_eq!(
+                        implies_false_with_witness(&premises, &opts),
+                        reference::implies_false_with_witness(&premises, &opts),
+                        "refutation on {lp_engine:?}"
+                    );
+                }
+            }
+        }
+        // The rounds reached every branch the skeleton's query path has.
+        assert!(added_rows > 0 && negated_rows > 0, "{added_rows} added, {negated_rows} negated");
+        assert!(entailed > 0 && refuted > 0, "{entailed} entailed, {refuted} refuted");
+    }
+
+    #[test]
+    fn skeletons_are_never_stale_and_released_ones_leave_no_trace() {
+        // Premise sets A, B, A under linear and default options, the second
+        // A once as the same allocation and once as an equal fresh one. A
+        // cache that keeps its skeletons must answer and count exactly like
+        // one released before every query.
+        let a = || vec![&x() - &c(3), &y() - &x(), &c(9) - &y()];
+        let b = || vec![x(), &c(2) - &x(), &(&x() * &y()) - &c(1)];
+        let conclusions = [
+            &x() - &c(1),
+            &y() - &c(4),
+            &c(5) - &x(),
+            &(&x() * &x()) - &c(9),
+            &(&x() * &y()) - &c(2),
+            &y() - &x() - &c(7),
+        ];
+        let (a1, b1): (Arc<[Poly]>, Arc<[Poly]>) = (a().into(), b().into());
+        let a2: Arc<[Poly]> = a().into();
+        let count_a2 = Arc::strong_count(&a2);
+        let (mut kept, mut released) = (EntailmentCache::new(), EntailmentCache::new());
+        for (pass, premises) in [&a1, &b1, &a1, &b1, &a2].into_iter().enumerate() {
+            for opts in [EntailmentOptions::linear(), EntailmentOptions::default()] {
+                // The last pass asks the earlier conclusions again (hits)
+                // and one more each (a miss).
+                let asked = if pass == 4 { &conclusions[..] } else { &conclusions[..5] };
+                for conclusion in asked.iter().map(Some).chain([None]) {
+                    released.release_skeletons();
+                    let answers = match conclusion {
+                        Some(conclusion) => (
+                            kept.entails(premises, conclusion, &opts),
+                            released.entails(premises, conclusion, &opts),
+                        ),
+                        None => (
+                            kept.implies_false(premises, &opts),
+                            released.implies_false(premises, &opts),
+                        ),
+                    };
+                    let case = format!("pass {pass}, {opts:?}, {conclusion:?}");
+                    assert_eq!(answers.0, answers.1, "answer ({case})");
+                    assert_eq!((kept.hits, kept.lookups), (released.hits, released.lookups));
+                    assert_eq!(kept.lp_stats(), released.lp_stats(), "LP work ({case})");
+                }
+            }
+        }
+        assert!(kept.hits > 0 && kept.lp_stats().solves > 0);
+        // While A's fresh allocation is current, the cache holds a clone of
+        // it and one skeleton per option set.
+        let current = kept.current.as_ref().expect("the last query's premise set");
+        assert!(Arc::ptr_eq(&current.premises, &a2));
+        assert_eq!(current.skeletons.len(), 2);
+        kept.release_skeletons();
+        released.release_skeletons();
+        assert!(kept.current.is_none() && released.current.is_none());
+        // Past the release, only the memo entries of the two caches hold
+        // the premise sets.
+        let keys_holding = |premises: &Arc<[Poly]>| {
+            [&kept, &released]
+                .iter()
+                .flat_map(|cache| cache.map.values().flatten())
+                .filter(|(k, _)| Arc::ptr_eq(&k.premises, premises))
+                .count()
+        };
+        assert_eq!(Arc::strong_count(&a2), count_a2 + keys_holding(&a2));
+        for premises in [&a1, &b1, &a2] {
+            assert_eq!(Arc::strong_count(premises), 1 + keys_holding(premises));
+        }
     }
 }

@@ -32,18 +32,21 @@
 //!   (product-form) factorization, prices in exact integer arithmetic with
 //!   an exact `Rat` fallback, and supports **warm starts** from stored
 //!   optimal bases, which is what lets a Houdini entailment stream skip
-//!   phase 1 on structurally repeated LPs. The entailment oracle builds its
-//!   LPs for this engine column by column; the only store of bases is
-//!   private to the entailment memo [`EntailmentCache`], so warm starts are
-//!   a detail of this crate that no caller sees;
+//!   phase 1 on structurally repeated LPs. The entailment oracle builds
+//!   everything of an LP but its right-hand side once per premise set (a
+//!   *skeleton*: products, monomial rows, column runs) and copies each
+//!   LP's columns for this engine from it; the memo [`EntailmentCache`]
+//!   keeps the skeletons of the premise set it is asked about during one
+//!   prove, and its private store of bases is the only one, so warm starts
+//!   are a detail of this crate that no caller sees;
 //! * [`LpProblem::solve_dense`] — the dense reference tableau, the
 //!   differential oracle.
 //!
 //! The [`lp`] module docs describe the lowering to standard form, the column
 //! form, integer pricing, the eta file and the warm-start contract; the
 //! [`entail`] module docs describe the positive-combination encoding, the
-//! column builder and the structural keying that drives the memo's stored
-//! bases.
+//! premise-set skeleton the columns are copied from, and the structural
+//! keying that drives the memo's stored bases.
 //!
 //! Both oracles are *sound*: a positive answer comes with an explicit
 //! certificate (a feasible point; for entailments, a [`Combination`] of

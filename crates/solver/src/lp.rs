@@ -49,9 +49,9 @@
 //! The revised engine's input is a column-form standard form
 //! (`ColumnForm`): `A·x = b`, `x ≥ 0`, `b ≥ 0`, stored column by column,
 //! with the artificial identity appended by the solve. [`LpProblem`] lowers
-//! into it one column at a time; the entailment oracle builds it straight
-//! from its product list. Phase 1, the artificial drive-out, warm starts
-//! and extraction exist once, in `ColumnForm::solve`.
+//! into it one column at a time; the entailment oracle copies it from the
+//! column runs of its premise set's skeleton. Phase 1, the artificial
+//! drive-out, warm starts and extraction exist once, in `ColumnForm::solve`.
 //!
 //! Pricing is where a cold solve spends its time: every Bland step computes
 //! `c_j − y·a_j` for each column until one is negative, and the columns of
@@ -492,6 +492,7 @@ impl LpProblem {
 /// artificial drive-out, warm starts and extraction live in one core,
 /// [`ColumnForm::solve`], which appends the artificial identity block after
 /// the decision columns.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct ColumnForm {
     /// Every column's `(row, coefficient)` nonzeros, column after column;
     /// each run is sorted by strictly increasing row and holds no zero.
@@ -519,6 +520,30 @@ impl ColumnForm {
     pub(crate) fn new(rhs: Vec<Rat>) -> ColumnForm {
         debug_assert!(rhs.iter().all(|b| !b.is_negative()), "negative right-hand side");
         ColumnForm { entries: Vec::new(), starts: vec![0], rhs }
+    }
+
+    /// A form over `rhs.len()` rows (every right-hand side `≥ 0`) whose
+    /// decision columns come as runs: column `j` is
+    /// `entries[starts[j]..starts[j + 1]]`, each run as
+    /// [`ColumnForm::push_column`] takes it. Capacity reserved past the runs
+    /// holds the artificial block [`ColumnForm::solve`] appends.
+    pub(crate) fn from_runs(
+        rhs: Vec<Rat>,
+        entries: Vec<(u32, Rat)>,
+        starts: Vec<u32>,
+    ) -> ColumnForm {
+        debug_assert!(rhs.iter().all(|b| !b.is_negative()), "negative right-hand side");
+        debug_assert!(
+            starts.first() == Some(&0)
+                && starts.last().is_some_and(|&end| end as usize == entries.len())
+                && starts.windows(2).all(|w| {
+                    let run = &entries[w[0] as usize..w[1] as usize];
+                    run.windows(2).all(|p| p[0].0 < p[1].0)
+                        && run.iter().all(|(i, a)| !a.is_zero() && (*i as usize) < rhs.len())
+                }),
+            "column runs must be contiguous, nonzero, in range and strictly increasing by row"
+        );
+        ColumnForm { entries, starts, rhs }
     }
 
     /// Appends the next decision column, given its nonzeros in increasing

@@ -102,10 +102,15 @@ if $run_bench_smoke; then
     # The pinned digests. num_profile only checks that its two engines
     # agree with each other, so a change that moved both engines' answers
     # the same way would pass it; these pin the microloop's LP solutions and
-    # the running example's degree-1 verdicts themselves.
-    echo "==> pinned digests (num_profile 30)"
-    for pin in '"lp_digest":"d26722705ffbc1e8"' '"verdict_digest":"46d3736ca3d67731"'; do
-        if ! grep -qF "$pin" target/ci-artifacts/num-profile.json; then
+    # the running example's degree-1 verdicts themselves. The three session
+    # counters pin the LP work of that sweep: an LP built with its rows or
+    # columns in another order keeps every verdict but takes other Bland
+    # pivots, and only the pivot count shows it.
+    echo "==> pinned digests and LP work (num_profile 30)"
+    for pin in '"lp_digest":"d26722705ffbc1e8"' '"verdict_digest":"46d3736ca3d67731"' \
+        '"session_lp_solves":887' '"session_lp_pivots":1745' '"session_warm_hits":2'; do
+        # A pin must end where its JSON value ends: 887 must not pass as 8870.
+        if ! grep -qE "$pin[,}]" target/ci-artifacts/num-profile.json; then
             echo "FAIL: num_profile 30 did not print the pinned $pin" >&2
             exit 1
         fi
