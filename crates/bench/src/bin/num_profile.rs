@@ -30,6 +30,12 @@
 //!   (absint is sound pruning only), the on-sweep must report a nonzero
 //!   fast-path/prune count (the machinery actually engaged), and the
 //!   fixpoint analysis itself is timed as `absint_analyze_secs`.
+//! * **Degree-2 sweep** — the running example's 24 degree-2 cells of
+//!   [`revterm::default_sweep`], in its order, through one session with no
+//!   time limit. Their Handelman LPs are the largest the running example
+//!   builds, and the only ones whose numbers leave the simplex kernel's
+//!   `i64` words, so their LP counters and verdict digest pin the LP path
+//!   of both word tiers.
 //!
 //! Every workload folds its results into an FNV-1a digest. The digests are
 //! pure functions of the computed values, so two runs (or two engines, or
@@ -47,7 +53,7 @@
 //! cargo run --release -p revterm-bench --bin num_profile [lp_iters]
 //! ```
 
-use revterm::{degree1_sweep, prove, ProverSession};
+use revterm::{default_sweep, degree1_sweep, prove, ProverSession};
 use revterm_num::{rat, Fnv64, Rat};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use revterm_solver::{entails_with_witness, EntailmentOptions, LpEngine, LpProblem, Rel, VarKind};
@@ -426,7 +432,7 @@ fn main() {
             c
         })
         .collect();
-    let mut off_session = ProverSession::new(ts);
+    let mut off_session = ProverSession::new(ts.clone());
     let off_start = Instant::now();
     let off_report = off_session.sweep(&off_configs, usize::MAX);
     let sweep_absint_off_secs = off_start.elapsed().as_secs_f64();
@@ -449,8 +455,22 @@ fn main() {
     let verdict_absint_off_digest = digest_of(&absint_off);
     let absint_verdicts_match = verdict_absint_off_digest == verdict_digest;
 
+    // --- Degree-2 cells of the running example, one session -------------
+    // Every LP above is a degree-1 LP, small enough for the simplex
+    // kernel's `i64` words. The degree-2 cells' Handelman LPs have up to 71
+    // rows, and some of them leave the words and are solved again over
+    // `Int`, so this sweep pins the LP path of both word tiers.
+    let degree2: Vec<_> = default_sweep().into_iter().filter(|c| c.params.degree == 2).collect();
+    let mut degree2_session = ProverSession::new(ts);
+    let degree2_start = Instant::now();
+    let degree2_report = degree2_session.sweep(&degree2, usize::MAX);
+    let degree2_secs = degree2_start.elapsed().as_secs_f64();
+    let degree2_lp = degree2_session.stats().aggregate.lp;
+    let degree2_verdicts: Vec<bool> = degree2_report.outcomes.iter().map(|o| o.proved).collect();
+    let degree2_verdict_digest = digest_of(&degree2_verdicts);
+
     println!(
-        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_dense_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"session_lp_refactorizations\":{},\"session_warm_lookups\":{},\"session_warm_hits\":{},\"session_warm_hit_rate\":{:.3},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_dense_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdict_digests_match\":{},\"verdicts_match\":{},\"absint_verdicts_match\":{}}}",
+        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_dense_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"session_lp_refactorizations\":{},\"session_warm_lookups\":{},\"session_warm_hits\":{},\"session_warm_hit_rate\":{:.3},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_dense_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdict_digests_match\":{},\"verdicts_match\":{},\"absint_verdicts_match\":{},\"degree2_configs\":{},\"degree2_secs\":{:.3},\"degree2_lp_solves\":{},\"degree2_lp_pivots\":{},\"degree2_warm_hits\":{},\"degree2_bignum_solves\":{},\"degree2_verdict_digest\":\"{:016x}\"}}",
         problems.len() + queries.len(),
         feasible,
         lp_secs,
@@ -485,6 +505,13 @@ fn main() {
         verdict_digests_match,
         verdicts_match,
         absint_verdicts_match,
+        degree2.len(),
+        degree2_secs,
+        degree2_lp.solves,
+        degree2_lp.pivots,
+        degree2_lp.warm_hits,
+        degree2_lp.bignum_solves,
+        degree2_verdict_digest,
     );
 
     let mut failed = false;

@@ -59,6 +59,13 @@
 //! | `verdict_dense_digest` | digest of the dense-tableau sweep verdicts; must equal `verdict_digest` |
 //! | `verdict_digests_match` | two-way sweep agreement (exit 1 when false) |
 //! | `verdicts_match` | fresh vs sessioned verdict agreement (exit 1 when false) |
+//! | `degree2_configs` | degree-2 cells of [`revterm::default_sweep`] swept on the running example (24), one session, no time limit |
+//! | `degree2_secs` | seconds for that sweep |
+//! | `degree2_lp_solves` | LP solves issued by the degree-2 sweep |
+//! | `degree2_lp_pivots` | simplex pivots across those solves |
+//! | `degree2_warm_hits` | of those solves, resumed from a stored basis |
+//! | `degree2_bignum_solves` | of those solves, re-solved over [`revterm_num::Int`] after their numbers left `i64` ([`revterm_solver::LpStats::bignum_solves`]) |
+//! | `degree2_verdict_digest` | digest of the degree-2 cells' verdicts |
 //!
 //! ## `session_vs_fresh` (one JSON object per benchmark)
 //!

@@ -108,7 +108,7 @@ fn exit_for(error: &Error) -> ExitCode {
 fn print_stats(result: &ProofResult) {
     let s = &result.stats;
     println!(
-        "stats: {} candidates, {} synthesis calls, {} entailment calls ({} cached), {} artifact / {} probe cache hits, {} absint fast paths, {} absint prunes",
+        "stats: {} candidates, {} synthesis calls, {} entailment calls ({} cached), {} artifact / {} probe cache hits, {} absint fast paths, {} absint prunes, {} LP solves ({} re-solved over bignums), {} pivots, {} of {} warm lookups hit",
         s.candidates_tried,
         s.synthesis_calls,
         s.entailment_calls,
@@ -117,6 +117,11 @@ fn print_stats(result: &ProofResult) {
         s.probe_cache_hits,
         s.lp.absint_fast_paths,
         s.absint_prunes,
+        s.lp.solves,
+        s.lp.bignum_solves,
+        s.lp.pivots,
+        s.lp.warm_hits,
+        s.lp.warm_lookups,
     );
 }
 

@@ -294,13 +294,15 @@ pub fn stats_to_json(stats: &ProveStats) -> Json {
                 ("refactorizations", Json::from(stats.lp.refactorizations)),
                 ("warm_lookups", Json::from(stats.lp.warm_lookups)),
                 ("warm_hits", Json::from(stats.lp.warm_hits)),
+                ("bignum_solves", Json::from(stats.lp.bignum_solves)),
                 ("absint_fast_paths", Json::from(stats.lp.absint_fast_paths)),
             ]),
         ),
     ])
 }
 
-/// Deserializes [`stats_to_json`].
+/// Deserializes [`stats_to_json`]. `lp.bignum_solves` is optional (0 when
+/// absent): servers from before it send none.
 pub fn stats_from_json(value: &Json) -> Result<ProveStats, Error> {
     let obj = value.as_obj_or("stats")?;
     let lp = obj.obj_field("lp")?;
@@ -320,6 +322,7 @@ pub fn stats_from_json(value: &Json) -> Result<ProveStats, Error> {
             refactorizations: lp.u64_field("refactorizations")?,
             warm_lookups: lp.u64_field("warm_lookups")?,
             warm_hits: lp.u64_field("warm_hits")?,
+            bignum_solves: lp.opt_u64_field("bignum_solves")?.unwrap_or(0),
             absint_fast_paths: lp.u64_field("absint_fast_paths")?,
         },
     })
@@ -627,8 +630,8 @@ pub enum ResponseBody {
     },
     /// Answer to `prove`.
     Proved {
-        /// The outcome.
-        outcome: WireOutcome,
+        /// The outcome, boxed: it is most of the size of any response.
+        outcome: Box<WireOutcome>,
         /// Whether the request was served from a pooled (warm) session.
         pool_hit: bool,
         /// [`program_hash`] of the proved system.
@@ -756,7 +759,7 @@ impl ProveResponse {
                 num_transitions: obj.u64_field("num_transitions")? as usize,
             },
             "prove" => ResponseBody::Proved {
-                outcome: WireOutcome::from_json(obj.field("outcome")?)?,
+                outcome: Box::new(WireOutcome::from_json(obj.field("outcome")?)?),
                 pool_hit: obj.bool_field("pool_hit")?,
                 program_hash: parse_hex_digest(obj.str_field("program_hash")?)?,
             },
@@ -1009,7 +1012,17 @@ mod tests {
         stats.lp.pivots = 1234;
         stats.lp.warm_lookups = 44;
         stats.lp.warm_hits = 11;
+        stats.lp.bignum_solves = 2;
         assert_eq!(stats_from_json(&stats_to_json(&stats)).unwrap(), stats);
+    }
+
+    #[test]
+    fn stats_from_an_older_server_read_without_bignum_solves() {
+        let mut stats = ProveStats { entailment_calls: 7, ..Default::default() };
+        stats.lp.solves = 3;
+        let text = stats_to_json(&stats).to_string().replace("\"bignum_solves\":0,", "");
+        assert!(!text.contains("bignum_solves"), "{text}");
+        assert_eq!(stats_from_json(&json::parse_json(&text).unwrap()).unwrap(), stats);
     }
 
     #[test]
@@ -1076,7 +1089,7 @@ mod tests {
             ProveResponse {
                 id: 2,
                 body: ResponseBody::Proved {
-                    outcome: outcome.clone(),
+                    outcome: Box::new(outcome.clone()),
                     pool_hit: true,
                     program_hash: hash,
                 },

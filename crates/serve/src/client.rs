@@ -122,7 +122,7 @@ impl Client {
     ) -> Result<(WireOutcome, bool), Error> {
         let body = RequestBody::Prove { source: source.to_string(), configs, deadline_ms };
         match self.request(body)?.body {
-            ResponseBody::Proved { outcome, pool_hit, .. } => Ok((outcome, pool_hit)),
+            ResponseBody::Proved { outcome, pool_hit, .. } => Ok((*outcome, pool_hit)),
             ResponseBody::Failed(error) => Err(error),
             other => Err(unexpected("prove", &other)),
         }

@@ -5,8 +5,9 @@
 //! counters, which live in [`crate::pool`]) as one JSON object, so an
 //! operator — or the CI smoke test — can see in a single request whether
 //! the daemon is actually warm: pool hit counts, entailment-cache and LP
-//! warm-start hit rates, abstract-interpretation fast paths, and where the
-//! request latencies fall.
+//! warm-start hit rates, LP solves re-run over big integers,
+//! abstract-interpretation fast paths, and where the request latencies
+//! fall.
 
 use crate::pool::PoolStats;
 use revterm::api::json::Json;
@@ -134,7 +135,9 @@ mod tests {
         m.record("sweep", Duration::from_secs(60), true, false);
         m.record("not-an-op", Duration::from_micros(1), true, false);
         assert_eq!(m.total_requests(), 4);
-        let stats = ProveStats { entailment_calls: 10, ..Default::default() };
+        let mut stats = ProveStats { entailment_calls: 10, ..Default::default() };
+        stats.lp.solves = 4;
+        stats.lp.bignum_solves = 1;
         m.record_prove_stats(&stats);
         m.record_prove_stats(&stats);
 
@@ -152,7 +155,13 @@ mod tests {
         let pool = obj.obj_field("pool").unwrap();
         assert_eq!(pool.u64_field("occupancy").unwrap(), 2);
         assert_eq!(pool.u64_field("hits").unwrap(), 3);
-        assert_eq!(obj.obj_field("prover").unwrap().u64_field("entailment_calls").unwrap(), 20);
+        let prover = obj.obj_field("prover").unwrap();
+        assert_eq!(prover.u64_field("entailment_calls").unwrap(), 20);
+        let lp = prover.obj_field("lp").unwrap();
+        assert_eq!(
+            (lp.u64_field("solves").unwrap(), lp.u64_field("bignum_solves").unwrap()),
+            (8, 2)
+        );
         let latency = obj.obj_field("latency_us").unwrap();
         assert_eq!(latency.u64_field("le_100us").unwrap(), 2, "50us and 1us requests");
         assert_eq!(latency.u64_field("le_10000us").unwrap(), 1, "2ms request");

@@ -303,7 +303,7 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
             let outcome = WireOutcome::from_result(&result, session.ts());
             shared.metrics.lock().expect("metrics poisoned").record_prove_stats(&result.stats);
             shared.pool.lock().expect("pool poisoned").checkin(key, session);
-            Ok(ResponseBody::Proved { outcome, pool_hit, program_hash: key })
+            Ok(ResponseBody::Proved { outcome: Box::new(outcome), pool_hit, program_hash: key })
         }
         RequestBody::Sweep { source, configs, stop_after, deadline_ms } => {
             let configs = request_configs(configs, revterm::degree1_sweep, deadline_ms);

@@ -26,8 +26,10 @@
 //! and the product budget, so it is built once per premise set and option
 //! set, as a *skeleton*: the product list with the premise indices each
 //! product multiplies, the sorted monomials of the products, each product's
-//! terms as a run of `(monomial position, coefficient)` entries, and the
-//! warm-start key's hasher after the product list. A query merges the
+//! terms as a run of `(monomial position, coefficient)` entries — scaled to
+//! coprime integers and held in the `i64` words the simplex kernel reads
+//! whenever they fit — and the warm-start
+//! key's hasher after the product list. A query merges the
 //! conclusion's monomials into those rows (usually none is new; a new one
 //! shifts the positions after it), writes the right-hand side, and copies
 //! the runs once, negating the rows whose right-hand side is negative. That
@@ -93,7 +95,9 @@
 //! assert!(refutation.certifies(&contradictory, &seven));
 //! ```
 
-use crate::lp::{BasisCache, ColumnForm, ColumnOutcome, LpProblem, LpStats, Rel, VarKind};
+use crate::lp::{
+    BasisCache, ColumnForm, ColumnOutcome, IntColumns, LpProblem, LpStats, Rel, VarKind,
+};
 use revterm_num::{Fnv64, Rat};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use std::borrow::Cow;
@@ -108,9 +112,9 @@ use std::sync::Arc;
 /// `num_profile` bench bin re-proves the agreement on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LpEngine {
-    /// The revised simplex with the eta-file basis factorization and exact
-    /// integer pricing (the engine behind [`LpProblem::solve`]), fed the
-    /// column-form LP — the only engine with warm starts, and the default.
+    /// The fraction-free revised simplex over integer words (the engine
+    /// behind [`LpProblem::solve`]), fed the column-form LP — the only
+    /// engine with warm starts, and the default.
     #[default]
     Revised,
     /// The dense reference tableau ([`LpProblem::solve_dense`]), fed the LP
@@ -399,11 +403,9 @@ struct Skeleton {
     /// The sorted monomials of the products: the rows of every LP whose
     /// conclusion brings no monomial of its own.
     universe: Vec<Monomial>,
-    /// Every product's terms as `(position in universe, coefficient)`,
-    /// product after product; the positions of a run increase.
-    runs: Vec<(u32, Rat)>,
-    /// Product `j`'s run is `runs[starts[j]..starts[j + 1]]`.
-    starts: Vec<u32>,
+    /// Every product's terms as an integer column over the positions in
+    /// `universe`, in the words the simplex kernel reads.
+    runs: IntColumns,
     /// The warm-start key's hasher after the product list.
     hashed: Fnv64,
 }
@@ -427,16 +429,11 @@ impl Skeleton {
             products.polys.iter().flat_map(|p| p.terms().map(|(m, _)| *m)).collect();
         universe.sort_unstable();
         universe.dedup();
-        let mut runs = Vec::new();
-        let mut starts = Vec::with_capacity(products.polys.len() + 1);
-        starts.push(0);
+        let mut runs = IntColumns::new();
         // A product's terms are sorted by monomial, so its positions arrive
         // sorted.
         for p in &products.polys {
-            runs.extend(
-                p.flat_terms().iter().map(|(m, c)| (row_of(&universe, m) as u32, c.clone())),
-            );
-            starts.push(u32::try_from(runs.len()).expect("product terms fit u32 offsets"));
+            runs.push(p.flat_terms().iter().map(|(m, c)| (row_of(&universe, m) as u32, c)));
         }
         // The key material is a flat word stream — packed monomial keys and
         // small-tier rationals — so FNV's byte-fold loop beats SipHash's
@@ -444,7 +441,7 @@ impl Skeleton {
         // standardize on it.
         let mut hashed = Fnv64::new();
         products.polys.hash(&mut hashed);
-        Skeleton { products, universe, runs, starts, hashed }
+        Skeleton { products, universe, runs, hashed }
     }
 
     /// The row set of an LP whose target is `target`.
@@ -488,16 +485,13 @@ impl Skeleton {
                 *b = -std::mem::take(b);
             }
         }
-        // The moves are monotone, so every run stays sorted by row. Both
-        // buffers keep room for the artificial block the solve appends.
-        let mut entries = Vec::with_capacity(self.runs.len() + m);
-        entries.extend(self.runs.iter().map(|(at, c)| {
-            let row = rows.moved.as_ref().map_or(*at, |moved| moved[*at as usize]);
-            (row, if negated[row as usize] { -c } else { c.clone() })
-        }));
-        let mut starts = Vec::with_capacity(self.starts.len() + m);
-        starts.extend_from_slice(&self.starts);
-        ColumnForm::from_runs(rhs, entries, starts)
+        // The moves are monotone, so every run stays sorted by row. The
+        // copy keeps room for the artificial block the solve appends.
+        let runs = self.runs.relabel(m, |at| {
+            let row = rows.moved.as_ref().map_or(at, |moved| moved[at as usize]);
+            (row, negated[row as usize])
+        });
+        ColumnForm::from_columns(rhs, runs)
     }
 
     /// The warm-start key of the LP over `rows`: the hash of
@@ -1250,10 +1244,15 @@ mod tests {
             }
             let mut form = ColumnForm::new(rhs);
             for p in product_list {
-                form.push_column(p.flat_terms().iter().map(|(m, c)| {
-                    let i = row_of(monomials, m);
-                    (i as u32, if negated[i] { -c } else { c.clone() })
-                }));
+                let column: Vec<(u32, Rat)> = p
+                    .flat_terms()
+                    .iter()
+                    .map(|(m, c)| {
+                        let i = row_of(monomials, m);
+                        (i as u32, if negated[i] { -c } else { c.clone() })
+                    })
+                    .collect();
+                form.push_column(&column);
             }
             form
         }

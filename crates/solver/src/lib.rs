@@ -27,23 +27,26 @@
 //! (they make the same Bland's-rule choices and exact arithmetic makes
 //! every comparison representation-independent):
 //!
-//! * [`LpProblem::solve`] — the engine: a revised simplex over a
-//!   column-form standard form that keeps the basis inverse as an eta-file
-//!   (product-form) factorization, prices in exact integer arithmetic with
-//!   an exact `Rat` fallback, and supports **warm starts** from stored
-//!   optimal bases, which is what lets a Houdini entailment stream skip
-//!   phase 1 on structurally repeated LPs. The entailment oracle builds
-//!   everything of an LP but its right-hand side once per premise set (a
-//!   *skeleton*: products, monomial rows, column runs) and copies each
-//!   LP's columns for this engine from it; the memo [`EntailmentCache`]
-//!   keeps the skeletons of the premise set it is asked about during one
-//!   prove, and its private store of bases is the only one, so warm starts
-//!   are a detail of this crate that no caller sees;
+//! * [`LpProblem::solve`] — the engine: a fraction-free revised simplex
+//!   over a column-form standard form scaled to integers. It keeps the
+//!   basis inverse as an integer adjugate with its determinant, so every
+//!   pivot divides exactly and none takes a gcd; it computes in `i64` words
+//!   and solves an LP again over [`revterm_num::Int`] when its numbers
+//!   leave them. It supports **warm starts** from stored optimal bases,
+//!   which is what lets a Houdini entailment stream skip phase 1 on
+//!   structurally repeated LPs. The entailment oracle builds everything of
+//!   an LP but its right-hand side once per premise set (a *skeleton*:
+//!   products, monomial rows, integer column runs) and copies each LP's
+//!   columns for this engine from it; the memo [`EntailmentCache`] keeps
+//!   the skeletons of the premise set it is asked about during one prove,
+//!   and its private store of bases is the only one, so warm starts are a
+//!   detail of this crate that no caller sees;
 //! * [`LpProblem::solve_dense`] — the dense reference tableau, the
 //!   differential oracle.
 //!
-//! The [`lp`] module docs describe the lowering to standard form, the column
-//! form, integer pricing, the eta file and the warm-start contract; the
+//! The [`lp`] module docs describe the lowering to standard form, the
+//! fraction-free update, why the integer scalings keep every pivot, the two
+//! word tiers and the warm-start contract; the
 //! [`entail`] module docs describe the positive-combination encoding, the
 //! premise-set skeleton the columns are copied from, and the structural
 //! keying that drives the memo's stored bases.

@@ -58,7 +58,8 @@ cargo build --locked --release --offline --manifest-path perfbench/Cargo.toml
 
 # The dev profile keeps debug-assertions on (opt-level is raised but
 # debug_assert! stays live), so this run exercises the canonical-form
-# invariant checks in Poly/LinExpr and the eta-file pivot assertions —
+# invariant checks in Poly/LinExpr and the simplex kernel's assertions that
+# every fraction-free division is exact and no pivot element is zero —
 # release builds compile them out.
 echo "==> cargo test --locked -q"
 cargo test --locked -q
@@ -87,7 +88,8 @@ if $run_bench_smoke; then
     # the revised simplex and the dense reference tableau over the same
     # problems, the flat polynomial kernels against a BTreeMap reference,
     # the packed-monomial cache-key hashing loop under a counting
-    # allocator, and the degree-1 sweep. It
+    # allocator, the degree-1 sweep and the running example's degree-2
+    # cells (about 1.5-2 s of its run). It
     # exits non-zero on any digest divergence, any heap allocation on the
     # packed hashing path, or a zero warm-start hit rate — the revised-simplex
     # and packed-monomial acceptance criteria, re-proved on every CI run.
@@ -105,10 +107,14 @@ if $run_bench_smoke; then
     # the running example's degree-1 verdicts themselves. The three session
     # counters pin the LP work of that sweep: an LP built with its rows or
     # columns in another order keeps every verdict but takes other Bland
-    # pivots, and only the pivot count shows it.
+    # pivots, and only the pivot count shows it. The degree-2 pins do the
+    # same for the running example's degree-2 cells, whose larger Handelman
+    # LPs are the ones that leave the simplex kernel's i64 words for Int.
     echo "==> pinned digests and LP work (num_profile 30)"
     for pin in '"lp_digest":"d26722705ffbc1e8"' '"verdict_digest":"46d3736ca3d67731"' \
-        '"session_lp_solves":887' '"session_lp_pivots":1745' '"session_warm_hits":2'; do
+        '"session_lp_solves":887' '"session_lp_pivots":1745' '"session_warm_hits":2' \
+        '"degree2_lp_solves":3059' '"degree2_lp_pivots":55087' '"degree2_warm_hits":352' \
+        '"degree2_verdict_digest":"46d3736ca3d67731"'; do
         # A pin must end where its JSON value ends: 887 must not pass as 8870.
         if ! grep -qE "$pin[,}]" target/ci-artifacts/num-profile.json; then
             echo "FAIL: num_profile 30 did not print the pinned $pin" >&2
