@@ -16,7 +16,7 @@
 //! constraints its purely-primed atoms place on the post-state.
 
 use crate::closure::{IntervalEnv, CLOSURE_ROUNDS};
-use crate::interval::{Interval, SignFact};
+use crate::interval::Interval;
 use revterm_num::Rat;
 use revterm_poly::{monomials_up_to_degree, Monomial, Poly, Var};
 use revterm_ts::interp::Config;
@@ -265,11 +265,6 @@ impl AbstractState {
     /// The constant value of `var` at `loc`, when the analysis pinned one.
     pub fn constant_at(&self, loc: Loc, var: usize) -> Option<&Rat> {
         self.interval(loc, var).and_then(Interval::as_constant)
-    }
-
-    /// The sign fact for `var` at `loc` (unknown when unreachable).
-    pub fn sign_at(&self, loc: Loc, var: usize) -> SignFact {
-        self.interval(loc, var).map_or(SignFact::Unknown, Interval::sign)
     }
 
     /// Does `p ≥ 0` hold in every concrete state that can reach `loc`?

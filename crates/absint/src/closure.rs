@@ -17,6 +17,9 @@
 //! conclusion it entails into weights on the constant `1` and on the
 //! *individual* premises, and a [`PremiseClosure::Contradiction`] unrolls
 //! into a combination summing to `−1` ([`PremiseClosure::refutation`]).
+//! Both are a [`Combination`], the witness the multiplier LP returns too,
+//! with the constant first (when its weight is positive) and then the
+//! premises by increasing index.
 //! The multiplier LP in `revterm_solver::entail` always offers a column for
 //! each single premise (products of size 1) plus the constant `1`, so such a
 //! combination is a feasible point of its LP: whenever
@@ -51,14 +54,15 @@
 //! assert!(closure.entails(&conclusion));
 //! // The evidence: 1 · (x - 9) + 2 · 1.
 //! let farkas = closure.combination(&premises, &conclusion).unwrap();
-//! assert_eq!((farkas.constant, farkas.premises), (rat(2), vec![(0, rat(1))]));
+//! let terms: Vec<_> = farkas.terms().collect();
+//! assert_eq!(terms, [(&[][..], &rat(2)), (&[0][..], &rat(1))]);
 //! assert!(!closure.entails(&(Poly::constant(rat(11)) - x)));
 //! assert!(!closure.is_contradiction());
 //! ```
 
 use crate::interval::Interval;
 use revterm_num::Rat;
-use revterm_poly::{LinExpr, Poly, Var};
+use revterm_poly::{Combination, LinExpr, Poly, Var};
 use std::collections::BTreeMap;
 
 /// Refinement rounds for both the premise closure and guard refinement.
@@ -112,19 +116,6 @@ enum Conflict {
     /// Fact `fact` put one end of its variable past the other end, which
     /// fact `other` set, by `gap > 0`.
     Crossing { fact: u32, other: u32, gap: Rat },
-}
-
-/// A nonnegative combination of single premises,
-/// `constant · 1 + Σ λ_k · premise_k` with every `λ_k > 0` — the closure's
-/// evidence for an entailment (its sum is the conclusion) or a refutation
-/// (its sum is `−1`). The multiplier LP's combination with the terms
-/// `constant · 1` (when positive) and `λ_k · premise_k` is the same sum.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FarkasCombination {
-    /// The multiplier of the constant `1` (zero when unused).
-    pub constant: Rat,
-    /// `(premise index, λ)` pairs in increasing premise order.
-    pub premises: Vec<(u32, Rat)>,
 }
 
 /// A contradiction the closure derived, kept so that its refutation can be
@@ -326,7 +317,7 @@ impl IntervalEnv {
     /// The combination proving `conclusion ≥ 0` from the premises the
     /// bounds were derived from; `None` exactly when [`IntervalEnv::entails`]
     /// is `false`, or when the proof would read a seeded bound.
-    fn combination(&self, premises: &[Poly], conclusion: &Poly) -> Option<FarkasCombination> {
+    fn combination(&self, premises: &[Poly], conclusion: &Poly) -> Option<Combination> {
         let lin = conclusion.as_linear()?;
         // conclusion = slack + Σ |c_v| · (the bound fact on x_v that
         // `lower_bound` reads), where slack is that lower bound.
@@ -340,21 +331,24 @@ impl IntervalEnv {
         if slack.is_negative() {
             return None;
         }
-        Some(FarkasCombination { constant: slack, premises: self.unroll(weights, premises)? })
+        self.unroll(weights, premises, Combination::constant(slack))
     }
 
     /// Spreads weighted facts down to the premises: a fact of weight `w`
     /// from the premise `c + Σ a_j·x_j ≥ 0`, solved for `x_i`, is
     /// `w / |a_i|` times the premise plus `w · |a_j| / |a_i|` times each fact
     /// it read. Facts read only earlier facts, so taking them in decreasing
-    /// id order completes each weight before it is spread. `None` if a
-    /// seeded bound is reached or `premises` is not what the facts read.
+    /// id order completes each weight before it is spread. The premise
+    /// terms are appended to `combination` by increasing premise index.
+    /// `None` if a seeded bound is reached or `premises` is not what the
+    /// facts read.
     fn unroll(
         &self,
         mut weights: BTreeMap<u32, Rat>,
         premises: &[Poly],
-    ) -> Option<Vec<(u32, Rat)>> {
-        let mut out: BTreeMap<u32, Rat> = BTreeMap::new();
+        mut combination: Combination,
+    ) -> Option<Combination> {
+        let mut lambdas: BTreeMap<u32, Rat> = BTreeMap::new();
         while let Some((id, weight)) = weights.pop_last() {
             let fact = self.facts.get(id as usize)?;
             let deps_start = match id.checked_sub(1) {
@@ -375,9 +369,12 @@ impl IntervalEnv {
             if deps.next().is_some() {
                 return None;
             }
-            *out.entry(fact.premise).or_default() += &scale;
+            *lambdas.entry(fact.premise).or_default() += &scale;
         }
-        Some(out.into_iter().collect())
+        for (premise, lambda) in lambdas {
+            combination.push(&[premise], lambda);
+        }
+        Some(combination)
     }
 
     /// Sound interval evaluation of an arbitrary polynomial.
@@ -432,8 +429,9 @@ impl PremiseClosure {
 
     /// The combination behind [`PremiseClosure::entails`]: for a closure of
     /// `premises`, `Some` exactly when `entails(conclusion)` holds, and its
-    /// sum is `conclusion`.
-    pub fn combination(&self, premises: &[Poly], conclusion: &Poly) -> Option<FarkasCombination> {
+    /// sum is `conclusion`. Its terms are the constant `1` (when its weight
+    /// is positive) and then single premises by increasing index.
+    pub fn combination(&self, premises: &[Poly], conclusion: &Poly) -> Option<Combination> {
         match self {
             PremiseClosure::Contradiction(_) => None,
             PremiseClosure::Env(env) => env.combination(premises, conclusion),
@@ -441,24 +439,24 @@ impl PremiseClosure {
     }
 
     /// The refutation behind a [`PremiseClosure::Contradiction`] of
-    /// `premises`: a combination summing to `−1`. `None` for an
-    /// [`PremiseClosure::Env`].
-    pub fn refutation(&self, premises: &[Poly]) -> Option<FarkasCombination> {
+    /// `premises`: a combination of single premises, by increasing index,
+    /// summing to `−1`. `None` for an [`PremiseClosure::Env`].
+    pub fn refutation(&self, premises: &[Poly]) -> Option<Combination> {
         let PremiseClosure::Contradiction(Refutation { env, conflict }) = self else {
             return None;
         };
         match conflict {
             // (−1/c) · c = −1.
-            Conflict::Negative { premise, constant } => Some(FarkasCombination {
-                constant: Rat::zero(),
-                premises: vec![(*premise, -constant.recip())],
-            }),
+            Conflict::Negative { premise, constant } => {
+                let mut combination = Combination::new();
+                combination.push(&[*premise], -constant.recip());
+                Some(combination)
+            }
             // The two ends sum to `−gap`: (x − lo) + (hi − x) with lo > hi.
             Conflict::Crossing { fact, other, gap } => {
                 let weight = gap.recip();
                 let weights = BTreeMap::from([(*fact, weight.clone()), (*other, weight)]);
-                let premises = env.unroll(weights, premises)?;
-                Some(FarkasCombination { constant: Rat::zero(), premises })
+                env.unroll(weights, premises, Combination::new())
             }
         }
     }
@@ -467,8 +465,7 @@ impl PremiseClosure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revterm_num::rat;
-    use revterm_solver::Combination;
+    use revterm_num::{rat, SplitMix64};
 
     fn x() -> Poly {
         Poly::var(Var(0))
@@ -482,16 +479,9 @@ mod tests {
         Poly::constant(rat(v))
     }
 
-    /// The solver's form of `farkas`, as certificate evidence carries it.
-    fn solver_form(farkas: &FarkasCombination) -> Combination {
-        let mut combination = Combination::new();
-        if farkas.constant.is_positive() {
-            combination.push(&[], farkas.constant.clone());
-        }
-        for (premise, lambda) in &farkas.premises {
-            combination.push(&[*premise], lambda.clone());
-        }
-        combination
+    /// The `(premise indices, λ)` terms of `combination`, owned.
+    fn terms(combination: &Combination) -> Vec<(Vec<u32>, Rat)> {
+        combination.terms().map(|(factors, lambda)| (factors.to_vec(), lambda.clone())).collect()
     }
 
     /// Whether the closure's combination for `conclusion` certifies it.
@@ -499,7 +489,7 @@ mod tests {
         let closure = close_premises(premises.iter());
         closure
             .combination(premises, conclusion)
-            .is_some_and(|farkas| solver_form(&farkas).certifies(premises, conclusion))
+            .is_some_and(|farkas| farkas.certifies(premises, conclusion))
     }
 
     #[test]
@@ -523,12 +513,14 @@ mod tests {
         assert!(cl.is_contradiction());
         // ½ · (x - 5) + ½ · (3 - x) = -1.
         let refutation = cl.refutation(&premises).unwrap();
-        assert_eq!(refutation.premises, vec![(0, Rat::packed(1, 2)), (1, Rat::packed(1, 2))]);
-        assert!(solver_form(&refutation).certifies(&premises, &c(-1)));
+        let half = Rat::packed(1, 2);
+        assert_eq!(terms(&refutation), [(vec![0], half.clone()), (vec![1], half)]);
+        assert!(refutation.certifies(&premises, &c(-1)));
         // A negative constant premise alone is contradictory.
         let negative = [x(), c(-4)];
         let refutation = close_premises(negative.iter()).refutation(&negative).unwrap();
-        assert!(solver_form(&refutation).certifies(&negative, &c(-1)));
+        assert_eq!(terms(&refutation), [(vec![1], Rat::packed(1, 4))]);
+        assert!(refutation.certifies(&negative, &c(-1)));
         assert_eq!(close_premises(premises[..1].iter()).refutation(&premises[..1]), None);
     }
 
@@ -539,8 +531,9 @@ mod tests {
         let cl = close_premises(premises.iter());
         assert!(cl.entails(&(x() - c(2))));
         // The combination names the linear premise by its place in the set.
+        // x - 1 = 1 · (x - 2) + 1: the constant first, then the premise.
         let farkas = cl.combination(&premises, &(x() - c(1))).unwrap();
-        assert_eq!(farkas.premises, vec![(1, rat(1))]);
+        assert_eq!(terms(&farkas), [(vec![], rat(1)), (vec![1], rat(1))]);
         assert!(proves(&premises, &(x() - c(1))));
         // Nonlinear conclusions are never claimed, even when true.
         assert!(!cl.entails(&(x() * x() - c(4))));
@@ -691,42 +684,25 @@ mod tests {
         }
     }
 
-    /// SplitMix64, the workspace's seeded generator.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in `lo..=hi`.
-        fn int(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next() % (hi - lo + 1) as u64) as i64
-        }
-
-        fn nonzero(&mut self, magnitude: i64) -> i64 {
-            let v = self.int(1, magnitude);
-            if self.next().is_multiple_of(2) {
-                v
-            } else {
-                -v
-            }
+    /// A nonzero integer of magnitude at most `magnitude`.
+    fn nonzero(rng: &mut SplitMix64, magnitude: i64) -> i64 {
+        let v = rng.next_in_range(1, magnitude);
+        if rng.next_u64().is_multiple_of(2) {
+            v
+        } else {
+            -v
         }
     }
 
     /// A coefficient: a small integer, a fraction, or one within a few
     /// units of `±i64::MAX`.
     fn coefficient(rng: &mut SplitMix64) -> Rat {
-        match rng.int(0, 5) {
-            0..=2 => rat(rng.nonzero(4)),
-            3 | 4 => Rat::packed(rng.nonzero(9), rng.int(2, 7)),
+        match rng.next_in_range(0, 5) {
+            0..=2 => rat(nonzero(rng, 4)),
+            3 | 4 => Rat::packed(nonzero(rng, 9), rng.next_in_range(2, 7)),
             _ => {
-                let huge = Rat::from(i64::MAX - rng.int(0, 3));
-                if rng.next().is_multiple_of(2) {
+                let huge = Rat::from(i64::MAX - rng.next_in_range(0, 3));
+                if rng.next_u64().is_multiple_of(2) {
                     huge
                 } else {
                     -huge
@@ -738,10 +714,10 @@ mod tests {
     /// A constant term: small integers and fractions, now and then a huge
     /// one.
     fn constant(rng: &mut SplitMix64) -> Rat {
-        match rng.int(0, 7) {
-            0..=4 => rat(rng.int(-12, 12)),
-            5 | 6 => Rat::packed(rng.int(-40, 40), rng.int(2, 9)),
-            _ => &Rat::from(i64::MAX - rng.int(0, 3)) * &rat(rng.nonzero(1)),
+        match rng.next_in_range(0, 7) {
+            0..=4 => rat(rng.next_in_range(-12, 12)),
+            5 | 6 => Rat::packed(rng.next_in_range(-40, 40), rng.next_in_range(2, 9)),
+            _ => &Rat::from(i64::MAX - rng.next_in_range(0, 3)) * &rat(nonzero(rng, 1)),
         }
     }
 
@@ -749,7 +725,7 @@ mod tests {
     fn linear(rng: &mut SplitMix64, nvars: u32) -> Poly {
         let mut p = Poly::constant(constant(rng));
         for v in 0..nvars {
-            if v == 0 || rng.next().is_multiple_of(2) {
+            if v == 0 || rng.next_u64().is_multiple_of(2) {
                 p = p + Poly::var(Var(v)).scale(&coefficient(rng));
             }
         }
@@ -762,8 +738,9 @@ mod tests {
     /// now and then a nonlinear atom or a negative constant that shifts the
     /// indices of the atoms behind it.
     fn premise_set(rng: &mut SplitMix64, nvars: u32) -> Vec<Poly> {
-        let mut premises: Vec<Poly> = (0..rng.int(0, 3)).map(|_| linear(rng, nvars)).collect();
-        if !rng.next().is_multiple_of(3) {
+        let mut premises: Vec<Poly> =
+            (0..rng.next_in_range(0, 3)).map(|_| linear(rng, nvars)).collect();
+        if !rng.next_u64().is_multiple_of(3) {
             for v in (1..nvars).rev() {
                 let link = Poly::var(Var(v)) - Poly::var(Var(v - 1)).scale(&coefficient(rng).abs());
                 premises.push(link - Poly::constant(constant(rng)));
@@ -771,19 +748,19 @@ mod tests {
             let base = Poly::var(Var(0)).scale(&coefficient(rng).abs());
             premises.push(base - Poly::constant(constant(rng)));
         }
-        for _ in 0..rng.int(0, 2) {
-            let v = Var(rng.int(0, i64::from(nvars) - 1) as u32);
+        for _ in 0..rng.next_in_range(0, 2) {
+            let v = Var(rng.next_in_range(0, i64::from(nvars) - 1) as u32);
             premises
                 .push(Poly::constant(constant(rng)) - Poly::var(v).scale(&coefficient(rng).abs()));
         }
-        if rng.next().is_multiple_of(4) {
-            let at = rng.int(0, premises.len() as i64) as usize;
+        if rng.next_u64().is_multiple_of(4) {
+            let at = rng.next_in_range(0, premises.len() as i64) as usize;
             premises
                 .insert(at, Poly::var(Var(0)) * Poly::var(Var(1)) - Poly::constant(constant(rng)));
         }
-        if rng.next().is_multiple_of(12) {
-            let at = rng.int(0, premises.len() as i64) as usize;
-            premises.insert(at, Poly::constant(rat(-rng.int(1, 5))));
+        if rng.next_u64().is_multiple_of(12) {
+            let at = rng.next_in_range(0, premises.len() as i64) as usize;
+            premises.insert(at, Poly::constant(rat(-rng.next_in_range(1, 5))));
         }
         premises
     }
@@ -817,18 +794,17 @@ mod tests {
 
     #[test]
     fn every_closure_answer_carries_a_combination_that_certifies_it() {
-        let mut rng = SplitMix64(0xC105_0E5E);
+        let mut rng = SplitMix64::new(0xC105_0E5E);
         let (mut refuted, mut proved, mut deep, mut huge) = (0, 0, 0, 0);
         for case in 0..600 {
-            let nvars = rng.int(2, 4) as u32;
+            let nvars = rng.next_in_range(2, 4) as u32;
             let premises = premise_set(&mut rng, nvars);
             let closure = close_premises(premises.iter());
             let expected = reference::close(&premises, CLOSURE_ROUNDS);
             assert_eq!(closure.is_contradiction(), expected.is_none(), "case {case}: {premises:?}");
             let Some(closed) = expected else {
                 let refutation = closure.refutation(&premises);
-                let refutes = refutation
-                    .is_some_and(|farkas| solver_form(&farkas).certifies(&premises, &c(-1)));
+                let refutes = refutation.is_some_and(|farkas| farkas.certifies(&premises, &c(-1)));
                 assert!(refutes, "case {case}: no refutation of {premises:?}");
                 refuted += 1;
                 continue;
@@ -842,14 +818,18 @@ mod tests {
                 assert_eq!(combination.is_some(), entails, "case {case}: {conclusion:?}");
                 let Some(farkas) = combination else { continue };
                 assert!(
-                    solver_form(&farkas).certifies(&premises, &conclusion),
+                    farkas.certifies(&premises, &conclusion),
                     "case {case}: {farkas:?} does not prove {conclusion:?} from {premises:?}"
                 );
                 proved += 1;
                 if shallow.as_ref().is_some_and(|env| !env.entails(&conclusion)) {
                     deep += 1;
                 }
-                if farkas.premises.iter().any(|(_, lambda)| !lambda.is_packed()) {
+                // Premise terms only: the constant's weight does not count.
+                if farkas
+                    .terms()
+                    .any(|(factors, lambda)| !factors.is_empty() && !lambda.is_packed())
+                {
                     huge += 1;
                 }
             }

@@ -10,37 +10,6 @@
 use revterm_num::Rat;
 use std::fmt;
 
-/// A sign/constancy fact derived from an [`Interval`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SignFact {
-    /// Strictly negative everywhere.
-    Neg,
-    /// At most zero.
-    NonPos,
-    /// Exactly zero (the constant `0`).
-    Zero,
-    /// At least zero.
-    NonNeg,
-    /// Strictly positive everywhere.
-    Pos,
-    /// No sign information.
-    Unknown,
-}
-
-impl fmt::Display for SignFact {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SignFact::Neg => "-",
-            SignFact::NonPos => "<=0",
-            SignFact::Zero => "0",
-            SignFact::NonNeg => ">=0",
-            SignFact::Pos => "+",
-            SignFact::Unknown => "?",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A nonempty closed interval `[lo, hi]` over the rationals.
 ///
 /// A `None` bound means the interval is unbounded on that side (−∞ / +∞).
@@ -164,22 +133,6 @@ impl Interval {
     /// Does the interval contain `v`?
     pub fn contains(&self, v: &Rat) -> bool {
         self.lo.as_ref().is_none_or(|l| l <= v) && self.hi.as_ref().is_none_or(|h| v <= h)
-    }
-
-    /// The sign/constancy fact this interval proves.
-    pub fn sign(&self) -> SignFact {
-        if let Some(c) = self.as_constant() {
-            if c.is_zero() {
-                return SignFact::Zero;
-            }
-        }
-        match (&self.lo, &self.hi) {
-            (Some(l), _) if l.is_positive() => SignFact::Pos,
-            (Some(l), _) if !l.is_negative() => SignFact::NonNeg,
-            (_, Some(h)) if h.is_negative() => SignFact::Neg,
-            (_, Some(h)) if !h.is_positive() => SignFact::NonPos,
-            _ => SignFact::Unknown,
-        }
     }
 
     /// Least upper bound (interval hull).
@@ -363,12 +316,6 @@ mod tests {
 
     #[test]
     fn signs_and_constants() {
-        assert_eq!(iv(1, 4).sign(), SignFact::Pos);
-        assert_eq!(iv(0, 4).sign(), SignFact::NonNeg);
-        assert_eq!(iv(-4, -1).sign(), SignFact::Neg);
-        assert_eq!(iv(-4, 0).sign(), SignFact::NonPos);
-        assert_eq!(Interval::point(rat(0)).sign(), SignFact::Zero);
-        assert_eq!(Interval::top().sign(), SignFact::Unknown);
         assert_eq!(Interval::point(ratio(7, 2)).as_constant(), Some(&ratio(7, 2)));
         assert_eq!(iv(1, 2).as_constant(), None);
     }

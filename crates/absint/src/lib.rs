@@ -5,11 +5,11 @@
 //! (resolution enumeration, Houdini invariant synthesis, Farkas/Handelman
 //! multiplier LPs) runs, in two closely related forms:
 //!
-//! 1. **Per-location interval/sign fixpoint** — [`analyze`] runs a worklist
+//! 1. **Per-location interval fixpoint** — [`analyze`] runs a worklist
 //!    abstract interpretation in the interval domain with delayed widening
 //!    and a narrowing pass, producing an [`AbstractState`]: for every
 //!    location either a proof of unreachability or a sound per-variable
-//!    [`Interval`] (with derived [`SignFact`]/constancy facts).  The prover
+//!    [`Interval`] (with the constants it pins).  The prover
 //!    session caches one per analyzed system; the `revterm analyze` CLI
 //!    subcommand pretty-prints it together with [`Diagnostics`] (unused
 //!    variables, unreachable locations, constant guards).
@@ -19,9 +19,10 @@
 //!    explicit nonnegative (Farkas) combination of the premises, and the
 //!    closure records it: a positive answer from
 //!    [`PremiseClosure::entails`] comes with that combination
-//!    ([`PremiseClosure::combination`], a [`FarkasCombination`]) and a
-//!    contradiction with its refutation, so the answer is *guaranteed* to
-//!    agree with the multiplier LP.  Houdini and the blocked-transition check
+//!    ([`PremiseClosure::combination`]) and a contradiction with its
+//!    refutation ([`PremiseClosure::refutation`]), both in the one witness
+//!    format, [`revterm_poly::Combination`], that the multiplier LP emits
+//!    too, so the answer is *guaranteed* to agree with the LP.  Houdini and the blocked-transition check
 //!    use it to skip LP solves outright (`absint_fast_paths` in `LpStats`);
 //!    certificate evidence generation ships its combinations, which the
 //!    exact check verifies, and solves an LP only for what it cannot decide.
@@ -77,7 +78,5 @@ mod closure;
 mod interval;
 
 pub use analysis::{analyze, analyze_from, diagnostics, AbstractState, Diagnostics};
-pub use closure::{
-    close_premises, FarkasCombination, IntervalEnv, PremiseClosure, Refutation, CLOSURE_ROUNDS,
-};
-pub use interval::{Interval, SignFact};
+pub use closure::{close_premises, IntervalEnv, PremiseClosure, Refutation, CLOSURE_ROUNDS};
+pub use interval::Interval;

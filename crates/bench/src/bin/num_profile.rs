@@ -54,7 +54,7 @@
 //! ```
 
 use revterm::{default_sweep, degree1_sweep, prove, ProverSession};
-use revterm_num::{rat, Fnv64, Rat};
+use revterm_num::{rat, Fnv64, Rat, SplitMix64};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use revterm_solver::{entails_with_witness, EntailmentOptions, LpEngine, LpProblem, Rel, VarKind};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -93,21 +93,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// SplitMix64 — the workspace-standard deterministic generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next_u64() as i64).rem_euclid(hi - lo)
-    }
+/// In `lo..hi` (the upper end excluded).
+fn in_range(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    lo + (rng.next_u64() as i64).rem_euclid(hi - lo)
 }
 
 /// Folds a rational's decimal rendering into an FNV-1a digest. Digesting the
@@ -122,7 +110,7 @@ fn write_rat(h: &mut Fnv64, r: &Rat) {
 /// Builds one deterministic Farkas-style LP: a mix of equality rows tying
 /// non-negative multiplier variables together (as `combination_witness`
 /// produces) plus bound rows, with small rational coefficients.
-fn build_lp(rng: &mut Rng, n_vars: usize, n_rows: usize) -> LpProblem {
+fn build_lp(rng: &mut SplitMix64, n_vars: usize, n_rows: usize) -> LpProblem {
     let mut lp = LpProblem::new();
     for v in 0..n_vars {
         let kind = if v % 3 == 0 { VarKind::Free } else { VarKind::NonNegative };
@@ -130,15 +118,15 @@ fn build_lp(rng: &mut Rng, n_vars: usize, n_rows: usize) -> LpProblem {
     }
     for i in 0..n_rows {
         let mut expr = LinExpr::constant(Rat::new(
-            revterm_num::int(rng.in_range(-6, 7)),
-            revterm_num::int(rng.in_range(1, 4)),
+            revterm_num::int(in_range(rng, -6, 7)),
+            revterm_num::int(in_range(rng, 1, 4)),
         ));
         // 3–5 variables per row keeps the tableau moderately sparse, like the
         // monomial-matching rows of the entailment encoding.
-        let terms = 3 + (rng.in_range(0, 3) as usize);
+        let terms = 3 + (in_range(rng, 0, 3) as usize);
         for _ in 0..terms {
-            let v = rng.in_range(0, n_vars as i64) as u32;
-            let num = rng.in_range(-5, 6);
+            let v = in_range(rng, 0, n_vars as i64) as u32;
+            let num = in_range(rng, -5, 6);
             if num != 0 {
                 expr.add_coeff(Var(v), rat(num));
             }
@@ -151,10 +139,10 @@ fn build_lp(rng: &mut Rng, n_vars: usize, n_rows: usize) -> LpProblem {
         lp.add_constraint(expr, rel);
     }
     // Half the problems also minimise a small objective so phase 2 runs.
-    if rng.in_range(0, 2) == 0 {
+    if in_range(rng, 0, 2) == 0 {
         let mut obj = LinExpr::zero();
         for v in 0..n_vars.min(4) {
-            obj.add_coeff(Var(v as u32), rat(rng.in_range(1, 4)));
+            obj.add_coeff(Var(v as u32), rat(in_range(rng, 1, 4)));
         }
         lp.set_objective(obj);
     }
@@ -167,13 +155,13 @@ fn build_lp(rng: &mut Rng, n_vars: usize, n_rows: usize) -> LpProblem {
 /// With `slack >= 0` the entailment holds (the LP is feasible and must pivot
 /// through the whole chain to find the multipliers); with `slack < 0` it
 /// fails, exercising the infeasible exit too.
-fn build_chain_query(rng: &mut Rng, n: usize, slack: i64) -> (Vec<Poly>, Poly) {
+fn build_chain_query(rng: &mut SplitMix64, n: usize, slack: i64) -> (Vec<Poly>, Poly) {
     let x = |i: usize| Poly::var(Var(i as u32));
     let mut premises = Vec::with_capacity(n + 2);
     let mut total = Rat::zero();
     for i in 0..n {
         let step =
-            Rat::new(revterm_num::int(rng.in_range(1, 9)), revterm_num::int(rng.in_range(1, 5)));
+            Rat::new(revterm_num::int(in_range(rng, 1, 9)), revterm_num::int(in_range(rng, 1, 5)));
         premises.push(&x(i + 1) - &x(i) - Poly::constant(step.clone()));
         total = &total + &step;
     }
@@ -256,7 +244,7 @@ fn main() {
     let mut problems = Vec::new();
     let mut queries = Vec::new();
     {
-        let mut rng = Rng(0x5EED_0001);
+        let mut rng = SplitMix64::new(0x5EED_0001);
         for round in 0..lp_iters {
             for size in 0..6 {
                 let n_vars = 4 + size;
@@ -283,18 +271,17 @@ fn main() {
     // timed and their results differentially digested against a BTreeMap
     // reference implementation of the old `Poly` semantics.
     let poly_family: Vec<Poly> = {
-        let mut rng = Rng(0x0501_F00D);
+        let mut rng = SplitMix64::new(0x0501_F00D);
         (0..48)
             .map(|i| {
                 let mut p = Poly::zero();
-                let n_terms = 3 + (rng.in_range(0, 4) as usize);
+                let n_terms = 3 + (in_range(&mut rng, 0, 4) as usize);
                 for _ in 0..n_terms {
-                    let n_factors = 1 + (rng.in_range(0, 2) as usize);
-                    let m = Monomial::from_pairs(
-                        (0..n_factors)
-                            .map(|_| (Var(rng.in_range(0, 6) as u32), rng.in_range(1, 3) as u32)),
-                    );
-                    p.add_term(m, rat(rng.in_range(-5, 6)));
+                    let n_factors = 1 + (in_range(&mut rng, 0, 2) as usize);
+                    let m = Monomial::from_pairs((0..n_factors).map(|_| {
+                        (Var(in_range(&mut rng, 0, 6) as u32), in_range(&mut rng, 1, 3) as u32)
+                    }));
+                    p.add_term(m, rat(in_range(&mut rng, -5, 6)));
                 }
                 if i % 7 == 0 {
                     // Interned tier: three distinct variables in one monomial

@@ -163,20 +163,6 @@ impl<'a> ObjRef<'a> {
         }
     }
 
-    /// A required (possibly negative) integer field.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Protocol`] if missing, not a number or fractional.
-    pub fn i64_field(&self, key: &str) -> Result<i64, Error> {
-        match self.field(key)? {
-            Json::Num(n) if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 => {
-                Ok(*n as i64)
-            }
-            other => Err(self.type_error(key, "an integer", other)),
-        }
-    }
-
     /// An optional non-negative integer field (`null` and absence both read
     /// as `None`).
     ///
@@ -609,8 +595,7 @@ mod tests {
         let obj = value.as_obj_or("req").unwrap();
         assert!(obj.u64_field("n").unwrap_err().to_string().contains("req.n"));
         assert!(obj.u64_field("missing").unwrap_err().to_string().contains("missing"));
-        assert_eq!(obj.i64_field("neg").unwrap(), -2);
-        assert!(obj.i64_field("n").is_err());
+        assert!(obj.u64_field("neg").is_err());
         assert!(obj.bool_field("s").is_err());
         assert!(obj.obj_field("o").unwrap().bool_field("k").unwrap());
         assert_eq!(obj.opt_u64_field("missing").unwrap(), None);

@@ -7,7 +7,7 @@
 //! * [`revterm_lang`] — the input language,
 //! * [`revterm_ts`] — transition systems, reversal, resolutions of
 //!   non-determinism,
-//! * [`revterm_absint`] — the interval/sign abstract-interpretation
+//! * [`revterm_absint`] — the interval abstract-interpretation
 //!   pre-analysis (sound pruning and the `revterm analyze` facts),
 //! * [`revterm_invgen`] — template-based inductive invariant generation,
 //! * [`revterm_solver`] — the exact Farkas/Handelman entailment oracle,

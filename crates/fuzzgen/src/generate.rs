@@ -39,7 +39,7 @@
 //! structurally, which the round-trip property test relies on.
 
 use revterm_lang::{BinOp, BoolExpr, CmpOp, Expr, Program, Stmt};
-use revterm_solver::SplitMix64;
+use revterm_num::SplitMix64;
 use std::fmt;
 
 /// The by-construction label attached to a generated program.

@@ -10,7 +10,7 @@
 //!
 //! # The three layers
 //!
-//! * [`mod@generate`] — a seeded ([`SplitMix64`](revterm_solver::SplitMix64))
+//! * [`mod@generate`] — a seeded ([`SplitMix64`](revterm_num::SplitMix64))
 //!   program generator with tunable shape knobs ([`GenConfig`]: nesting
 //!   depth, block width, non-determinism rate, guard degree, variable pool,
 //!   constant range). Three families:

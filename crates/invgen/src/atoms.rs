@@ -391,7 +391,7 @@ mod tests {
     use super::*;
     use revterm_lang::parse_program;
     use revterm_num::int;
-    use revterm_solver::SplitMix64;
+    use revterm_num::SplitMix64;
     use revterm_ts::lower;
 
     const RUNNING: &str =

@@ -10,11 +10,9 @@
 //! only once it certifies, so no answer rests on the closure or the LP
 //! alone.
 
-use revterm_absint::{close_premises, FarkasCombination};
-use revterm_poly::Poly;
-use revterm_solver::{
-    entails_with_witness, implies_false_with_witness, Combination, EntailmentOptions,
-};
+use revterm_absint::close_premises;
+use revterm_poly::{Combination, Poly};
+use revterm_solver::{entails_with_witness, implies_false_with_witness, EntailmentOptions};
 use revterm_ts::{PredicateMap, PropPredicate, Transition, TransitionSystem};
 use std::fmt;
 
@@ -123,7 +121,7 @@ pub fn discharge_predicate(
 ) -> Option<Discharge> {
     let closure = opts.closure_fast_path().then(|| close_premises(premises));
     if let Some(refutation) = closure.as_ref().and_then(|c| c.refutation(premises)) {
-        return Some(Discharge::Unsat(solver_form(&refutation)));
+        return Some(Discharge::Unsat(refutation));
     }
     'disjuncts: for (index, disjunct) in predicate.disjuncts().iter().enumerate() {
         let mut atoms = Vec::with_capacity(disjunct.atoms().len());
@@ -133,7 +131,7 @@ pub fn discharge_predicate(
             } else if let Some(farkas) =
                 closure.as_ref().and_then(|c| c.combination(premises, atom))
             {
-                AtomProof::Farkas(solver_form(&farkas))
+                AtomProof::Farkas(farkas)
             } else {
                 let opts = adaptive_opts(premises, atom.total_degree(), opts);
                 match entails_with_witness(premises, atom, &opts) {
@@ -146,19 +144,6 @@ pub fn discharge_predicate(
         return Some(Discharge::Disjunct { index, atoms });
     }
     implies_false_with_witness(premises, &adaptive_opts(premises, 1, opts)).map(Discharge::Unsat)
-}
-
-/// A closure's combination as the terms `constant · 1` (when positive) and
-/// `λ_k · premise_k`, in that order — the order of the LP's columns.
-fn solver_form(farkas: &FarkasCombination) -> Combination {
-    let mut combination = Combination::new();
-    if farkas.constant.is_positive() {
-        combination.push(&[], farkas.constant.clone());
-    }
-    for (premise, lambda) in &farkas.premises {
-        combination.push(&[*premise], lambda.clone());
-    }
-    combination
 }
 
 /// Checks whether the premises entail a propositional predicate, i.e. entail

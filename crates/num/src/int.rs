@@ -494,30 +494,6 @@ impl Int {
         }
     }
 
-    /// Converts to an `i128` if the value fits.
-    pub fn to_i128(&self) -> Option<i128> {
-        match &self.repr {
-            Repr::Small(v) => Some(*v as i128),
-            Repr::Big { sign, limbs } => {
-                let mag = match limbs.len() {
-                    1 => limbs[0] as u128,
-                    2 => ((limbs[1] as u128) << 64) | limbs[0] as u128,
-                    _ => return None,
-                };
-                match sign {
-                    Sign::Negative => {
-                        if mag <= (1u128 << 127) {
-                            Some((mag as i128).wrapping_neg())
-                        } else {
-                            None
-                        }
-                    }
-                    _ => i128::try_from(mag).ok(),
-                }
-            }
-        }
-    }
-
     /// Lossy conversion to `f64` (used only for reporting, never for logic).
     pub fn to_f64(&self) -> f64 {
         match &self.repr {
@@ -879,33 +855,17 @@ impl std::iter::Sum for Int {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
 
-    /// SplitMix64: a tiny deterministic generator for the randomized tests
-    /// below (no external crates are available in this workspace).
-    struct Rng(u64);
+    fn i128_any(rng: &mut SplitMix64) -> i128 {
+        ((rng.next_u64() as i128) << 64) | rng.next_u64() as i128
+    }
 
-    impl Rng {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn i128_any(&mut self) -> i128 {
-            ((self.next_u64() as i128) << 64) | self.next_u64() as i128
-        }
-
-        fn i64_any(&mut self) -> i64 {
-            self.next_u64() as i64
-        }
-
-        fn in_range(&mut self, lo: i128, hi: i128) -> i128 {
-            lo + (self.i128_any().rem_euclid(hi - lo))
-        }
+    /// In `lo..hi` (the upper end excluded).
+    fn in_range(rng: &mut SplitMix64, lo: i128, hi: i128) -> i128 {
+        lo + (i128_any(rng).rem_euclid(hi - lo))
     }
 
     fn big(s: &str) -> Int {
@@ -923,10 +883,11 @@ mod tests {
         if let Repr::Big { sign, limbs } = &x.repr {
             assert!(!limbs.is_empty() && *limbs.last().unwrap() != 0, "non-canonical limbs");
             assert!(*sign != Sign::Zero, "Big with Sign::Zero");
-            // Big must be outside the i64 range.
-            if let Some(v) = x.to_i128() {
-                assert!(i64::try_from(v).is_err(), "Big holds i64 value {v}");
-            }
+            // Big must be outside the i64 range: one limb below 2^63, or
+            // exactly 2^63 when negative (`i64::MIN`), would fit.
+            let fits = limbs.len() == 1
+                && (limbs[0] < 1 << 63 || (limbs[0] == 1 << 63 && *sign == Sign::Negative));
+            assert!(!fits, "Big holds an i64 value");
         }
     }
 
@@ -1068,15 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn to_i128_boundaries() {
-        assert_eq!(Int::from(i128::MAX).to_i128(), Some(i128::MAX));
-        assert_eq!(Int::from(i128::MIN + 1).to_i128(), Some(i128::MIN + 1));
-        let too_big = big("170141183460469231731687303715884105728"); // 2^127
-        assert_eq!(too_big.to_i128(), None);
-        assert_eq!((-too_big).to_i128(), Some(i128::MIN));
-    }
-
-    #[test]
     fn to_f64_rough() {
         assert_eq!(Int::from(5_i64).to_f64(), 5.0);
         assert!((big("1000000000000000000000").to_f64() - 1e21).abs() < 1e7);
@@ -1155,10 +1107,10 @@ mod tests {
 
     #[test]
     fn add_mul_overflow_roundtrips() {
-        let mut rng = Rng(42);
+        let mut rng = SplitMix64::new(42);
         for _ in 0..512 {
-            let a = rng.i64_any();
-            let b = rng.i64_any();
+            let a = rng.next_u64() as i64;
+            let b = rng.next_u64() as i64;
             // Addition promotes iff i64 overflows; subtracting back demotes.
             let sum = Int::from(a) + Int::from(b);
             assert_eq!(sum, Int::from(a as i128 + b as i128));
@@ -1186,10 +1138,10 @@ mod tests {
         // A value computed entirely inline and the same value that round-trips
         // through the Big representation must be indistinguishable to
         // Eq/Hash/Ord — the canonical form makes the representations unique.
-        let mut rng = Rng(43);
+        let mut rng = SplitMix64::new(43);
         let offset = Int::from(2_i64).pow(100);
         for _ in 0..512 {
-            let v = rng.i64_any();
+            let v = rng.next_u64() as i64;
             let direct = Int::from(v);
             let promoted = &(&direct + &offset) - &offset;
             assert!(promoted.is_inline(), "round-trip through Big failed to demote for {v}");
@@ -1197,7 +1149,7 @@ mod tests {
             assert_eq!(hash_of(&promoted), hash_of(&direct));
             assert_eq!(promoted.cmp(&direct), Ordering::Equal);
             // Ordering against an unrelated value is consistent either way.
-            let w = Int::from(rng.i64_any());
+            let w = Int::from(rng.next_u64() as i64);
             assert_eq!(promoted.cmp(&w), direct.cmp(&w));
             assert_canonical(&promoted);
         }
@@ -1205,10 +1157,10 @@ mod tests {
 
     #[test]
     fn assign_ops_match_binops() {
-        let mut rng = Rng(44);
+        let mut rng = SplitMix64::new(44);
         for _ in 0..256 {
-            let a = rng.i64_any();
-            let b = rng.i64_any();
+            let a = rng.next_u64() as i64;
+            let b = rng.next_u64() as i64;
             let (ia, ib) = (Int::from(a), Int::from(b));
             let mut x = ia.clone();
             x += &ib;
@@ -1224,30 +1176,30 @@ mod tests {
 
     #[test]
     fn prop_add_matches_i128() {
-        let mut rng = Rng(1);
+        let mut rng = SplitMix64::new(1);
         for _ in 0..256 {
-            let a = rng.in_range(-1_000_000_000_000, 1_000_000_000_000);
-            let b = rng.in_range(-1_000_000_000_000, 1_000_000_000_000);
+            let a = in_range(&mut rng, -1_000_000_000_000, 1_000_000_000_000);
+            let b = in_range(&mut rng, -1_000_000_000_000, 1_000_000_000_000);
             assert_eq!(Int::from(a) + Int::from(b), Int::from(a + b));
         }
     }
 
     #[test]
     fn prop_mul_matches_i128() {
-        let mut rng = Rng(2);
+        let mut rng = SplitMix64::new(2);
         for _ in 0..256 {
-            let a = rng.in_range(-1_000_000_000, 1_000_000_000);
-            let b = rng.in_range(-1_000_000_000, 1_000_000_000);
+            let a = in_range(&mut rng, -1_000_000_000, 1_000_000_000);
+            let b = in_range(&mut rng, -1_000_000_000, 1_000_000_000);
             assert_eq!(Int::from(a) * Int::from(b), Int::from(a * b));
         }
     }
 
     #[test]
     fn prop_divrem_matches_i128() {
-        let mut rng = Rng(3);
+        let mut rng = SplitMix64::new(3);
         for _ in 0..256 {
-            let a = rng.in_range(-1_000_000_000_000, 1_000_000_000_000);
-            let b = rng.in_range(-1_000_000, 1_000_000);
+            let a = in_range(&mut rng, -1_000_000_000_000, 1_000_000_000_000);
+            let b = in_range(&mut rng, -1_000_000, 1_000_000);
             if b == 0 {
                 continue;
             }
@@ -1259,10 +1211,10 @@ mod tests {
 
     #[test]
     fn prop_divrem_reconstructs() {
-        let mut rng = Rng(4);
+        let mut rng = SplitMix64::new(4);
         for _ in 0..256 {
-            let a = rng.i128_any();
-            let b = rng.i128_any();
+            let a = i128_any(&mut rng);
+            let b = i128_any(&mut rng);
             if b == 0 {
                 continue;
             }
@@ -1277,9 +1229,9 @@ mod tests {
 
     #[test]
     fn prop_parse_display_roundtrip() {
-        let mut rng = Rng(5);
+        let mut rng = SplitMix64::new(5);
         for _ in 0..256 {
-            let i = Int::from(rng.i128_any());
+            let i = Int::from(i128_any(&mut rng));
             let back: Int = i.to_string().parse().unwrap();
             assert_eq!(back, i);
         }
@@ -1287,10 +1239,10 @@ mod tests {
 
     #[test]
     fn prop_gcd_divides() {
-        let mut rng = Rng(6);
+        let mut rng = SplitMix64::new(6);
         for _ in 0..256 {
-            let a = rng.i64_any();
-            let b = rng.i64_any();
+            let a = rng.next_u64() as i64;
+            let b = rng.next_u64() as i64;
             let g = Int::from(a).gcd(&Int::from(b));
             if !g.is_zero() {
                 assert_eq!(Int::from(a) % &g, Int::zero());
@@ -1304,20 +1256,20 @@ mod tests {
 
     #[test]
     fn prop_cmp_matches_i128() {
-        let mut rng = Rng(7);
+        let mut rng = SplitMix64::new(7);
         for _ in 0..256 {
-            let a = rng.i128_any();
-            let b = rng.i128_any();
+            let a = i128_any(&mut rng);
+            let b = i128_any(&mut rng);
             assert_eq!(Int::from(a).cmp(&Int::from(b)), a.cmp(&b));
         }
     }
 
     #[test]
     fn prop_mul_big_then_div() {
-        let mut rng = Rng(8);
+        let mut rng = SplitMix64::new(8);
         for _ in 0..256 {
-            let a = rng.in_range(1, 1_000_000_000_000_000);
-            let b = rng.in_range(1, 1_000_000_000_000_000);
+            let a = in_range(&mut rng, 1, 1_000_000_000_000_000);
+            let b = in_range(&mut rng, 1, 1_000_000_000_000_000);
             let ia = Int::from(a);
             let ib = Int::from(b);
             let prod = &ia * &ib;

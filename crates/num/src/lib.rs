@@ -16,6 +16,10 @@
 //!   arithmetic on `i64`/`i128` intermediates with machine-word gcds);
 //!   anything larger falls back to a boxed pair of [`Int`]s.
 //!
+//! It also holds the two deterministic helpers every layer shares: the
+//! [`Fnv64`] hasher behind digests and cache keys, and the [`SplitMix64`]
+//! generator that the fuzz generator and the randomized tests draw from.
+//!
 //! # Two-tier representation and canonical form
 //!
 //! The coefficients produced by this project's Farkas/Handelman encodings
@@ -77,10 +81,12 @@
 mod fnv;
 mod int;
 mod rat;
+mod rng;
 
 pub use fnv::Fnv64;
 pub use int::{Int, ParseIntError, Sign};
 pub use rat::{ParseRatError, Rat};
+pub use rng::SplitMix64;
 
 /// Convenience constructor for an [`Int`] from an `i64`.
 ///

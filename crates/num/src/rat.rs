@@ -409,15 +409,6 @@ impl Rat {
         }
     }
 
-    /// Rounds toward zero.
-    pub fn trunc(&self) -> Int {
-        match &self.repr {
-            // den > 0 excludes the i64::MIN / -1 overflow corner.
-            Repr::Packed { num, den } => Int::from(*num / *den),
-            Repr::Big(b) => b.num.div_rem(&b.den).0,
-        }
-    }
-
     /// Raises to a non-negative integer power (gcd-free: coprimality is
     /// preserved by powering).
     pub fn pow(&self, exp: u32) -> Rat {
@@ -877,28 +868,13 @@ impl std::iter::Sum for Rat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
 
-    /// SplitMix64, as in `int.rs`: deterministic substitute for proptest.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn i64_any(&mut self) -> i64 {
-            self.next_u64() as i64
-        }
-
-        fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next_u64() as i64).rem_euclid(hi - lo)
-        }
+    /// In `lo..hi` (the upper end excluded).
+    fn in_range(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+        lo + (rng.next_u64() as i64).rem_euclid(hi - lo)
     }
 
     fn r(n: i64, d: i64) -> Rat {
@@ -1028,16 +1004,16 @@ mod tests {
     fn prop_packed_and_promoted_representations_agree() {
         // A value computed entirely packed and the same value that
         // round-trips through the big tier must agree under Eq/Ord/Hash.
-        let mut rng = Rng(45);
+        let mut rng = SplitMix64::new(45);
         let offset = Rat::new(Int::one(), Int::from(2).pow(90));
         for _ in 0..512 {
-            let x = r(rng.in_range(-5000, 5000), rng.in_range(1, 90));
+            let x = r(in_range(&mut rng, -5000, 5000), in_range(&mut rng, 1, 90));
             let roundtripped = &(&x + &offset) - &offset;
             assert!(roundtripped.is_packed(), "round-trip failed to demote for {x}");
             assert_eq!(roundtripped, x);
             assert_eq!(hash_of(&roundtripped), hash_of(&x));
             assert_eq!(roundtripped.cmp(&x), Ordering::Equal);
-            let y = r(rng.in_range(-5000, 5000), rng.in_range(1, 90));
+            let y = r(in_range(&mut rng, -5000, 5000), in_range(&mut rng, 1, 90));
             assert_eq!(roundtripped.cmp(&y), x.cmp(&y));
             assert_canonical(&roundtripped);
         }
@@ -1048,10 +1024,10 @@ mod tests {
         // Products/sums of random machine-word fractions: results that
         // overflow i64 promote, dividing/subtracting back demotes, and every
         // value equals the Int-computed reference.
-        let mut rng = Rng(46);
+        let mut rng = SplitMix64::new(46);
         for _ in 0..512 {
-            let x = Rat::packed(rng.i64_any(), rng.in_range(1, i64::MAX));
-            let y = Rat::packed(rng.i64_any(), rng.in_range(1, i64::MAX));
+            let x = Rat::packed(rng.next_u64() as i64, in_range(&mut rng, 1, i64::MAX));
+            let y = Rat::packed(rng.next_u64() as i64, in_range(&mut rng, 1, i64::MAX));
             assert_canonical(&x);
             assert_canonical(&y);
             let sum = &x + &y;
@@ -1084,19 +1060,19 @@ mod tests {
 
     #[test]
     fn prop_fast_paths_agree_with_naive() {
-        let mut rng = Rng(99);
+        let mut rng = SplitMix64::new(99);
         for _ in 0..512 {
-            let x = r(rng.in_range(-2000, 2000), rng.in_range(1, 60));
+            let x = r(in_range(&mut rng, -2000, 2000), in_range(&mut rng, 1, 60));
             // Bias towards shared denominators and integers so every fast
             // path (same-den, integer operand, coprime-den, general) is hit.
-            let y = match rng.in_range(0, 4) {
-                0 => Rat::from(Int::from(rng.in_range(-2000, 2000))),
+            let y = match in_range(&mut rng, 0, 4) {
+                0 => Rat::from(Int::from(in_range(&mut rng, -2000, 2000))),
                 1 => {
                     // Shares x's denominator: integer + fractional part of x.
-                    let n = rng.in_range(-2000, 2000);
-                    r(n, 1) + (&x - &Rat::from(x.trunc()))
+                    let n = in_range(&mut rng, -2000, 2000);
+                    r(n, 1) + (&x - &Rat::from(x.numer().div_rem(&x.denom()).0))
                 }
-                _ => r(rng.in_range(-2000, 2000), rng.in_range(1, 60)),
+                _ => r(in_range(&mut rng, -2000, 2000), in_range(&mut rng, 1, 60)),
             };
             assert_eq!(&x + &y, naive_add(&x, &y), "add {x} {y}");
             assert_eq!(&x - &y, naive_add(&x, &(-y.clone())), "sub {x} {y}");
@@ -1119,14 +1095,14 @@ mod tests {
     fn prop_big_and_mixed_operands_agree_with_naive() {
         // Pin the big-tier and mixed-tier kernels against the reference too:
         // one operand is pushed outside the machine-word range.
-        let mut rng = Rng(47);
+        let mut rng = SplitMix64::new(47);
         let big_den = Int::from(2).pow(80);
         let big_num = Int::from(3).pow(60);
         for _ in 0..128 {
-            let x = r(rng.in_range(-500, 500), rng.in_range(1, 40));
-            let y = match rng.in_range(0, 3) {
-                0 => Rat::new(Int::from(rng.in_range(-500, 500)), big_den.clone()),
-                1 => Rat::new(big_num.clone(), Int::from(rng.in_range(1, 40))),
+            let x = r(in_range(&mut rng, -500, 500), in_range(&mut rng, 1, 40));
+            let y = match in_range(&mut rng, 0, 3) {
+                0 => Rat::new(Int::from(in_range(&mut rng, -500, 500)), big_den.clone()),
+                1 => Rat::new(big_num.clone(), Int::from(in_range(&mut rng, 1, 40))),
                 _ => Rat::new(big_num.clone(), big_den.clone()),
             };
             assert!(!y.is_packed());
@@ -1174,12 +1150,10 @@ mod tests {
         assert_eq!(r(7, 2).ceil(), Int::from(4_i64));
         assert_eq!(r(-7, 2).floor(), Int::from(-4_i64));
         assert_eq!(r(-7, 2).ceil(), Int::from(-3_i64));
-        assert_eq!(r(-7, 2).trunc(), Int::from(-3_i64));
         assert_eq!(r(6, 2).floor(), Int::from(3_i64));
         assert_eq!(r(6, 2).ceil(), Int::from(3_i64));
         // Machine-word extremes stay exact.
         assert_eq!(Rat::packed(i64::MIN, 1).floor(), Int::from(i64::MIN));
-        assert_eq!(Rat::packed(i64::MIN, 3).trunc(), Int::from(i64::MIN / 3));
         assert_eq!(Rat::packed(i64::MAX, 2).ceil(), Int::from(i64::MAX / 2 + 1));
     }
 
@@ -1230,54 +1204,54 @@ mod tests {
 
     #[test]
     fn prop_add_commutes() {
-        let mut rng = Rng(11);
+        let mut rng = SplitMix64::new(11);
         for _ in 0..256 {
-            let (a, b) = (rng.in_range(-1000, 1000), rng.in_range(1, 50));
-            let (c, d) = (rng.in_range(-1000, 1000), rng.in_range(1, 50));
+            let (a, b) = (in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
+            let (c, d) = (in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
             assert_eq!(r(a, b) + r(c, d), r(c, d) + r(a, b));
         }
     }
 
     #[test]
     fn prop_mul_distributes() {
-        let mut rng = Rng(12);
+        let mut rng = SplitMix64::new(12);
         for _ in 0..256 {
-            let x = r(rng.in_range(-100, 100), rng.in_range(1, 20));
-            let y = r(rng.in_range(-100, 100), rng.in_range(1, 20));
-            let z = r(rng.in_range(-100, 100), rng.in_range(1, 20));
+            let x = r(in_range(&mut rng, -100, 100), in_range(&mut rng, 1, 20));
+            let y = r(in_range(&mut rng, -100, 100), in_range(&mut rng, 1, 20));
+            let z = r(in_range(&mut rng, -100, 100), in_range(&mut rng, 1, 20));
             assert_eq!(&x * (&y + &z), &x * &y + &x * &z);
         }
     }
 
     #[test]
     fn prop_sub_add_inverse() {
-        let mut rng = Rng(13);
+        let mut rng = SplitMix64::new(13);
         for _ in 0..256 {
-            let x = r(rng.in_range(-1000, 1000), rng.in_range(1, 50));
-            let y = r(rng.in_range(-1000, 1000), rng.in_range(1, 50));
+            let x = r(in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
+            let y = r(in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
             assert_eq!(&(&x - &y) + &y, x);
         }
     }
 
     #[test]
     fn prop_div_mul_inverse() {
-        let mut rng = Rng(14);
+        let mut rng = SplitMix64::new(14);
         for _ in 0..256 {
-            let x = r(rng.in_range(-1000, 1000), rng.in_range(1, 50));
-            let c = rng.in_range(-1000, 1000);
+            let x = r(in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
+            let c = in_range(&mut rng, -1000, 1000);
             if c == 0 {
                 continue;
             }
-            let y = r(c, rng.in_range(1, 50));
+            let y = r(c, in_range(&mut rng, 1, 50));
             assert_eq!(&(&x / &y) * &y, x);
         }
     }
 
     #[test]
     fn prop_floor_le_value_lt_floor_plus_one() {
-        let mut rng = Rng(15);
+        let mut rng = SplitMix64::new(15);
         for _ in 0..256 {
-            let x = r(rng.in_range(-10_000, 10_000), rng.in_range(1, 100));
+            let x = r(in_range(&mut rng, -10_000, 10_000), in_range(&mut rng, 1, 100));
             let fl = Rat::from(x.floor());
             assert!(fl <= x);
             assert!(x < &fl + &Rat::one());
@@ -1286,9 +1260,9 @@ mod tests {
 
     #[test]
     fn prop_parse_display_roundtrip() {
-        let mut rng = Rng(16);
+        let mut rng = SplitMix64::new(16);
         for _ in 0..256 {
-            let x = r(rng.in_range(-100_000, 100_000), rng.in_range(1, 1000));
+            let x = r(in_range(&mut rng, -100_000, 100_000), in_range(&mut rng, 1, 1000));
             let back: Rat = x.to_string().parse().unwrap();
             assert_eq!(back, x);
         }
@@ -1296,10 +1270,10 @@ mod tests {
 
     #[test]
     fn prop_cmp_antisymmetric() {
-        let mut rng = Rng(17);
+        let mut rng = SplitMix64::new(17);
         for _ in 0..256 {
-            let x = r(rng.in_range(-1000, 1000), rng.in_range(1, 50));
-            let y = r(rng.in_range(-1000, 1000), rng.in_range(1, 50));
+            let x = r(in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
+            let y = r(in_range(&mut rng, -1000, 1000), in_range(&mut rng, 1, 50));
             assert_eq!(x.cmp(&y), y.cmp(&x).reverse());
         }
     }

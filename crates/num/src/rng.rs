@@ -1,9 +1,9 @@
 //! A tiny deterministic pseudo-random number generator.
 //!
-//! The synthesis strategies occasionally need "arbitrary but reproducible"
-//! choices (sampling seed valuations, shuffling candidate orders).  To keep
-//! runs deterministic across machines and to avoid an external dependency in
-//! this low-level crate, a SplitMix64 generator is provided.
+//! The fuzz generator draws its programs from it, and the randomized tests
+//! across the workspace draw their inputs from it. To keep runs
+//! reproducible across machines without an external dependency, this is the
+//! workspace's one SplitMix64.
 
 /// A SplitMix64 pseudo-random number generator.
 ///
@@ -49,19 +49,21 @@ impl SplitMix64 {
         let span = (hi - lo) as u64 + 1;
         lo + self.next_below(span) as i64
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below((i + 1) as u64) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_zero_yields_the_reference_sequence() {
+        // The published SplitMix64 outputs for seed 0: the fuzz batches are
+        // drawn from this generator, so an edit that moves them fails here.
+        let mut rng = SplitMix64::new(0);
+        assert_eq!(rng.next_u64(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(rng.next_u64(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(rng.next_u64(), 0x06c4_5d18_8009_454f);
+    }
 
     #[test]
     fn deterministic_across_instances() {
@@ -85,16 +87,6 @@ mod tests {
         }
         let mut rng = SplitMix64::new(9);
         assert_eq!(rng.next_in_range(3, 3), 3);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SplitMix64::new(123);
-        let mut items: Vec<u32> = (0..20).collect();
-        rng.shuffle(&mut items);
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..20).collect::<Vec<u32>>());
     }
 
     #[test]

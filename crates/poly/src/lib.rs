@@ -1,10 +1,12 @@
 //! Multivariate polynomial arithmetic over exact rationals.
 //!
 //! This crate is the symbolic backbone of the RevTerm reproduction: program
-//! guards and updates, invariant templates, Farkas/Handelman combinations and
-//! ranking functions are all represented as [`Poly`] values — multivariate
-//! polynomials with [`revterm_num::Rat`] coefficients over an abstract
-//! variable space ([`Var`]).
+//! guards and updates, invariant templates and ranking functions are all
+//! represented as [`Poly`] values — multivariate polynomials with
+//! [`revterm_num::Rat`] coefficients over an abstract variable space
+//! ([`Var`]). Every entailment witness, whether an LP or the interval
+//! closure found it, is a [`Combination`] of premise products, checked by
+//! [`Combination::certifies`] with this crate's arithmetic alone.
 //!
 //! The crate deliberately knows nothing about *what* the variables mean
 //! (program variables, primed variables, template coefficients, …); callers
@@ -53,11 +55,13 @@
 
 #![warn(missing_docs)]
 
+mod combination;
 mod linexpr;
 mod monomial;
 #[allow(clippy::module_inception)]
 mod poly;
 
+pub use combination::Combination;
 pub use linexpr::LinExpr;
 pub use monomial::{
     mono_pool_stats, monomials_up_to_degree, MonoPoolStats, Monomial, MAX_PACKED_EXP,

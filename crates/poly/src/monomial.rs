@@ -335,11 +335,6 @@ impl Monomial {
         })
     }
 
-    /// Returns `true` iff the monomial mentions only variables in `allowed`.
-    pub fn uses_only(&self, allowed: &dyn Fn(Var) -> bool) -> bool {
-        self.with_factors(|fs| fs.iter().all(|&(v, _)| allowed(v)))
-    }
-
     /// Renders the monomial using a variable name resolver.
     pub fn display_with(&self, names: &dyn Fn(Var) -> String) -> String {
         if self.is_one() {
@@ -510,6 +505,7 @@ fn gen_exact_degree(vars: &[Var], d: u32, prefix: &mut Vec<(Var, u32)>, out: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revterm_num::SplitMix64;
 
     #[test]
     fn one_and_var() {
@@ -590,13 +586,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn uses_only() {
-        let m = Monomial::from_pairs([(Var(0), 1), (Var(5), 2)]);
-        assert!(m.uses_only(&|v| v.0 <= 5));
-        assert!(!m.uses_only(&|v| v.0 <= 4));
-    }
-
     /// The reference order the key tiers must reproduce: lexicographic
     /// comparison of canonical factor lists (the old derived `Ord`).
     fn ref_cmp(a: &Monomial, b: &Monomial) -> std::cmp::Ordering {
@@ -668,23 +657,16 @@ mod tests {
     #[test]
     fn prop_order_matches_factor_lex_on_random_monomials() {
         // SplitMix64 differential loop over the tier boundary.
-        let mut state = 0x4D4F_4E4Fu64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let random_mono = |next: &mut dyn FnMut() -> u64| {
-            let n = (next() % 4) as usize;
+        let mut rng = SplitMix64::new(0x4D4F_4E4F);
+        let mut random_mono = || {
+            let n = rng.next_below(4) as usize;
             Monomial::from_pairs((0..n).map(|_| {
-                let v = Var((next() % 6) as u32);
-                let e = (next() % 20) as u32; // exponents past MAX_PACKED_EXP
+                let v = Var(rng.next_below(6) as u32);
+                let e = rng.next_below(20) as u32; // exponents past MAX_PACKED_EXP
                 (v, e)
             }))
         };
-        let ms: Vec<Monomial> = (0..64).map(|_| random_mono(&mut next)).collect();
+        let ms: Vec<Monomial> = (0..64).map(|_| random_mono()).collect();
         for a in &ms {
             for b in &ms {
                 assert_eq!(a.cmp(b), ref_cmp(a, b), "ord mismatch: {a:?} vs {b:?}");

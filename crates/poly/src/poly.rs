@@ -293,19 +293,6 @@ impl Poly {
         Some(lin)
     }
 
-    /// Multiplies all coefficients by the least common multiple of their
-    /// denominators, producing an integer-coefficient polynomial that is a
-    /// positive multiple of `self`. Returns the scaled polynomial and the
-    /// multiplier used.
-    pub fn clear_denominators(&self) -> (Poly, Int) {
-        let mut lcm = Int::one();
-        for (_, c) in &self.terms {
-            lcm = lcm.lcm(&c.denom());
-        }
-        let mult = Rat::from(lcm.clone());
-        (self.scale(&mult), lcm)
-    }
-
     /// Renders the polynomial using a variable name resolver.
     pub fn display_with(&self, names: &dyn Fn(Var) -> String) -> String {
         if self.is_zero() {
@@ -506,24 +493,12 @@ impl std::iter::Sum for Poly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revterm_num::rat;
+    use revterm_num::{rat, SplitMix64};
     use std::collections::BTreeMap;
 
-    /// SplitMix64, as in `revterm-num`: deterministic substitute for proptest.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next_u64() as i64).rem_euclid(hi - lo)
-        }
+    /// In `lo..hi` (the upper end excluded).
+    fn in_range(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+        lo + (rng.next_u64() as i64).rem_euclid(hi - lo)
     }
 
     fn x() -> Poly {
@@ -614,18 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_denominators() {
-        let p = Poly::from_terms([
-            (Monomial::var(Var(0)), rat(1) / rat(2)),
-            (Monomial::one(), rat(2) / rat(3)),
-        ]);
-        let (q, mult) = p.clear_denominators();
-        assert_eq!(mult, revterm_num::int(6));
-        assert_eq!(q.coefficient(&Monomial::var(Var(0))), rat(3));
-        assert_eq!(q.constant_term(), rat(4));
-    }
-
-    #[test]
     fn display() {
         let p = &(&x() * &x()).scale(&rat(2)) - &y() + Poly::constant_i64(7);
         let s = p.display_with(&|v| if v == Var(0) { "x".into() } else { "y".into() });
@@ -643,7 +606,7 @@ mod tests {
 
     #[test]
     fn terms_are_sorted_and_nonzero() {
-        let mut rng = Rng(20);
+        let mut rng = SplitMix64::new(20);
         for _ in 0..64 {
             let p = small_poly(&mut rng);
             let ms: Vec<&Monomial> = p.terms().map(|(m, _)| m).collect();
@@ -654,34 +617,34 @@ mod tests {
     }
 
     // Random polynomials over 3 variables with small integer coefficients.
-    fn small_poly(rng: &mut Rng) -> Poly {
-        let n_terms = rng.in_range(0, 6) as usize;
+    fn small_poly(rng: &mut SplitMix64) -> Poly {
+        let n_terms = in_range(rng, 0, 6) as usize;
         Poly::from_terms((0..n_terms).map(|_| {
-            let v = rng.in_range(0, 3) as u32;
-            let e = rng.in_range(0, 3) as u32;
-            let c = rng.in_range(-5, 6);
+            let v = in_range(rng, 0, 3) as u32;
+            let e = in_range(rng, 0, 3) as u32;
+            let c = in_range(rng, -5, 6);
             (Monomial::from_pairs([(Var(v), e)]), rat(c))
         }))
     }
 
     // Random polynomials that straddle the packed/interned monomial tiers:
     // up to 3 factors per monomial with exponents past the packed limit.
-    fn mixed_tier_poly(rng: &mut Rng) -> Poly {
-        let n_terms = rng.in_range(0, 5) as usize;
+    fn mixed_tier_poly(rng: &mut SplitMix64) -> Poly {
+        let n_terms = in_range(rng, 0, 5) as usize;
         Poly::from_terms((0..n_terms).map(|_| {
-            let n_factors = rng.in_range(0, 4) as usize;
+            let n_factors = in_range(rng, 0, 4) as usize;
             let m = Monomial::from_pairs((0..n_factors).map(|_| {
-                let v = rng.in_range(0, 4) as u32;
-                let e = rng.in_range(0, 20) as u32;
+                let v = in_range(rng, 0, 4) as u32;
+                let e = in_range(rng, 0, 20) as u32;
                 (Var(v), e)
             }));
-            (m, rat(rng.in_range(-5, 6)))
+            (m, rat(in_range(rng, -5, 6)))
         }))
     }
 
     #[test]
     fn prop_add_commutative() {
-        let mut rng = Rng(21);
+        let mut rng = SplitMix64::new(21);
         for _ in 0..128 {
             let p = small_poly(&mut rng);
             let q = small_poly(&mut rng);
@@ -691,7 +654,7 @@ mod tests {
 
     #[test]
     fn prop_mul_commutative() {
-        let mut rng = Rng(22);
+        let mut rng = SplitMix64::new(22);
         for _ in 0..128 {
             let p = small_poly(&mut rng);
             let q = small_poly(&mut rng);
@@ -701,7 +664,7 @@ mod tests {
 
     #[test]
     fn prop_distributivity() {
-        let mut rng = Rng(23);
+        let mut rng = SplitMix64::new(23);
         for _ in 0..128 {
             let p = small_poly(&mut rng);
             let q = small_poly(&mut rng);
@@ -712,11 +675,12 @@ mod tests {
 
     #[test]
     fn prop_eval_homomorphic() {
-        let mut rng = Rng(24);
+        let mut rng = SplitMix64::new(24);
         for _ in 0..128 {
             let p = small_poly(&mut rng);
             let q = small_poly(&mut rng);
-            let (a, b, c) = (rng.in_range(-4, 5), rng.in_range(-4, 5), rng.in_range(-4, 5));
+            let (a, b, c) =
+                (in_range(&mut rng, -4, 5), in_range(&mut rng, -4, 5), in_range(&mut rng, -4, 5));
             let assign = move |v: Var| match v.0 {
                 0 => rat(a),
                 1 => rat(b),
@@ -731,7 +695,7 @@ mod tests {
 
     #[test]
     fn prop_substitute_identity() {
-        let mut rng = Rng(25);
+        let mut rng = SplitMix64::new(25);
         for _ in 0..128 {
             let p = small_poly(&mut rng);
             assert_eq!(p.substitute(&Poly::var), p);
@@ -740,7 +704,7 @@ mod tests {
 
     #[test]
     fn prop_neg_is_additive_inverse() {
-        let mut rng = Rng(26);
+        let mut rng = SplitMix64::new(26);
         for _ in 0..128 {
             let p = small_poly(&mut rng);
             assert!((&p + &(-p.clone())).is_zero());
@@ -808,7 +772,7 @@ mod tests {
         // the old BTreeMap entry-at-a-time semantics — same terms, same
         // canonical iteration order — including across the packed/interned
         // monomial tier boundary.
-        let mut rng = Rng(27);
+        let mut rng = SplitMix64::new(27);
         for round in 0..96 {
             let p = mixed_tier_poly(&mut rng);
             let q = mixed_tier_poly(&mut rng);

@@ -195,7 +195,7 @@ pub fn find_path_in(reach: &Reach, target: &PredicateMap) -> Option<Vec<Config>>
 mod tests {
     use super::*;
     use revterm_lang::parse_program;
-    use revterm_num::int;
+    use revterm_num::{int, SplitMix64};
     use revterm_poly::Poly;
     use revterm_ts::{lower, Assertion, PropPredicate, TransitionSystem};
 
@@ -413,25 +413,11 @@ mod tests {
         (seen.into_iter().collect(), cut_mid_layer)
     }
 
-    /// SplitMix64: a tiny deterministic generator for the randomized test
-    /// below (no external crates are available in this workspace).
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        }
-    }
-
     #[test]
     fn one_exploration_answers_every_query_as_the_per_query_searches_did() {
         let benchmarks = revterm_suite::curated_benchmarks();
         let fuzzed = revterm_suite::fuzz_family(0x5eed_f22d, 40);
-        let mut rng = Rng(0x0e91_0a7c_b5f5_2d11);
+        let mut rng = SplitMix64::new(0x0e91_0a7c_b5f5_2d11);
         let (mut hits, mut misses, mut long_paths, mut mid_layer_cuts) = (0, 0, 0, 0);
         for benchmark in benchmarks.iter().chain(&fuzzed) {
             let ts = &benchmark.transition_system();
@@ -445,7 +431,7 @@ mod tests {
             if benchmark.name != "nt_square_growth" {
                 bounds.push(SearchBounds::default());
                 bounds.push(SearchBounds {
-                    max_configs: seeds + 1 + rng.below(300),
+                    max_configs: seeds + 1 + rng.next_below(300) as usize,
                     ..SearchBounds::default()
                 });
             }
@@ -470,8 +456,8 @@ mod tests {
                 }
                 let mut conjunction = PredicateMap::tautology(n);
                 for loc in ts.locations() {
-                    let picked =
-                        (0..1 + rng.below(3)).map(|_| atoms[rng.below(atoms.len())].clone());
+                    let picked = (0..1 + rng.next_below(3))
+                        .map(|_| atoms[rng.next_below(atoms.len() as u64) as usize].clone());
                     conjunction
                         .set(loc, PropPredicate::from_assertion(Assertion::from_polys(picked)));
                 }

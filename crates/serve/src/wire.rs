@@ -9,7 +9,7 @@
 //! protocol errors too, never panics.
 
 use revterm::api::json::{parse_json, Json};
-use revterm::api::{ProveRequest, ProveResponse};
+use revterm::api::ProveResponse;
 use revterm::Error;
 use std::io::{BufRead, Write};
 
@@ -89,23 +89,6 @@ pub fn write_frame<W: Write>(writer: &mut W, value: &Json) -> Result<(), Error> 
     writer.flush().map_err(Error::from)
 }
 
-/// Reads and decodes one request frame.
-///
-/// The three layers fail distinguishably: transport ([`Error::Io`]),
-/// framing/JSON and protocol shape (both [`Error::Protocol`]).  `Ok(None)`
-/// is clean end-of-stream.
-///
-/// # Errors
-///
-/// See [`read_frame`]; additionally any decode error of
-/// [`ProveRequest::from_json`].
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<ProveRequest>, Error> {
-    match read_frame(reader)? {
-        None => Ok(None),
-        Some(line) => ProveRequest::from_json(&parse_json(&line)?).map(Some),
-    }
-}
-
 /// Reads and decodes one response frame (client side).
 ///
 /// # Errors
@@ -122,6 +105,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<ProveResponse, Error>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revterm::api::ProveRequest;
     use std::io::BufReader;
 
     fn frames(input: &[u8]) -> Vec<Result<Option<String>, Error>> {
@@ -188,14 +172,17 @@ mod tests {
 
     #[test]
     fn garbage_json_decodes_to_structured_errors() {
+        // The server's decode steps: a frame, its JSON, then the request.
         let mut reader = BufReader::new(&b"this is not json\n"[..]);
-        let err = read_request(&mut reader).unwrap_err();
-        assert!(matches!(err, Error::Protocol(_)));
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        assert!(matches!(parse_json(&frame).unwrap_err(), Error::Protocol(_)));
         let mut reader = BufReader::new(&b"[1,2,3]\n"[..]);
-        let err = read_request(&mut reader).unwrap_err();
+        let json = parse_json(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
+        let err = ProveRequest::from_json(&json).unwrap_err();
+        assert!(matches!(err, Error::Protocol(_)));
         assert!(err.to_string().contains("object"), "{err}");
         let mut reader = BufReader::new(&b""[..]);
-        assert!(read_request(&mut reader).unwrap().is_none());
+        assert!(read_frame(&mut reader).unwrap().is_none());
         let mut reader = BufReader::new(&b""[..]);
         assert!(read_response(&mut reader).is_err());
     }

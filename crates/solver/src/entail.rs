@@ -99,7 +99,7 @@ use crate::lp::{
     BasisCache, ColumnForm, ColumnOutcome, IntColumns, LpProblem, LpStats, Rel, VarKind,
 };
 use revterm_num::{Fnv64, Rat};
-use revterm_poly::{LinExpr, Monomial, Poly, Var};
+use revterm_poly::{Combination, LinExpr, Monomial, Poly, Var};
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -188,111 +188,6 @@ impl EntailmentOptions {
     /// configured options value for a linear obligation.
     pub fn linearized(&self) -> Self {
         EntailmentOptions { max_product_size: 1, max_product_degree: 1, ..self.clone() }
-    }
-}
-
-/// A nonnegative combination of premise products,
-///
-/// ```text
-/// Σ_j λ_j · Π_{i ∈ F_j} g_i        with every λ_j > 0,
-/// ```
-///
-/// where each `F_j` is a multiset of premise indices (the empty multiset is
-/// the constant product `1`). A combination whose sum is the conclusion
-/// certifies an entailment; one whose sum is `−1` certifies that the
-/// premises are unsatisfiable, and so entail anything. It names premises,
-/// not columns of the oracle's product list, so it is checked without
-/// rebuilding that list ([`Combination::certifies`]).
-///
-/// The factor runs of all terms share one buffer, so a term costs its
-/// multiplier plus a few index words and no allocation of its own.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Combination {
-    /// The premise indices of every term's product, concatenated.
-    factors: Vec<u32>,
-    /// Per term: the end of its run in `factors`, and its multiplier.
-    terms: Vec<(u32, Rat)>,
-}
-
-impl Combination {
-    /// The empty combination (its sum is `0`).
-    pub fn new() -> Combination {
-        Combination::default()
-    }
-
-    /// Appends the term `lambda · Π_{i ∈ factors} g_i`.
-    pub fn push(&mut self, factors: &[u32], lambda: Rat) {
-        self.factors.extend_from_slice(factors);
-        let end = u32::try_from(self.factors.len()).expect("factor buffer fits u32 offsets");
-        self.terms.push((end, lambda));
-    }
-
-    /// The terms as `(premise indices, λ)` pairs, in insertion order.
-    pub fn terms(&self) -> impl Iterator<Item = (&[u32], &Rat)> + '_ {
-        let mut start = 0;
-        self.terms.iter().map(move |(end, lambda)| {
-            let factors = &self.factors[start..*end as usize];
-            start = *end as usize;
-            (factors, lambda)
-        })
-    }
-
-    /// The sum `Σ_j λ_j · Π_{i ∈ F_j} premises[i]`, or `None` if a factor
-    /// index is out of range or some `λ_j` is not strictly positive (such a
-    /// sum is not known to be nonnegative on the premise set).
-    fn sum(&self, premises: &[Poly]) -> Option<Poly> {
-        let mut terms = Vec::new();
-        for (factors, lambda) in self.terms() {
-            if !lambda.is_positive() {
-                return None;
-            }
-            let Some((&first, rest)) = factors.split_first() else {
-                terms.push((Monomial::one(), lambda.clone()));
-                continue;
-            };
-            // Single premises — every term of a Farkas combination — are
-            // scaled straight into the sum; only real products are built.
-            let first = premises.get(first as usize)?;
-            let product;
-            let poly = if rest.is_empty() {
-                first
-            } else {
-                let mut p = first.clone();
-                for &i in rest {
-                    p = &p * premises.get(i as usize)?;
-                }
-                product = p;
-                &product
-            };
-            terms.extend(poly.flat_terms().iter().map(|(m, c)| (*m, c * lambda)));
-        }
-        Some(Poly::from_terms(terms))
-    }
-
-    /// Checks, with `Poly`/`Rat` arithmetic only, that this combination
-    /// proves `⋀ premises ≥ 0 ⟹ conclusion ≥ 0`: every multiplier is
-    /// positive, every index names a premise, and the sum equals the
-    /// conclusion coefficient by coefficient — or equals `−1`, refuting the
-    /// premises. Pass `−1` as the conclusion to accept only a refutation.
-    pub fn certifies(&self, premises: &[Poly], conclusion: &Poly) -> bool {
-        self.sum(premises).is_some_and(|sum| {
-            sum == *conclusion || sum.as_constant().is_some_and(|c| c == Rat::from(-1))
-        })
-    }
-
-    /// The one-term combination `c · 1` of a constant conclusion `c ≥ 0`
-    /// (no term at all for `c = 0`).
-    fn constant(c: Rat) -> Combination {
-        let mut comb = Combination::new();
-        if c.is_positive() {
-            comb.push(&[], c);
-        }
-        comb
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.factors.shrink_to_fit();
-        self.terms.shrink_to_fit();
     }
 }
 
@@ -1045,7 +940,7 @@ mod tests {
         // `LpProblem` lowering, so this also checks the builder against the
         // lowering. The rounds cover plain Farkas, Handelman products of two
         // premises, and coefficients near and past `i64::MAX`.
-        use crate::SplitMix64;
+        use revterm_num::SplitMix64;
         let mut rng = SplitMix64::new(0x0FA1_2CA5);
         for (budget, large) in [(1, false), (2, false), (1, true), (2, true)] {
             let with_engine = |lp_engine| EntailmentOptions {
@@ -1110,7 +1005,7 @@ mod tests {
         // A Houdini-shaped stream: one premise set, many conclusion atoms —
         // every miss after the first warm-starts from the basis the memo
         // stored. Verdicts must match the cold dense oracle on every atom.
-        use crate::SplitMix64;
+        use revterm_num::SplitMix64;
         let opts = EntailmentOptions::linear();
         let oracle_opts = EntailmentOptions { lp_engine: LpEngine::Dense, ..opts };
         let mut rng = SplitMix64::new(0x57A6_57A6);
@@ -1324,7 +1219,7 @@ mod tests {
     /// A random polynomial over `Var(0..nvars)` of degree at most `degree`:
     /// a constant plus up to three further terms, each coefficient in
     /// `[-3, 3]`.
-    fn random_poly(rng: &mut crate::SplitMix64, nvars: u32, degree: u32) -> Poly {
+    fn random_poly(rng: &mut revterm_num::SplitMix64, nvars: u32, degree: u32) -> Poly {
         let mut p = Poly::constant_i64(rng.next_in_range(-3, 3));
         for _ in 0..1 + rng.next_below(3) {
             let mut term = Poly::constant_i64(rng.next_in_range(-3, 3));
@@ -1346,7 +1241,7 @@ mod tests {
         // right-hand side and warm-start key, and the same witnesses on
         // both engines; the memo's cached premise hash must finish to the
         // full-query hash.
-        use crate::SplitMix64;
+        use revterm_num::SplitMix64;
         let mut rng = SplitMix64::new(0x5CE1_E705);
         let (mut added_rows, mut negated_rows, mut entailed, mut refuted) = (0, 0, 0, 0);
         for (premise_degree, budget) in [(1, 1), (1, 2), (2, 1), (2, 2)] {

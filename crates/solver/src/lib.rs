@@ -55,7 +55,10 @@
 //! certificate (a feasible point; for entailments, a [`Combination`] of
 //! premise products that [`Combination::certifies`] checks without an LP),
 //! and every non-termination verdict produced by the core crate rests on
-//! such combinations, each checked that way.  The oracles are incomplete in
+//! such combinations, each checked that way. [`Combination`] lives in
+//! `revterm-poly`, where the interval closure of `revterm-absint` builds
+//! the same witnesses, and [`SplitMix64`] in `revterm-num`; this crate
+//! re-exports both for the callers that import them from here.  The oracles are incomplete in
 //! general (as is any decision procedure for non-linear integer arithmetic),
 //! which only ever costs coverage, never soundness.
 //!
@@ -76,11 +79,11 @@
 
 pub mod entail;
 pub mod lp;
-mod rng;
 
 pub use entail::{
-    entails, entails_with_witness, implies_false, implies_false_with_witness, Combination,
-    EntailmentCache, EntailmentOptions, LpEngine,
+    entails, entails_with_witness, implies_false, implies_false_with_witness, EntailmentCache,
+    EntailmentOptions, LpEngine,
 };
 pub use lp::{LpProblem, LpResult, LpSolution, LpStats, Rel, VarKind};
-pub use rng::SplitMix64;
+pub use revterm_num::SplitMix64;
+pub use revterm_poly::Combination;

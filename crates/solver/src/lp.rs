@@ -286,11 +286,6 @@ impl LpProblem {
         self.objective = Some(objective);
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Maps every user variable to one or two simplex columns.
     fn column_map(&self) -> ColumnMap {
         let mut vars: Vec<Var> = self
@@ -1596,7 +1591,7 @@ fn pivot_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SplitMix64;
+    use revterm_num::SplitMix64;
     use revterm_num::{rat, ratio, Int, Rat};
 
     fn e(c: i64) -> LinExpr {

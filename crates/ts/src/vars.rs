@@ -71,16 +71,6 @@ impl VarTable {
         Var((self.len() + i) as u32)
     }
 
-    /// All unprimed variables.
-    pub fn all_unprimed(&self) -> Vec<Var> {
-        (0..self.len()).map(|i| self.unprimed(i)).collect()
-    }
-
-    /// All primed variables.
-    pub fn all_primed(&self) -> Vec<Var> {
-        (0..self.len()).map(|i| self.primed(i)).collect()
-    }
-
     /// Returns `true` iff `v` denotes a primed program variable.
     pub fn is_primed(&self, v: Var) -> bool {
         let i = v.index();
@@ -119,12 +109,6 @@ impl VarTable {
         } else {
             v
         }
-    }
-
-    /// Swaps primed and unprimed variables throughout a polynomial
-    /// (the syntactic core of transition reversal, Definition 3.1).
-    pub fn swap_primes_poly(&self, p: &Poly) -> Poly {
-        p.rename(&|v| self.swap_primes(v))
     }
 
     /// Maps an unprimed program variable to its primed counterpart; other
@@ -208,16 +192,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(t.swap_primes(t.swap_primes(Var(i))), Var(i));
         }
-    }
-
-    #[test]
-    fn swap_primes_poly() {
-        let t = table();
-        // x' - x  ->  x - x'
-        let p = Poly::var(t.primed(0)) - Poly::var(t.unprimed(0));
-        let q = t.swap_primes_poly(&p);
-        assert_eq!(q, Poly::var(t.unprimed(0)) - Poly::var(t.primed(0)));
-        assert_eq!(t.swap_primes_poly(&q), p);
     }
 
     #[test]

@@ -30,6 +30,19 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# One SplitMix64: `revterm_num::SplitMix64` (crates/num/src/rng.rs) is the
+# generator the fuzz batches and every randomized test draw from, so a
+# private copy elsewhere could drift from it unseen. Its increment,
+# 0x9E37_79B9_7F4A_7C15 in any case and with underscores anywhere, may
+# appear in the workspace's Rust only under crates/num/src/.
+echo "==> one SplitMix64 (crates/num/src/ only)"
+increment='0x_*9_*e_*3_*7_*7_*9_*b_*9_*7_*f_*4_*a_*7_*c_*1_*5'
+if copies=$(grep -rniE --include='*.rs' "$increment" crates tests | grep -v '^crates/num/src/'); then
+    echo "FAIL: a SplitMix64 outside crates/num/src/; use revterm_num::SplitMix64:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
 

@@ -11,61 +11,52 @@
 
 use revterm::{quick_sweep, validate_certificate, ProverConfig, ProverSession};
 use revterm_lang::parse_program;
+use revterm_num::SplitMix64;
 use revterm_ts::lower;
 
-/// SplitMix64 — the workspace-standard deterministic generator.
-struct Rng(u64);
+/// In `lo..hi` (the upper end excluded).
+fn in_range(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    lo + (rng.next_u64() as i64).rem_euclid(hi - lo)
+}
 
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn in_range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next_u64() as i64).rem_euclid(hi - lo)
-    }
-
-    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-        items[self.in_range(0, items.len() as i64) as usize]
-    }
+fn pick<'a>(rng: &mut SplitMix64, items: &[&'a str]) -> &'a str {
+    items[in_range(rng, 0, items.len() as i64) as usize]
 }
 
 const VARS: &[&str] = &["x", "y", "z"];
 
-fn expr(rng: &mut Rng) -> String {
-    let v = rng.pick(VARS);
-    match rng.in_range(0, 6) {
-        0 => format!("{}", rng.in_range(-3, 11)),
+fn expr(rng: &mut SplitMix64) -> String {
+    let v = pick(rng, VARS);
+    match in_range(rng, 0, 6) {
+        0 => format!("{}", in_range(rng, -3, 11)),
         1 => v.to_string(),
-        2 => format!("{v} + {}", rng.in_range(1, 4)),
-        3 => format!("{v} - {}", rng.in_range(1, 4)),
-        4 => format!("{} * {v}", rng.in_range(2, 11)),
+        2 => format!("{v} + {}", in_range(rng, 1, 4)),
+        3 => format!("{v} - {}", in_range(rng, 1, 4)),
+        4 => format!("{} * {v}", in_range(rng, 2, 11)),
         _ => "ndet()".to_string(),
     }
 }
 
-fn guard(rng: &mut Rng) -> String {
-    let v = rng.pick(VARS);
-    match rng.in_range(0, 4) {
-        0 => format!("{v} >= {}", rng.in_range(-2, 10)),
-        1 => format!("{v} <= {}", rng.in_range(-2, 10)),
-        2 => format!("{v} >= {}", rng.pick(VARS)),
+fn guard(rng: &mut SplitMix64) -> String {
+    let v = pick(rng, VARS);
+    match in_range(rng, 0, 4) {
+        0 => format!("{v} >= {}", in_range(rng, -2, 10)),
+        1 => format!("{v} <= {}", in_range(rng, -2, 10)),
+        2 => format!("{v} >= {}", pick(rng, VARS)),
         _ => "true".to_string(),
     }
 }
 
-fn stmt(rng: &mut Rng, depth: u32) -> String {
+fn stmt(rng: &mut SplitMix64, depth: u32) -> String {
     let whiles_allowed = depth < 2;
-    match rng.in_range(0, if whiles_allowed { 4 } else { 3 }) {
-        0 | 1 => format!("{} := {};", rng.pick(VARS), expr(rng)),
+    match in_range(rng, 0, if whiles_allowed { 4 } else { 3 }) {
+        0 | 1 => format!("{} := {};", pick(rng, VARS), expr(rng)),
         2 => "skip;".to_string(),
         _ => {
-            let body: String =
-                (0..rng.in_range(1, 3)).map(|_| stmt(rng, depth + 1)).collect::<Vec<_>>().join(" ");
+            let body: String = (0..in_range(rng, 1, 3))
+                .map(|_| stmt(rng, depth + 1))
+                .collect::<Vec<_>>()
+                .join(" ");
             format!("while {} do {body} od", guard(rng))
         }
     }
@@ -73,9 +64,9 @@ fn stmt(rng: &mut Rng, depth: u32) -> String {
 
 /// A random program: a couple of leading statements and always at least one
 /// loop, so the non-trivial paths of both checks are exercised.
-fn program(rng: &mut Rng) -> String {
-    let mut stmts: Vec<String> = (0..rng.in_range(1, 3)).map(|_| stmt(rng, 1)).collect();
-    let body: String = (0..rng.in_range(1, 3)).map(|_| stmt(rng, 1)).collect::<Vec<_>>().join(" ");
+fn program(rng: &mut SplitMix64) -> String {
+    let mut stmts: Vec<String> = (0..in_range(rng, 1, 3)).map(|_| stmt(rng, 1)).collect();
+    let body: String = (0..in_range(rng, 1, 3)).map(|_| stmt(rng, 1)).collect::<Vec<_>>().join(" ");
     stmts.push(format!("while {} do {body} od", guard(rng)));
     stmts.join(" ")
 }
@@ -89,7 +80,7 @@ fn absint_off(config: &ProverConfig) -> ProverConfig {
 
 #[test]
 fn random_programs_prove_identically_with_absint_on_and_off() {
-    let mut rng = Rng(0xAB51_2024);
+    let mut rng = SplitMix64::new(0xAB51_2024);
     let mut fast_paths_on = 0u64;
     let mut prunes_on = 0u64;
     let mut round = 0usize;
