@@ -7,8 +7,10 @@
 //!    verdict for the same request (the determinism contract);
 //! 2. a repeated request is served by a pooled warm session (`pool_hit`
 //!    and cache hits must both be non-zero);
-//! 3. a zero deadline degrades to a structured `timeout` verdict and the
-//!    daemon keeps answering correctly afterwards;
+//! 3. a zero deadline degrades to a structured `timeout` verdict, a one-second
+//!    deadline cuts a search that would run for half a minute and answers
+//!    `timeout` within five seconds, and the daemon keeps answering
+//!    correctly afterwards;
 //! 4. `sweep`, `analyze`, `metrics` and `shutdown` all flow through the
 //!    wire protocol.
 //!
@@ -26,6 +28,13 @@ use std::time::Instant;
 
 const RUNNING: &str = "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
 const DIVERGING: &str = "while x >= 0 do x := x + 1; od";
+/// Check 2 on these fourteen variables runs for about half a minute, nearly
+/// all of it inside one invariant synthesis, so only a poll inside the
+/// synthesis can answer a deadline on time.
+const FOURTEEN_VARS: &str = "a := -40; b := -30; c := -20; d := -10; \
+    while a >= 3 do a := a + 1; b := b + 1; c := c + 1; d := d + 1; e := e + 5; \
+    f := f + 7; g := g + 1; h := h + 1; i := i + 1; j := j + 1; k := k + 1; \
+    l := l + 1; m := m + 1; n := n + 1; od";
 
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
@@ -77,12 +86,24 @@ fn main() {
         fail("pooled session served without any cache hits");
     }
 
-    // 3. A zero deadline times out structurally and poisons nothing.
+    // 3. A zero deadline, and a deadline that falls inside a synthesis, each
+    // time out structurally and poison nothing.
     let (cut, _) = client
         .prove(RUNNING, configs.clone(), Some(0))
         .unwrap_or_else(|e| fail(&format!("deadline prove: {e}")));
     if !cut.is_timeout() {
         fail(&format!("zero deadline should time out, got {}", cut.verdict));
+    }
+    let long_start = Instant::now();
+    let (long, _) = client
+        .prove(FOURTEEN_VARS, configs.clone(), Some(1000))
+        .unwrap_or_else(|e| fail(&format!("mid-search deadline prove: {e}")));
+    let deadline_cut_us = long_start.elapsed().as_micros();
+    if !long.is_timeout() {
+        fail(&format!("a 1 s deadline should cut the long search, got {}", long.verdict));
+    }
+    if deadline_cut_us > 5_000_000 {
+        fail(&format!("a 1 s deadline was answered after {deadline_cut_us} us"));
     }
     let (after, after_hit) = client
         .prove(RUNNING, configs, None)
@@ -118,6 +139,6 @@ fn main() {
     handle.join();
 
     println!(
-        "{{\"digest\":\"{expected_digest:016x}\",\"prove_cold_us\":{cold_us},\"prove_warm_us\":{warm_us},\"pool_hits\":{pool_hits},\"timeout_structured\":true,\"verdicts_match\":true}}"
+        "{{\"digest\":\"{expected_digest:016x}\",\"prove_cold_us\":{cold_us},\"prove_warm_us\":{warm_us},\"pool_hits\":{pool_hits},\"deadline_cut_us\":{deadline_cut_us},\"timeout_structured\":true,\"verdicts_match\":true}}"
     );
 }

@@ -5,7 +5,7 @@
 //! revterm --source '<program>'    prove non-termination of an inline program
 //! revterm --suite                 run the prover on the embedded benchmark suite
 //! revterm --list                  list the embedded benchmarks
-//! revterm analyze <program.rt>    print the interval/sign pre-analysis
+//! revterm analyze <program.rt>    print the interval pre-analysis
 //! revterm serve [--port N]        run the resident prover daemon
 //! revterm client <addr> ...       talk to a running daemon
 //! ```
@@ -56,7 +56,7 @@ const USAGE: &str = "usage: revterm [--check1|--check2] [--show-ts] [--stats] [-
 /// All subcommands, with one-line descriptions (the first is the default).
 const SUBCOMMANDS: &[(&str, &str)] = &[
     ("prove", "prove non-termination (the default when no subcommand is given)"),
-    ("analyze", "print the interval/sign pre-analysis of a program"),
+    ("analyze", "print the interval pre-analysis of a program"),
     ("serve", "run the resident prover daemon (line-delimited JSON, see PROTOCOL.md)"),
     ("client", "send one request to a running daemon"),
 ];
@@ -154,7 +154,7 @@ fn report_verdict(
     }
 }
 
-/// The `analyze` subcommand: run the interval/sign pre-analysis and print
+/// The `analyze` subcommand: run the interval pre-analysis and print
 /// the per-location envelopes plus the derived diagnostics (the renderer is
 /// shared with the wire `analyze` operation: [`revterm::analysis_report`]).
 fn run_analyze(args: &[String]) -> ExitCode {

@@ -818,7 +818,7 @@ pub fn sweep_to_outcomes(report: &SweepReport) -> Vec<WireOutcome> {
         .collect()
 }
 
-/// Renders the interval/sign pre-analysis report of a system — the exact
+/// Renders the interval pre-analysis report of a system — the exact
 /// text the `revterm analyze` subcommand prints and the `analyze` wire
 /// operation returns (one shared renderer keeps the two bitwise-identical).
 pub fn analysis_report(ts: &TransitionSystem) -> String {

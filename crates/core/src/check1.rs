@@ -104,7 +104,8 @@ pub(crate) fn synthesis_options(
 /// resolution, divergence-probe traces per `(resolution, initial)` pair, and
 /// memoized entailment queries.
 ///
-/// The budget is polled at candidate boundaries and by each synthesis;
+/// The budget is polled at candidate boundaries and before every entailment
+/// lookup, in each synthesis and in the blocked-transition test;
 /// `Err(TimedOut)` aborts the search *between* memoized computations (a
 /// synthesis it cuts short is not memoized), so every cache entry the call
 /// leaves behind is complete.
@@ -195,23 +196,29 @@ pub(crate) fn check1_cached(
             // single-premise columns — so the fast path below can only skip
             // the LP, never disagree with it.
             let fast = config.entailment.closure_fast_path();
-            let blocked = restricted_system
-                .transitions_to(restricted_system.terminal_loc())
-                .filter(|t| t.source != restricted_system.terminal_loc())
-                .all(|t| {
-                    invariant.at(t.source).disjuncts().iter().all(|d| {
-                        let mut premises: Vec<Poly> = d.atoms().to_vec();
-                        premises.extend(t.relation.atoms().iter().cloned());
-                        if fast
-                            && revterm_absint::close_premises(premises.iter()).is_contradiction()
-                        {
-                            entail.record_fast_path();
-                            return true;
-                        }
-                        let premises: Arc<[Poly]> = premises.into();
-                        entail.implies_false(&premises, &config.entailment)
-                    })
-                });
+            let terminal = restricted_system.terminal_loc();
+            let mut blocked = true;
+            'blocking: for t in restricted_system.transitions_to(terminal) {
+                if t.source == terminal {
+                    continue;
+                }
+                for d in invariant.at(t.source).disjuncts() {
+                    let mut premises: Vec<Poly> = d.atoms().to_vec();
+                    premises.extend(t.relation.atoms().iter().cloned());
+                    if fast && revterm_absint::close_premises(premises.iter()).is_contradiction() {
+                        entail.record_fast_path();
+                        continue;
+                    }
+                    if budget.exhausted(entail.lookups) {
+                        return Err(TimedOut);
+                    }
+                    let premises: Arc<[Poly]> = premises.into();
+                    if !entail.implies_false(&premises, &config.entailment) {
+                        blocked = false;
+                        break 'blocking;
+                    }
+                }
+            }
             if !blocked {
                 continue;
             }

@@ -30,8 +30,9 @@ use revterm_ts::{Assertion, TransitionSystem};
 /// together with the answer to its safety query, and memoized entailment
 /// queries.
 ///
-/// The budget is polled at candidate-resolution boundaries and by each
-/// synthesis; `Err(TimedOut)` aborts the search *between* memoized
+/// The budget is polled at candidate-resolution boundaries and, inside each
+/// synthesis, before every entailment lookup (every lookup of Check 2 is a
+/// synthesis's); `Err(TimedOut)` aborts the search *between* memoized
 /// computations (a synthesis it cuts short is not memoized), so every cache
 /// entry the call leaves behind is complete.
 pub(crate) fn check2_cached(

@@ -53,9 +53,10 @@
 //!
 //! A configuration's [`Budget`] is armed once per prove as invgen's
 //! `SynthesisBudget`, the one budget value of the run: both checks poll it
-//! at candidate boundaries and hand it to every synthesis, which polls it
-//! between Houdini batches. A synthesis it cuts short is never memoized, so
-//! a [`Verdict::Timeout`] leaves the session exactly as usable as before.
+//! at candidate boundaries and before every entailment lookup, and hand it
+//! to every synthesis, which does the same. A synthesis it cuts short is
+//! never memoized, so a [`Verdict::Timeout`] leaves the session exactly as
+//! usable as before.
 //!
 //! # Migration from the free-function entry points
 //!

@@ -27,8 +27,8 @@ pub enum Verdict {
     /// finished.  Unlike [`Verdict::Unknown`] this does *not* mean the
     /// configuration was exhausted — re-running with a larger budget may
     /// still prove non-termination.  The interruption happens before any
-    /// work (a budget already spent), at candidate boundaries or between
-    /// Houdini batches, and a cut-short synthesis is never memoized, so the
+    /// work (a budget already spent), at candidate boundaries or before an
+    /// entailment lookup, and a cut-short synthesis is never memoized, so the
     /// session that produced this verdict is never left with partially
     /// computed cache entries.
     Timeout,
@@ -117,6 +117,11 @@ pub(crate) fn prove_cached(
     // The LP skeletons of the last premise set serve one prove only.
     caches.entail.release_skeletons();
     stats.entailment_calls = caches.entail.lookups - lookups_before;
+    debug_assert!(
+        max_entailment_calls.is_none_or(|cap| stats.entailment_calls <= cap),
+        "{} entailment lookups overran the cap of {max_entailment_calls:?}",
+        stats.entailment_calls
+    );
     stats.entailment_cache_hits = caches.entail.hits - hits_before;
     stats.lp = caches.entail.lp_stats().delta_since(&lp_before);
     ProofResult { verdict, elapsed: start.elapsed(), config_label: config.label(), stats }

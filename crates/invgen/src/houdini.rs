@@ -13,10 +13,10 @@ use std::time::Instant;
 ///
 /// A single Houdini run over a large candidate pool can issue hundreds of
 /// thousands of entailment queries; callers that operate under a deadline or
-/// an entailment-call cap (the prover's `Budget`) pass one of these so the
-/// fixpoint loop can stop *between* transition batches instead of only after
-/// the fixpoint converges.  Both limits are optional; [`unlimited`] bounds
-/// nothing.
+/// an entailment-call cap (the prover's `Budget`) pass one of these, and the
+/// fixpoint loop polls it before every entailment lookup, so it stops at the
+/// cap instead of only after the fixpoint converges.  Both limits are
+/// optional; [`unlimited`] bounds nothing.
 ///
 /// [`unlimited`]: SynthesisBudget::unlimited
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,10 +97,11 @@ impl Default for SynthesisOptions {
 /// each recurring consecution obligation once; a one-off caller passes
 /// fresh caches and [`SynthesisBudget::unlimited`].
 ///
-/// Returns `None` as soon as the budget fires (polled before the initiation
-/// pruning and between Houdini transition batches — the overrun is bounded
-/// by one batch).  A `None` result is a *cut-short* computation, not a
-/// fixpoint: callers must not cache it or treat it as an invariant.
+/// Returns `None` as soon as the budget fires.  It is polled before the
+/// initiation pruning, before each transition batch and before every
+/// entailment lookup, so a synthesis stopped by its `entail_call_stop`
+/// makes no lookup past it.  A `None` result is a *cut-short* computation,
+/// not a fixpoint: callers must not cache it or treat it as an invariant.
 pub fn synthesize_invariant(
     ts: &TransitionSystem,
     samples: &SampleSet,
@@ -133,18 +134,32 @@ pub fn synthesize_invariant(
         let theta: Arc<[Poly]> = ts.init_assertion().atoms().to_vec().into();
         let theta_closure = if fast { Some(close_premises(theta.iter())) } else { None };
         let init = ts.init_loc();
-        atom_sets[init.0].retain(|atom| {
+        let mut kept = Vec::with_capacity(atom_sets[init.0].len());
+        for atom in std::mem::take(&mut atom_sets[init.0]) {
             // A closure contradiction is a Farkas proof of `-1 >= 0`, so the
-            // `implies_false` disjunct below is already known to hold.
+            // `implies_false` query below is already known to hold.
             if let Some(cl) = &theta_closure {
-                if cl.entails(atom) || cl.is_contradiction() {
+                if cl.entails(&atom) || cl.is_contradiction() {
                     entail.record_fast_path();
-                    return true;
+                    kept.push(atom);
+                    continue;
                 }
             }
-            entail.entails(&theta, atom, &options.entailment)
-                || entail.implies_false(&theta, &options.entailment)
-        });
+            if budget.exhausted(entail.lookups) {
+                return None;
+            }
+            if entail.entails(&theta, &atom, &options.entailment) {
+                kept.push(atom);
+                continue;
+            }
+            if budget.exhausted(entail.lookups) {
+                return None;
+            }
+            if entail.implies_false(&theta, &options.entailment) {
+                kept.push(atom);
+            }
+        }
+        atom_sets[init.0] = kept;
     }
 
     // Houdini fixpoint: drop atoms that are not preserved by some transition.
@@ -208,29 +223,32 @@ pub fn synthesize_invariant(
             }
             let target = t.target.0;
             let before = atom_sets[target].len();
-            let kept: Vec<usize> = primed_sets[target]
-                .iter()
-                .enumerate()
-                .filter(|(_, primed)| {
-                    if t.relation.atoms().contains(primed) {
-                        return true;
-                    }
-                    if premises.closure.as_ref().is_some_and(|cl| cl.entails(primed)) {
-                        entail.record_fast_path();
-                        return true;
-                    }
-                    let shared = premises.shared(source, t);
-                    entail.entails(
-                        shared,
-                        primed,
-                        &adaptive_opts(shared, primed.total_degree(), &options.entailment),
-                    )
-                })
-                .map(|(i, _)| i)
-                .collect();
+            let mut kept = Vec::with_capacity(before);
+            for (i, primed) in primed_sets[target].iter().enumerate() {
+                if t.relation.atoms().contains(primed) {
+                    kept.push(i);
+                    continue;
+                }
+                if premises.closure.as_ref().is_some_and(|cl| cl.entails(primed)) {
+                    entail.record_fast_path();
+                    kept.push(i);
+                    continue;
+                }
+                if budget.exhausted(entail.lookups) {
+                    return None;
+                }
+                let shared = premises.shared(source, t);
+                let opts = adaptive_opts(shared, primed.total_degree(), &options.entailment);
+                if entail.entails(shared, primed, &opts) {
+                    kept.push(i);
+                }
+            }
             if kept.len() != before {
                 // Check unsatisfiability once before committing to a drop: if
                 // the premises are contradictory the obligations hold anyway.
+                if budget.exhausted(entail.lookups) {
+                    return None;
+                }
                 let shared = premises.shared(source, t);
                 if entail.implies_false(shared, &adaptive_opts(shared, 0, &options.entailment)) {
                     continue;
@@ -478,6 +496,46 @@ mod tests {
         let map = synthesize(&ts, &samples, &options);
         assert!(!map.at(c).disjuncts()[0].atoms().contains(&at_least_five));
         assert!(is_inductive(&ts, &map, &options.entailment, &[]).is_ok());
+    }
+
+    #[test]
+    fn the_entailment_cap_is_a_hard_bound_that_cuts_nothing_that_fits() {
+        // The running example with samples from one run: `Θ_init` is true,
+        // so initiation asks both its queries of every atom at ℓ_init, and
+        // the fixpoint drops atoms over several batches. Check 1's options
+        // skip initiation and force ℓ_out to false.
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let mut samples = SampleSet::new();
+        let start = revterm_ts::interp::Config::new(ts.init_loc(), Valuation::from_i64s(&[9, 0]));
+        for cfg in revterm_ts::interp::run(&ts, &start, &|_, _| int(9), 40) {
+            samples.add(cfg.loc, cfg.vals);
+        }
+        let check1 = SynthesisOptions {
+            require_initiation: false,
+            forced_false: Some(ts.terminal_loc()),
+            ..SynthesisOptions::default()
+        };
+        for options in [SynthesisOptions::default(), check1] {
+            let run = |stop: Option<u64>| {
+                let (mut pool, mut entail) = (PoolCache::new(), EntailmentCache::new());
+                let budget =
+                    SynthesisBudget { entail_call_stop: stop, ..SynthesisBudget::default() };
+                let map =
+                    synthesize_invariant(&ts, &samples, &options, &mut pool, &mut entail, &budget);
+                (map, entail.lookups)
+            };
+            let (uncapped, n) = run(None);
+            let uncapped = uncapped.expect("an unlimited synthesis budget cannot be exhausted");
+            assert!(n >= 20, "{n} lookups");
+            for k in 0..n {
+                let (map, lookups) = run(Some(k));
+                assert!(map.is_none(), "a stop at {k} of {n} lookups did not cut");
+                assert!(lookups <= k, "{lookups} lookups under a stop at {k}");
+            }
+            for k in [n + 1, n + 2, u64::MAX] {
+                assert_eq!(run(Some(k)), (Some(uncapped.clone()), n), "a stop at {k}");
+            }
+        }
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //! Per-request deadlines are cooperative: a request's `deadline_ms` is
 //! written into each configuration's [`revterm::Budget`] as
 //! [`revterm::Budget::deadline`], the one limit the prover polls (before a
-//! run starts, at candidate boundaries and between Houdini batches), so a
-//! timed-out request reports a structured `timeout` verdict and leaves the
-//! pooled session fully consistent — never a poisoned session, never a
+//! run starts, at candidate boundaries and before every entailment lookup),
+//! so a timed-out request reports a structured `timeout` verdict and leaves
+//! the pooled session fully consistent — never a poisoned session, never a
 //! killed worker.
 
 #![warn(missing_docs)]

@@ -139,8 +139,10 @@ if $run_bench_smoke; then
     # driven through the wire client. Proves the service contract on every
     # CI run: daemon verdicts digest-identical to in-process runs, repeated
     # requests served by pooled warm sessions (fails on zero pool hits), a
-    # zero deadline degrading to a structured timeout with the daemon still
-    # healthy, and sweep/analyze/metrics/shutdown flowing over the protocol.
+    # zero deadline degrading to a structured timeout, a 1 s deadline cutting
+    # a half-minute Check 2 search inside its synthesis and answering
+    # timeout within 5 s (deadline_cut_us), the daemon still healthy after
+    # both, and sweep/analyze/metrics/shutdown flowing over the protocol.
     # Leaves a JSON latency artifact next to the other smoke outputs.
     echo "==> serve smoke (serve_smoke)"
     cargo run --locked --release -q -p revterm-bench --bin serve_smoke \

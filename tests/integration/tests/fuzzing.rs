@@ -1,8 +1,9 @@
 //! The always-on fuzzing gates: corpus replay, printer/parser round trip,
-//! deadline behaviour on generated programs, and the injected-flip demo that
-//! proves the differential harness catches a lying prover end to end.
+//! deadline and entailment-cap behaviour on generated and curated programs,
+//! and the injected-flip demo that proves the differential harness catches a
+//! lying prover end to end.
 
-use revterm::{outcome_digest, ProverConfig, ProverSession};
+use revterm::{outcome_digest, prove, Budget, CheckKind, ProverConfig, ProverSession, Verdict};
 use revterm_fuzzgen::{
     default_portfolio, differential, generate_batch, load_dir, shrink, DiffOptions, FailureKind,
     GenConfig,
@@ -102,6 +103,78 @@ fn midrun_deadline_is_structured_timeout_and_does_not_poison_session() {
         outcome_digest(&fresh, &ts),
         "session poisoned by the mid-run timeout"
     );
+}
+
+/// The entailment cap is a hard bound that cuts nothing that fits: on the
+/// curated suite and a generated family, under both fuzzing configurations
+/// with no time limit, a prove capped at `c` makes at most `c` lookups, and
+/// a prove that finished after `L` lookups reaches the same outcome under a
+/// cap of `L + 1`.
+#[test]
+fn the_entailment_cap_bounds_every_prove_and_cuts_nothing_that_fits() {
+    let programs = revterm_suite::curated_benchmarks()
+        .into_iter()
+        .filter(|b| b.name != "nt_square_growth")
+        .chain(revterm_suite::fuzz_family(0x5eed_f22d, 40));
+    let mut portfolio = default_portfolio();
+    for config in &mut portfolio {
+        config.budget.time_limit = None;
+    }
+    let capped = |config: &ProverConfig, cap: u64| {
+        let mut config = config.clone();
+        config.budget.max_entailment_calls = Some(cap);
+        config
+    };
+    let (mut finished, mut cut) = (0, 0);
+    for benchmark in programs {
+        let ts = benchmark.transition_system();
+        for config in &portfolio {
+            for cap in [0, 1, 25, 200] {
+                let result = prove(&ts, &capped(config, cap));
+                let case = format!("{} under {} capped at {cap}", benchmark.name, config.label());
+                assert!(result.stats.entailment_calls <= cap, "{case}: {:?}", result.stats);
+                if cap < 200 {
+                    continue;
+                }
+                if result.timed_out() {
+                    cut += 1;
+                    continue;
+                }
+                finished += 1;
+                let lookups = result.stats.entailment_calls;
+                let tight = prove(&ts, &capped(config, lookups + 1));
+                assert_eq!(
+                    outcome_digest(&tight, &ts),
+                    outcome_digest(&result, &ts),
+                    "{case}: the same prove capped at {} lookups",
+                    lookups + 1
+                );
+            }
+        }
+    }
+    assert!(finished > 0 && cut > 0, "{finished} finished and {cut} cut under the cap of 200");
+}
+
+/// A deadline binds inside a synthesis, not only between them: unbounded,
+/// Check 2 on these fourteen variables runs for about half a minute, nearly
+/// all of it inside its one `BI` synthesis. A deadline 500 ms ahead falls
+/// inside `Ĩ`, whose transition batches are short; one 2 s ahead falls
+/// inside `BI` on a 2-vCPU VM, where one batch runs for over 20 s, so only
+/// a poll inside the batch ends the prove soon after the deadline.
+#[test]
+fn a_deadline_binds_mid_synthesis() {
+    const FOURTEEN_VARS: &str = "a := -40; b := -30; c := -20; d := -10; \
+        while a >= 3 do a := a + 1; b := b + 1; c := c + 1; d := d + 1; e := e + 5; \
+        f := f + 7; g := g + 1; h := h + 1; i := i + 1; j := j + 1; k := k + 1; \
+        l := l + 1; m := m + 1; n := n + 1; od";
+    let ts = revterm::lower_source(FOURTEEN_VARS).expect("the program lowers");
+    for ahead in [500, 2_000].map(Duration::from_millis) {
+        let budget = Budget { deadline: Some(Instant::now() + ahead), ..Budget::unlimited() };
+        let config = ProverConfig::builder().check(CheckKind::Check2).budget(budget).build();
+        let result = prove(&ts, &config);
+        assert!(matches!(result.verdict, Verdict::Timeout), "{ahead:?}: {:?}", result.verdict);
+        assert!(result.elapsed < Duration::from_secs(5), "{ahead:?}: {:?}", result.elapsed);
+    }
 }
 
 /// The harness demo required by the issue: inject a verdict flip, watch the
