@@ -18,7 +18,7 @@
 use crate::closure::{IntervalEnv, CLOSURE_ROUNDS};
 use crate::interval::Interval;
 use revterm_num::Rat;
-use revterm_poly::{monomials_up_to_degree, Monomial, Poly, Var};
+use revterm_poly::Poly;
 use revterm_ts::interp::Config;
 use revterm_ts::{Loc, Transition, TransitionKind, TransitionSystem, VarTable};
 use std::collections::VecDeque;
@@ -265,47 +265,6 @@ impl AbstractState {
     /// The constant value of `var` at `loc`, when the analysis pinned one.
     pub fn constant_at(&self, loc: Loc, var: usize) -> Option<&Rat> {
         self.interval(loc, var).and_then(Interval::as_constant)
-    }
-
-    /// Does `p ≥ 0` hold in every concrete state that can reach `loc`?
-    /// Vacuously `true` when `loc` is statically unreachable.
-    pub fn implied(&self, ts: &TransitionSystem, loc: Loc, p: &Poly) -> bool {
-        match self.env(loc) {
-            None => true,
-            Some(env) => {
-                slice_to_env(env, ts.vars()).eval_poly(p).lo().is_some_and(|l| !l.is_negative())
-            }
-        }
-    }
-
-    /// Variable indices *not* pinned to a constant at `loc` — the template
-    /// universe that can actually vary there.  Empty when unreachable.
-    pub fn varying_vars(&self, loc: Loc) -> Vec<usize> {
-        self.env(loc).map_or_else(Vec::new, |env| {
-            (0..env.len()).filter(|&i| env[i].as_constant().is_none()).collect()
-        })
-    }
-
-    /// The `monomials_up_to_degree` universe at `loc` restricted to the
-    /// variables that can vary there.
-    pub fn filtered_monomials(&self, vars: &VarTable, loc: Loc, max_degree: u32) -> Vec<Monomial> {
-        let vs: Vec<Var> = self.varying_vars(loc).into_iter().map(|i| vars.unprimed(i)).collect();
-        monomials_up_to_degree(&vs, max_degree)
-    }
-
-    /// Substitute every variable pinned to a constant at `loc` into `p`.
-    pub fn specialize(&self, vars: &VarTable, loc: Loc, p: &Poly) -> Poly {
-        match self.env(loc) {
-            None => p.clone(),
-            Some(env) => p.substitute(&|v| {
-                if vars.is_unprimed(v) {
-                    if let Some(c) = env[vars.base_index(v)].as_constant() {
-                        return Poly::constant(c.clone());
-                    }
-                }
-                Poly::var(v)
-            }),
-        }
     }
 
     /// Is the terminal location proven unreachable?  A `true` here means no

@@ -187,11 +187,6 @@ impl Interval {
         Interval { lo: add_opt(&self.lo, &other.lo), hi: add_opt(&self.hi, &other.hi) }
     }
 
-    /// Negation `[-hi, -lo]`.
-    pub fn neg(&self) -> Interval {
-        Interval { lo: self.hi.as_ref().map(|h| -h), hi: self.lo.as_ref().map(|l| -l) }
-    }
-
     /// Exact scaling by a rational constant.
     pub fn scale(&self, c: &Rat) -> Interval {
         if c.is_zero() {

@@ -9,10 +9,10 @@
 //!    abstract interpretation in the interval domain with delayed widening
 //!    and a narrowing pass, producing an [`AbstractState`]: for every
 //!    location either a proof of unreachability or a sound per-variable
-//!    [`Interval`] (with the constants it pins).  The prover
-//!    session caches one per analyzed system; the `revterm analyze` CLI
-//!    subcommand pretty-prints it together with [`Diagnostics`] (unused
-//!    variables, unreachable locations, constant guards).
+//!    [`Interval`] (with the constants it pins).  The `revterm analyze` CLI
+//!    subcommand and the wire `analyze` operation run it afresh on each
+//!    call and render it together with [`Diagnostics`] (unused variables,
+//!    unreachable locations, constant guards); the prover never reads it.
 //!
 //! 2. **Premise closure** — [`close_premises`] interval-closes one
 //!    entailment query's premise set.  Every bound it derives is an
@@ -32,10 +32,7 @@
 //! digest.  That contract is why the certificate-producing path does *not*
 //! filter atom pools or template universes by these facts — dropping atoms
 //! that the analysis proves redundant would still change the shape of the
-//! synthesized invariants.  The universe filters
-//! ([`AbstractState::varying_vars`], [`AbstractState::filtered_monomials`],
-//! [`AbstractState::specialize`]) are exposed for diagnostics and for
-//! callers that do not need bitwise-stable certificates.
+//! synthesized invariants.
 //!
 //! # Example: analyzing a lowered program
 //!

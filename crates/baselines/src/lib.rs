@@ -77,18 +77,17 @@ fn result(verdict: BaselineVerdict, start: Instant) -> BaselineResult {
 // Lasso prover
 // ---------------------------------------------------------------------------
 
-/// Concrete periodic-lasso search.
+/// Concrete periodic-lasso search within [`SearchBounds::default`] (its
+/// value grid, initial valuations and steps per candidate run).
 #[derive(Debug, Clone)]
 pub struct LassoProver {
-    /// Search bounds (number of steps explored per candidate run).
-    pub bounds: SearchBounds,
     /// Maximal number of (initial valuation, resolution value) runs probed.
     pub max_runs: usize,
 }
 
 impl Default for LassoProver {
     fn default() -> Self {
-        LassoProver { bounds: SearchBounds::default(), max_runs: 200 }
+        LassoProver { max_runs: 200 }
     }
 }
 
@@ -102,8 +101,9 @@ impl BaselineProver for LassoProver {
     /// non-termination.
     fn analyze(&self, ts: &TransitionSystem) -> BaselineResult {
         let start = Instant::now();
-        let candidates = ndet_candidate_values(ts, self.bounds.grid);
-        let initials = find_initial_valuations(ts, &self.bounds);
+        let bounds = SearchBounds::default();
+        let candidates = ndet_candidate_values(ts, bounds.grid);
+        let initials = find_initial_valuations(ts, &bounds);
         let mut runs = 0usize;
         for initial in &initials {
             for value in &candidates {
@@ -115,7 +115,7 @@ impl BaselineProver for LassoProver {
                 // assignment with the same constant value.
                 let mut seen: BTreeSet<Config> = BTreeSet::new();
                 let mut current = Config::new(ts.init_loc(), initial.clone());
-                for _ in 0..self.bounds.max_steps {
+                for _ in 0..bounds.max_steps {
                     if current.loc == ts.terminal_loc() {
                         break;
                     }
@@ -138,21 +138,17 @@ impl BaselineProver for LassoProver {
 // Quasi-invariant prover
 // ---------------------------------------------------------------------------
 
-/// SCC quasi-invariant search (VeryMax-style).
+/// SCC quasi-invariant search (VeryMax-style), whose reachability check
+/// explores within [`SearchBounds::default`].
 #[derive(Debug, Clone)]
 pub struct QuasiInvariantProver {
     /// Template parameters for the quasi-invariant synthesis.
     pub params: TemplateParams,
-    /// Search bounds for sampling and the reachability check.
-    pub bounds: SearchBounds,
 }
 
 impl Default for QuasiInvariantProver {
     fn default() -> Self {
-        QuasiInvariantProver {
-            params: TemplateParams::new(2, 1, 1),
-            bounds: SearchBounds::default(),
-        }
+        QuasiInvariantProver { params: TemplateParams::new(2, 1, 1) }
     }
 }
 
@@ -218,7 +214,7 @@ impl BaselineProver for QuasiInvariantProver {
             for &loc in &scc {
                 target.set(loc, map.at(loc).clone());
             }
-            let reach = reach.get_or_insert_with(|| explore(ts, &self.bounds));
+            let reach = reach.get_or_insert_with(|| explore(ts, &SearchBounds::default()));
             if find_path_in(reach, &target).is_some() {
                 return result(BaselineVerdict::NonTerminating, start);
             }
@@ -231,12 +227,10 @@ impl BaselineProver for QuasiInvariantProver {
 // Acceleration prover
 // ---------------------------------------------------------------------------
 
-/// Guard-preservation loop acceleration (LoAT-style).
+/// Guard-preservation loop acceleration (LoAT-style), whose reachability
+/// check explores within [`SearchBounds::default`].
 #[derive(Debug, Clone, Default)]
-pub struct AccelerationProver {
-    /// Search bounds for the reachability pre-check.
-    pub bounds: SearchBounds,
-}
+pub struct AccelerationProver;
 
 impl BaselineProver for AccelerationProver {
     fn name(&self) -> &'static str {
@@ -307,7 +301,7 @@ impl BaselineProver for AccelerationProver {
                     )),
                 );
             }
-            let reach = reach.get_or_insert_with(|| explore(ts, &self.bounds));
+            let reach = reach.get_or_insert_with(|| explore(ts, &SearchBounds::default()));
             if find_path_in(reach, &target).is_some() {
                 return result(BaselineVerdict::NonTerminating, start);
             }
@@ -390,8 +384,8 @@ pub fn table_baselines() -> Vec<(&'static str, Box<dyn BaselineProver>)> {
     vec![
         ("Ultimate*", Box::new(LassoProver::default()) as Box<dyn BaselineProver>),
         ("VeryMax*", Box::new(QuasiInvariantProver::default())),
-        ("AProVE*", Box::new(LassoProver { max_runs: 400, ..LassoProver::default() })),
-        ("LoAT*", Box::new(AccelerationProver::default())),
+        ("AProVE*", Box::new(LassoProver { max_runs: 400 })),
+        ("LoAT*", Box::new(AccelerationProver)),
     ]
 }
 
@@ -474,7 +468,7 @@ mod tests {
 
     #[test]
     fn acceleration_proves_simple_guard_preserving_loops() {
-        let prover = AccelerationProver::default();
+        let prover = AccelerationProver;
         assert_eq!(
             prover.analyze(&ts("while x >= 0 do x := x + 1; od")).verdict,
             BaselineVerdict::NonTerminating

@@ -85,7 +85,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let cfg = GenConfig::default();
-    let opts = DiffOptions { inject_flip: args.inject_flip, ..DiffOptions::default() };
+    let opts = DiffOptions { inject_flip: args.inject_flip };
     let start = Instant::now();
     let batch = generate_batch(args.seed, args.count, &cfg);
 

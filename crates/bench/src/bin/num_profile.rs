@@ -1,7 +1,8 @@
-//! Profiles the exact-arithmetic hot paths so that changes to `revterm_num`
-//! (and the LP/poly layers above it) can be compared across commits.
+//! Profiles the exact-arithmetic hot paths and the prover session's
+//! contract, so that changes to `revterm_num`, the LP/poly layers above it
+//! and the session can be compared across commits.
 //!
-//! Three workloads are timed and printed as one JSON object (the field-level
+//! Its workloads are timed and printed as one JSON object (the field-level
 //! schema is documented in the `revterm_bench` crate docs):
 //!
 //! * **LP-heavy microloop** — a deterministic family of Farkas-style
@@ -18,15 +19,19 @@
 //!   cache-key hashing loop over the Farkas chain queries, run under a
 //!   counting global allocator so the "zero heap allocations on the packed
 //!   path" claim is asserted, not assumed.
-//! * **Degree-1 sweep** — the paper's running example swept over the
-//!   24-cell degree-1 configuration grid: fresh per-configuration `prove`
-//!   calls through each of the two LP engines, and a warm
-//!   [`revterm::ProverSession`] (mirroring `session_vs_fresh`) whose
-//!   revised-simplex warm-start counters are reported alongside the
-//!   timings.  The same sessioned sweep then runs again with the
-//!   abstract-interpretation machinery disabled (`interval_fast_path:
-//!   false`, the one flag for the fast path and the probe prune): the
-//!   on/off verdict digests must match
+//! * **Fresh vs session** — the paper's running example and every named
+//!   benchmark swept over the 24-cell degree-1 configuration grid twice:
+//!   fresh per-configuration `prove` calls, and `prove` on one warm
+//!   [`revterm::ProverSession`]. Every cell's [`revterm::outcome_digest`]
+//!   — label, verdict and certificate, Check 2's witness path included —
+//!   must be the same both ways. Each benchmark gets one `session_vs_fresh`
+//!   entry with both timings and the session's cache and LP counters.
+//! * **Degree-1 sweep** — the running example's fresh sweep again through
+//!   the dense LP engine, whose verdicts must match the revised engine's,
+//!   and the session's revised-simplex warm-start counters. The same
+//!   sessioned sweep then runs again with the abstract-interpretation
+//!   machinery disabled (`interval_fast_path: false`, the one flag for the
+//!   fast path and the probe prune): the on/off verdict digests must match
 //!   (absint is sound pruning only), the on-sweep must report a nonzero
 //!   fast-path/prune count (the machinery actually engaged), and the
 //!   fixpoint analysis itself is timed as `absint_analyze_secs`.
@@ -43,24 +48,39 @@
 //! solutions and prover verdicts — this is how both the "optimisations must
 //! not change any verdict" and the "both simplex engines are
 //! indistinguishable" acceptance criteria are checked on every run. The
-//! process exits non-zero if any engine digest or fresh/sessioned verdict
-//! comparison diverges, if the flat poly kernels diverge from the BTreeMap
-//! reference, if the packed hashing loop allocates, or if the sessioned
-//! sweep reports a zero warm-start hit rate (the revised engine's whole
-//! point).
+//! process exits 1 if any engine digest or fresh/sessioned outcome digest
+//! diverges, if the flat poly kernels diverge from the BTreeMap reference,
+//! if the packed hashing loop allocates, or if the sessioned sweep reports
+//! a zero warm-start hit rate (the revised engine's whole point).
 //!
 //! ```text
-//! cargo run --release -p revterm-bench --bin num_profile [lp_iters]
+//! cargo run --release -p revterm-bench --bin num_profile [lp_iters] [benchmark...]
 //! ```
+//!
+//! `lp_iters` (default 120) sizes the two microloops. The benchmark names
+//! (from `revterm --list`; default `nt_counter_up paper_fig2_small`) join
+//! the running example in the fresh-vs-session comparison; an unknown name
+//! exits 2.
 
-use revterm::{default_sweep, degree1_sweep, prove, ProverSession};
+use revterm::api::json::Json;
+use revterm::{
+    default_sweep, degree1_sweep, outcome_digest, prove, ProofResult, ProverConfig, ProverSession,
+    TransitionSystem,
+};
 use revterm_num::{rat, Fnv64, Rat, SplitMix64};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use revterm_solver::{entails_with_witness, EntailmentOptions, LpEngine, LpProblem, Rel, VarKind};
+use revterm_suite::Benchmark;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The benchmark whose degree-1 and degree-2 sweeps carry the pins.
+const RUNNING_EXAMPLE: &str = "paper_fig1_running";
+
+/// The benchmarks compared fresh against sessioned when none are named.
+const DEFAULT_BENCHMARKS: [&str; 2] = ["nt_counter_up", "paper_fig2_small"];
 
 /// A [`System`] allocator wrapper counting every `alloc`/`realloc` call, so
 /// the poly-kernel microloop can *assert* (not just claim) that entailment
@@ -224,10 +244,122 @@ fn run_microloop(
     (feasible, start.elapsed().as_secs_f64(), digest.finish())
 }
 
+/// One benchmark's configuration grid, proved fresh per cell and then
+/// through one session.
+struct GridRun {
+    name: &'static str,
+    ts: TransitionSystem,
+    fresh: Vec<ProofResult>,
+    fresh_secs: f64,
+    session: ProverSession,
+    sessioned: Vec<ProofResult>,
+    session_secs: f64,
+    /// Every cell's fresh and sessioned outcome digests agree.
+    outcomes_match: bool,
+}
+
+impl GridRun {
+    fn new(bench: &Benchmark, configs: &[ProverConfig]) -> GridRun {
+        let ts = bench.transition_system();
+        let start = Instant::now();
+        let fresh: Vec<_> = configs.iter().map(|c| prove(&ts, c)).collect();
+        let fresh_secs = start.elapsed().as_secs_f64();
+        // What `ProverSession::sweep` runs with no early stop, keeping each
+        // cell's whole result.
+        let mut session = ProverSession::new(ts.clone());
+        let start = Instant::now();
+        let sessioned: Vec<_> = configs.iter().map(|c| session.prove(c)).collect();
+        let session_secs = start.elapsed().as_secs_f64();
+        let digests = |results: &[ProofResult]| -> Vec<u64> {
+            results.iter().map(|r| outcome_digest(r, &ts)).collect()
+        };
+        let outcomes_match = digests(&fresh) == digests(&sessioned);
+        GridRun {
+            name: bench.name,
+            ts,
+            fresh,
+            fresh_secs,
+            session,
+            sessioned,
+            session_secs,
+            outcomes_match,
+        }
+    }
+
+    /// This run's `session_vs_fresh` entry.
+    fn json(&self) -> Json {
+        let agg = &self.session.stats().aggregate;
+        let speedup = self.fresh_secs / self.session_secs;
+        let proved_cells = self.sessioned.iter().filter(|r| r.is_non_terminating()).count();
+        let fresh_synthesis_calls = self.fresh.iter().map(|r| r.stats.synthesis_calls).sum();
+        Json::obj(vec![
+            ("benchmark", Json::from(self.name)),
+            ("configs", count(self.fresh.len())),
+            ("proved_cells", count(proved_cells)),
+            ("fresh_secs", fixed(self.fresh_secs, 3)),
+            ("session_secs", fixed(self.session_secs, 3)),
+            ("speedup", fixed(speedup, 2)),
+            ("verdicts_match", Json::from(self.outcomes_match)),
+            ("fresh_synthesis_calls", count(fresh_synthesis_calls)),
+            ("synthesis_calls", count(agg.synthesis_calls)),
+            ("entailment_calls", Json::from(agg.entailment_calls)),
+            ("entailment_cache_hits", Json::from(agg.entailment_cache_hits)),
+            ("probe_cache_hits", Json::from(agg.probe_cache_hits)),
+            ("artifact_cache_hits", Json::from(agg.artifact_cache_hits)),
+            ("lp_solves", Json::from(agg.lp.solves)),
+            ("lp_pivots", Json::from(agg.lp.pivots)),
+            ("lp_refactorizations", Json::from(agg.lp.refactorizations)),
+            ("lp_warm_lookups", Json::from(agg.lp.warm_lookups)),
+            ("lp_warm_hits", Json::from(agg.lp.warm_hits)),
+        ])
+    }
+}
+
+/// `configs`, each with `tweak` applied.
+fn with_each(configs: &[ProverConfig], tweak: impl Fn(&mut ProverConfig)) -> Vec<ProverConfig> {
+    configs
+        .iter()
+        .map(|c| {
+            let mut c = c.clone();
+            tweak(&mut c);
+            c
+        })
+        .collect()
+}
+
+fn count(n: usize) -> Json {
+    Json::from(n as u64)
+}
+
+/// `x` rounded to `places` decimals (a non-finite `x` prints as `null`).
+fn fixed(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::from((x * scale).round() / scale)
+}
+
+fn hex(digest: u64) -> Json {
+    Json::from(format!("{digest:016x}"))
+}
+
 fn main() {
-    let lp_iters: usize = std::env::args()
-        .nth(1)
-        .map_or(120, |s| s.parse().expect("lp_iters must be a non-negative integer"));
+    let mut args = std::env::args().skip(1);
+    let lp_iters: usize =
+        args.next().map_or(120, |s| s.parse().expect("lp_iters must be a non-negative integer"));
+    let mut names: Vec<String> = args.collect();
+    if names.is_empty() {
+        names = DEFAULT_BENCHMARKS.map(String::from).to_vec();
+    }
+    // The running example comes first, whether named or not.
+    let suite = revterm_suite::full_suite();
+    let benches: Vec<&Benchmark> = std::iter::once(RUNNING_EXAMPLE)
+        .chain(names.iter().map(String::as_str).filter(|&n| n != RUNNING_EXAMPLE))
+        .map(|name| {
+            suite.iter().find(|b| b.name == name).unwrap_or_else(|| {
+                eprintln!("unknown benchmark {name:?} (see `revterm --list`)");
+                std::process::exit(2);
+            })
+        })
+        .collect();
 
     // --- LP-heavy microloop -------------------------------------------------
     // Two deterministic problem families, fixed up front so only the solving
@@ -357,42 +489,22 @@ fn main() {
     std::hint::black_box(key_checksum);
     let interned_monomials = revterm_poly::mono_pool_stats().interned;
 
-    // --- Degree-1 sweep on the running example ------------------------------
-    let suite = revterm_suite::full_suite();
-    let bench = suite
-        .iter()
-        .find(|b| b.name == "paper_fig1_running")
-        .expect("paper_fig1_running missing from suite");
-    let ts = bench.transition_system();
+    // --- Fresh vs session on the degree-1 grid ------------------------------
     let configs = degree1_sweep();
-    // The same grid with the LP engine forced on every cell (the default is
-    // already Revised; the explicit variants keep the comparison honest even
-    // if the default changes).
-    let engine_configs = |engine: LpEngine| -> Vec<_> {
-        configs
-            .iter()
-            .map(|c| {
-                let mut c = c.clone();
-                c.entailment.lp_engine = engine;
-                c
-            })
-            .collect()
-    };
+    let runs: Vec<GridRun> = benches.iter().map(|b| GridRun::new(b, &configs)).collect();
+    let verdicts_match = runs.iter().all(|r| r.outcomes_match);
 
-    let sweep_with = |grid: &[revterm::ProverConfig]| -> (Vec<bool>, f64) {
-        let start = Instant::now();
-        let verdicts: Vec<bool> = grid.iter().map(|c| prove(&ts, c).is_non_terminating()).collect();
-        (verdicts, start.elapsed().as_secs_f64())
-    };
-    let (fresh, sweep_fresh_secs) = sweep_with(&engine_configs(LpEngine::Revised));
-    let (dense, sweep_dense_secs) = sweep_with(&engine_configs(LpEngine::Dense));
+    // --- Degree-1 sweep on the running example ------------------------------
+    let running = &runs[0];
+    let ts = &running.ts;
+    let fresh: Vec<bool> = running.fresh.iter().map(ProofResult::is_non_terminating).collect();
+    let dense_configs = with_each(&configs, |c| c.entailment.lp_engine = LpEngine::Dense);
+    let dense_start = Instant::now();
+    let dense: Vec<bool> =
+        dense_configs.iter().map(|c| prove(ts, c).is_non_terminating()).collect();
+    let sweep_dense_secs = dense_start.elapsed().as_secs_f64();
 
-    let mut session = ProverSession::new(ts.clone());
-    let session_start = Instant::now();
-    let report = session.sweep(&configs, usize::MAX);
-    let sweep_session_secs = session_start.elapsed().as_secs_f64();
-    let sessioned: Vec<bool> = report.outcomes.iter().map(|o| o.proved).collect();
-    let lp_stats = session.stats().aggregate.lp;
+    let lp_stats = running.session.stats().aggregate.lp;
     let warm_hit_rate = if lp_stats.warm_lookups == 0 {
         0.0
     } else {
@@ -406,19 +518,12 @@ fn main() {
     // identical; the counters below are how `ci.sh` checks the machinery
     // actually engaged on the running example.
     let absint_start = Instant::now();
-    let absint_state = revterm_absint::analyze(&ts);
+    let absint_state = revterm_absint::analyze(ts);
     let absint_analyze_secs = absint_start.elapsed().as_secs_f64();
     std::hint::black_box(absint_state.is_reachable(ts.init_loc()));
     let absint_fast_paths = lp_stats.absint_fast_paths;
-    let absint_prunes = session.stats().aggregate.absint_prunes;
-    let off_configs: Vec<_> = configs
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            c.entailment.interval_fast_path = false;
-            c
-        })
-        .collect();
+    let absint_prunes = running.session.stats().aggregate.absint_prunes;
+    let off_configs = with_each(&configs, |c| c.entailment.interval_fast_path = false);
     let mut off_session = ProverSession::new(ts.clone());
     let off_start = Instant::now();
     let off_report = off_session.sweep(&off_configs, usize::MAX);
@@ -438,7 +543,6 @@ fn main() {
     let verdict_digest = digest_of(&fresh);
     let verdict_dense_digest = digest_of(&dense);
     let verdict_digests_match = verdict_digest == verdict_dense_digest;
-    let verdicts_match = fresh == sessioned;
     let verdict_absint_off_digest = digest_of(&absint_off);
     let absint_verdicts_match = verdict_absint_off_digest == verdict_digest;
 
@@ -448,7 +552,7 @@ fn main() {
     // rows, and some of them leave the words and are solved again over
     // `Int`, so this sweep pins the LP path of both word tiers.
     let degree2: Vec<_> = default_sweep().into_iter().filter(|c| c.params.degree == 2).collect();
-    let mut degree2_session = ProverSession::new(ts);
+    let mut degree2_session = ProverSession::new(ts.clone());
     let degree2_start = Instant::now();
     let degree2_report = degree2_session.sweep(&degree2, usize::MAX);
     let degree2_secs = degree2_start.elapsed().as_secs_f64();
@@ -456,50 +560,51 @@ fn main() {
     let degree2_verdicts: Vec<bool> = degree2_report.outcomes.iter().map(|o| o.proved).collect();
     let degree2_verdict_digest = digest_of(&degree2_verdicts);
 
-    println!(
-        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_dense_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"session_lp_refactorizations\":{},\"session_warm_lookups\":{},\"session_warm_hits\":{},\"session_warm_hit_rate\":{:.3},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_dense_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdict_digests_match\":{},\"verdicts_match\":{},\"absint_verdicts_match\":{},\"degree2_configs\":{},\"degree2_secs\":{:.3},\"degree2_lp_solves\":{},\"degree2_lp_pivots\":{},\"degree2_warm_hits\":{},\"degree2_bignum_solves\":{},\"degree2_verdict_digest\":\"{:016x}\"}}",
-        problems.len() + queries.len(),
-        feasible,
-        lp_secs,
-        lp_digest,
-        lp_dense_secs,
-        lp_dense_digest,
-        lp_digests_match,
-        poly_mul_secs,
-        poly_mul_digest,
-        poly_digests_match,
-        poly_hash_secs,
-        poly_hash_allocs,
-        interned_monomials,
-        bench.name,
-        configs.len(),
-        sweep_fresh_secs,
-        sweep_dense_secs,
-        sweep_session_secs,
-        lp_stats.solves,
-        lp_stats.pivots,
-        lp_stats.refactorizations,
-        lp_stats.warm_lookups,
-        lp_stats.warm_hits,
-        warm_hit_rate,
-        absint_analyze_secs,
-        absint_fast_paths,
-        absint_prunes,
-        sweep_absint_off_secs,
-        verdict_digest,
-        verdict_dense_digest,
-        verdict_absint_off_digest,
-        verdict_digests_match,
-        verdicts_match,
-        absint_verdicts_match,
-        degree2.len(),
-        degree2_secs,
-        degree2_lp.solves,
-        degree2_lp.pivots,
-        degree2_lp.warm_hits,
-        degree2_lp.bignum_solves,
-        degree2_verdict_digest,
-    );
+    let json = Json::obj(vec![
+        ("lp_problems", count(problems.len() + queries.len())),
+        ("lp_feasible", count(feasible)),
+        ("lp_secs", fixed(lp_secs, 3)),
+        ("lp_digest", hex(lp_digest)),
+        ("lp_dense_secs", fixed(lp_dense_secs, 3)),
+        ("lp_dense_digest", hex(lp_dense_digest)),
+        ("lp_digests_match", Json::from(lp_digests_match)),
+        ("poly_mul_secs", fixed(poly_mul_secs, 3)),
+        ("poly_mul_digest", hex(poly_mul_digest)),
+        ("poly_digests_match", Json::from(poly_digests_match)),
+        ("poly_hash_secs", fixed(poly_hash_secs, 3)),
+        ("poly_hash_allocs", Json::from(poly_hash_allocs)),
+        ("interned_monomials", count(interned_monomials)),
+        ("sweep_benchmark", Json::from(running.name)),
+        ("sweep_configs", count(configs.len())),
+        ("sweep_fresh_secs", fixed(running.fresh_secs, 3)),
+        ("sweep_dense_secs", fixed(sweep_dense_secs, 3)),
+        ("sweep_session_secs", fixed(running.session_secs, 3)),
+        ("session_lp_solves", Json::from(lp_stats.solves)),
+        ("session_lp_pivots", Json::from(lp_stats.pivots)),
+        ("session_lp_refactorizations", Json::from(lp_stats.refactorizations)),
+        ("session_warm_lookups", Json::from(lp_stats.warm_lookups)),
+        ("session_warm_hits", Json::from(lp_stats.warm_hits)),
+        ("session_warm_hit_rate", fixed(warm_hit_rate, 3)),
+        ("absint_analyze_secs", fixed(absint_analyze_secs, 6)),
+        ("absint_fast_paths", Json::from(absint_fast_paths)),
+        ("absint_prunes", Json::from(absint_prunes)),
+        ("sweep_absint_off_secs", fixed(sweep_absint_off_secs, 3)),
+        ("verdict_digest", hex(verdict_digest)),
+        ("verdict_dense_digest", hex(verdict_dense_digest)),
+        ("verdict_absint_off_digest", hex(verdict_absint_off_digest)),
+        ("verdict_digests_match", Json::from(verdict_digests_match)),
+        ("verdicts_match", Json::from(verdicts_match)),
+        ("absint_verdicts_match", Json::from(absint_verdicts_match)),
+        ("degree2_configs", count(degree2.len())),
+        ("degree2_secs", fixed(degree2_secs, 3)),
+        ("degree2_lp_solves", Json::from(degree2_lp.solves)),
+        ("degree2_lp_pivots", Json::from(degree2_lp.pivots)),
+        ("degree2_warm_hits", Json::from(degree2_lp.warm_hits)),
+        ("degree2_bignum_solves", Json::from(degree2_lp.bignum_solves)),
+        ("degree2_verdict_digest", hex(degree2_verdict_digest)),
+        ("session_vs_fresh", Json::Arr(runs.iter().map(GridRun::json).collect())),
+    ]);
+    println!("{json}");
 
     let mut failed = false;
     if !lp_digests_match {
@@ -520,8 +625,8 @@ fn main() {
         eprintln!("FAIL: sweep verdicts diverged across the two LP engines");
         failed = true;
     }
-    if !verdicts_match {
-        eprintln!("FAIL: sessioned verdicts diverged from fresh verdicts");
+    for run in runs.iter().filter(|r| !r.outcomes_match) {
+        eprintln!("FAIL: sessioned outcomes diverged from fresh outcomes on {}", run.name);
         failed = true;
     }
     if lp_stats.warm_hits == 0 {

@@ -3,8 +3,8 @@
 //!
 //! The competitor columns are produced by the algorithmic stand-ins of
 //! `revterm-baselines` (marked with `*`), and the suite is the substitute
-//! corpus described in `DESIGN.md`; see `EXPERIMENTS.md` for the
-//! paper-vs-measured discussion.
+//! corpus of `revterm-suite`; the `revterm_bench` crate docs note how its
+//! scale differs from the paper's.
 
 use revterm_baselines::{LassoProver, QuasiInvariantProver};
 use revterm_bench::*;

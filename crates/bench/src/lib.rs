@@ -10,20 +10,22 @@
 //!
 //! Scale note: the paper uses the 335-program TermComp'19 suite with a 60 s
 //! timeout per configuration on a Xeon server; this reproduction uses the
-//! substitute suite described in `DESIGN.md` with per-program work bounded by
-//! the prover's internal budgets, so absolute counts and times differ while
-//! the comparison structure is preserved (see `EXPERIMENTS.md`).
+//! substitute corpus of `revterm-suite` (see its crate docs and the crate
+//! map in `ARCHITECTURE.md`) with per-program work bounded by the prover's
+//! internal budgets, so absolute counts and times differ while the
+//! comparison structure is preserved.
 //!
 //! # Harness JSON schemas
 //!
-//! Besides the table bins, four harness bins print machine-readable JSON so
+//! Besides the table bins, three harness bins print machine-readable JSON so
 //! that perf and correctness trajectories can be compared across commits
 //! without reading the binaries. All exit non-zero on any equivalence
 //! failure, so a CI-green run certifies every comparison below.
 //!
 //! ## `num_profile` (one JSON object per run)
 //!
-//! Profiles the exact-arithmetic/LP hot path. *Digest semantics*: digests
+//! Profiles the exact-arithmetic/LP hot path and holds the prover session
+//! to its contract. *Digest semantics*: digests
 //! are FNV-1a hashes folded over the decimal renderings of every computed
 //! value, so equal digests mean **bitwise-identical** results (same exact
 //! rationals, not just same verdicts) — across runs, across commits, and
@@ -48,17 +50,23 @@
 //! | `sweep_configs` | number of degree-1 grid cells swept (24) |
 //! | `sweep_fresh_secs` | fresh per-configuration `prove` calls, revised engine |
 //! | `sweep_dense_secs` | the same fresh sweep forced onto the dense tableau |
-//! | `sweep_session_secs` | the same grid through one warm [`revterm::ProverSession`] |
+//! | `sweep_session_secs` | the same grid through one warm [`revterm::ProverSession`] (`prove` per cell) |
 //! | `session_lp_solves` | LP solves issued by the sessioned sweep ([`revterm::ProveStats::lp`] totals) |
 //! | `session_lp_pivots` | simplex pivots across those solves |
 //! | `session_lp_refactorizations` | warm-start basis refactorizations |
 //! | `session_warm_lookups` | solves that consulted the bases stored in the session's [`revterm_solver::EntailmentCache`] |
 //! | `session_warm_hits` | of those, resumed from a stored basis (exit 1 when zero) |
 //! | `session_warm_hit_rate` | `session_warm_hits / session_warm_lookups` |
+//! | `absint_analyze_secs` | seconds for the running example's interval fixpoint ([`revterm_absint::analyze`]) |
+//! | `absint_fast_paths` | entailment queries the sessioned sweep answered from the interval closure |
+//! | `absint_prunes` | probe batches the sessioned sweep skipped on the pre-analysis (exit 1 when both are zero) |
+//! | `sweep_absint_off_secs` | the sessioned sweep again with the pre-analysis off (exit 1 if it takes an absint path) |
 //! | `verdict_digest` | digest of the per-cell fresh verdicts (revised engine) |
 //! | `verdict_dense_digest` | digest of the dense-tableau sweep verdicts; must equal `verdict_digest` |
+//! | `verdict_absint_off_digest` | digest of the absint-off sweep verdicts |
 //! | `verdict_digests_match` | two-way sweep agreement (exit 1 when false) |
-//! | `verdicts_match` | fresh vs sessioned verdict agreement (exit 1 when false) |
+//! | `verdicts_match` | every `session_vs_fresh` entry's `verdicts_match` holds (exit 1 when false) |
+//! | `absint_verdicts_match` | `verdict_absint_off_digest == verdict_digest` (exit 1 when false) |
 //! | `degree2_configs` | degree-2 cells of [`revterm::default_sweep`] swept on the running example (24), one session, no time limit |
 //! | `degree2_secs` | seconds for that sweep |
 //! | `degree2_lp_solves` | LP solves issued by the degree-2 sweep |
@@ -66,10 +74,12 @@
 //! | `degree2_warm_hits` | of those solves, resumed from a stored basis |
 //! | `degree2_bignum_solves` | of those solves, re-solved over [`revterm_num::Int`] after their numbers left `i64` ([`revterm_solver::LpStats::bignum_solves`]) |
 //! | `degree2_verdict_digest` | digest of the degree-2 cells' verdicts |
+//! | `session_vs_fresh` | one entry per benchmark swept fresh and sessioned: the running example, then the names given after `lp_iters` (default `nt_counter_up paper_fig2_small`) |
 //!
-//! ## `session_vs_fresh` (one JSON object per benchmark)
+//! ### `session_vs_fresh` entries
 //!
-//! Measures the session-API speedup on the degree-1 grid.
+//! Each entry measures the session-API speedup on one benchmark's degree-1
+//! grid and checks that the session's outcomes are the fresh ones.
 //!
 //! | field | meaning |
 //! |---|---|

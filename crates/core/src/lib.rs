@@ -79,8 +79,8 @@
 //!
 //! New code should hold a session: on the degree-1 configuration grid the
 //! sessioned sweep has measured several-fold faster than fresh
-//! per-configuration calls (see the `session_vs_fresh` harness in
-//! `revterm-bench`).
+//! per-configuration calls (see the `session_vs_fresh` entries that the
+//! `num_profile` harness in `revterm-bench` prints).
 //!
 //! Every `NonTerminating` verdict carries a [`NonTerminationCertificate`]
 //! that has already been validated ([`validate_certificate`]); the prover

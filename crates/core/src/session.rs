@@ -503,27 +503,6 @@ mod tests {
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
 
     #[test]
-    fn session_matches_free_function_on_running_example() {
-        let ts = revterm_ts::lower(&parse_program(RUNNING).unwrap()).unwrap();
-        let mut session = ProverSession::new(ts.clone());
-        for config in quick_sweep() {
-            let fresh = crate::prover::prove(&ts, &config);
-            let sessioned = session.prove(&config);
-            assert_eq!(fresh.is_non_terminating(), sessioned.is_non_terminating());
-            assert_eq!(fresh.config_label, sessioned.config_label);
-            match (fresh.certificate(), sessioned.certificate()) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.check_kind(), b.check_kind());
-                    assert_eq!(a.resolution(), b.resolution());
-                }
-                (None, None) => {}
-                _ => panic!("fresh and sessioned certificates disagree"),
-            }
-        }
-        assert_eq!(session.stats().proves, quick_sweep().len());
-    }
-
-    #[test]
     fn second_config_hits_the_session_caches() {
         let ts = revterm_ts::lower(&parse_program(RUNNING).unwrap()).unwrap();
         let mut session = ProverSession::new(ts);

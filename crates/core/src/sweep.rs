@@ -114,7 +114,7 @@ pub fn quick_sweep() -> Vec<ProverConfig> {
 ///
 /// Degree-2 cells pay for Handelman products in every entailment call and
 /// are orders of magnitude more expensive; harnesses that track sweep
-/// performance (e.g. `session_vs_fresh` in `revterm-bench`) use this grid.
+/// performance (e.g. `num_profile` in `revterm-bench`) use this grid.
 pub fn degree1_sweep() -> Vec<ProverConfig> {
     default_sweep().into_iter().filter(|c| c.params.degree == 1).collect()
 }

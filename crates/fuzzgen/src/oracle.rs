@@ -89,40 +89,11 @@ pub struct OracleFailure {
 }
 
 /// Knobs for [`differential`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DiffOptions {
-    /// The configuration portfolio run through the session (first success
-    /// wins, like `prove_first`).
-    pub portfolio: Vec<ProverConfig>,
-    /// Run the baseline provers (oracle 1).
-    pub run_baselines: bool,
-    /// Re-run the portfolio with the pre-analysis off (oracle 3).
-    pub absint_axis: bool,
-    /// Re-run the portfolio under the dense reference LP engine and compare
-    /// it with the revised engine's run (oracle 4).
-    pub lp_axis: bool,
     /// Fault injection: flip the primary verdict before cross-checking.
     /// Test-only — a healthy harness must catch the flip.
     pub inject_flip: bool,
-    /// Largest transition system (in locations) on which the SCC-synthesis
-    /// baseline (`VeryMax*`) still runs — its quasi-invariant search is
-    /// combinatorial in system size and would dominate the whole batch on
-    /// the occasional large generated program. The cheap baselines run
-    /// regardless of size.
-    pub quasi_locs_cap: usize,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            portfolio: default_portfolio(),
-            run_baselines: true,
-            absint_axis: true,
-            lp_axis: true,
-            inject_flip: false,
-            quasi_locs_cap: 10,
-        }
-    }
 }
 
 /// The fuzzing portfolio: Houdini at interval templates plus
@@ -169,7 +140,7 @@ pub struct DiffReport {
     pub config_label: String,
     /// `outcome_digest` of the primary run.
     pub digest: u64,
-    /// Baseline verdicts as `(name, verdict)` pairs (empty when disabled).
+    /// Baseline verdicts as `(name, verdict)` pairs.
     pub baseline_verdicts: Vec<(String, BaselineVerdict)>,
     /// Every oracle failure (empty = the program passed).
     pub failures: Vec<OracleFailure>,
@@ -185,7 +156,8 @@ impl DiffReport {
     }
 }
 
-/// Runs the four-oracle differential harness on one program.
+/// Runs the four-oracle differential harness on one program, proving it
+/// with [`default_portfolio`] (first success wins, like `prove_first`).
 ///
 /// # Errors
 ///
@@ -196,9 +168,17 @@ pub fn differential(
     label: KnownLabel,
     opts: &DiffOptions,
 ) -> Result<DiffReport, Error> {
+    /// Largest transition system (in locations) on which the SCC-synthesis
+    /// baseline (`VeryMax*`) still runs — its quasi-invariant search is
+    /// combinatorial in system size and would dominate the whole batch on
+    /// the occasional large generated program. The cheap baselines run
+    /// regardless of size.
+    const QUASI_LOCS_CAP: usize = 10;
+
     let ts = revterm_ts::lower(program).map_err(|e| Error::Analysis(e.to_string()))?;
+    let portfolio = default_portfolio();
     let mut session = ProverSession::new(ts.clone());
-    let primary = session.prove_first(&opts.portfolio);
+    let primary = session.prove_first(&portfolio);
     let digest = outcome_digest(&primary, &ts);
     let mut failures = Vec::new();
 
@@ -239,30 +219,25 @@ pub fn differential(
         nt_claims.push(format!("prover[{}]", primary.config_label));
     }
     let mut baseline_verdicts = Vec::new();
-    if opts.run_baselines {
-        let mut lineup = table_baselines();
-        // The table's VeryMax* runs its quasi-invariant search at octagon
-        // templates, which is combinatorial in system size; swap in an
-        // interval-template instance (still sound, just weaker) and skip it
-        // entirely past the size cap.
-        lineup.retain(|(name, _)| *name != "VeryMax*");
-        if ts.num_locs() <= opts.quasi_locs_cap {
-            let cheap = QuasiInvariantProver {
-                params: TemplateParams::new(1, 1, 1),
-                ..QuasiInvariantProver::default()
-            };
-            lineup.push(("VeryMax*", Box::new(cheap) as Box<dyn BaselineProver>));
+    let mut lineup = table_baselines();
+    // The table's VeryMax* runs its quasi-invariant search at octagon
+    // templates, which is combinatorial in system size; swap in an
+    // interval-template instance (still sound, just weaker) and skip it
+    // entirely past the size cap.
+    lineup.retain(|(name, _)| *name != "VeryMax*");
+    if ts.num_locs() <= QUASI_LOCS_CAP {
+        let cheap = QuasiInvariantProver { params: TemplateParams::new(1, 1, 1) };
+        lineup.push(("VeryMax*", Box::new(cheap) as Box<dyn BaselineProver>));
+    }
+    lineup.push(("ranking", Box::new(RankingProver) as Box<dyn BaselineProver>));
+    for (name, prover) in lineup {
+        let verdict = prover.analyze(&ts).verdict;
+        match verdict {
+            BaselineVerdict::NonTerminating => nt_claims.push(name.to_string()),
+            BaselineVerdict::Terminating => term_claims.push(name.to_string()),
+            BaselineVerdict::Unknown => {}
         }
-        lineup.push(("ranking", Box::new(RankingProver) as Box<dyn BaselineProver>));
-        for (name, prover) in lineup {
-            let verdict = prover.analyze(&ts).verdict;
-            match verdict {
-                BaselineVerdict::NonTerminating => nt_claims.push(name.to_string()),
-                BaselineVerdict::Terminating => term_claims.push(name.to_string()),
-                BaselineVerdict::Unknown => {}
-            }
-            baseline_verdicts.push((name.to_string(), verdict));
-        }
+        baseline_verdicts.push((name.to_string(), verdict));
     }
     if !nt_claims.is_empty() && !term_claims.is_empty() {
         failures.push(OracleFailure {
@@ -279,42 +254,23 @@ pub fn differential(
     // re-run on the same (now warm) session. A timed-out run has no
     // canonical outcome (the cut point depends on the axis), so comparisons
     // involving a timeout on either side are skipped.
-    if opts.absint_axis && !primary.timed_out() {
-        let configs: Vec<ProverConfig> = opts
-            .portfolio
-            .iter()
-            .map(|c| {
-                let mut off = c.clone();
-                off.entailment.interval_fast_path = false;
-                off
-            })
-            .collect();
-        let alt = session.prove_first(&configs);
-        let alt_digest = outcome_digest(&alt, &ts);
-        if !alt.timed_out() && alt_digest != digest {
-            failures.push(OracleFailure {
-                kind: FailureKind::DigestDivergence,
-                detail: format!("absint on/off: {digest:016x} vs {alt_digest:016x}"),
-            });
-        }
-    }
-    if opts.lp_axis && !primary.timed_out() {
-        let configs: Vec<ProverConfig> = opts
-            .portfolio
-            .iter()
-            .map(|c| {
-                let mut alt = c.clone();
-                alt.entailment.lp_engine = LpEngine::Dense;
-                alt
-            })
-            .collect();
-        let alt = session.prove_first(&configs);
-        let alt_digest = outcome_digest(&alt, &ts);
-        if !alt.timed_out() && alt_digest != digest {
-            failures.push(OracleFailure {
-                kind: FailureKind::DigestDivergence,
-                detail: format!("lp revised vs dense: {digest:016x} vs {alt_digest:016x}"),
-            });
+    if !primary.timed_out() {
+        let axes = [
+            ("absint on/off", variant(&portfolio, |c| c.entailment.interval_fast_path = false)),
+            (
+                "lp revised vs dense",
+                variant(&portfolio, |c| c.entailment.lp_engine = LpEngine::Dense),
+            ),
+        ];
+        for (axis, configs) in axes {
+            let alt = session.prove_first(&configs);
+            let alt_digest = outcome_digest(&alt, &ts);
+            if !alt.timed_out() && alt_digest != digest {
+                failures.push(OracleFailure {
+                    kind: FailureKind::DigestDivergence,
+                    detail: format!("{axis}: {digest:016x} vs {alt_digest:016x}"),
+                });
+            }
         }
     }
 
@@ -329,14 +285,22 @@ pub fn differential(
     })
 }
 
+/// `portfolio`, each configuration with `tweak` applied.
+fn variant(portfolio: &[ProverConfig], tweak: impl Fn(&mut ProverConfig)) -> Vec<ProverConfig> {
+    portfolio
+        .iter()
+        .map(|c| {
+            let mut alt = c.clone();
+            tweak(&mut alt);
+            alt
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use revterm_lang::parse_program;
-
-    fn quick_opts() -> DiffOptions {
-        DiffOptions::default()
-    }
 
     #[test]
     fn clean_programs_pass_all_four_oracles() {
@@ -346,7 +310,7 @@ mod tests {
             ("x := 1; y := x + 2; skip;", KnownLabel::Terminating),
         ] {
             let program = parse_program(src).unwrap();
-            let report = differential(&program, label, &quick_opts()).unwrap();
+            let report = differential(&program, label, &DiffOptions::default()).unwrap();
             assert!(report.passed(), "{src}: {:?}", report.failures);
         }
     }
@@ -356,7 +320,7 @@ mod tests {
         // Terminating program: the flip turns the sound `Unknown` into a lie,
         // which must surface both as a mismatch and as a missing certificate.
         let program = parse_program("n := 3; while n >= 0 do n := n - 1; od").unwrap();
-        let opts = DiffOptions { inject_flip: true, ..quick_opts() };
+        let opts = DiffOptions { inject_flip: true };
         let report = differential(&program, KnownLabel::Terminating, &opts).unwrap();
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.kind == FailureKind::VerdictMismatch));

@@ -2,7 +2,7 @@
 //!
 //! One FNV-1a implementation serves two roles across the workspace:
 //!
-//! * **Digests** — the bench harnesses (`num_profile`, `session_vs_fresh`)
+//! * **Digests** — the bench harnesses (`num_profile`, `serve_smoke`)
 //!   fold computed values into an [`Fnv64`] and compare the resulting hex
 //!   digests across runs, engines and commits.  FNV-1a is deterministic by
 //!   construction (no per-process seed), which is exactly what a digest

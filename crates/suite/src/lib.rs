@@ -3,8 +3,8 @@
 //! The paper evaluates on the 335 *C-Integer* programs of TermComp'19
 //! (111 non-terminating, 223 terminating, plus the Collatz conjecture).
 //! Those programs are not redistributable here and are written in a C
-//! dialect, so this crate provides the substitute described in `DESIGN.md`:
-//! a corpus of integer programs in the reproduction's input language that
+//! dialect, so this crate provides a substitute (see also the crate map in
+//! `ARCHITECTURE.md`): a corpus of integer programs in the reproduction's input language that
 //! mirrors the families of the original suite — simple and nested loops,
 //! non-deterministic assignments and branching, aperiodic divergence,
 //! polynomial updates, counters with escape hatches — together with

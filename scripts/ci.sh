@@ -3,8 +3,8 @@
 # exactly this script, so a green local run means a green CI run.
 #
 # Usage:
-#   scripts/ci.sh            # full gate: fmt + clippy + build + test + bench smoke
-#   scripts/ci.sh --no-bench # skip the bench smoke (e.g. on very slow machines)
+#   scripts/ci.sh            # full gate: fmt + clippy + build + test + smokes
+#   scripts/ci.sh --no-bench # skip the smokes (e.g. on very slow machines)
 #
 # The workspace has zero external crates by design; CARGO_NET_OFFLINE makes
 # any accidental dependency addition fail loudly instead of hitting the
@@ -85,32 +85,23 @@ echo "==> cargo test --locked --release (perfbench)"
 cargo test --locked --release --offline --manifest-path perfbench/Cargo.toml
 
 if $run_bench_smoke; then
-    # Bench smoke: two cheap benchmarks through the session-vs-fresh harness
-    # (~3 s) so every CI run leaves a comparable speedup/verdict JSON
-    # artifact. The harness exits non-zero if any cell's outcome digest
-    # (label, verdict, certificate) differs between a fresh prove and the
-    # session. paper_fig2_small's degree-1 grid has 12 Check 2 proofs, so
-    # the session's memoized safety-query answers (witness paths) are
-    # compared with fresh searches on every run.
-    echo "==> bench smoke (session_vs_fresh nt_counter_up paper_fig2_small)"
+    # Profile smoke: num_profile with a small microloop runs the revised
+    # simplex and the dense reference tableau over the same problems, the
+    # flat polynomial kernels against a BTreeMap reference and the
+    # packed-monomial cache-key hashing loop under a counting allocator.
+    # It sweeps the degree-1 grid of the running example, nt_counter_up and
+    # paper_fig2_small fresh and through one session each, then the
+    # running example's degree-1 grid with the absint pre-analysis off and
+    # its degree-2 cells (about half of its run). It exits non-zero on any
+    # digest divergence, on any cell whose fresh and sessioned outcome
+    # digests (label, verdict, certificate) differ, on any heap allocation
+    # on the packed hashing path, on a zero warm-start hit rate, on zero
+    # absint engagement (no fast paths and no prunes taken) or on any
+    # absint path taken while the pre-analysis is off. paper_fig2_small's
+    # grid has 12 Check 2 proofs, so the session's memoized safety-query
+    # answers (witness paths) are compared with fresh searches on every run.
+    echo "==> profile smoke (num_profile 30)"
     mkdir -p target/ci-artifacts
-    cargo run --locked --release -q -p revterm-bench --bin session_vs_fresh nt_counter_up paper_fig2_small \
-        | tee target/ci-artifacts/bench-smoke.json
-
-    # LP-engine + poly-kernel smoke: num_profile with a small microloop runs
-    # the revised simplex and the dense reference tableau over the same
-    # problems, the flat polynomial kernels against a BTreeMap reference,
-    # the packed-monomial cache-key hashing loop under a counting
-    # allocator, the degree-1 sweep and the running example's degree-2
-    # cells (about 1.5-2 s of its run). It
-    # exits non-zero on any digest divergence, any heap allocation on the
-    # packed hashing path, or a zero warm-start hit rate — the revised-simplex
-    # and packed-monomial acceptance criteria, re-proved on every CI run.
-    # It also runs the degree-1 sweep with the absint pre-analysis ON and
-    # OFF and fails on verdict-digest divergence, on zero absint engagement
-    # (no fast paths and no prunes taken), or on any absint path taken while
-    # the pre-analysis is disabled.
-    echo "==> bench smoke (num_profile 30)"
     cargo run --locked --release -q -p revterm-bench --bin num_profile 30 \
         | tee target/ci-artifacts/num-profile.json
 

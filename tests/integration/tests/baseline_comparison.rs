@@ -41,7 +41,7 @@ fn baselines_and_dominance_on_a_cheap_slice() {
     let baselines: Vec<Box<dyn BaselineProver>> = vec![
         Box::new(LassoProver::default()),
         Box::new(QuasiInvariantProver::default()),
-        Box::new(AccelerationProver::default()),
+        Box::new(AccelerationProver),
     ];
     let ranking = RankingProver;
     for name in slice {
@@ -90,7 +90,7 @@ fn baselines_never_contradict_the_ground_truth() {
     let baselines: Vec<Box<dyn BaselineProver>> = vec![
         Box::new(LassoProver::default()),
         Box::new(QuasiInvariantProver::default()),
-        Box::new(AccelerationProver::default()),
+        Box::new(AccelerationProver),
     ];
     for bench in curated_benchmarks() {
         let ts = bench.transition_system();
@@ -130,7 +130,7 @@ fn revterm_no_set_dominates_each_baseline_on_the_curated_corpus() {
     let baselines: Vec<Box<dyn BaselineProver>> = vec![
         Box::new(LassoProver::default()),
         Box::new(QuasiInvariantProver::default()),
-        Box::new(AccelerationProver::default()),
+        Box::new(AccelerationProver),
     ];
     let mut revterm_wins = 0usize;
     let mut baseline_wins = vec![0usize; baselines.len()];

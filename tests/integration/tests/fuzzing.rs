@@ -183,7 +183,7 @@ fn a_deadline_binds_mid_synthesis() {
 #[test]
 fn injected_verdict_flip_is_caught_and_shrinks_to_tiny_repro() {
     let program = parse_program("n := 3; while n >= 0 do n := n - 1; od").unwrap();
-    let opts = DiffOptions { inject_flip: true, ..DiffOptions::default() };
+    let opts = DiffOptions { inject_flip: true };
     let label = revterm_fuzzgen::KnownLabel::Terminating;
 
     let report = differential(&program, label, &opts).unwrap();
