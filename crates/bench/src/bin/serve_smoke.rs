@@ -21,7 +21,8 @@
 //! cargo run --release -p revterm-bench --bin serve_smoke
 //! ```
 
-use revterm::api::outcome_digest;
+use revterm::api::json::Json;
+use revterm::api::{hex_digest, outcome_digest};
 use revterm::{quick_sweep, ProverSession};
 use revterm_serve::{serve, Client, ServeConfig};
 use std::time::Instant;
@@ -59,7 +60,7 @@ fn main() {
     let (cold, cold_hit) = client
         .prove(RUNNING, configs.clone(), None)
         .unwrap_or_else(|e| fail(&format!("cold prove: {e}")));
-    let cold_us = cold_start.elapsed().as_micros();
+    let cold_us = cold_start.elapsed().as_micros() as u64;
     if cold.digest != expected_digest {
         fail(&format!(
             "digest divergence: daemon {:016x} vs in-process {expected_digest:016x}",
@@ -75,7 +76,7 @@ fn main() {
     let (warm, warm_hit) = client
         .prove(RUNNING, configs.clone(), None)
         .unwrap_or_else(|e| fail(&format!("warm prove: {e}")));
-    let warm_us = warm_start.elapsed().as_micros();
+    let warm_us = warm_start.elapsed().as_micros() as u64;
     if !warm_hit {
         fail("second identical request must hit the session pool");
     }
@@ -98,7 +99,7 @@ fn main() {
     let (long, _) = client
         .prove(FOURTEEN_VARS, configs.clone(), Some(1000))
         .unwrap_or_else(|e| fail(&format!("mid-search deadline prove: {e}")));
-    let deadline_cut_us = long_start.elapsed().as_micros();
+    let deadline_cut_us = long_start.elapsed().as_micros() as u64;
     if !long.is_timeout() {
         fail(&format!("a 1 s deadline should cut the long search, got {}", long.verdict));
     }
@@ -138,7 +139,14 @@ fn main() {
     client.shutdown().unwrap_or_else(|e| fail(&format!("shutdown: {e}")));
     handle.join();
 
-    println!(
-        "{{\"digest\":\"{expected_digest:016x}\",\"prove_cold_us\":{cold_us},\"prove_warm_us\":{warm_us},\"pool_hits\":{pool_hits},\"deadline_cut_us\":{deadline_cut_us},\"timeout_structured\":true,\"verdicts_match\":true}}"
-    );
+    let artifact = Json::obj(vec![
+        ("digest", Json::from(hex_digest(expected_digest))),
+        ("prove_cold_us", Json::from(cold_us)),
+        ("prove_warm_us", Json::from(warm_us)),
+        ("pool_hits", Json::from(pool_hits)),
+        ("deadline_cut_us", Json::from(deadline_cut_us)),
+        ("timeout_structured", Json::Bool(true)),
+        ("verdicts_match", Json::Bool(true)),
+    ]);
+    println!("{artifact}");
 }

@@ -31,7 +31,7 @@
 
 use crate::config::{Budget, ProverConfig};
 use crate::error::Error;
-use crate::prover::{ProofResult, Verdict};
+use crate::prover::ProofResult;
 use crate::session::ProveStats;
 use crate::sweep::SweepReport;
 use crate::CheckKind;
@@ -82,15 +82,14 @@ pub fn certificate_digest(cert: &crate::NonTerminationCertificate, ts: &Transiti
     let mut hasher = revterm_num::Fnv64::new();
     let vars = ts.vars();
     let loc_names = |l| ts.loc_name(l).to_string();
+    cert.check_kind().name().hash(&mut hasher);
     match cert {
         crate::NonTerminationCertificate::Check1(c) => {
-            "check1".hash(&mut hasher);
             c.resolution.display_with(ts).hash(&mut hasher);
             c.invariant.display_with(vars, &loc_names).hash(&mut hasher);
             c.initial.to_string().hash(&mut hasher);
         }
         crate::NonTerminationCertificate::Check2(c) => {
-            "check2".hash(&mut hasher);
             c.resolution.display_with(ts).hash(&mut hasher);
             c.tilde_invariant.display_with(vars, &loc_names).hash(&mut hasher);
             c.theta.display_with(vars).hash(&mut hasher);
@@ -107,7 +106,8 @@ pub fn certificate_digest(cert: &crate::NonTerminationCertificate, ts: &Transiti
 /// configuration label and (for proofs) the [`certificate_digest`].
 pub fn outcome_digest(result: &ProofResult, ts: &TransitionSystem) -> u64 {
     let certificate = result.certificate().map(|cert| certificate_digest(cert, ts));
-    fold_outcome_digest(&result.config_label, verdict_name(&result.verdict), certificate)
+    let verdict = verdict_name(result.is_non_terminating(), result.timed_out());
+    fold_outcome_digest(&result.config_label, verdict, certificate)
 }
 
 /// The outcome fingerprint from its parts: the configuration label, the
@@ -122,12 +122,15 @@ fn fold_outcome_digest(label: &str, verdict: &str, certificate: Option<u64>) -> 
     hasher.finish()
 }
 
-/// The wire name of a verdict.
-fn verdict_name(verdict: &Verdict) -> &'static str {
-    match verdict {
-        Verdict::NonTerminating(_) => "non-terminating",
-        Verdict::Unknown => "unknown",
-        Verdict::Timeout => "timeout",
+/// The wire name of a verdict: `"non-terminating"` for a proof,
+/// `"timeout"` for a run its budget cut, `"unknown"` otherwise.
+fn verdict_name(proved: bool, timed_out: bool) -> &'static str {
+    if proved {
+        "non-terminating"
+    } else if timed_out {
+        "timeout"
+    } else {
+        "unknown"
     }
 }
 
@@ -167,7 +170,6 @@ fn lp_engine_from_name(name: &str) -> Result<LpEngine, Error> {
 pub fn config_to_json(config: &ProverConfig) -> Json {
     Json::obj(vec![
         ("label", Json::from(config.label())),
-        ("resolution_degree", Json::from(config.resolution_degree as u64)),
         (
             "entailment",
             Json::obj(vec![
@@ -205,10 +207,10 @@ pub fn config_to_json(config: &ProverConfig) -> Json {
 /// Deserializes a configuration: either a bare label string (non-labelled
 /// fields take defaults) or the full object form of [`config_to_json`].
 ///
-/// An older client's object also carries the search bounds (`search`) and
-/// `entailment.use_unsat_fallback`, which are no longer settable: each is
-/// accepted when it holds the value the prover uses and refused with an
-/// [`Error::Protocol`] naming the field otherwise.
+/// An older client's object also carries `resolution_degree`, the search
+/// bounds (`search`) and `entailment.use_unsat_fallback`, which are no
+/// longer settable: each is accepted when it holds the value the prover uses
+/// and refused with an [`Error::Protocol`] naming the field otherwise.
 pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     if let Some(label) = value.as_str() {
         return ProverConfig::parse_label(label);
@@ -216,7 +218,7 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     let obj = value.as_obj_or("config")?;
     let label = obj.str_field("label")?;
     let mut config = ProverConfig::parse_label(label)?;
-    config.resolution_degree = u32_field(&obj, "resolution_degree")?;
+    fixed_field("resolution_degree", obj.get("resolution_degree"), &Json::from(1u64))?;
     if obj.get("search").is_some() {
         let search = obj.obj_field("search")?;
         let bounds = SearchBounds::default();
@@ -530,7 +532,7 @@ impl WireOutcome {
     /// certificate is rendered and hashed once: its digest is folded into
     /// the [`outcome_digest`] as well.
     pub fn from_result(result: &ProofResult, ts: &TransitionSystem) -> WireOutcome {
-        let verdict = verdict_name(&result.verdict);
+        let verdict = verdict_name(result.is_non_terminating(), result.timed_out());
         let certificate = result.certificate().map(|cert| WireCertificate {
             check: cert.check_kind(),
             digest: certificate_digest(cert, ts),
@@ -560,13 +562,7 @@ impl WireOutcome {
             fields.push((
                 "certificate",
                 Json::obj(vec![
-                    (
-                        "check",
-                        Json::from(match cert.check {
-                            CheckKind::Check1 => "check1",
-                            CheckKind::Check2 => "check2",
-                        }),
-                    ),
+                    ("check", Json::from(cert.check.name())),
                     ("digest", Json::from(hex_digest(cert.digest))),
                     ("summary", Json::from(cert.summary.clone())),
                 ]),
@@ -582,12 +578,10 @@ impl WireOutcome {
             None | Some(Json::Null) => None,
             Some(cert) => {
                 let cert = cert.as_obj_or("certificate")?;
+                let check = cert.str_field("check")?;
                 Some(WireCertificate {
-                    check: match cert.str_field("check")? {
-                        "check1" => CheckKind::Check1,
-                        "check2" => CheckKind::Check2,
-                        other => return Err(Error::Protocol(format!("unknown check {other:?}"))),
-                    },
+                    check: CheckKind::from_name(check)
+                        .ok_or_else(|| Error::Protocol(format!("unknown check {check:?}")))?,
                     digest: parse_hex_digest(cert.str_field("digest")?)?,
                     summary: cert.str_field("summary")?.to_string(),
                 })
@@ -605,12 +599,12 @@ impl WireOutcome {
 
     /// Returns `true` iff the wire verdict is `"non-terminating"`.
     pub fn is_non_terminating(&self) -> bool {
-        self.verdict == "non-terminating"
+        self.verdict == verdict_name(true, false)
     }
 
     /// Returns `true` iff the wire verdict is `"timeout"`.
     pub fn is_timeout(&self) -> bool {
-        self.verdict == "timeout"
+        self.verdict == verdict_name(false, true)
     }
 }
 
@@ -799,13 +793,7 @@ pub fn sweep_to_outcomes(report: &SweepReport) -> Vec<WireOutcome> {
         .outcomes
         .iter()
         .map(|o| {
-            let verdict = if o.proved {
-                "non-terminating"
-            } else if o.timed_out {
-                "timeout"
-            } else {
-                "unknown"
-            };
+            let verdict = verdict_name(o.proved, o.timed_out);
             WireOutcome {
                 label: o.label.clone(),
                 verdict: verdict.to_string(),
@@ -869,7 +857,7 @@ pub fn analysis_report(ts: &TransitionSystem) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProverConfig, ProverSession};
+    use crate::{ProverConfig, ProverSession, Verdict};
 
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
@@ -886,8 +874,8 @@ mod tests {
         // Non-default fields survive the object form (and would be lost by
         // the label form, which is why the full encoding exists).
         let mut config = ProverConfig::builder()
-            .resolution_degree(2)
             .max_resolutions(7)
+            .divergence_probe_steps(80)
             .absint(false)
             .time_limit(Duration::from_millis(250))
             .build();
@@ -913,31 +901,37 @@ mod tests {
 
     #[test]
     fn config_from_json_accepts_retired_fields_only_at_their_fixed_values() {
-        // An older client's object carries the search bounds and the unsat
-        // fallback flag, now fixed; at those values it decodes to the same
-        // configuration.
+        // An older client's object carries the resolution degree, the search
+        // bounds and the unsat fallback flag, now fixed; at those values it
+        // decodes to the same configuration.
         let config = ProverConfig::builder().template(3, 1, 1).max_resolutions(7).build();
         let text = config_to_json(&config).to_string();
         let entailment = r#""entailment":{"#;
-        assert!(text.contains(entailment) && !text.contains("search"), "{text}");
-        let old = |grid: &str, unsat_fallback: &str| {
+        assert!(text.contains(entailment), "{text}");
+        assert!(!text.contains("search") && !text.contains("resolution_degree"), "{text}");
+        let old = |degree: &str, grid: &str, unsat_fallback: &str| {
             let retired = format!(
-                r#""search":{{"max_steps":60,"max_configs":4000,"max_initial":64,"grid":{grid}}},{entailment}"use_unsat_fallback":{unsat_fallback},"#
+                r#""resolution_degree":{degree},"search":{{"max_steps":60,"max_configs":4000,"max_initial":64,"grid":{grid}}},{entailment}"use_unsat_fallback":{unsat_fallback},"#
             );
             config_from_json(&json::parse_json(&text.replace(entailment, &retired)).unwrap())
         };
-        assert_eq!(old("2", "true").unwrap(), config);
-        // Any other value is refused, naming the field.
-        for (grid, unsat_fallback, field) in [
-            ("5", "true", "search.grid"),
-            ("\"2\"", "true", "search.grid"),
-            ("2", "false", "entailment.use_unsat_fallback"),
+        assert_eq!(old("1", "2", "true").unwrap(), config);
+        // Any other value is refused, naming the field; 2^32 + 1 is not
+        // truncated to 1.
+        for (degree, grid, unsat_fallback, field) in [
+            ("2", "2", "true", "resolution_degree"),
+            ("4294967297", "2", "true", "resolution_degree"),
+            ("1", "5", "true", "search.grid"),
+            ("1", "\"2\"", "true", "search.grid"),
+            ("1", "2", "false", "entailment.use_unsat_fallback"),
         ] {
-            match old(grid, unsat_fallback) {
+            match old(degree, grid, unsat_fallback) {
                 Err(Error::Protocol(message)) => {
                     assert!(message.contains(&format!("{field:?}")), "{message}")
                 }
-                other => panic!("grid {grid}, fallback {unsat_fallback}: {other:?}"),
+                other => {
+                    panic!("degree {degree}, grid {grid}, fallback {unsat_fallback}: {other:?}")
+                }
             }
         }
     }
@@ -972,26 +966,21 @@ mod tests {
     #[test]
     fn config_degrees_past_u32_are_protocol_errors_not_truncations() {
         let base = config_to_json(&ProverConfig::default()).to_string();
-        // `base` with the integer after `"key":` replaced by `value`.
-        let with = |key: &str, value: u64| {
+        // `base` with the integer after `"max_product_degree":` replaced by
+        // `value`.
+        let key = "max_product_degree";
+        let with = |value: u64| {
             let label = format!("\"{key}\":");
             let at = base.find(&label).expect("field present") + label.len();
             let digits = base[at..].find(|ch: char| !ch.is_ascii_digit()).unwrap();
             let text = format!("{}{value}{}", &base[..at], &base[at + digits..]);
             config_from_json(&json::parse_json(&text).unwrap())
         };
-        for key in ["resolution_degree", "max_product_degree"] {
-            // 2^32 + 1, which an `as u32` cast truncates to 1.
-            let err = with(key, (1 << 32) + 1).unwrap_err();
-            assert!(matches!(err, Error::Protocol(_)), "{err}");
-            assert!(err.to_string().contains(key) && err.to_string().contains("4294967297"));
-            let widest = with(key, u64::from(u32::MAX)).unwrap();
-            let degree = match key {
-                "resolution_degree" => widest.resolution_degree,
-                _ => widest.entailment.max_product_degree,
-            };
-            assert_eq!(degree, u32::MAX);
-        }
+        // 2^32 + 1, which an `as u32` cast truncates to 1.
+        let err = with((1 << 32) + 1).unwrap_err();
+        assert!(matches!(err, Error::Protocol(_)), "{err}");
+        assert!(err.to_string().contains(key) && err.to_string().contains("4294967297"));
+        assert_eq!(with(u64::from(u32::MAX)).unwrap().entailment.max_product_degree, u32::MAX);
     }
 
     #[test]

@@ -19,13 +19,13 @@ use revterm_ts::{Resolution, TransitionSystem};
 use std::sync::Arc;
 
 /// Enumerates candidate resolutions of non-determinism: every combination
-/// (capped) of candidate polynomials for the non-deterministic assignment
-/// transitions.  Candidate right-hand sides are constants drawn from the
-/// program constants plus, for degree ≥ 1, copies of program variables and
-/// `±1` offsets of them.
+/// (capped at `max_resolutions`) of candidate polynomials for the
+/// non-deterministic assignment transitions.  Candidate right-hand sides are
+/// the constants drawn from the program constants plus, for every program
+/// variable `x`, the degree-1 polynomials `x`, `x + 1`, `x - 1` and `-x`.
 pub(crate) fn candidate_resolutions(
     ts: &TransitionSystem,
-    config: &ProverConfig,
+    max_resolutions: usize,
 ) -> Vec<Resolution> {
     let ndet_ids: Vec<usize> = ts.ndet_transitions().map(|t| t.id).collect();
     if ndet_ids.is_empty() {
@@ -35,20 +35,12 @@ pub(crate) fn candidate_resolutions(
         .into_iter()
         .map(|c| Poly::constant(revterm_num::Rat::from(c)))
         .collect();
-    if config.resolution_degree >= 1 {
-        for i in 0..ts.vars().len() {
-            let x = Poly::var(ts.vars().unprimed(i));
-            rhs_candidates.push(x.clone());
-            rhs_candidates.push(&x + &Poly::one());
-            rhs_candidates.push(&x - &Poly::one());
-            rhs_candidates.push(-x);
-        }
-    }
-    if config.resolution_degree >= 2 {
-        for i in 0..ts.vars().len() {
-            let x = Poly::var(ts.vars().unprimed(i));
-            rhs_candidates.push(&x * &x);
-        }
+    for i in 0..ts.vars().len() {
+        let x = Poly::var(ts.vars().unprimed(i));
+        rhs_candidates.push(x.clone());
+        rhs_candidates.push(&x + &Poly::one());
+        rhs_candidates.push(&x - &Poly::one());
+        rhs_candidates.push(-x);
     }
     rhs_candidates.dedup();
 
@@ -61,17 +53,17 @@ pub(crate) fn candidate_resolutions(
                 let mut r = base.clone();
                 r.set(id, rhs.clone());
                 next.push(r);
-                if next.len() >= config.max_resolutions {
+                if next.len() >= max_resolutions {
                     break;
                 }
             }
-            if next.len() >= config.max_resolutions {
+            if next.len() >= max_resolutions {
                 break;
             }
         }
         resolutions = next;
     }
-    resolutions.truncate(config.max_resolutions);
+    resolutions.truncate(max_resolutions);
     resolutions
 }
 

@@ -78,6 +78,22 @@ impl fmt::Display for CheckKind {
     }
 }
 
+impl CheckKind {
+    /// The check's name in configuration labels, certificate digests and on
+    /// the wire: `check1` or `check2`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            CheckKind::Check1 => "check1",
+            CheckKind::Check2 => "check2",
+        }
+    }
+
+    /// The check whose [`CheckKind::name`] is `name`, if any.
+    pub(crate) fn from_name(name: &str) -> Option<CheckKind> {
+        [CheckKind::Check1, CheckKind::Check2].into_iter().find(|check| check.name() == name)
+    }
+}
+
 /// The synthesis strategy — this reproduction's stand-in for the paper's
 /// choice of SMT solver (Z3 / MathSAT5 / Barcelogic).
 ///
@@ -109,12 +125,14 @@ impl fmt::Display for Strategy {
 }
 
 /// A full prover configuration: which check, which synthesis strategy, the
-/// template parameters `(c, d, D)`, resolution degree, entailment options,
-/// candidate caps and budget.
+/// template parameters `(c, d, D)`, entailment options, candidate caps and
+/// budget.
 ///
 /// The bounds of the explicit-state searches (initial valuations, sampling,
 /// safety queries) are not settable: both checks use
-/// [`revterm_safety::SearchBounds::default`].
+/// [`revterm_safety::SearchBounds::default`].  Nor is the degree of the
+/// polynomials that resolve non-determinism: it is 1 (constants, variables
+/// and their `±1` offsets and negations).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProverConfig {
     /// Which check to run.
@@ -123,8 +141,6 @@ pub struct ProverConfig {
     pub strategy: Strategy,
     /// Template parameters for predicate maps.
     pub params: TemplateParams,
-    /// Maximal degree of the polynomials used to resolve non-determinism.
-    pub resolution_degree: u32,
     /// Entailment budget.
     pub entailment: EntailmentOptions,
     /// Maximal number of candidate resolutions of non-determinism tried.
@@ -148,7 +164,6 @@ impl Default for ProverConfig {
             check: CheckKind::Check1,
             strategy: Strategy::Houdini,
             params: TemplateParams::new(2, 1, 1),
-            resolution_degree: 1,
             entailment: EntailmentOptions::default(),
             max_resolutions: 24,
             max_initial_configs: 6,
@@ -195,10 +210,7 @@ impl ProverConfig {
     pub fn label(&self) -> String {
         format!(
             "{}/{}/(c={},d={},D={})",
-            match self.check {
-                CheckKind::Check1 => "check1",
-                CheckKind::Check2 => "check2",
-            },
+            self.check.name(),
             self.strategy,
             self.params.c,
             self.params.d,
@@ -221,11 +233,10 @@ impl ProverConfig {
     pub fn parse_label(label: &str) -> Result<ProverConfig, Error> {
         let bad = |what: &str| Error::BadLabel(format!("{what} in {label:?}"));
         let mut parts = label.splitn(3, '/');
-        let check = match parts.next() {
-            Some("check1") => CheckKind::Check1,
-            Some("check2") => CheckKind::Check2,
-            _ => return Err(bad("unknown check (want check1 or check2)")),
-        };
+        let check = parts
+            .next()
+            .and_then(CheckKind::from_name)
+            .ok_or_else(|| bad("unknown check (want check1 or check2)"))?;
         let strategy = match parts.next() {
             Some("houdini") => Strategy::Houdini,
             Some("guard-prop") => Strategy::GuardPropagation,
@@ -291,12 +302,6 @@ impl ProverConfigBuilder {
     /// Template parameters given directly as `(c, d, D)`.
     pub fn template(self, c: usize, d: usize, degree: u32) -> Self {
         self.params(TemplateParams::new(c, d, degree))
-    }
-
-    /// Maximal degree of the polynomials used to resolve non-determinism.
-    pub fn resolution_degree(mut self, degree: u32) -> Self {
-        self.config.resolution_degree = degree;
-        self
     }
 
     /// Entailment budget.
@@ -365,7 +370,6 @@ mod tests {
             .check(CheckKind::Check2)
             .strategy(Strategy::GuardPropagation)
             .template(3, 2, 2)
-            .resolution_degree(2)
             .max_resolutions(10)
             .max_initial_configs(4)
             .divergence_probe_steps(80)
@@ -373,7 +377,6 @@ mod tests {
         assert_eq!(built.check, CheckKind::Check2);
         assert_eq!(built.strategy, Strategy::GuardPropagation);
         assert_eq!(built.params, TemplateParams::new(3, 2, 2));
-        assert_eq!(built.resolution_degree, 2);
         assert_eq!(built.max_resolutions, 10);
         assert_eq!(built.max_initial_configs, 4);
         assert_eq!(built.divergence_probe_steps, 80);

@@ -226,20 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn prove_with_configs_on_empty_slice_reports_the_documented_label() {
-        // Regression: the empty sweep used to return `Unknown` silently with
-        // the same label as "ran and failed"; it now carries the documented
-        // sentinel label so callers can distinguish the two, and runs nothing.
-        let ts = revterm_ts::lower(&parse_program("while true do skip; od").unwrap()).unwrap();
-        let mut session = ProverSession::new(ts);
-        let result = session.prove_first(&[]);
-        assert!(!result.is_non_terminating());
-        assert_eq!(result.config_label, crate::session::NO_CONFIGS_LABEL);
-        assert_eq!(result.stats, crate::session::ProveStats::default());
-        assert_eq!(session.stats().proves, 0);
-    }
-
-    #[test]
     fn prove_with_configs_tries_until_success() {
         let ts = revterm_ts::lower(&parse_program(FIG2_SMALL).unwrap()).unwrap();
         let configs = vec![

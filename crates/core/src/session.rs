@@ -259,8 +259,8 @@ pub(crate) struct Caches {
     pub entail: EntailmentCache,
     /// Atom-pool artifacts of the base system (Check 2's `Ĩ` synthesis).
     pub base_pool: PoolCache,
-    /// Candidate resolutions keyed by `(resolution degree, cap)`.
-    pub resolutions: HashMap<(u32, usize), Vec<Resolution>>,
+    /// Candidate resolutions keyed by their cap.
+    pub resolutions: HashMap<usize, Vec<Resolution>>,
     /// Preferred initial valuations keyed by their cap.
     pub initials: HashMap<usize, Vec<Valuation>>,
     /// The bounded exploration of the base system, computed on first use:
@@ -311,13 +311,12 @@ impl Caches {
         config: &ProverConfig,
         stats: &mut ProveStats,
     ) -> Vec<Resolution> {
-        let key = (config.resolution_degree, config.max_resolutions);
         memo(
             &mut self.resolutions,
-            key,
+            config.max_resolutions,
             &mut stats.artifact_cache_hits,
             &mut stats.artifact_cache_misses,
-            || crate::check1::candidate_resolutions(ts, config),
+            || crate::check1::candidate_resolutions(ts, config.max_resolutions),
         )
         .clone()
     }

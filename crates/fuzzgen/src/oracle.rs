@@ -136,12 +136,6 @@ pub struct DiffReport {
     pub proved_nontermination: bool,
     /// `true` iff the primary run was cut short by a budget.
     pub timed_out: bool,
-    /// Label of the configuration that produced the primary verdict.
-    pub config_label: String,
-    /// `outcome_digest` of the primary run.
-    pub digest: u64,
-    /// Baseline verdicts as `(name, verdict)` pairs.
-    pub baseline_verdicts: Vec<(String, BaselineVerdict)>,
     /// Every oracle failure (empty = the program passed).
     pub failures: Vec<OracleFailure>,
     /// Wall-clock time oracle 2 spent validating the primary certificate
@@ -179,7 +173,6 @@ pub fn differential(
     let portfolio = default_portfolio();
     let mut session = ProverSession::new(ts.clone());
     let primary = session.prove_first(&portfolio);
-    let digest = outcome_digest(&primary, &ts);
     let mut failures = Vec::new();
 
     // Oracle 2: certificate validation, independent of the session caches.
@@ -218,7 +211,6 @@ pub fn differential(
     if prover_claims_nt {
         nt_claims.push(format!("prover[{}]", primary.config_label));
     }
-    let mut baseline_verdicts = Vec::new();
     let mut lineup = table_baselines();
     // The table's VeryMax* runs its quasi-invariant search at octagon
     // templates, which is combinatorial in system size; swap in an
@@ -231,13 +223,11 @@ pub fn differential(
     }
     lineup.push(("ranking", Box::new(RankingProver) as Box<dyn BaselineProver>));
     for (name, prover) in lineup {
-        let verdict = prover.analyze(&ts).verdict;
-        match verdict {
+        match prover.analyze(&ts).verdict {
             BaselineVerdict::NonTerminating => nt_claims.push(name.to_string()),
             BaselineVerdict::Terminating => term_claims.push(name.to_string()),
             BaselineVerdict::Unknown => {}
         }
-        baseline_verdicts.push((name.to_string(), verdict));
     }
     if !nt_claims.is_empty() && !term_claims.is_empty() {
         failures.push(OracleFailure {
@@ -255,6 +245,7 @@ pub fn differential(
     // canonical outcome (the cut point depends on the axis), so comparisons
     // involving a timeout on either side are skipped.
     if !primary.timed_out() {
+        let digest = outcome_digest(&primary, &ts);
         let axes = [
             ("absint on/off", variant(&portfolio, |c| c.entailment.interval_fast_path = false)),
             (
@@ -277,9 +268,6 @@ pub fn differential(
     Ok(DiffReport {
         proved_nontermination: primary.is_non_terminating(),
         timed_out: primary.timed_out(),
-        config_label: primary.config_label,
-        digest,
-        baseline_verdicts,
         failures,
         validate_time,
     })

@@ -8,7 +8,8 @@
 //! `if * then ... else ... fi`), `while` loops, `skip` and `assume`.
 //!
 //! The pipeline is: [`lex`] → [`parse`] (or [`parse_program`] directly) →
-//! semantic analysis ([`analyze`]) → optional desugaring of non-deterministic
+//! semantic analysis ([`analyze`], the check that `*` appears only as the
+//! entire guard of an `if`) → optional desugaring of non-deterministic
 //! branching into non-deterministic assignments
 //! ([`remove_nondet_branching`], Section 2 of the paper) → lowering to a
 //! transition system (in the `revterm-ts` crate).
@@ -41,7 +42,7 @@ mod transform;
 pub use ast::{BinOp, BoolExpr, CmpOp, Expr, Program, Stmt};
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse, ParseError};
-pub use transform::{analyze, pretty_print, remove_nondet_branching, AnalysisError, ProgramInfo};
+pub use transform::{analyze, pretty_print, remove_nondet_branching, AnalysisError};
 
 /// Parses and analyses a program in one step.
 ///

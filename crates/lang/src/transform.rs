@@ -19,95 +19,35 @@ impl fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
-/// Summary information about a program produced by [`analyze`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProgramInfo {
-    /// All program variables in first-occurrence order.
-    pub variables: Vec<String>,
-    /// Number of loops in the program body.
-    pub loop_count: usize,
-    /// Number of non-deterministic assignments.
-    pub ndet_assign_count: usize,
-    /// Number of non-deterministic branchings (`if *`).
-    pub ndet_branch_count: usize,
-    /// Maximal loop nesting depth.
-    pub max_loop_depth: usize,
-    /// Maximal degree of any polynomial expression appearing in the program.
-    pub max_degree: u32,
-}
-
-fn expr_degree(e: &Expr) -> u32 {
-    match e {
-        Expr::Var(_) => 1,
-        Expr::Const(_) => 0,
-        Expr::Neg(a) => expr_degree(a),
-        Expr::Bin(op, a, b) => match op {
-            crate::ast::BinOp::Add | crate::ast::BinOp::Sub => expr_degree(a).max(expr_degree(b)),
-            crate::ast::BinOp::Mul => expr_degree(a) + expr_degree(b),
-        },
-    }
-}
-
-fn bool_degree(b: &BoolExpr) -> u32 {
-    match b {
-        BoolExpr::True | BoolExpr::False | BoolExpr::Nondet => 0,
-        BoolExpr::Cmp(_, a, c) => expr_degree(a).max(expr_degree(c)),
-        BoolExpr::And(a, c) | BoolExpr::Or(a, c) => bool_degree(a).max(bool_degree(c)),
-        BoolExpr::Not(a) => bool_degree(a),
-    }
-}
-
-/// Performs semantic analysis on a program and gathers summary information.
-///
-/// The only hard semantic restriction of the language is that `*` (the
+/// Checks the one hard semantic restriction of the language: `*` (the
 /// non-deterministic condition) may appear only as the *entire* guard of a
 /// conditional — i.e. `if * then ... else ... fi` — never nested inside a
-/// boolean formula or as a loop guard.  This mirrors the syntax used by the
-/// paper and keeps the "removal of non-deterministic branching" transformation
-/// (Section 2) purely syntactic.
+/// boolean formula, as a loop guard or in an `assume`.  This mirrors the
+/// syntax used by the paper and keeps the "removal of non-deterministic
+/// branching" transformation (Section 2) purely syntactic.
 ///
 /// # Errors
 ///
 /// Returns an [`AnalysisError`] describing the first violation.
-pub fn analyze(program: &Program) -> Result<ProgramInfo, AnalysisError> {
-    let mut info = ProgramInfo { variables: program.variables(), ..ProgramInfo::default() };
-    for (_, e) in &program.preamble {
-        info.max_degree = info.max_degree.max(expr_degree(e));
-    }
-    analyze_block(&program.body, 0, &mut info)?;
-    Ok(info)
+pub fn analyze(program: &Program) -> Result<(), AnalysisError> {
+    analyze_block(&program.body)
 }
 
-fn analyze_block(body: &[Stmt], depth: usize, info: &mut ProgramInfo) -> Result<(), AnalysisError> {
+fn analyze_block(body: &[Stmt]) -> Result<(), AnalysisError> {
     for stmt in body {
         match stmt {
-            Stmt::Assign(_, e) => {
-                info.max_degree = info.max_degree.max(expr_degree(e));
-            }
-            Stmt::NdetAssign(_) => {
-                info.ndet_assign_count += 1;
-            }
-            Stmt::Skip => {}
-            Stmt::Assume(c) => {
-                check_guard(c)?;
-                info.max_degree = info.max_degree.max(bool_degree(c));
-            }
+            Stmt::Assign(..) | Stmt::NdetAssign(_) | Stmt::Skip => {}
+            Stmt::Assume(c) => check_guard(c)?,
             Stmt::If(c, t, e) => {
-                if *c == BoolExpr::Nondet {
-                    info.ndet_branch_count += 1;
-                } else {
+                if *c != BoolExpr::Nondet {
                     check_guard(c)?;
-                    info.max_degree = info.max_degree.max(bool_degree(c));
                 }
-                analyze_block(t, depth, info)?;
-                analyze_block(e, depth, info)?;
+                analyze_block(t)?;
+                analyze_block(e)?;
             }
             Stmt::While(c, b) => {
                 check_guard(c)?;
-                info.max_degree = info.max_degree.max(bool_degree(c));
-                info.loop_count += 1;
-                info.max_loop_depth = info.max_loop_depth.max(depth + 1);
-                analyze_block(b, depth + 1, info)?;
+                analyze_block(b)?;
             }
         }
     }
@@ -263,37 +203,9 @@ mod tests {
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
 
     #[test]
-    fn analyze_running_example() {
-        let prog = parse_program(RUNNING).unwrap();
-        let info = analyze(&prog).unwrap();
-        assert_eq!(info.variables, vec!["x", "y"]);
-        assert_eq!(info.loop_count, 2);
-        assert_eq!(info.max_loop_depth, 2);
-        assert_eq!(info.ndet_assign_count, 1);
-        assert_eq!(info.ndet_branch_count, 0);
-        assert_eq!(info.max_degree, 1);
-    }
-
-    #[test]
-    fn analyze_degree_of_nonlinear_program() {
-        let prog = parse_program("while x * x <= y do y := y - x * x * x; od").unwrap();
-        let info = analyze(&prog).unwrap();
-        assert_eq!(info.max_degree, 3);
-    }
-
-    #[test]
     fn analyze_rejects_nested_star() {
         let prog = parse_program("while x >= 0 do if * and x > 0 then skip; fi od");
         assert!(prog.is_err());
-    }
-
-    #[test]
-    fn analyze_counts_nondet_branching() {
-        let prog =
-            parse_program("while x >= 0 do if * then x := x + 1; else x := x - 1; fi od").unwrap();
-        let info = analyze(&prog).unwrap();
-        assert_eq!(info.ndet_branch_count, 1);
-        assert_eq!(info.ndet_assign_count, 0);
     }
 
     #[test]
@@ -301,11 +213,15 @@ mod tests {
         let prog =
             parse_program("while x >= 0 do if * then x := x + 1; else x := x - 1; fi od").unwrap();
         let rewritten = remove_nondet_branching(&prog);
-        assert!(!format!("{:?}", rewritten).contains("Nondet"));
-        let info = analyze(&rewritten).unwrap();
-        assert_eq!(info.ndet_branch_count, 0);
-        assert_eq!(info.ndet_assign_count, 1);
-        assert!(rewritten.variables().contains(&"xndet".to_string()));
+        // `if *` became `xndet := ndet(); if xndet >= 0 ...`: one `ndet()`
+        // assignment added and no `*` guard left.
+        let fresh = "xndet";
+        let [Stmt::While(_, body)] = rewritten.body.as_slice() else { panic!("{rewritten:?}") };
+        let [assign, Stmt::If(guard, _, _)] = body.as_slice() else { panic!("{rewritten:?}") };
+        assert_eq!(*assign, Stmt::NdetAssign(fresh.to_string()));
+        assert_eq!(*guard, BoolExpr::cmp(CmpOp::Ge, Expr::var(fresh), Expr::int(0)));
+        assert!(!format!("{rewritten:?}").contains("Nondet"));
+        assert!(analyze(&rewritten).is_ok());
     }
 
     #[test]

@@ -108,15 +108,7 @@ impl Metrics {
             ("total_requests", Json::from(self.total_requests())),
             ("protocol_errors", Json::from(self.protocol_errors)),
             ("ops", Json::Obj(ops)),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("occupancy", Json::from(pool_occupancy as u64)),
-                    ("hits", Json::from(pool.hits)),
-                    ("misses", Json::from(pool.misses)),
-                    ("evictions", Json::from(pool.evictions)),
-                ]),
-            ),
+            ("pool", pool.to_json(pool_occupancy)),
             ("prover", stats_to_json(&self.aggregate)),
             ("latency_us", Json::Obj(buckets)),
         ])

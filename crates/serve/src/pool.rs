@@ -14,6 +14,7 @@
 //! pool, because budget cuts happen only between memoized computations (see
 //! the core crate's session documentation).
 
+use revterm::api::json::Json;
 use revterm::{lower_source, program_hash, Error, ProverSession, TransitionSystem};
 use std::sync::Mutex;
 
@@ -27,6 +28,20 @@ pub struct PoolStats {
     pub misses: u64,
     /// Sessions dropped to make room (LRU order).
     pub evictions: u64,
+}
+
+impl PoolStats {
+    /// The counters next to the pool's `occupancy`, as the `stats`
+    /// operation answers them and the `metrics` operation nests them under
+    /// `pool`: `{occupancy, hits, misses, evictions}`.
+    pub(crate) fn to_json(self, occupancy: usize) -> Json {
+        Json::obj(vec![
+            ("occupancy", Json::from(occupancy as u64)),
+            ("hits", Json::from(self.hits)),
+            ("misses", Json::from(self.misses)),
+            ("evictions", Json::from(self.evictions)),
+        ])
+    }
 }
 
 struct PoolEntry {

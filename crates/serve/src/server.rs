@@ -326,13 +326,7 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
         }
         RequestBody::Stats => {
             let pool = shared.pool.lock().expect("pool poisoned");
-            let stats = pool.stats();
-            Ok(ResponseBody::Opaque(revterm::api::json::Json::obj(vec![
-                ("occupancy", revterm::api::json::Json::from(pool.occupancy() as u64)),
-                ("hits", revterm::api::json::Json::from(stats.hits)),
-                ("misses", revterm::api::json::Json::from(stats.misses)),
-                ("evictions", revterm::api::json::Json::from(stats.evictions)),
-            ])))
+            Ok(ResponseBody::Opaque(pool.stats().to_json(pool.occupancy())))
         }
         RequestBody::Metrics => {
             let (pool_stats, occupancy) = {
