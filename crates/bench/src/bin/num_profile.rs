@@ -18,7 +18,9 @@
 //!   against a `BTreeMap` reference implementation; plus an entailment
 //!   cache-key hashing loop over the Farkas chain queries, run under a
 //!   counting global allocator so the "zero heap allocations on the packed
-//!   path" claim is asserted, not assumed.
+//!   path" claim is asserted, not assumed. The same allocator counts the
+//!   heap allocations of the running example's certificate digests, which
+//!   must be zero too.
 //! * **Fresh vs session** — the paper's running example and every named
 //!   benchmark swept over the 24-cell degree-1 configuration grid twice:
 //!   fresh per-configuration `prove` calls, and `prove` on one warm
@@ -50,8 +52,9 @@
 //! indistinguishable" acceptance criteria are checked on every run. The
 //! process exits 1 if any engine digest or fresh/sessioned outcome digest
 //! diverges, if the flat poly kernels diverge from the BTreeMap reference,
-//! if the packed hashing loop allocates, or if the sessioned sweep reports
-//! a zero warm-start hit rate (the revised engine's whole point).
+//! if the packed hashing loop or a certificate digest allocates, or if the
+//! sessioned sweep reports a zero warm-start hit rate (the revised engine's
+//! whole point).
 //!
 //! ```text
 //! cargo run --release -p revterm-bench --bin num_profile [lp_iters] [benchmark...]
@@ -64,8 +67,8 @@
 
 use revterm::api::json::Json;
 use revterm::{
-    default_sweep, degree1_sweep, outcome_digest, prove, ProofResult, ProverConfig, ProverSession,
-    TransitionSystem,
+    certificate_digest, default_sweep, degree1_sweep, outcome_digest, prove, ProofResult,
+    ProverConfig, ProverSession, TransitionSystem,
 };
 use revterm_num::{rat, Fnv64, Rat, SplitMix64};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
@@ -504,6 +507,19 @@ fn main() {
         dense_configs.iter().map(|c| prove(ts, c).is_non_terminating()).collect();
     let sweep_dense_secs = dense_start.elapsed().as_secs_f64();
 
+    // A certificate digest streams each rendering into the hash, so over the
+    // running example's certificates, whose monomials and coefficients are
+    // all packed, it must not touch the heap either.
+    let certificates: Vec<_> =
+        running.sessioned.iter().filter_map(ProofResult::certificate).collect();
+    let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let mut certificate_checksum = 0u64;
+    for cert in &certificates {
+        certificate_checksum = certificate_checksum.wrapping_add(certificate_digest(cert, ts));
+    }
+    let digest_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
+    std::hint::black_box(certificate_checksum);
+
     let lp_stats = running.session.stats().aggregate.lp;
     let warm_hit_rate = if lp_stats.warm_lookups == 0 {
         0.0
@@ -573,6 +589,7 @@ fn main() {
         ("poly_digests_match", Json::from(poly_digests_match)),
         ("poly_hash_secs", fixed(poly_hash_secs, 3)),
         ("poly_hash_allocs", Json::from(poly_hash_allocs)),
+        ("digest_allocs", Json::from(digest_allocs)),
         ("interned_monomials", count(interned_monomials)),
         ("sweep_benchmark", Json::from(running.name)),
         ("sweep_configs", count(configs.len())),
@@ -618,6 +635,16 @@ fn main() {
     if poly_hash_allocs != 0 {
         eprintln!(
             "FAIL: entailment-key hashing allocated ({poly_hash_allocs} calls) on the packed path"
+        );
+        failed = true;
+    }
+    if certificates.is_empty() {
+        eprintln!("FAIL: the running example's sessioned sweep proved no cell to digest");
+        failed = true;
+    }
+    if digest_allocs != 0 {
+        eprintln!(
+            "FAIL: certificate digests allocated ({digest_allocs} calls) on packed certificates"
         );
         failed = true;
     }

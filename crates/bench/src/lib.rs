@@ -45,6 +45,7 @@
 //! | `poly_digests_match` | flat kernels vs `BTreeMap` reference agreement (exit 1 when false) |
 //! | `poly_hash_secs` | seconds to hash the entailment-chain cache keys as flat word streams |
 //! | `poly_hash_allocs` | allocator calls during that hashing loop — must be 0 on the packed path (exit 1 otherwise) |
+//! | `digest_allocs` | allocator calls of [`revterm::certificate_digest`] over the certificates of the running example's sessioned degree-1 sweep — must be 0 (exit 1 otherwise, or when the sweep proved no cell) |
 //! | `interned_monomials` | size of the process-global large-monomial intern pool ([`revterm_poly::mono_pool_stats`]) |
 //! | `sweep_benchmark` | benchmark used for the sweep workload (the paper's running example) |
 //! | `sweep_configs` | number of degree-1 grid cells swept (24) |

@@ -38,6 +38,7 @@ use crate::CheckKind;
 use revterm_safety::SearchBounds;
 use revterm_solver::{LpEngine, LpStats};
 use revterm_ts::TransitionSystem;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -78,28 +79,52 @@ pub fn program_hash(ts: &TransitionSystem) -> u64 {
 /// variable names).  Two equal digests mean the certificates render
 /// identically component by component — the "bitwise-identical verdict"
 /// check of the serve acceptance gate.
+///
+/// Each part is streamed into the hash as it renders, then ended with the
+/// `0xff` byte that `str::hash` writes after a string, so the digest is the
+/// one that hashing each rendering as a `String` gives, without building
+/// any of them.
 pub fn certificate_digest(cert: &crate::NonTerminationCertificate, ts: &TransitionSystem) -> u64 {
-    let mut hasher = revterm_num::Fnv64::new();
-    let vars = ts.vars();
-    let loc_names = |l| ts.loc_name(l).to_string();
-    cert.check_kind().name().hash(&mut hasher);
+    let names = |out: &mut dyn fmt::Write, v| ts.vars().write_name(out, v);
+    let loc_names = |out: &mut dyn fmt::Write, l| out.write_str(ts.loc_name(l));
+    let mut sink = DigestSink(revterm_num::Fnv64::new());
+    sink.part(|out| out.write_str(cert.check_kind().name()));
     match cert {
         crate::NonTerminationCertificate::Check1(c) => {
-            c.resolution.display_with(ts).hash(&mut hasher);
-            c.invariant.display_with(vars, &loc_names).hash(&mut hasher);
-            c.initial.to_string().hash(&mut hasher);
+            sink.part(|out| c.resolution.write_with(out, Some(ts)));
+            sink.part(|out| c.invariant.write_with(out, &names, &loc_names));
+            sink.part(|out| c.initial.write_with(out));
         }
         crate::NonTerminationCertificate::Check2(c) => {
-            c.resolution.display_with(ts).hash(&mut hasher);
-            c.tilde_invariant.display_with(vars, &loc_names).hash(&mut hasher);
-            c.theta.display_with(vars).hash(&mut hasher);
-            c.backward_invariant.display_with(vars, &loc_names).hash(&mut hasher);
+            sink.part(|out| c.resolution.write_with(out, Some(ts)));
+            sink.part(|out| c.tilde_invariant.write_with(out, &names, &loc_names));
+            sink.part(|out| c.theta.write_with(out, &names));
+            sink.part(|out| c.backward_invariant.write_with(out, &names, &loc_names));
             for config in &c.witness_path {
-                config.to_string().hash(&mut hasher);
+                sink.part(|out| config.write_with(out));
             }
         }
     }
-    hasher.finish()
+    sink.0.finish()
+}
+
+/// A [`fmt::Write`] sink that folds every byte written to it into FNV-1a.
+struct DigestSink(revterm_num::Fnv64);
+
+impl DigestSink {
+    /// Hashes one part: what `render` writes, then the `0xff` terminator
+    /// that `str::hash` writes after a string.
+    fn part(&mut self, render: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result) {
+        render(self).expect("an FNV sink never fails");
+        self.0.write_u8(0xff);
+    }
+}
+
+impl fmt::Write for DigestSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The fingerprint of a whole [`ProofResult`]: the verdict kind, the
@@ -1129,6 +1154,42 @@ mod tests {
         assert_eq!(hex_digest(0xabc), "0000000000000abc");
         assert_eq!(parse_hex_digest("0000000000000abc").unwrap(), 0xabc);
         assert!(parse_hex_digest("zz").is_err());
+    }
+
+    #[test]
+    fn certificate_digests_are_pinned() {
+        // Pinned values, not only agreement between two computations: a
+        // rendering change that moved every digest alike fails here.
+        let mut running = ProverSession::from_source(RUNNING).unwrap();
+        let result = running.prove(&ProverConfig::default());
+        let digest = certificate_digest(result.certificate().unwrap(), running.ts());
+        assert_eq!(hex_digest(digest), "d9a95c4e9e91fd30");
+
+        let fig2 = revterm_suite::full_suite()
+            .into_iter()
+            .find(|b| b.name == "paper_fig2_small")
+            .unwrap()
+            .transition_system();
+        let check2 = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
+        let result = crate::prove(&fig2, &check2);
+        let cert = result.certificate().unwrap();
+        assert_eq!(cert.check_kind(), CheckKind::Check2);
+        assert_eq!(hex_digest(certificate_digest(cert, &fig2)), "8ca2d4aa5c47967c");
+    }
+
+    #[test]
+    fn digest_sink_hashes_a_string_written_in_pieces_as_str_hash_does() {
+        let text = "t3 (l1 -> l2): x := 10*y - 1";
+        let mut sink = DigestSink(revterm_num::Fnv64::new());
+        sink.part(|out| {
+            for piece in ["t3 (l1", " -> l2): x", "", " := 10*y - 1"] {
+                out.write_str(piece)?;
+            }
+            Ok(())
+        });
+        let mut hasher = revterm_num::Fnv64::new();
+        text.hash(&mut hasher);
+        assert_eq!(sink.0.finish(), hasher.finish());
     }
 
     #[test]

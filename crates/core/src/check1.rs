@@ -195,16 +195,17 @@ pub(crate) fn check1_cached(
                     continue;
                 }
                 for d in invariant.at(t.source).disjuncts() {
-                    let mut premises: Vec<Poly> = d.atoms().to_vec();
-                    premises.extend(t.relation.atoms().iter().cloned());
-                    if fast && revterm_absint::close_premises(premises.iter()).is_contradiction() {
+                    // Most tests end at the closure, so the premises are
+                    // only copied for the lookup.
+                    let premises = || d.atoms().iter().chain(t.relation.atoms());
+                    if fast && revterm_absint::close_premises(premises()).is_contradiction() {
                         entail.record_fast_path();
                         continue;
                     }
                     if budget.exhausted(entail.lookups) {
                         return Err(TimedOut);
                     }
-                    let premises: Arc<[Poly]> = premises.into();
+                    let premises: Arc<[Poly]> = premises().cloned().collect();
                     if !entail.implies_false(&premises, &config.entailment) {
                         blocked = false;
                         break 'blocking;

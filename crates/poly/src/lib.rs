@@ -73,6 +73,15 @@ pub use poly::Poly;
 /// self-describing.  A [`Monomial`] *is* the key — two `Copy` machine words.
 pub type MonoKey = Monomial;
 
+/// Runs a streaming renderer into a fresh `String`. Each rendered type
+/// writes itself once, in a `write_with` that takes any [`std::fmt::Write`];
+/// its `display_with` is that rendering collected by this function.
+pub fn render(write: impl FnOnce(&mut dyn std::fmt::Write) -> std::fmt::Result) -> String {
+    let mut out = String::new();
+    write(&mut out).expect("writing to a String cannot fail");
+    out
+}
+
 /// An abstract variable identifier.
 ///
 /// The polynomial layer treats variables as opaque indices; higher layers

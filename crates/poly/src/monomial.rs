@@ -335,20 +335,32 @@ impl Monomial {
         })
     }
 
-    /// Renders the monomial using a variable name resolver.
-    pub fn display_with(&self, names: &dyn Fn(Var) -> String) -> String {
+    /// Writes the monomial to `out`, each variable named by `names`: the
+    /// factors in canonical order joined by `*`, an exponent above 1 as
+    /// `^e`, and `1` for the constant monomial.
+    pub fn write_with(
+        &self,
+        out: &mut dyn fmt::Write,
+        names: &dyn Fn(&mut dyn fmt::Write, Var) -> fmt::Result,
+    ) -> fmt::Result {
         if self.is_one() {
-            return "1".to_string();
+            return out.write_str("1");
         }
-        let mut parts = Vec::new();
-        for (v, e) in self.iter() {
-            if e == 1 {
-                parts.push(names(v));
-            } else {
-                parts.push(format!("{}^{}", names(v), e));
+        for (i, (v, e)) in self.iter().enumerate() {
+            if i > 0 {
+                out.write_str("*")?;
+            }
+            names(out, v)?;
+            if e != 1 {
+                write!(out, "^{e}")?;
             }
         }
-        parts.join("*")
+        Ok(())
+    }
+
+    /// Renders the monomial using a variable name resolver.
+    pub fn display_with(&self, names: &dyn Fn(Var) -> String) -> String {
+        crate::render(|out| self.write_with(out, &|out, v| out.write_str(&names(v))))
     }
 }
 
@@ -413,7 +425,7 @@ impl fmt::Debug for Monomial {
 
 impl fmt::Display for Monomial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.display_with(&|v| v.to_string()))
+        self.write_with(f, &|out, v| write!(out, "{v}"))
     }
 }
 

@@ -293,36 +293,48 @@ impl Poly {
         Some(lin)
     }
 
+    /// Writes the polynomial to `out`, each variable named by `names`:
+    /// terms by descending total degree, terms of one degree in canonical
+    /// order, as in `2*x^2 - y + 7`, and `0` for the zero polynomial.
+    pub fn write_with(
+        &self,
+        out: &mut dyn fmt::Write,
+        names: &dyn Fn(&mut dyn fmt::Write, Var) -> fmt::Result,
+    ) -> fmt::Result {
+        if self.is_zero() {
+            return out.write_str("0");
+        }
+        // One pass per degree present, highest first, so the order needs no
+        // sorted copy of the terms.
+        let mut first = true;
+        let mut degree = Some(self.total_degree());
+        while let Some(d) = degree {
+            for (m, c) in self.terms().filter(|(m, _)| m.degree() == d) {
+                match (first, c.is_negative()) {
+                    (true, true) => out.write_str("-")?,
+                    (true, false) => {}
+                    (false, true) => out.write_str(" - ")?,
+                    (false, false) => out.write_str(" + ")?,
+                }
+                first = false;
+                let abs = c.abs();
+                if m.is_one() {
+                    write!(out, "{abs}")?;
+                } else {
+                    if !abs.is_one() {
+                        write!(out, "{abs}*")?;
+                    }
+                    m.write_with(out, names)?;
+                }
+            }
+            degree = self.terms().map(|(m, _)| m.degree()).filter(|&e| e < d).max();
+        }
+        Ok(())
+    }
+
     /// Renders the polynomial using a variable name resolver.
     pub fn display_with(&self, names: &dyn Fn(Var) -> String) -> String {
-        if self.is_zero() {
-            return "0".to_string();
-        }
-        // Order terms by descending degree for readability.
-        let mut terms: Vec<(&Monomial, &Rat)> = self.terms().collect();
-        terms.sort_by_key(|(m, _)| std::cmp::Reverse(m.degree()));
-        let mut out = String::new();
-        for (i, (m, c)) in terms.iter().enumerate() {
-            let neg = c.is_negative();
-            let abs = c.abs();
-            if i == 0 {
-                if neg {
-                    out.push('-');
-                }
-            } else if neg {
-                out.push_str(" - ");
-            } else {
-                out.push_str(" + ");
-            }
-            if m.is_one() {
-                out.push_str(&abs.to_string());
-            } else if abs.is_one() {
-                out.push_str(&m.display_with(names));
-            } else {
-                out.push_str(&format!("{}*{}", abs, m.display_with(names)));
-            }
-        }
-        out
+        crate::render(|out| self.write_with(out, &|out, v| out.write_str(&names(v))))
     }
 }
 
@@ -347,7 +359,7 @@ fn coalesce_sorted(terms: Vec<(Monomial, Rat)>) -> Vec<(Monomial, Rat)> {
 
 impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.display_with(&|v| v.to_string()))
+        self.write_with(f, &|out, v| write!(out, "{v}"))
     }
 }
 
@@ -595,6 +607,32 @@ mod tests {
         assert_eq!(s, "2*x^2 - y + 7");
         assert_eq!(Poly::zero().to_string(), "0");
         assert_eq!((-x()).to_string(), "-v0");
+    }
+
+    #[test]
+    fn golden_renderings() {
+        let names = |v: Var| ["x", "y", "z"][v.index()].to_string();
+        let frac = |n: i64, d: i64| Rat::new(revterm_num::int(n), revterm_num::int(d));
+        // Descending degree; terms of one degree keep the canonical order
+        // (`x*y` before `x^2` before `y^2`, `x` before `y`).
+        let p = &(&x() + &y()).pow(2) - &(&x() * &y()) + &x() + &y() + Poly::one();
+        assert_eq!(p.display_with(&names), "x*y + x^2 + y^2 + x + y + 1");
+        // A leading negative coefficient, rational ones and a negative constant.
+        let q = &(&(&x() * &x()).scale(&frac(-3, 2)) + &y().scale(&frac(1, 2)))
+            - &Poly::constant(frac(2, 3))
+            - Poly::constant_i64(7);
+        assert_eq!(q.display_with(&names), "-3/2*x^2 + 1/2*y - 23/3");
+        assert_eq!(q.to_string(), "-3/2*v0^2 + 1/2*v1 - 23/3");
+        assert_eq!((-&y().scale(&frac(2, 3))).display_with(&names), "-2/3*y");
+        // A three-factor monomial lives in the interned tier.
+        let xyz = Monomial::from_pairs([(Var(0), 2), (Var(1), 1), (Var(2), 3)]);
+        assert!(!xyz.is_packed());
+        assert_eq!(xyz.display_with(&names), "x^2*y*z^3");
+        assert_eq!(xyz.to_string(), "v0^2*v1*v2^3");
+        let r = Poly::from_terms([(xyz, rat(-1)), (Monomial::var(Var(2)), rat(4))]);
+        assert_eq!(r.display_with(&names), "-x^2*y*z^3 + 4*z");
+        assert_eq!(Poly::zero().display_with(&names), "0");
+        assert_eq!(Poly::constant_i64(-5).to_string(), "-5");
     }
 
     #[test]

@@ -141,26 +141,36 @@ impl Assertion {
         out
     }
 
+    /// Writes the assertion to `out`, each variable named by `names`: its
+    /// atoms as `p >= 0` joined by ` /\ `, and `true` for the empty
+    /// conjunction.
+    pub fn write_with(
+        &self,
+        out: &mut dyn fmt::Write,
+        names: &dyn Fn(&mut dyn fmt::Write, Var) -> fmt::Result,
+    ) -> fmt::Result {
+        if self.atoms.is_empty() {
+            return out.write_str("true");
+        }
+        for (i, p) in self.atoms.iter().enumerate() {
+            if i > 0 {
+                out.write_str(" /\\ ")?;
+            }
+            p.write_with(out, names)?;
+            out.write_str(" >= 0")?;
+        }
+        Ok(())
+    }
+
     /// Renders the assertion using a variable table for names.
     pub fn display_with(&self, vars: &VarTable) -> String {
-        if self.atoms.is_empty() {
-            return "true".to_string();
-        }
-        self.atoms
-            .iter()
-            .map(|p| format!("{} >= 0", p.display_with(&vars.namer())))
-            .collect::<Vec<_>>()
-            .join(" /\\ ")
+        revterm_poly::render(|out| self.write_with(out, &|out, v| vars.write_name(out, v)))
     }
 }
 
 impl fmt::Display for Assertion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.atoms.is_empty() {
-            return write!(f, "true");
-        }
-        let parts: Vec<String> = self.atoms.iter().map(|p| format!("{} >= 0", p)).collect();
-        write!(f, "{}", parts.join(" /\\ "))
+        self.write_with(f, &|out, v| write!(out, "{v}"))
     }
 }
 
@@ -284,26 +294,34 @@ impl PropPredicate {
         self.disjuncts.iter().map(|d| d.max_degree()).max().unwrap_or(0)
     }
 
+    /// Writes the predicate to `out`, each variable named by `names`: its
+    /// disjuncts in parentheses joined by ` \/ `, and `false` for the empty
+    /// disjunction.
+    pub fn write_with(
+        &self,
+        out: &mut dyn fmt::Write,
+        names: &dyn Fn(&mut dyn fmt::Write, Var) -> fmt::Result,
+    ) -> fmt::Result {
+        if self.disjuncts.is_empty() {
+            return out.write_str("false");
+        }
+        for (i, d) in self.disjuncts.iter().enumerate() {
+            out.write_str(if i > 0 { " \\/ (" } else { "(" })?;
+            d.write_with(out, names)?;
+            out.write_str(")")?;
+        }
+        Ok(())
+    }
+
     /// Renders the predicate using a variable table for names.
     pub fn display_with(&self, vars: &VarTable) -> String {
-        if self.disjuncts.is_empty() {
-            return "false".to_string();
-        }
-        self.disjuncts
-            .iter()
-            .map(|d| format!("({})", d.display_with(vars)))
-            .collect::<Vec<_>>()
-            .join(" \\/ ")
+        revterm_poly::render(|out| self.write_with(out, &|out, v| vars.write_name(out, v)))
     }
 }
 
 impl fmt::Display for PropPredicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.disjuncts.is_empty() {
-            return write!(f, "false");
-        }
-        let parts: Vec<String> = self.disjuncts.iter().map(|d| format!("({})", d)).collect();
-        write!(f, "{}", parts.join(" \\/ "))
+        self.write_with(f, &|out, v| write!(out, "{v}"))
     }
 }
 
@@ -374,13 +392,31 @@ impl PredicateMap {
         (c, d)
     }
 
+    /// Writes the map to `out`, one `location: predicate` line per
+    /// location, each variable named by `names` and each location by
+    /// `loc_names`.
+    pub fn write_with(
+        &self,
+        out: &mut dyn fmt::Write,
+        names: &dyn Fn(&mut dyn fmt::Write, Var) -> fmt::Result,
+        loc_names: &dyn Fn(&mut dyn fmt::Write, Loc) -> fmt::Result,
+    ) -> fmt::Result {
+        for (loc, pred) in self.iter() {
+            loc_names(out, loc)?;
+            out.write_str(": ")?;
+            pred.write_with(out, names)?;
+            out.write_str("\n")?;
+        }
+        Ok(())
+    }
+
     /// Renders the map using a variable table and location names.
     pub fn display_with(&self, vars: &VarTable, loc_names: &dyn Fn(Loc) -> String) -> String {
-        let mut out = String::new();
-        for (loc, pred) in self.iter() {
-            out.push_str(&format!("{}: {}\n", loc_names(loc), pred.display_with(vars)));
-        }
-        out
+        revterm_poly::render(|out| {
+            self.write_with(out, &|out, v| vars.write_name(out, v), &|out, loc| {
+                out.write_str(&loc_names(loc))
+            })
+        })
     }
 }
 
@@ -494,6 +530,28 @@ mod tests {
         });
         assert!(substituted.holds(&|_| rat(3)));
         assert!(!substituted.holds(&|_| rat(2)));
+    }
+
+    #[test]
+    fn golden_renderings() {
+        let vars = VarTable::new(vec!["x".into(), "y".into()]);
+        // A primed name: x' - x - 1 >= 0 (`x` sorts before `x'`).
+        let step = Assertion::ge_zero(Poly::var(vars.primed(0)) - x() - Poly::one());
+        assert_eq!(step.display_with(&vars), "-x + x' - 1 >= 0");
+        assert_eq!(step.to_string(), "-v0 + v2 - 1 >= 0");
+        let both = step.and(&Assertion::ge_zero(y()));
+        assert_eq!(both.display_with(&vars), "-x + x' - 1 >= 0 /\\ y >= 0");
+        assert_eq!(Assertion::tautology().display_with(&vars), "true");
+        assert_eq!(Assertion::tautology().to_string(), "true");
+        assert_eq!(PropPredicate::unsatisfiable().display_with(&vars), "false");
+        assert_eq!(PropPredicate::unsatisfiable().to_string(), "false");
+        let pred = PropPredicate::from_disjuncts([both, Assertion::tautology()]);
+        assert_eq!(pred.to_string(), "(-v0 + v2 - 1 >= 0 /\\ v1 >= 0) \\/ (true)");
+        let map = PredicateMap::from_vec(vec![pred, PropPredicate::unsatisfiable()]);
+        assert_eq!(
+            map.display_with(&vars, &|l| l.to_string()),
+            "l0: (-x + x' - 1 >= 0 /\\ y >= 0) \\/ (true)\nl1: false\n"
+        );
     }
 
     #[test]

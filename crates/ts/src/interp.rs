@@ -53,12 +53,24 @@ impl Valuation {
     pub fn assignment(&self) -> impl Fn(Var) -> Int + '_ {
         move |v: Var| self.0[v.index()].clone()
     }
+
+    /// Writes the valuation to `out` as its values in index order, joined
+    /// by `, ` in parentheses: `(3, -2)`.
+    pub fn write_with(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_str("(")?;
+        for (i, v) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            write!(out, "{v}")?;
+        }
+        out.write_str(")")
+    }
 }
 
 impl fmt::Display for Valuation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.0.iter().map(|v| v.to_string()).collect();
-        write!(f, "({})", parts.join(", "))
+        self.write_with(f)
     }
 }
 
@@ -76,11 +88,19 @@ impl Config {
     pub fn new(loc: Loc, vals: Valuation) -> Config {
         Config { loc, vals }
     }
+
+    /// Writes the configuration to `out` as its location and valuation in
+    /// parentheses: `(l1, (3, -2))`.
+    pub fn write_with(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write!(out, "({}, ", self.loc)?;
+        self.vals.write_with(out)?;
+        out.write_str(")")
+    }
 }
 
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {})", self.loc, self.vals)
+        self.write_with(f)
     }
 }
 
@@ -334,6 +354,19 @@ mod tests {
         assert_eq!(v.to_string(), "(3, -2)");
         let c = Config::new(Loc(1), v);
         assert_eq!(c.to_string(), "(l1, (3, -2))");
+    }
+
+    #[test]
+    fn golden_valuation_and_config_renderings() {
+        let big: Int = "-123456789012345678901234567890".parse().unwrap();
+        let v = Valuation(vec![int(-7), int(i64::MAX) + int(1), big]);
+        assert_eq!(v.to_string(), "(-7, 9223372036854775808, -123456789012345678901234567890)");
+        let c = Config::new(Loc(2), v);
+        assert_eq!(
+            c.to_string(),
+            "(l2, (-7, 9223372036854775808, -123456789012345678901234567890))"
+        );
+        assert_eq!(Valuation::default().to_string(), "()");
     }
 
     #[test]

@@ -63,42 +63,52 @@ impl Resolution {
         ts.ndet_transitions().all(|t| self.assignments.contains_key(&t.id))
     }
 
+    /// Writes the resolution to `out`: its entries joined by `; `, or
+    /// `trivial resolution` when it has none. With the system, an entry is
+    /// `t{id} (source -> target): x := p` in the system's names (see
+    /// [`Resolution::display_with`]); without it, `t{id} := p` in raw
+    /// variable names (`Display`).
+    pub fn write_with(
+        &self,
+        out: &mut dyn fmt::Write,
+        ts: Option<&TransitionSystem>,
+    ) -> fmt::Result {
+        if self.assignments.is_empty() {
+            return out.write_str("trivial resolution");
+        }
+        for (i, (id, p)) in self.iter().enumerate() {
+            if i > 0 {
+                out.write_str("; ")?;
+            }
+            write!(out, "t{id}")?;
+            let Some(ts) = ts else {
+                out.write_str(" := ")?;
+                p.write_with(out, &|out, v| write!(out, "{v}"))?;
+                continue;
+            };
+            let (t, vars) = (ts.transition(id), ts.vars());
+            write!(out, " ({} -> {}): ", ts.loc_name(t.source), ts.loc_name(t.target))?;
+            match &t.kind {
+                TransitionKind::NdetAssign { var } | TransitionKind::Assign { var, .. } => {
+                    vars.write_name(out, vars.unprimed(*var))?;
+                }
+                _ => write!(out, "t{id}")?,
+            }
+            out.write_str(" := ")?;
+            p.write_with(out, &|out, v| vars.write_name(out, v))?;
+        }
+        Ok(())
+    }
+
     /// Renders the resolution using the system's variable names.
     pub fn display_with(&self, ts: &TransitionSystem) -> String {
-        let mut parts = Vec::new();
-        for (id, p) in self.iter() {
-            let t = ts.transition(id);
-            let var = match &t.kind {
-                TransitionKind::NdetAssign { var } | TransitionKind::Assign { var, .. } => {
-                    ts.vars().name(ts.vars().unprimed(*var))
-                }
-                _ => format!("t{}", id),
-            };
-            parts.push(format!(
-                "t{} ({} -> {}): {} := {}",
-                id,
-                ts.loc_name(t.source),
-                ts.loc_name(t.target),
-                var,
-                p.display_with(&ts.vars().namer())
-            ));
-        }
-        if parts.is_empty() {
-            "trivial resolution".to_string()
-        } else {
-            parts.join("; ")
-        }
+        revterm_poly::render(|out| self.write_with(out, Some(ts)))
     }
 }
 
 impl fmt::Display for Resolution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.assignments.is_empty() {
-            return write!(f, "trivial resolution");
-        }
-        let parts: Vec<String> =
-            self.assignments.iter().map(|(id, p)| format!("t{} := {}", id, p)).collect();
-        write!(f, "{}", parts.join("; "))
+        self.write_with(f, None)
     }
 }
 
@@ -215,6 +225,30 @@ mod tests {
         let _ = vars;
         // The display mentions the resolved variable name.
         assert!(r.display_with(&ts).contains("x :="));
+    }
+
+    #[test]
+    fn golden_renderings() {
+        let ts = lower(&parse_program(RUNNING).unwrap()).unwrap();
+        let ndet = ts.ndet_transitions().next().unwrap().id;
+        let x_minus_2y = Poly::var(Var(0)) + Poly::var(Var(1)).scale(&revterm_num::rat(-2));
+        let r = Resolution::from_pairs([(ndet, x_minus_2y)]);
+        assert_eq!(r.display_with(&ts), "t2 (l1 -> l2): x := x - 2*y");
+        assert_eq!(r.to_string(), "t2 := v0 - 2*v1");
+        // t3 assigns `y`; t0 is a guard, which assigns nothing and is named
+        // by its id.
+        let r = Resolution::from_pairs([
+            (0, Poly::constant_i64(9)),
+            (ndet, Poly::zero()),
+            (3, -Poly::var(Var(0))),
+        ]);
+        assert_eq!(
+            r.display_with(&ts),
+            "t0 (l0 -> l1): t0 := 9; t2 (l1 -> l2): x := 0; t3 (l2 -> l3): y := -x"
+        );
+        assert_eq!(r.to_string(), "t0 := 9; t2 := 0; t3 := -v0");
+        assert_eq!(Resolution::empty().display_with(&ts), "trivial resolution");
+        assert_eq!(Resolution::empty().to_string(), "trivial resolution");
     }
 
     #[test]

@@ -127,22 +127,23 @@ impl VarTable {
         p.rename(&|v| self.prime(v))
     }
 
-    /// Human-readable name of a variable (`x` or `x'`), falling back to the
-    /// raw index for non-program variables.
-    pub fn name(&self, v: Var) -> String {
+    /// Writes the name of a variable to `out`: `x` for an unprimed program
+    /// variable, `x'` for a primed one, and `t{index}` for any other.
+    pub fn write_name(&self, out: &mut dyn fmt::Write, v: Var) -> fmt::Result {
         let i = v.index();
         if i < self.len() {
-            self.names[i].clone()
+            out.write_str(&self.names[i])
         } else if i < 2 * self.len() {
-            format!("{}'", self.names[i - self.len()])
+            write!(out, "{}'", self.names[i - self.len()])
         } else {
-            format!("t{}", i)
+            write!(out, "t{i}")
         }
     }
 
-    /// A display closure suitable for `Poly::display_with`.
-    pub fn namer(&self) -> impl Fn(Var) -> String + '_ {
-        move |v| self.name(v)
+    /// Human-readable name of a variable, as [`VarTable::write_name`]
+    /// writes it.
+    pub fn name(&self, v: Var) -> String {
+        revterm_poly::render(|out| self.write_name(out, v))
     }
 }
 

@@ -139,6 +139,16 @@ if $run_bench_smoke; then
     cargo run --locked --release -q -p revterm-bench --bin serve_smoke \
         | tee target/ci-artifacts/serve-smoke.json
 
+    # The smoke only checks that daemon and in-process digests agree, so a
+    # rendering change that moved both alike would pass it; this pins the
+    # running example's outcome digest itself, up to the end of its value.
+    echo "==> pinned outcome digest (serve_smoke)"
+    pin='"digest":"c4f06b19930169a9"'
+    if ! grep -qE "$pin[,}]" target/ci-artifacts/serve-smoke.json; then
+        echo "FAIL: serve_smoke did not print the pinned $pin" >&2
+        exit 1
+    fi
+
     # Fuzz smoke: a fixed-seed batch of 500 generated labelled programs,
     # each cross-checked by the four-oracle differential harness (baseline
     # claim table, certificate re-validation, absint on/off digests, the
