@@ -96,7 +96,7 @@
 //! | `entailment_calls` | entailment queries issued by the sessioned sweep |
 //! | `entailment_cache_hits` | of those, answered from [`revterm_solver::EntailmentCache`] |
 //! | `probe_cache_hits` | divergence-probe results reused across cells |
-//! | `artifact_cache_hits` | resolutions/initials/pools/systems reused across cells |
+//! | `artifact_cache_hits` | searches/resolutions/initials/systems/invariants/evidence reused across cells; the search memo answers every cell that repeats another's search, which is each strategy and `d` twin |
 //! | `lp_solves` | LP solves issued by the sessioned sweep |
 //! | `lp_pivots` | simplex pivots across those solves |
 //! | `lp_refactorizations` | warm-start basis refactorizations |

@@ -67,22 +67,27 @@ pub(crate) fn candidate_resolutions(
     resolutions
 }
 
+/// The template parameters a check hands every synthesis: the strategy's
+/// mapping of the configuration's own.
+pub(crate) fn synthesis_params(strategy: Strategy, params: TemplateParams) -> TemplateParams {
+    match strategy {
+        Strategy::Houdini => params,
+        // The guard-propagation strategy restricts the pool to interval atoms
+        // plus guard atoms: modelled by forcing c >= 3 (guard atoms on) but
+        // degree 1 and no octagon pairs (c capped at 1 would remove guards, so
+        // we keep the caller's c but lower the degree).
+        Strategy::GuardPropagation => TemplateParams::new(params.c.min(3), 1, 1),
+    }
+}
+
 /// Strategy-dependent synthesis options.
 pub(crate) fn synthesis_options(
     config: &ProverConfig,
     forced_false: Option<revterm_ts::Loc>,
     require_initiation: bool,
 ) -> SynthesisOptions {
-    let params = match config.strategy {
-        Strategy::Houdini => config.params,
-        // The guard-propagation strategy restricts the pool to interval atoms
-        // plus guard atoms: modelled by forcing c >= 3 (guard atoms on) but
-        // degree 1 and no octagon pairs (c capped at 1 would remove guards, so
-        // we keep the caller's c but lower the degree).
-        Strategy::GuardPropagation => TemplateParams::new(config.params.c.min(3), 1, 1),
-    };
     SynthesisOptions {
-        params,
+        params: synthesis_params(config.strategy, config.params),
         entailment: config.entailment.clone(),
         require_initiation,
         forced_false,

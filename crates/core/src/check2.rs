@@ -26,9 +26,8 @@ use revterm_ts::{Assertion, TransitionSystem};
 /// Check 2 with every derived artifact served from (and recorded into) the
 /// session caches: the one bounded exploration of `T`, the `(Ĩ, Θ)` pair
 /// per effective synthesis inputs, restricted and reversed systems (with
-/// their atom pools) per resolution, backward-probe sample sets, each `BI`
-/// together with the answer to its safety query, and memoized entailment
-/// queries.
+/// their atom pools) per resolution, backward-probe sample sets, each `BI`,
+/// and memoized entailment queries.
 ///
 /// The budget is polled at candidate-resolution boundaries and, inside each
 /// synthesis, before every entailment lookup (every lookup of Check 2 is a
@@ -155,31 +154,27 @@ pub(crate) fn check2_cached(
         );
         // `BI` is a pure function of the reversed system, the backward
         // samples (determined by the probe steps) and the synthesis inputs,
-        // so it can be shared across configurations. So is the answer to its
-        // safety query, which asks the session's one exploration: it is
-        // memoized beside `BI`.
+        // so it can be shared across configurations.
         let bi_key = (config.divergence_probe_steps, synth_key.clone());
-        let (bi, witness) = memo_synthesis(invariants, bi_key, stats, || {
-            let map = synthesize_invariant(
+        let bi = memo_synthesis(invariants, bi_key, stats, || {
+            synthesize_invariant(
                 reversed_system,
                 backward_samples,
                 &options,
                 reversed_pool,
                 entail,
                 budget,
-            )?;
-            // Step 3: the safety query — is some configuration of ¬BI
-            // reachable in the original system?
-            let witness = find_path_in(fwd, &map.complement());
-            Some((map, witness))
+            )
         })?;
-        if let Some(path) = witness {
+        // Step 3: the safety query — is some configuration of ¬BI reachable
+        // in the original system?
+        if let Some(witness_path) = find_path_in(fwd, &bi.complement()) {
             return Ok(Some(NonTerminationCertificate::Check2(Check2Certificate {
                 resolution,
                 tilde_invariant: tilde_map,
                 theta,
                 backward_invariant: bi.clone(),
-                witness_path: path.clone(),
+                witness_path,
             })));
         }
     }

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 /// it before any work, at *candidate boundaries* (between candidate
 /// `(resolution, initial)` pairs and before each invariant synthesis) and
 /// before every entailment lookup, so a run makes at most
-/// `max_entailment_calls` of them.  A synthesis it cuts short is never
-/// memoized, so an interrupted run leaves every session cache entry fully
+/// `max_entailment_calls` of them.  A synthesis or search it cuts short is
+/// never memoized, so an interrupted run leaves every session cache entry fully
 /// computed (an interrupted session is never poisoned; the next
 /// call on it behaves exactly like a call on a fresh session with the same
 /// warm caches).  When the budget expires the verdict is the structured

@@ -9,7 +9,7 @@ use crate::certificate::NonTerminationCertificate;
 use crate::check1::check1_cached;
 use crate::check2::check2_cached;
 use crate::config::{Budget, CheckKind, ProverConfig};
-use crate::session::{Caches, ProveStats};
+use crate::session::{Caches, ProveStats, SearchKey};
 use revterm_invgen::SynthesisBudget;
 use revterm_ts::TransitionSystem;
 use std::time::{Duration, Instant};
@@ -28,9 +28,9 @@ pub enum Verdict {
     /// configuration was exhausted — re-running with a larger budget may
     /// still prove non-termination.  The interruption happens before any
     /// work (a budget already spent), at candidate boundaries or before an
-    /// entailment lookup, and a cut-short synthesis is never memoized, so the
-    /// session that produced this verdict is never left with partially
-    /// computed cache entries.
+    /// entailment lookup, and a cut-short synthesis or search is never
+    /// memoized, so the session that produced this verdict is never left
+    /// with partially computed cache entries.
     Timeout,
 }
 
@@ -80,7 +80,8 @@ impl ProofResult {
 /// The configuration's [`Budget`] is armed here and polled once before any
 /// work, so a run whose budget is already spent (a zero limit or work cap,
 /// or a deadline that has passed) is a [`Verdict::Timeout`] that touched no
-/// cache.
+/// cache — not even the search memo, so a repeat times out as its first
+/// run would have.
 pub(crate) fn prove_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
@@ -101,10 +102,7 @@ pub(crate) fn prove_cached(
     let candidate = if budget.exhausted(lookups_before) {
         Err(TimedOut)
     } else {
-        match config.check {
-            CheckKind::Check1 => check1_cached(ts, config, caches, &mut stats, &budget),
-            CheckKind::Check2 => check2_cached(ts, config, caches, &mut stats, &budget),
-        }
+        search_cached(ts, config, caches, &mut stats, &budget)
     };
     let verdict = match candidate {
         Ok(Some(cert)) => match caches.validate(ts, &cert, &config.entailment, &mut stats) {
@@ -125,6 +123,33 @@ pub(crate) fn prove_cached(
     stats.entailment_cache_hits = caches.entail.hits - hits_before;
     stats.lp = caches.entail.lp_stats().delta_since(&lp_before);
     ProofResult { verdict, elapsed: start.elapsed(), config_label: config.label(), stats }
+}
+
+/// Check 1 or Check 2 under `config`, served from the session's search memo
+/// when the session has completed the same search ([`SearchKey`]) before:
+/// a hit counts one artifact hit and tries no candidate, so it makes no
+/// lookup and runs no synthesis. A completed search is stored, with one
+/// artifact miss; one the budget cut short is not, since it was not
+/// exhausted and a later run with a larger budget must search again.
+fn search_cached(
+    ts: &TransitionSystem,
+    config: &ProverConfig,
+    caches: &mut Caches,
+    stats: &mut ProveStats,
+    budget: &SynthesisBudget,
+) -> Result<Option<NonTerminationCertificate>, TimedOut> {
+    let key = SearchKey::of(config);
+    if let Some(found) = caches.searches.get(&key) {
+        stats.artifact_cache_hits += 1;
+        return Ok(found.clone());
+    }
+    let found = match config.check {
+        CheckKind::Check1 => check1_cached(ts, config, caches, stats, budget),
+        CheckKind::Check2 => check2_cached(ts, config, caches, stats, budget),
+    }?;
+    stats.artifact_cache_misses += 1;
+    caches.searches.insert(key, found.clone());
+    Ok(found)
 }
 
 /// Proves non-termination of a transition system with a single configuration.

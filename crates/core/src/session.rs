@@ -6,31 +6,37 @@
 //! system (or on a small projection of the configuration), not on the full
 //! configuration: candidate resolutions, initial valuations, restricted and
 //! reversed systems, divergence-probe interpreter traces, the bounded
-//! exploration of the reachable configurations and the safety-query answers
-//! read from it, candidate atom pools and — dominating everything — the exact
-//! Farkas/Handelman entailment queries.  A [`ProverSession`] owns one
-//! transition system together with memo tables for all of those artifacts, so
-//! a configuration sweep pays for each artifact once instead of once per
-//! configuration.
+//! exploration of the reachable configurations, candidate atom pools and —
+//! dominating everything — the exact Farkas/Handelman entailment queries.  A
+//! [`ProverSession`] owns one transition system together with memo tables
+//! for all of those artifacts, so a configuration sweep pays for each
+//! artifact once instead of once per configuration.
 //!
 //! Every cache is a pure memo table: a sessioned run returns *bitwise
 //! identical* verdicts and certificates to fresh per-configuration runs, only
-//! faster.  The synthesized artifacts (Check 1's `I`, Check 2's `(Ĩ, Θ)` and
-//! each `BI`) are keyed on what the synthesis reads ([`SynthKey`], which
-//! leaves out the template's `d`) and memoized through one helper that never
-//! stores a synthesis the budget cut short.  Certificate validation splits in
-//! two halves (see [`crate::validate_certificate`]): the session memoizes the
-//! *evidence* — the Farkas/Handelman multipliers that discharge a
-//! certificate's obligations, read off the interval closure first and found
-//! with an LP for the rest — so a certificate met again skips finding them;
-//! the *exact check* of that evidence never goes through a cache, and it
-//! runs on every `NonTerminating` verdict.
+//! faster.  A whole search — Check 1's or Check 2's walk over its candidates
+//! — is memoized under what it reads of the configuration ([`SearchKey`]), so
+//! a configuration the session has already searched, or its strategy or `d`
+//! twin, is one lookup plus the exact check.  Below it, the synthesized
+//! artifacts (Check 1's `I`, Check 2's `(Ĩ, Θ)` and each `BI`) are keyed on
+//! what the synthesis reads ([`SynthKey`], which leaves out the template's
+//! `d`) and memoized through one helper that never stores a synthesis the
+//! budget cut short; they serve searches that share a synthesis but not a
+//! search, and a search retried after a budget cut.  Certificate validation
+//! splits in two halves (see [`crate::validate_certificate`]): the session
+//! memoizes the *evidence* — the Farkas/Handelman multipliers that discharge
+//! a certificate's obligations, read off the interval closure first and
+//! found with an LP for the rest — so a certificate met again skips finding
+//! them; the *exact check* of that evidence never goes through a cache, and
+//! it runs on every `NonTerminating` verdict.  Neither the search memo nor
+//! the evidence memo can supply a verdict, only a candidate to check.
 
 use crate::certificate::{
     check_evidence, generate_evidence, CertificateError, Evidence, EvidenceKey,
     NonTerminationCertificate,
 };
-use crate::config::ProverConfig;
+use crate::check1::synthesis_params;
+use crate::config::{CheckKind, ProverConfig};
 use crate::prover::{prove_cached, ProofResult, TimedOut};
 use crate::sweep::{ConfigOutcome, SweepReport};
 use revterm_invgen::{PoolCache, SampleSet, SynthesisOptions};
@@ -53,16 +59,18 @@ pub const NO_CONFIGS_LABEL: &str = "no-configs";
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProveStats {
     /// Candidates examined: `(resolution, initial configuration)` pairs for
-    /// Check 1, candidate resolutions for Check 2.
+    /// Check 1, candidate resolutions for Check 2.  0 when the session's
+    /// search memo supplied the candidate certificate (or its absence): a
+    /// configuration the session has already searched examines none.
     pub candidates_tried: usize,
-    /// Invariant-synthesis (Houdini) invocations.
+    /// Invariant-synthesis (Houdini) invocations; 0 on a search memo hit.
     pub synthesis_calls: usize,
     /// Entailment-oracle queries routed through the session memo (including
-    /// ones answered from it).  Certificate validation is not counted here:
-    /// its evidence comes from the session's evidence memo (counted as an
-    /// artifact) or is generated outside the entailment memo (the interval
-    /// closure first, a fresh LP for the rest), and its exact check needs no
-    /// oracle.
+    /// ones answered from it); 0 on a search memo hit.  Certificate
+    /// validation is not counted here: its evidence comes from the session's
+    /// evidence memo (counted as an artifact) or is generated outside the
+    /// entailment memo (the interval closure first, a fresh LP for the
+    /// rest), and its exact check needs no oracle.
     pub entailment_calls: u64,
     /// Entailment queries answered from the session memo table.
     pub entailment_cache_hits: u64,
@@ -70,11 +78,14 @@ pub struct ProveStats {
     pub probe_cache_hits: u64,
     /// Interpreter probe computations that had to run.
     pub probe_cache_misses: u64,
-    /// Derived artifacts (resolution lists, initial valuations, restricted
-    /// and reversed systems, the bounded exploration, `Ĩ`/`Θ`, `BI` with
-    /// its safety-query answer, certificate evidence) served from cache.
+    /// Derived artifacts (completed searches, resolution lists, initial
+    /// valuations, restricted and reversed systems, the bounded
+    /// exploration, `I`, `Ĩ`/`Θ`, `BI`, certificate evidence) served from
+    /// cache.  A search memo hit counts one, and the evidence of the
+    /// certificate it supplies one more.
     pub artifact_cache_hits: u64,
-    /// Derived artifacts that had to be computed.
+    /// Derived artifacts that had to be computed, a completed search among
+    /// them.
     pub artifact_cache_misses: u64,
     /// Probe batches skipped because the abstract-interpretation
     /// pre-analysis proved their outcome (Check 2 backward probes whose
@@ -144,10 +155,57 @@ impl SynthKey {
     }
 }
 
-/// A Check 2 backward invariant `BI` together with the answer to its safety
-/// query: the witness path into `¬BI` that the session's exploration yields,
-/// or `None`.
-pub(crate) type AnsweredInvariant = (PredicateMap, Option<Vec<Config>>);
+/// Memo key for a whole search, Check 1's or Check 2's walk over its
+/// candidates: what [`check1_cached`] and [`check2_cached`] read of a
+/// [`ProverConfig`]. The transition system is fixed by the session, and the
+/// result of a search is a pure function of the two, so a configuration
+/// with the key of a completed search is served its candidate certificate.
+/// Like [`SynthKey`], the key leaves out the template's `d` and holds the
+/// strategy only through its mapping of the template, so the strategy and
+/// `d` twins of a grid cell share one search.
+///
+/// [`check1_cached`]: crate::check1::check1_cached
+/// [`check2_cached`]: crate::check2::check2_cached
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SearchKey {
+    check: CheckKind,
+    synth: SynthKey,
+    max_resolutions: usize,
+    max_initial_configs: usize,
+    divergence_probe_steps: usize,
+}
+
+impl SearchKey {
+    /// The key of a search under `config`. Every field is named, so a new
+    /// configuration field must be placed in or out of the key on purpose.
+    pub(crate) fn of(config: &ProverConfig) -> SearchKey {
+        let ProverConfig {
+            check,
+            strategy,
+            params,
+            entailment,
+            max_resolutions,
+            max_initial_configs,
+            divergence_probe_steps,
+            // A budget bounds how far a search runs, not what it finds, and
+            // a search it cuts short is never memoized.
+            budget: _,
+        } = config;
+        SearchKey {
+            check: *check,
+            // What both checks hand every synthesis; the entailment options
+            // are also all that Check 1's blocked-transition test and Check
+            // 2's probe prune read.
+            synth: SynthKey {
+                pool: synthesis_params(*strategy, *params).pool_key(),
+                entailment: entailment.clone(),
+            },
+            max_resolutions: *max_resolutions,
+            max_initial_configs: *max_initial_configs,
+            divergence_probe_steps: *divergence_probe_steps,
+        }
+    }
+}
 
 /// A reversed restricted system `T^{r,Θ}_{R_NA}` with its atom-pool cache
 /// and memoized backward invariants.
@@ -155,12 +213,8 @@ pub(crate) struct ReversedEntry {
     pub system: TransitionSystem,
     pub pool: PoolCache,
     /// Check 2 backward invariants `BI` keyed by the backward-sample input
-    /// (the probe steps) plus the synthesis inputs, each with the answer to
-    /// its safety query. The key fixes every input of that query (the
-    /// session has one exploration), so a warm Check 2 cell neither
-    /// complements `BI` nor scans; the exact check replays the stored path
-    /// like any other.
-    pub invariants: HashMap<(usize, SynthKey), AnsweredInvariant>,
+    /// (the probe steps) plus the synthesis inputs.
+    pub invariants: HashMap<(usize, SynthKey), PredicateMap>,
 }
 
 impl ReversedEntry {
@@ -272,6 +326,10 @@ pub(crate) struct Caches {
     pub tilde: HashMap<SynthKey, (PredicateMap, Assertion)>,
     /// Restricted systems and their per-resolution artifacts.
     pub restricted: HashMap<Resolution, RestrictedEntry>,
+    /// Completed searches keyed by what they read of the configuration:
+    /// the candidate certificate each one found, or `None`.  It supplies
+    /// candidates, never a verdict: [`Caches::validate`] runs on every one.
+    pub searches: HashMap<SearchKey, Option<NonTerminationCertificate>>,
     /// Evidence of the certificates this session has validated, keyed by
     /// the certificate parts that fix their obligations.  It supplies
     /// multipliers, never a verdict: see [`Caches::validate`].
@@ -494,7 +552,6 @@ impl ProverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CheckKind;
     use crate::sweep::quick_sweep;
     use revterm_lang::parse_program;
 
@@ -570,48 +627,60 @@ mod tests {
 
     #[test]
     fn memoized_witness_supplies_a_path_but_never_a_verdict() {
-        let config = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
-        type Plant = dyn Fn(&PredicateMap, &mut Vec<Config>);
-        let fresh = |plant: &Plant| {
-            let mut session = ProverSession::from_source(FIG2_SMALL).unwrap();
-            assert!(session.prove(&config).is_non_terminating());
-            let mut witnesses: Vec<_> = session
-                .caches
-                .restricted
-                .values_mut()
-                .flat_map(|entry| entry.reversed.values_mut())
-                .flat_map(|reversed| reversed.invariants.values_mut())
-                .filter_map(|(bi, witness)| Some((&*bi, witness.as_mut()?)))
-                .collect();
-            assert_eq!(witnesses.len(), 1, "one BI answered its query with a path");
-            let (bi, path) = witnesses.pop().unwrap();
-            plant(bi, path);
-            let result = session.prove(&config);
+        let check2 = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
+        type Plant = dyn Fn(&TransitionSystem, &mut NonTerminationCertificate);
+        // Proves `config` on a fresh session, plants into the one candidate
+        // its search memo holds, and proves `config` again.
+        let replant = |source: &str, config: &ProverConfig, plant: &Plant| {
+            let mut session = ProverSession::from_source(source).unwrap();
+            assert!(session.prove(config).is_non_terminating());
+            let mut found: Vec<_> = session.caches.searches.values_mut().flatten().collect();
+            assert_eq!(found.len(), 1, "one search, and it found a candidate");
+            plant(&session.ts, found.pop().unwrap());
+            let result = session.prove(config);
             (result, session)
         };
-        // An untouched memo answers the query again: no synthesis, and the
-        // same outcome as a fresh prove, witness path included.
-        let (reused, session) = fresh(&|_, _| {});
+        // An untouched memo supplies the candidate again: no synthesis, and
+        // the same outcome as a fresh prove, witness path included.
+        let (reused, session) = replant(FIG2_SMALL, &check2, &|_, _| {});
         assert_eq!(reused.stats.synthesis_calls, 0, "stats: {:?}", reused.stats);
-        let cold = crate::prover::prove(session.ts(), &config);
+        let cold = crate::prover::prove(session.ts(), &check2);
         assert_eq!(
             crate::api::outcome_digest(&reused, session.ts()),
             crate::api::outcome_digest(&cold, session.ts()),
         );
-        // A wrong witness in the memo makes the next prove end Unknown: the
-        // exact check replays the path on every verdict.
-        let planted: [&Plant; 2] = [
-            &|_, path| {
-                path.remove(0);
-            },
-            &|bi, path| {
-                path.pop();
-                let last = path.last().expect("the path has more than one configuration");
-                assert!(bi.at(last.loc).holds_int(&last.vals.assignment()), "{last} is not in BI");
-            },
+        // A wrong witness path or initial valuation in the memoized candidate
+        // makes the next prove end Unknown: the exact check replays them on
+        // every verdict.
+        fn check2_of(candidate: &mut NonTerminationCertificate) -> &mut crate::Check2Certificate {
+            match candidate {
+                NonTerminationCertificate::Check2(c) => c,
+                NonTerminationCertificate::Check1(_) => panic!("a Check 1 candidate"),
+            }
+        }
+        let check1 = ProverConfig::default();
+        let planted: [(&str, &ProverConfig, &Plant); 3] = [
+            (FIG2_SMALL, &check2, &|_, candidate| {
+                check2_of(candidate).witness_path.remove(0);
+            }),
+            (FIG2_SMALL, &check2, &|_, candidate| {
+                let c = check2_of(candidate);
+                c.witness_path.pop();
+                let last = c.witness_path.last().expect("the path has more than one configuration");
+                let inside = c.backward_invariant.at(last.loc).holds_int(&last.vals.assignment());
+                assert!(inside, "{last} is not in BI");
+            }),
+            (RUNNING, &check1, &|ts, candidate| {
+                let NonTerminationCertificate::Check1(c) = candidate else {
+                    panic!("a Check 2 candidate")
+                };
+                c.initial = Valuation::from_i64s(&[5, 0]);
+                let outside = !c.invariant.at(ts.init_loc()).holds_int(&c.initial.assignment());
+                assert!(outside, "{:?} is in I(ℓ_init)", c.initial);
+            }),
         ];
-        for plant in planted {
-            let (result, _) = fresh(plant);
+        for (source, config, plant) in planted {
+            let (result, _) = replant(source, config, plant);
             assert!(matches!(result.verdict, crate::Verdict::Unknown), "{:?}", result.verdict);
         }
     }
@@ -640,7 +709,10 @@ mod tests {
             let case = format!("{} capped at {cap}", config.label());
             assert!(cut.timed_out(), "{case} was not cut");
             assert_eq!(cut.stats.synthesis_calls, cut_in, "{case}: {:?}", cut.stats);
+            // A cut search is not exhausted, so it is not memoized either.
+            assert!(session.caches.searches.is_empty(), "{case}");
             let after = session.prove(&config);
+            assert_eq!(session.caches.searches.len(), 1, "{case}");
             let digest = |result: &ProofResult| crate::api::outcome_digest(result, session.ts());
             assert_eq!(digest(&after), digest(&fresh), "{case}");
             // What the cut run synthesized before the cut is memoized; what
@@ -653,9 +725,10 @@ mod tests {
 
     #[test]
     fn a_d2_cell_reuses_every_synthesis_of_its_d1_twin() {
-        // Synthesis never reads the template's `d`, and no synthesis memo
-        // keys on it: whichever twin runs second on a session synthesizes
-        // nothing and still reaches a fresh prove's outcome.
+        // Synthesis never reads the template's `d`, and neither the search
+        // memo nor any synthesis memo keys on it: whichever twin runs second
+        // on a session synthesizes nothing and still reaches a fresh prove's
+        // outcome.
         let check1 = ProverConfig::builder().template(2, 1, 1).build();
         let check2 = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
         for (source, d1) in [(RUNNING, check1), (FIG2_SMALL, check2)] {
@@ -677,6 +750,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_search_memo_keys_on_every_field_a_search_reads() {
+        use crate::api::outcome_digest as digest;
+        use revterm_solver::LpEngine;
+        let base = ProverConfig::default();
+        let mut session = ProverSession::from_source(RUNNING).unwrap();
+        assert!(session.prove(&base).is_non_terminating());
+        // Each variant changes one field the search reads, so none may be
+        // served the base's search: each searches afresh and reaches a fresh
+        // prove's outcome.
+        let variants: [fn(&mut ProverConfig); 10] = [
+            |c| c.check = CheckKind::Check2,
+            |c| c.params.c = 3,
+            |c| c.params.degree = 2,
+            |c| c.entailment.interval_fast_path = false,
+            |c| c.entailment.max_product_size = 1,
+            |c| c.entailment.max_product_degree = 2,
+            |c| c.entailment.lp_engine = LpEngine::Dense,
+            |c| c.max_resolutions = 4,
+            |c| c.max_initial_configs = 2,
+            |c| c.divergence_probe_steps = 60,
+        ];
+        for (i, vary) in variants.iter().enumerate() {
+            let mut config = base.clone();
+            vary(&mut config);
+            let warm = session.prove(&config);
+            let case = format!("variant {i}: {config:?}");
+            assert_eq!(session.caches.searches.len(), i + 2, "{case}: a search memo hit");
+            let fresh = crate::prover::prove(session.ts(), &config);
+            assert_eq!(digest(&warm, session.ts()), digest(&fresh, session.ts()), "{case}");
+        }
+        // On the degree-1 grid only `c` and the check change a search: the
+        // strategy and `d` twins of the 6 cells that search are answered
+        // from the memo, with no candidate and no synthesis.
+        let mut session = ProverSession::from_source(RUNNING).unwrap();
+        let mut served = 0;
+        for config in crate::sweep::degree1_sweep() {
+            let warm = session.prove(&config);
+            if warm.stats.candidates_tried == 0 && warm.stats.synthesis_calls == 0 {
+                served += 1;
+            }
+            let fresh = crate::prover::prove(session.ts(), &config);
+            let label = config.label();
+            assert_eq!(digest(&warm, session.ts()), digest(&fresh, session.ts()), "{label}");
+        }
+        assert_eq!(served, 18);
+        assert_eq!(session.caches.searches.len(), 6);
     }
 
     #[test]
@@ -751,6 +873,7 @@ mod tests {
                 assert_eq!(entail.lookups, 0, "{case}");
                 assert!(resolutions.is_empty() && initials.is_empty(), "{case}");
                 assert!(reach.is_none() && restricted.is_empty() && evidence.is_empty(), "{case}");
+                assert!(session.caches.searches.is_empty(), "{case}");
             }
         }
         // A sweep whose deadline has passed records every cell as timed out.

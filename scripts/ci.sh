@@ -98,8 +98,9 @@ if $run_bench_smoke; then
     # on the packed hashing path, on a zero warm-start hit rate, on zero
     # absint engagement (no fast paths and no prunes taken) or on any
     # absint path taken while the pre-analysis is off. paper_fig2_small's
-    # grid has 12 Check 2 proofs, so the session's memoized safety-query
-    # answers (witness paths) are compared with fresh searches on every run.
+    # grid has 12 Check 2 proofs, 9 of them served whole by the session's
+    # search memo, so memoized witness paths are compared with fresh
+    # searches on every run.
     echo "==> profile smoke (num_profile 30)"
     mkdir -p target/ci-artifacts
     cargo run --locked --release -q -p revterm-bench --bin num_profile 30 \
