@@ -308,6 +308,7 @@ impl GridRun {
             ("entailment_calls", Json::from(agg.entailment_calls)),
             ("entailment_cache_hits", Json::from(agg.entailment_cache_hits)),
             ("probe_cache_hits", Json::from(agg.probe_cache_hits)),
+            ("probe_steps", Json::from(agg.probe_steps)),
             ("artifact_cache_hits", Json::from(agg.artifact_cache_hits)),
             ("lp_solves", Json::from(agg.lp.solves)),
             ("lp_pivots", Json::from(agg.lp.pivots)),
@@ -602,6 +603,7 @@ fn main() {
         ("session_warm_lookups", Json::from(lp_stats.warm_lookups)),
         ("session_warm_hits", Json::from(lp_stats.warm_hits)),
         ("session_warm_hit_rate", fixed(warm_hit_rate, 3)),
+        ("session_probe_steps", Json::from(running.session.stats().aggregate.probe_steps)),
         ("absint_analyze_secs", fixed(absint_analyze_secs, 6)),
         ("absint_fast_paths", Json::from(absint_fast_paths)),
         ("absint_prunes", Json::from(absint_prunes)),

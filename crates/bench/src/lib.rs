@@ -58,6 +58,7 @@
 //! | `session_warm_lookups` | solves that consulted the bases stored in the session's [`revterm_solver::EntailmentCache`] |
 //! | `session_warm_hits` | of those, resumed from a stored basis (exit 1 when zero) |
 //! | `session_warm_hit_rate` | `session_warm_hits / session_warm_lookups` |
+//! | `session_probe_steps` | interpreter steps of the sessioned sweep's probes ([`revterm::ProveStats::probe_steps`]): Check 1's divergence probes and Check 2's backward batches, which step each configuration they reach once |
 //! | `absint_analyze_secs` | seconds for the running example's interval fixpoint ([`revterm_absint::analyze`]) |
 //! | `absint_fast_paths` | entailment queries the sessioned sweep answered from the interval closure |
 //! | `absint_prunes` | probe batches the sessioned sweep skipped on the pre-analysis (exit 1 when both are zero) |
@@ -96,6 +97,7 @@
 //! | `entailment_calls` | entailment queries issued by the sessioned sweep |
 //! | `entailment_cache_hits` | of those, answered from [`revterm_solver::EntailmentCache`] |
 //! | `probe_cache_hits` | divergence-probe results reused across cells |
+//! | `probe_steps` | interpreter steps the sessioned sweep's probes made ([`revterm::ProveStats::probe_steps`]) |
 //! | `artifact_cache_hits` | searches/resolutions/initials/systems/invariants/evidence reused across cells; the search memo answers every cell that repeats another's search, which is each strategy and `d` twin |
 //! | `lp_solves` | LP solves issued by the sessioned sweep |
 //! | `lp_pivots` | simplex pivots across those solves |

@@ -108,13 +108,14 @@ fn exit_for(error: &Error) -> ExitCode {
 fn print_stats(result: &ProofResult) {
     let s = &result.stats;
     println!(
-        "stats: {} candidates, {} synthesis calls, {} entailment calls ({} cached), {} artifact / {} probe cache hits, {} absint fast paths, {} absint prunes, {} LP solves ({} re-solved over bignums), {} pivots, {} of {} warm lookups hit",
+        "stats: {} candidates, {} synthesis calls, {} entailment calls ({} cached), {} artifact / {} probe cache hits, {} probe steps, {} absint fast paths, {} absint prunes, {} LP solves ({} re-solved over bignums), {} pivots, {} of {} warm lookups hit",
         s.candidates_tried,
         s.synthesis_calls,
         s.entailment_calls,
         s.entailment_cache_hits,
         s.artifact_cache_hits,
         s.probe_cache_hits,
+        s.probe_steps,
         s.lp.absint_fast_paths,
         s.absint_prunes,
         s.lp.solves,

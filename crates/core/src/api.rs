@@ -310,6 +310,7 @@ pub fn stats_to_json(stats: &ProveStats) -> Json {
         ("entailment_cache_hits", Json::from(stats.entailment_cache_hits)),
         ("probe_cache_hits", Json::from(stats.probe_cache_hits)),
         ("probe_cache_misses", Json::from(stats.probe_cache_misses)),
+        ("probe_steps", Json::from(stats.probe_steps)),
         ("artifact_cache_hits", Json::from(stats.artifact_cache_hits)),
         ("artifact_cache_misses", Json::from(stats.artifact_cache_misses)),
         ("absint_prunes", Json::from(stats.absint_prunes)),
@@ -328,8 +329,8 @@ pub fn stats_to_json(stats: &ProveStats) -> Json {
     ])
 }
 
-/// Deserializes [`stats_to_json`]. `lp.bignum_solves` is optional (0 when
-/// absent): servers from before it send none.
+/// Deserializes [`stats_to_json`]. `probe_steps` and `lp.bignum_solves`
+/// are optional (0 when absent): servers from before them send none.
 pub fn stats_from_json(value: &Json) -> Result<ProveStats, Error> {
     let obj = value.as_obj_or("stats")?;
     let lp = obj.obj_field("lp")?;
@@ -340,6 +341,7 @@ pub fn stats_from_json(value: &Json) -> Result<ProveStats, Error> {
         entailment_cache_hits: obj.u64_field("entailment_cache_hits")?,
         probe_cache_hits: obj.u64_field("probe_cache_hits")?,
         probe_cache_misses: obj.u64_field("probe_cache_misses")?,
+        probe_steps: obj.opt_u64_field("probe_steps")?.unwrap_or(0),
         artifact_cache_hits: obj.u64_field("artifact_cache_hits")?,
         artifact_cache_misses: obj.u64_field("artifact_cache_misses")?,
         absint_prunes: obj.u64_field("absint_prunes")?,
@@ -1017,6 +1019,7 @@ mod tests {
             entailment_cache_hits: 57,
             probe_cache_hits: 9,
             probe_cache_misses: 4,
+            probe_steps: 4321,
             artifact_cache_hits: 8,
             artifact_cache_misses: 6,
             absint_prunes: 1,
@@ -1028,6 +1031,14 @@ mod tests {
         stats.lp.warm_hits = 11;
         stats.lp.bignum_solves = 2;
         assert_eq!(stats_from_json(&stats_to_json(&stats)).unwrap(), stats);
+    }
+
+    #[test]
+    fn stats_from_an_older_server_read_without_probe_steps() {
+        let stats = ProveStats { probe_cache_misses: 2, ..Default::default() };
+        let text = stats_to_json(&stats).to_string().replace("\"probe_steps\":0,", "");
+        assert!(!text.contains("probe_steps"), "{text}");
+        assert_eq!(stats_from_json(&json::parse_json(&text).unwrap()).unwrap(), stats);
     }
 
     #[test]

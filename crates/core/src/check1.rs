@@ -150,12 +150,15 @@ pub(crate) fn check1_cached(
                 &mut stats.probe_cache_misses,
                 || {
                     let start = Config::new(restricted_system.init_loc(), initial.clone());
-                    run(
+                    let trace = run(
                         restricted_system,
                         &start,
                         &|_, _| revterm_num::Int::zero(),
                         config.divergence_probe_steps,
-                    )
+                    );
+                    // The `interp::step` calls `run` made.
+                    stats.probe_steps += trace.len().min(config.divergence_probe_steps) as u64;
+                    trace
                 },
             );
             let reached_terminal =

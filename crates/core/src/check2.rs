@@ -20,7 +20,7 @@ use crate::session::{
 };
 use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisBudget};
 use revterm_safety::{explore, find_path_in, SearchBounds};
-use revterm_ts::interp::{run, Config, Reach};
+use revterm_ts::interp::{is_terminal, Batch, Config, Reach};
 use revterm_ts::{Assertion, TransitionSystem};
 
 /// Check 2 with every derived artifact served from (and recorded into) the
@@ -118,24 +118,12 @@ pub(crate) fn check2_cached(
                         return (false, SampleSet::new());
                     }
                 }
-                let mut samples = SampleSet::new();
-                let mut any_terminating = false;
-                for cfg in fwd.ascending().take(400) {
-                    let start = Config::new(cfg.loc, cfg.vals.clone());
-                    let trace = run(
-                        restricted_system,
-                        &start,
-                        &|_, _| revterm_num::Int::zero(),
-                        config.divergence_probe_steps,
-                    );
-                    if trace.last().is_some_and(|c| c.loc == restricted_system.terminal_loc()) {
-                        any_terminating = true;
-                        for visited in trace {
-                            samples.add(visited.loc, visited.vals);
-                        }
-                    }
-                }
-                (any_terminating, samples)
+                backward_probes(
+                    restricted_system,
+                    fwd.ascending().take(400),
+                    config.divergence_probe_steps,
+                    &mut stats.probe_steps,
+                )
             },
         );
         if !*any_terminating_probe {
@@ -179,4 +167,108 @@ pub(crate) fn check2_cached(
         }
     }
     Ok(None)
+}
+
+/// Check 2's backward samples under one restricted system: whether the
+/// concrete run of at most `max_steps` steps from any of `starts` reaches
+/// `ℓ_out`, and every configuration of the runs that do, run by run and in
+/// order. The runs share one [`Batch`], which steps each configuration they
+/// reach once and yields each run exactly as `interp::run` returns it, so
+/// the samples are those of one `run` per start. Adds the batch's
+/// `interp::step` calls to `probe_steps`.
+pub(crate) fn backward_probes<'c>(
+    restricted: &TransitionSystem,
+    starts: impl IntoIterator<Item = &'c Config>,
+    max_steps: usize,
+    probe_steps: &mut u64,
+) -> (bool, SampleSet) {
+    let zero = |_: usize, _: &Config| revterm_num::Int::zero();
+    let mut batch = Batch::new(restricted, &zero, max_steps);
+    let mut samples = SampleSet::new();
+    let mut any_terminating = false;
+    for start in starts {
+        let trace = batch.run(start);
+        if trace.clone().next_back().is_some_and(|c| is_terminal(restricted, c)) {
+            any_terminating = true;
+            for visited in trace {
+                samples.add(visited.loc, visited.vals.clone());
+            }
+        }
+    }
+    *probe_steps += batch.steps();
+    (any_terminating, samples)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CheckKind;
+    use crate::prover::prove_cached;
+    use crate::session::Caches;
+    use crate::sweep::degree1_sweep;
+    use revterm_ts::interp::run;
+
+    /// What the backward batch replaced: one `run` per start, and the whole
+    /// trace of each run that ends at `ℓ_out` appended in order.
+    fn per_start_samples(
+        restricted: &TransitionSystem,
+        starts: &[&Config],
+        max_steps: usize,
+    ) -> (bool, SampleSet) {
+        let mut samples = SampleSet::new();
+        let mut any_terminating = false;
+        for start in starts {
+            let trace = run(restricted, start, &|_, _| revterm_num::Int::zero(), max_steps);
+            if trace.last().is_some_and(|c| c.loc == restricted.terminal_loc()) {
+                any_terminating = true;
+                for visited in trace {
+                    samples.add(visited.loc, visited.vals);
+                }
+            }
+        }
+        (any_terminating, samples)
+    }
+
+    #[test]
+    fn backward_batches_sample_what_one_run_per_start_samples() {
+        let grid: Vec<ProverConfig> =
+            degree1_sweep().into_iter().filter(|c| c.check == CheckKind::Check2).collect();
+        let max_steps = ProverConfig::default().divergence_probe_steps;
+        assert!(grid.iter().all(|c| c.divergence_probe_steps == max_steps));
+        let mut batches = 0;
+        // `nt_square_growth` squares a bignum on every step of every probe.
+        for bench in
+            revterm_suite::curated_benchmarks().into_iter().filter(|b| b.name != "nt_square_growth")
+        {
+            // The restricted systems the grid's Check 2 cells build, each
+            // with the batch it memoized (or the prune's empty result).
+            // Not every candidate resolution: under `y := x`,
+            // `nt_ndet_reset` squares `x` on every iteration, and no cell
+            // gets that far.
+            let ts = bench.transition_system();
+            let mut caches = Caches::default();
+            for config in &grid {
+                prove_cached(&ts, config, &mut caches);
+            }
+            let starts: Vec<&Config> =
+                caches.reach.iter().flat_map(|r| r.ascending().take(400)).collect();
+            for (resolution, entry) in &caches.restricted {
+                let Some(memoized) = entry.backward.get(&max_steps) else { continue };
+                let mut probe_steps = 0;
+                let batch = backward_probes(
+                    &entry.system,
+                    starts.iter().copied(),
+                    max_steps,
+                    &mut probe_steps,
+                );
+                let per_start = per_start_samples(&entry.system, &starts, max_steps);
+                let case = format!("{} under {resolution:?}", bench.name);
+                assert_eq!(batch, per_start, "{case}");
+                assert_eq!(memoized, &per_start, "{case}");
+                batches += 1;
+            }
+        }
+        // 70 at this writing: every batch of a `suite_deg1` pass.
+        assert!(batches >= 60, "{batches} batches");
+    }
 }

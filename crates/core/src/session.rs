@@ -78,6 +78,11 @@ pub struct ProveStats {
     pub probe_cache_hits: u64,
     /// Interpreter probe computations that had to run.
     pub probe_cache_misses: u64,
+    /// Interpreter steps (`revterm_ts::interp::step` calls) those probe
+    /// computations made: Check 1's divergence probes, and Check 2's
+    /// backward-probe batches, which step each configuration they reach
+    /// once. 0 when the probe memo served every probe.
+    pub probe_steps: u64,
     /// Derived artifacts (completed searches, resolution lists, initial
     /// valuations, restricted and reversed systems, the bounded
     /// exploration, `I`, `Ĩ`/`Θ`, `BI`, certificate evidence) served from
@@ -107,6 +112,7 @@ impl ProveStats {
         self.entailment_cache_hits += other.entailment_cache_hits;
         self.probe_cache_hits += other.probe_cache_hits;
         self.probe_cache_misses += other.probe_cache_misses;
+        self.probe_steps += other.probe_steps;
         self.artifact_cache_hits += other.artifact_cache_hits;
         self.artifact_cache_misses += other.artifact_cache_misses;
         self.absint_prunes += other.absint_prunes;

@@ -60,7 +60,7 @@ impl TemplateParams {
 /// valuation known (by concrete execution) to be contained in the set the
 /// invariant must over-approximate immediately falsifies candidate atoms it
 /// violates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SampleSet {
     samples: BTreeMap<Loc, Vec<Valuation>>,
 }

@@ -13,7 +13,7 @@ use crate::assertion::Assertion;
 use crate::system::{Loc, Transition, TransitionKind, TransitionSystem};
 use revterm_num::Int;
 use revterm_poly::Var;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A valuation of the program variables (by index).
@@ -158,40 +158,66 @@ pub fn successors(
 ) -> Vec<(usize, Config)> {
     let mut out = Vec::new();
     for t in ts.transitions_from(config.loc) {
-        successors_via(ts, config, t, ndet_values, &mut out);
+        match &t.kind {
+            TransitionKind::NdetAssign { var } => {
+                if guard_holds(ts, &t.relation, &config.vals) {
+                    for value in ndet_values {
+                        let vals = config.vals.with(*var, value.clone());
+                        out.push((t.id, Config::new(t.target, vals)));
+                    }
+                }
+            }
+            _ => {
+                let succ = successor_via(ts, config, t, || unreachable!("not an ndet assignment"));
+                out.extend(succ.map(|c| (t.id, c)));
+            }
+        }
     }
     out
 }
 
-fn successors_via(
+/// The successor of `config` along `t`, or `None` when `t` is not enabled
+/// there: its guard fails, its right-hand side is undefined, or it is
+/// [`TransitionKind::General`]. A non-deterministic assignment assigns
+/// `ndet()`, which is called only once the guard holds.
+fn successor_via(
     ts: &TransitionSystem,
     config: &Config,
     t: &Transition,
-    ndet_values: &[Int],
-    out: &mut Vec<(usize, Config)>,
-) {
-    match &t.kind {
-        TransitionKind::Guard | TransitionKind::TerminalSelfLoop => {
-            if guard_holds(ts, &t.relation, &config.vals) {
-                out.push((t.id, Config::new(t.target, config.vals.clone())));
-            }
-        }
+    ndet: impl FnOnce() -> Int,
+) -> Option<Config> {
+    let vals = match &t.kind {
+        TransitionKind::General => return None,
+        _ if !guard_holds(ts, &t.relation, &config.vals) => return None,
+        TransitionKind::Guard | TransitionKind::TerminalSelfLoop => config.vals.clone(),
         TransitionKind::Assign { var, rhs } => {
-            if guard_holds(ts, &t.relation, &config.vals) {
-                if let Some(value) = rhs.eval_int(&config.vals.assignment()) {
-                    out.push((t.id, Config::new(t.target, config.vals.with(*var, value))));
-                }
-            }
+            config.vals.with(*var, rhs.eval_int(&config.vals.assignment())?)
         }
-        TransitionKind::NdetAssign { var } => {
-            if guard_holds(ts, &t.relation, &config.vals) {
-                for value in ndet_values {
-                    out.push((t.id, Config::new(t.target, config.vals.with(*var, value.clone()))));
-                }
-            }
-        }
-        TransitionKind::General => {}
+        TransitionKind::NdetAssign { var } => config.vals.with(*var, ndet()),
+    };
+    Some(Config::new(t.target, vals))
+}
+
+/// One step of [`run`]: the successor of `config` along the first transition
+/// out of its location, in the system's order, that is enabled there, with a
+/// non-deterministic assignment assigning `chooser(transition id, config)`.
+/// `None` when `config` is terminal (the terminal self-loop is not unrolled)
+/// or no transition is enabled.
+///
+/// The step is deterministic: for a `chooser` that is a function of its
+/// arguments, the successor is a function of `config` alone. A restricted
+/// system has no non-deterministic assignment left, so there it does not
+/// depend on the chooser at all. [`Batch`] relies on this.
+pub fn step(
+    ts: &TransitionSystem,
+    config: &Config,
+    chooser: &dyn Fn(usize, &Config) -> Int,
+) -> Option<Config> {
+    if is_terminal(ts, config) {
+        return None;
     }
+    ts.transitions_from(config.loc)
+        .find_map(|t| successor_via(ts, config, t, || chooser(t.id, config)))
 }
 
 /// Runs the system for at most `max_steps` steps from `config`, resolving
@@ -200,6 +226,12 @@ fn successors_via(
 /// with `config`.  The run stops early if a configuration has no successor
 /// under the chooser or when the terminal location is reached (the terminal
 /// self-loop is not unrolled).
+///
+/// The run is [`step`] in a loop: it leaves each configuration of the trace
+/// but the last by one [`step`] call, and makes one more call at the last
+/// unless `max_steps` stopped it, so `trace.len().min(max_steps)` calls in
+/// all. Since each step is deterministic, the run is a function of its
+/// start and `max_steps`.
 pub fn run(
     ts: &TransitionSystem,
     config: &Config,
@@ -207,32 +239,105 @@ pub fn run(
     max_steps: usize,
 ) -> Vec<Config> {
     let mut trace = vec![config.clone()];
-    for _ in 0..max_steps {
+    while trace.len() <= max_steps {
         // The tail of the trace *is* the current configuration; working on a
         // borrow avoids cloning every visited valuation a second time.
-        let current = trace.last().expect("trace is never empty");
-        if is_terminal(ts, current) {
-            break;
-        }
-        let mut next = None;
-        for t in ts.transitions_from(current.loc) {
-            let candidates = match &t.kind {
-                TransitionKind::NdetAssign { .. } => vec![chooser(t.id, current)],
-                _ => Vec::new(),
-            };
-            let mut found = Vec::new();
-            successors_via(ts, current, t, &candidates, &mut found);
-            if let Some((_, cfg)) = found.into_iter().next() {
-                next = Some(cfg);
-                break;
-            }
-        }
-        match next {
-            Some(cfg) => trace.push(cfg),
+        match step(ts, trace.last().expect("trace is never empty"), chooser) {
+            Some(next) => trace.push(next),
             None => break,
         }
     }
     trace
+}
+
+/// [`run`] from many starts in one system, stepping each configuration once.
+///
+/// Runs from different starts often meet: a start that lies on an earlier
+/// run's path repeats the rest of it. Because [`step`] is deterministic, the
+/// batch interns every configuration its runs reach, calls [`step`] on each
+/// one the first time a run leaves it, and walks every later run along the
+/// stored successors. Each run still takes at most `max_steps` steps from
+/// its own start, so [`Batch::run`] yields exactly the configurations
+/// [`run`] returns, in order; only the [`step`] calls are shared. The
+/// batch holds every configuration it reached until it is dropped.
+pub struct Batch<'a> {
+    ts: &'a TransitionSystem,
+    chooser: &'a dyn Fn(usize, &Config) -> Int,
+    max_steps: usize,
+    /// The configurations reached so far, each interned once.
+    configs: Vec<Config>,
+    ids: HashMap<Config, usize>,
+    /// `next[i]` is `None` until `configs[i]` is stepped, then the index of
+    /// its successor, if it has one.
+    next: Vec<Option<Option<usize>>>,
+    /// The indices of the last run's configurations.
+    path: Vec<usize>,
+    steps: u64,
+}
+
+impl<'a> Batch<'a> {
+    /// An empty batch of runs of `ts` of at most `max_steps` steps each,
+    /// resolving non-determinism with `chooser`, as [`run`] does.
+    pub fn new(
+        ts: &'a TransitionSystem,
+        chooser: &'a dyn Fn(usize, &Config) -> Int,
+        max_steps: usize,
+    ) -> Batch<'a> {
+        Batch {
+            ts,
+            chooser,
+            max_steps,
+            configs: Vec::new(),
+            ids: HashMap::new(),
+            next: Vec::new(),
+            path: Vec::new(),
+            steps: 0,
+        }
+    }
+
+    /// The configurations `run(ts, start, chooser, max_steps)` visits, in
+    /// order, stepping only the ones no earlier run of the batch has left.
+    pub fn run(&mut self, start: &Config) -> impl DoubleEndedIterator<Item = &Config> + Clone + '_ {
+        self.path.clear();
+        let mut current = match self.ids.get(start) {
+            Some(&id) => id,
+            None => self.intern(start.clone()),
+        };
+        self.path.push(current);
+        while self.path.len() <= self.max_steps {
+            let next = match self.next[current] {
+                Some(next) => next,
+                None => {
+                    self.steps += 1;
+                    let next = step(self.ts, &self.configs[current], self.chooser);
+                    let next = next.map(|config| self.intern(config));
+                    self.next[current] = Some(next);
+                    next
+                }
+            };
+            let Some(next) = next else { break };
+            self.path.push(next);
+            current = next;
+        }
+        let configs = &self.configs;
+        self.path.iter().map(move |&id| &configs[id])
+    }
+
+    /// The [`step`] calls the batch's runs have made: one per configuration
+    /// a run left.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// The index of `config`, which is added if the batch has not reached it.
+    fn intern(&mut self, config: Config) -> usize {
+        let Batch { configs, ids, next, .. } = self;
+        *ids.entry(config).or_insert_with_key(|config| {
+            configs.push(config.clone());
+            next.push(None);
+            configs.len() - 1
+        })
+    }
 }
 
 /// The configurations a bounded breadth-first exploration discovered (see
@@ -399,6 +504,43 @@ mod tests {
         let trace = run(&ts, &init, &|_, _| int(9), 50);
         assert!(is_terminal(&ts, trace.last().unwrap()));
         assert_eq!(trace.len(), 2);
+    }
+
+    #[test]
+    fn a_batch_run_is_the_run_from_its_start_whatever_ran_before_it() {
+        // A counter loop: the run from x = 0 passes x = 5 at the loop head
+        // on its way to ℓ_out.
+        let ts = lower(&parse_program("while x <= 10 do x := x + 1; od").unwrap()).unwrap();
+        let zero = |_: usize, _: &Config| int(0);
+        let far = Config::new(ts.init_loc(), Valuation::from_i64s(&[0]));
+        let near = Config::new(ts.init_loc(), Valuation::from_i64s(&[5]));
+        let to_out = |start: &Config| {
+            let trace = run(&ts, start, &zero, 1000);
+            assert!(is_terminal(&ts, trace.last().unwrap()), "{start}");
+            trace
+        };
+        assert!(to_out(&far).contains(&near));
+        let (d_far, d_near) = (to_out(&far).len() - 1, to_out(&near).len() - 1);
+        // A bound between the two distances: within it the run from `near`
+        // reaches ℓ_out and the run from `far`, which walks through `near`,
+        // does not.
+        let max_steps = (d_near + d_far) / 2;
+        assert!(d_near <= max_steps && max_steps < d_far);
+        for order in [[&far, &near], [&near, &far]] {
+            let mut batch = Batch::new(&ts, &zero, max_steps);
+            let mut left = HashSet::new();
+            for start in order {
+                let want = run(&ts, start, &zero, max_steps);
+                // `run` left the first `min(len, max_steps)` configurations.
+                left.extend(want.iter().take(want.len().min(max_steps)).cloned());
+                let got: Vec<Config> = batch.run(start).cloned().collect();
+                assert_eq!(got, want, "from {start} after {order:?}");
+            }
+            assert!(is_terminal(&ts, batch.run(&near).last().unwrap()));
+            assert!(!is_terminal(&ts, batch.run(&far).last().unwrap()));
+            // Each configuration a run left was stepped once.
+            assert_eq!(batch.steps(), left.len() as u64, "{order:?}");
+        }
     }
 
     #[test]

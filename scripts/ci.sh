@@ -115,11 +115,15 @@ if $run_bench_smoke; then
     # pivots, and only the pivot count shows it. The degree-2 pins do the
     # same for the running example's degree-2 cells, whose larger Handelman
     # LPs are the ones that leave the simplex kernel's i64 words for Int.
-    echo "==> pinned digests and LP work (num_profile 30)"
+    # The probe-step pin counts the interpreter steps of the degree-1
+    # sweep's probes: 322 for Check 1's divergence probes and 2 940 for
+    # Check 2's four backward batches, which step each configuration once
+    # (one run per start would take 73 200 steps there).
+    echo "==> pinned digests, LP work and probe steps (num_profile 30)"
     for pin in '"lp_digest":"d26722705ffbc1e8"' '"verdict_digest":"46d3736ca3d67731"' \
         '"session_lp_solves":887' '"session_lp_pivots":1745' '"session_warm_hits":2' \
         '"degree2_lp_solves":3059' '"degree2_lp_pivots":55087' '"degree2_warm_hits":352' \
-        '"degree2_verdict_digest":"46d3736ca3d67731"'; do
+        '"degree2_verdict_digest":"46d3736ca3d67731"' '"session_probe_steps":3262'; do
         # A pin must end where its JSON value ends: 887 must not pass as 8870.
         if ! grep -qE "$pin[,}]" target/ci-artifacts/num-profile.json; then
             echo "FAIL: num_profile 30 did not print the pinned $pin" >&2
