@@ -93,12 +93,12 @@
 //! | `speedup` | `fresh_secs / session_secs` |
 //! | `verdicts_match` | per-cell agreement of fresh and sessioned [`revterm::api::outcome_digest`]s — label, verdict and certificate, Check 2's witness path included (exit 1 when false) |
 //! | `fresh_synthesis_calls` | Houdini syntheses the fresh per-configuration `prove` calls ran, summed over the grid |
-//! | `synthesis_calls` | Houdini syntheses the sessioned sweep ran. The session memoizes each one under the pool key `(c, degree)` and the entailment options, so a cell that repeats another cell's synthesis inputs runs none of its own: every `d = 2` cell repeats its `d = 1` twin's |
+//! | `synthesis_calls` | Houdini syntheses the sessioned sweep ran. No synthesis is memoized on its own, but the session memoizes each completed search under, among its other inputs, the pool key `(c, degree)` of the strategy-mapped template, so a cell that repeats another cell's search runs no synthesis: each strategy and `d` twin |
 //! | `entailment_calls` | entailment queries issued by the sessioned sweep |
 //! | `entailment_cache_hits` | of those, answered from [`revterm_solver::EntailmentCache`] |
 //! | `probe_cache_hits` | divergence-probe results reused across cells |
 //! | `probe_steps` | interpreter steps the sessioned sweep's probes made ([`revterm::ProveStats::probe_steps`]) |
-//! | `artifact_cache_hits` | searches/resolutions/initials/systems/invariants/evidence reused across cells; the search memo answers every cell that repeats another's search, which is each strategy and `d` twin |
+//! | `artifact_cache_hits` | searches/resolutions/initials/systems/evidence reused across cells; the search memo answers every cell that repeats another's search, which is each strategy and `d` twin |
 //! | `lp_solves` | LP solves issued by the sessioned sweep |
 //! | `lp_pivots` | simplex pivots across those solves |
 //! | `lp_refactorizations` | warm-start basis refactorizations |

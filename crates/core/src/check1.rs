@@ -8,7 +8,7 @@
 use crate::certificate::{Check1Certificate, NonTerminationCertificate};
 use crate::config::{ProverConfig, Strategy};
 use crate::prover::TimedOut;
-use crate::session::{memo, memo_synthesis, Caches, ProveStats, RestrictedEntry, SynthKey};
+use crate::session::{memo, Caches, ProveStats, RestrictedEntry};
 use revterm_invgen::{
     synthesize_invariant, SampleSet, SynthesisBudget, SynthesisOptions, TemplateParams,
 };
@@ -101,11 +101,12 @@ pub(crate) fn synthesis_options(
 /// resolution, divergence-probe traces per `(resolution, initial)` pair, and
 /// memoized entailment queries.
 ///
-/// The budget is polled at candidate boundaries and before every entailment
-/// lookup, in each synthesis and in the blocked-transition test;
-/// `Err(TimedOut)` aborts the search *between* memoized computations (a
-/// synthesis it cuts short is not memoized), so every cache entry the call
-/// leaves behind is complete.
+/// Each `I` is synthesized where it is used and memoized nowhere but in the
+/// certificate the search returns.  The budget is polled at candidate
+/// boundaries and before every entailment lookup, in each synthesis and in
+/// the blocked-transition test; `Err(TimedOut)` aborts the search *between*
+/// memoized computations (the synthesis it cuts short is dropped), so every
+/// cache entry the call leaves behind is complete.
 pub(crate) fn check1_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
@@ -132,7 +133,7 @@ pub(crate) fn check1_cached(
             &mut stats.artifact_cache_misses,
             || RestrictedEntry::new(ts.restrict(&resolution)),
         );
-        let RestrictedEntry { system: restricted_system, pool, probes, invariants, .. } = entry;
+        let RestrictedEntry { system: restricted_system, pool, probes, .. } = entry;
         let restricted_system = &*restricted_system;
         for initial in initials.iter().take(config.max_initial_configs) {
             if budget.exhausted(entail.lookups) {
@@ -171,23 +172,17 @@ pub(crate) fn check1_cached(
             }
             syntheses_left -= 1;
 
+            // Samples: everything the probe visited belongs to the set the
+            // invariant must contain.
+            let mut samples = SampleSet::new();
+            for cfg in trace.iter() {
+                samples.add(cfg.loc, cfg.vals.clone());
+            }
             let options = synthesis_options(config, Some(restricted_system.terminal_loc()), false);
-            // The synthesized invariant is a pure function of the restricted
-            // system, the probe trace (which seeds the samples) and the
-            // synthesis inputs — all captured by this key — so it can be
-            // shared across configurations that agree on them.
-            let synth_key =
-                ((initial.clone(), config.divergence_probe_steps), SynthKey::of(&options));
-            let invariant = memo_synthesis(invariants, synth_key, stats, || {
-                // Samples: everything the probe visited belongs to the set
-                // the invariant must contain.
-                let mut samples = SampleSet::new();
-                for cfg in trace.iter() {
-                    samples.add(cfg.loc, cfg.vals.clone());
-                }
+            stats.synthesis_calls += 1;
+            let invariant =
                 synthesize_invariant(restricted_system, &samples, &options, pool, entail, budget)
-            })?
-            .clone();
+                    .ok_or(TimedOut)?;
 
             // Success condition: every transition into ℓ_out is blocked.
             // A closure contradiction is a Farkas derivation of `-1 ≥ 0`

@@ -15,24 +15,23 @@ use crate::certificate::{Check2Certificate, NonTerminationCertificate};
 use crate::check1::synthesis_options;
 use crate::config::ProverConfig;
 use crate::prover::TimedOut;
-use crate::session::{
-    memo, memo_synthesis, Caches, ProveStats, RestrictedEntry, ReversedEntry, SynthKey,
-};
-use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisBudget};
+use crate::session::{memo, Caches, ProveStats, RestrictedEntry};
+use revterm_invgen::{synthesize_invariant, PoolCache, SampleSet, SynthesisBudget};
 use revterm_safety::{explore, find_path_in, SearchBounds};
 use revterm_ts::interp::{is_terminal, Batch, Config, Reach};
 use revterm_ts::{Assertion, TransitionSystem};
 
 /// Check 2 with every derived artifact served from (and recorded into) the
-/// session caches: the one bounded exploration of `T`, the `(Ĩ, Θ)` pair
-/// per effective synthesis inputs, restricted and reversed systems (with
-/// their atom pools) per resolution, backward-probe sample sets, each `BI`,
-/// and memoized entailment queries.
+/// session caches: the one bounded exploration of `T`, restricted and
+/// reversed systems (with their atom pools) per resolution, backward-probe
+/// sample sets, and memoized entailment queries.  `Ĩ` and each `BI` are
+/// synthesized where they are used and memoized nowhere but in the
+/// certificate the search returns.
 ///
 /// The budget is polled at candidate-resolution boundaries and, inside each
 /// synthesis, before every entailment lookup (every lookup of Check 2 is a
 /// synthesis's); `Err(TimedOut)` aborts the search *between* memoized
-/// computations (a synthesis it cuts short is not memoized), so every cache
+/// computations (the synthesis it cuts short is dropped), so every cache
 /// entry the call leaves behind is complete.
 pub(crate) fn check2_cached(
     ts: &TransitionSystem,
@@ -42,7 +41,7 @@ pub(crate) fn check2_cached(
     budget: &SynthesisBudget,
 ) -> Result<Option<NonTerminationCertificate>, TimedOut> {
     let resolutions = caches.resolutions_for(ts, config, stats);
-    let Caches { entail, base_pool, reach, tilde, restricted, .. } = caches;
+    let Caches { entail, base_pool, reach, restricted, .. } = caches;
 
     // Step 1: a conjunctive invariant Ĩ of the full system, seeded with
     // concretely reachable samples. The same exploration answers every
@@ -56,20 +55,17 @@ pub(crate) fn check2_cached(
 
     // `Ĩ` and every `BI` are synthesized with the same options.
     let options = synthesis_options(config, None, true);
-    let synth_key = SynthKey::of(&options);
-    let (tilde_map, theta) = memo_synthesis(tilde, synth_key.clone(), stats, || {
-        let mut sample_set = SampleSet::new();
-        for cfg in fwd.ascending() {
-            sample_set.add(cfg.loc, cfg.vals.clone());
-        }
-        let map = synthesize_invariant(ts, &sample_set, &options, base_pool, entail, budget)?;
-        let theta: Assertion = match map.at(ts.terminal_loc()).disjuncts() {
-            [single] => single.clone(),
-            _ => Assertion::tautology(),
-        };
-        Some((map, theta))
-    })?
-    .clone();
+    let mut sample_set = SampleSet::new();
+    for cfg in fwd.ascending() {
+        sample_set.add(cfg.loc, cfg.vals.clone());
+    }
+    stats.synthesis_calls += 1;
+    let tilde_map = synthesize_invariant(ts, &sample_set, &options, base_pool, entail, budget)
+        .ok_or(TimedOut)?;
+    let theta: Assertion = match tilde_map.at(ts.terminal_loc()).disjuncts() {
+        [single] => single.clone(),
+        _ => Assertion::tautology(),
+    };
 
     // Step 2: per candidate resolution, synthesize a backward invariant of
     // the reversed restricted system and query reachability of its complement.
@@ -133,27 +129,23 @@ pub(crate) fn check2_cached(
         }
         syntheses_left -= 1;
 
-        let ReversedEntry { system: reversed_system, pool: reversed_pool, invariants } = memo(
+        let (reversed_system, reversed_pool) = memo(
             reversed,
             theta.clone(),
             &mut stats.artifact_cache_hits,
             &mut stats.artifact_cache_misses,
-            || ReversedEntry::new(restricted_system.reverse(theta.clone())),
+            || (restricted_system.reverse(theta.clone()), PoolCache::new()),
         );
-        // `BI` is a pure function of the reversed system, the backward
-        // samples (determined by the probe steps) and the synthesis inputs,
-        // so it can be shared across configurations.
-        let bi_key = (config.divergence_probe_steps, synth_key.clone());
-        let bi = memo_synthesis(invariants, bi_key, stats, || {
-            synthesize_invariant(
-                reversed_system,
-                backward_samples,
-                &options,
-                reversed_pool,
-                entail,
-                budget,
-            )
-        })?;
+        stats.synthesis_calls += 1;
+        let bi = synthesize_invariant(
+            reversed_system,
+            backward_samples,
+            &options,
+            reversed_pool,
+            entail,
+            budget,
+        )
+        .ok_or(TimedOut)?;
         // Step 3: the safety query — is some configuration of ¬BI reachable
         // in the original system?
         if let Some(witness_path) = find_path_in(fwd, &bi.complement()) {
@@ -161,7 +153,7 @@ pub(crate) fn check2_cached(
                 resolution,
                 tilde_invariant: tilde_map,
                 theta,
-                backward_invariant: bi.clone(),
+                backward_invariant: bi,
                 witness_path,
             })));
         }

@@ -14,11 +14,11 @@ use std::time::{Duration, Instant};
 /// it before any work, at *candidate boundaries* (between candidate
 /// `(resolution, initial)` pairs and before each invariant synthesis) and
 /// before every entailment lookup, so a run makes at most
-/// `max_entailment_calls` of them.  A synthesis or search it cuts short is
-/// never memoized, so an interrupted run leaves every session cache entry fully
-/// computed (an interrupted session is never poisoned; the next
-/// call on it behaves exactly like a call on a fresh session with the same
-/// warm caches).  When the budget expires the verdict is the structured
+/// `max_entailment_calls` of them.  A search it cuts short is never
+/// memoized, and no synthesis is memoized on its own, so an interrupted run
+/// leaves every session cache entry fully computed (an interrupted session
+/// is never poisoned; the next call on it behaves exactly like a call on a
+/// fresh session with the same warm caches).  When the budget expires the verdict is the structured
 /// [`crate::Verdict::Timeout`], which the wire layer maps to
 /// [`Error::Timeout`].
 ///
@@ -101,10 +101,10 @@ impl CheckKind {
 /// the template parameters they hand it: `GuardPropagation` synthesizes with
 /// `TemplateParams::new(min(c, 3), 1, 1)`. At degree 1 with `c ≤ 3` — every
 /// cell of the default grid, and the fuzz portfolio's `(2, 1, 1)` cell — its
-/// synthesis therefore has the synthesis-memo key of the `Houdini` cell with
-/// the same check and `c`, and at degree 2 that of the `Houdini` degree-1
-/// cell. On those grids the axis changes labels, not work: a session serves
-/// each such cell from its twin's memo entries.
+/// search therefore has the search-memo key of the `Houdini` cell with the
+/// same check and `c`, and at degree 2 that of the `Houdini` degree-1 cell.
+/// On those grids the axis changes labels, not work: a session serves each
+/// such cell from its twin's search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Synthesis over the atom pool of the configuration's own template

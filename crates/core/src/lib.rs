@@ -54,9 +54,11 @@
 //! A configuration's [`Budget`] is armed once per prove as invgen's
 //! `SynthesisBudget`, the one budget value of the run: both checks poll it
 //! at candidate boundaries and before every entailment lookup, and hand it
-//! to every synthesis, which does the same. A synthesis it cuts short is
-//! never memoized, so a [`Verdict::Timeout`] leaves the session exactly as
-//! usable as before.
+//! to every synthesis, which does the same. A search it cuts short is never
+//! memoized, and no synthesis is memoized on its own, so a
+//! [`Verdict::Timeout`] leaves the session exactly as usable as before; a
+//! retry synthesizes again, with every lookup the cut run made answered by
+//! the session's entailment memo.
 //!
 //! # Migration from the free-function entry points
 //!

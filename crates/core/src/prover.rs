@@ -28,9 +28,9 @@ pub enum Verdict {
     /// configuration was exhausted — re-running with a larger budget may
     /// still prove non-termination.  The interruption happens before any
     /// work (a budget already spent), at candidate boundaries or before an
-    /// entailment lookup, and a cut-short synthesis or search is never
-    /// memoized, so the session that produced this verdict is never left
-    /// with partially computed cache entries.
+    /// entailment lookup, and a cut-short search is never memoized (nor is
+    /// any synthesis on its own), so the session that produced this verdict
+    /// is never left with partially computed cache entries.
     Timeout,
 }
 

@@ -17,19 +17,19 @@
 //! faster.  A whole search — Check 1's or Check 2's walk over its candidates
 //! — is memoized under what it reads of the configuration ([`SearchKey`]), so
 //! a configuration the session has already searched, or its strategy or `d`
-//! twin, is one lookup plus the exact check.  Below it, the synthesized
-//! artifacts (Check 1's `I`, Check 2's `(Ĩ, Θ)` and each `BI`) are keyed on
-//! what the synthesis reads ([`SynthKey`], which leaves out the template's
-//! `d`) and memoized through one helper that never stores a synthesis the
-//! budget cut short; they serve searches that share a synthesis but not a
-//! search, and a search retried after a budget cut.  Certificate validation
-//! splits in two halves (see [`crate::validate_certificate`]): the session
-//! memoizes the *evidence* — the Farkas/Handelman multipliers that discharge
-//! a certificate's obligations, read off the interval closure first and
-//! found with an LP for the rest — so a certificate met again skips finding
-//! them; the *exact check* of that evidence never goes through a cache, and
-//! it runs on every `NonTerminating` verdict.  Neither the search memo nor
-//! the evidence memo can supply a verdict, only a candidate to check.
+//! twin, is one lookup plus the exact check.  The invariants a search
+//! synthesizes (Check 1's `I`, Check 2's `Ĩ` and each `BI`) are not memoized
+//! on their own: on the measured workloads no two distinct searches
+//! synthesize from the same inputs, and a search retried after a budget cut
+//! synthesizes again, with every entailment lookup the cut run made answered
+//! by the entailment memo.  Certificate validation splits in two halves (see
+//! [`crate::validate_certificate`]): the session memoizes the *evidence* —
+//! the Farkas/Handelman multipliers that discharge a certificate's
+//! obligations, read off the interval closure first and found with an LP for
+//! the rest — so a certificate met again skips finding them; the *exact
+//! check* of that evidence never goes through a cache, and it runs on every
+//! `NonTerminating` verdict.  Neither the search memo nor the evidence memo
+//! can supply a verdict, only a candidate to check.
 
 use crate::certificate::{
     check_evidence, generate_evidence, CertificateError, Evidence, EvidenceKey,
@@ -37,13 +37,13 @@ use crate::certificate::{
 };
 use crate::check1::synthesis_params;
 use crate::config::{CheckKind, ProverConfig};
-use crate::prover::{prove_cached, ProofResult, TimedOut};
+use crate::prover::{prove_cached, ProofResult};
 use crate::sweep::{ConfigOutcome, SweepReport};
-use revterm_invgen::{PoolCache, SampleSet, SynthesisOptions};
+use revterm_invgen::{PoolCache, SampleSet};
 use revterm_lang::Program;
 use revterm_solver::{EntailmentCache, EntailmentOptions, LpStats};
 use revterm_ts::interp::{Config, Reach, Valuation};
-use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
+use revterm_ts::{lower, Assertion, Resolution, TransitionSystem};
 use std::collections::HashMap;
 
 /// The label reported by [`ProverSession::prove_first`] when called with an
@@ -85,9 +85,10 @@ pub struct ProveStats {
     pub probe_steps: u64,
     /// Derived artifacts (completed searches, resolution lists, initial
     /// valuations, restricted and reversed systems, the bounded
-    /// exploration, `I`, `Ĩ`/`Θ`, `BI`, certificate evidence) served from
-    /// cache.  A search memo hit counts one, and the evidence of the
-    /// certificate it supplies one more.
+    /// exploration, certificate evidence) served from cache.  A search memo
+    /// hit counts one, and the evidence of the certificate it supplies one
+    /// more.  A synthesized invariant is no artifact: it is never memoized
+    /// on its own, and counts in `synthesis_calls` only.
     pub artifact_cache_hits: u64,
     /// Derived artifacts that had to be computed, a completed search among
     /// them.
@@ -134,48 +135,25 @@ pub struct SessionStats {
     pub aggregate: ProveStats,
 }
 
-/// Memo key for a synthesized invariant: what [`synthesize_invariant`]
-/// reads of its [`SynthesisOptions`] besides the per-call-site constants
-/// (`require_initiation`, `forced_false`, `max_iterations`). The transition
-/// system and the sample set are fixed by the table the key lives in.
-///
-/// The key is taken from the options a check passes to the synthesis, so the
-/// strategy's mapping of the template parameters is already applied. It
-/// holds the parameters' [`TemplateParams::pool_key`] `(c, degree)` and the
-/// entailment options. The template's `d` is absent: synthesis is
-/// conjunctive and never reads it, so a `d = 2` cell is served the `I`,
-/// `(Ĩ, Θ)` and `BI` its `d = 1` twin synthesized.
-///
-/// [`synthesize_invariant`]: revterm_invgen::synthesize_invariant
-/// [`TemplateParams::pool_key`]: revterm_invgen::TemplateParams::pool_key
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct SynthKey {
-    pool: (usize, u32),
-    entailment: EntailmentOptions,
-}
-
-impl SynthKey {
-    /// The key of a synthesis run with `options`.
-    pub(crate) fn of(options: &SynthesisOptions) -> SynthKey {
-        SynthKey { pool: options.params.pool_key(), entailment: options.entailment.clone() }
-    }
-}
-
 /// Memo key for a whole search, Check 1's or Check 2's walk over its
 /// candidates: what [`check1_cached`] and [`check2_cached`] read of a
 /// [`ProverConfig`]. The transition system is fixed by the session, and the
 /// result of a search is a pure function of the two, so a configuration
 /// with the key of a completed search is served its candidate certificate.
-/// Like [`SynthKey`], the key leaves out the template's `d` and holds the
-/// strategy only through its mapping of the template, so the strategy and
-/// `d` twins of a grid cell share one search.
+/// The key holds the template only as the [`TemplateParams::pool_key`]
+/// `(c, degree)` of the strategy's mapping of it, which is what both checks
+/// hand every synthesis: synthesis is conjunctive and never reads the
+/// template's `d`, and the strategy changes nothing but that mapping, so the
+/// strategy and `d` twins of a grid cell share one search.
 ///
 /// [`check1_cached`]: crate::check1::check1_cached
 /// [`check2_cached`]: crate::check2::check2_cached
+/// [`TemplateParams::pool_key`]: revterm_invgen::TemplateParams::pool_key
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SearchKey {
     check: CheckKind,
-    synth: SynthKey,
+    pool: (usize, u32),
+    entailment: EntailmentOptions,
     max_resolutions: usize,
     max_initial_configs: usize,
     divergence_probe_steps: usize,
@@ -199,33 +177,14 @@ impl SearchKey {
         } = config;
         SearchKey {
             check: *check,
-            // What both checks hand every synthesis; the entailment options
-            // are also all that Check 1's blocked-transition test and Check
-            // 2's probe prune read.
-            synth: SynthKey {
-                pool: synthesis_params(*strategy, *params).pool_key(),
-                entailment: entailment.clone(),
-            },
+            pool: synthesis_params(*strategy, *params).pool_key(),
+            // Read by every synthesis, and all that Check 1's
+            // blocked-transition test and Check 2's probe prune read.
+            entailment: entailment.clone(),
             max_resolutions: *max_resolutions,
             max_initial_configs: *max_initial_configs,
             divergence_probe_steps: *divergence_probe_steps,
         }
-    }
-}
-
-/// A reversed restricted system `T^{r,Θ}_{R_NA}` with its atom-pool cache
-/// and memoized backward invariants.
-pub(crate) struct ReversedEntry {
-    pub system: TransitionSystem,
-    pub pool: PoolCache,
-    /// Check 2 backward invariants `BI` keyed by the backward-sample input
-    /// (the probe steps) plus the synthesis inputs.
-    pub invariants: HashMap<(usize, SynthKey), PredicateMap>,
-}
-
-impl ReversedEntry {
-    pub(crate) fn new(system: TransitionSystem) -> ReversedEntry {
-        ReversedEntry { system, pool: PoolCache::new(), invariants: HashMap::new() }
     }
 }
 
@@ -235,14 +194,12 @@ pub(crate) struct RestrictedEntry {
     pub pool: PoolCache,
     /// Check 1 divergence probes: `(initial valuation, probe steps)` → trace.
     pub probes: HashMap<(Valuation, usize), Vec<Config>>,
-    /// Check 1 invariants keyed by the probe that seeded the samples plus
-    /// the synthesis inputs.
-    pub invariants: HashMap<((Valuation, usize), SynthKey), PredicateMap>,
     /// Check 2 backward samples: probe steps →
     /// `(any probe reached ℓ_out, samples on terminating probes)`.
     pub backward: HashMap<usize, (bool, SampleSet)>,
-    /// Reversed systems keyed by `Θ`.
-    pub reversed: HashMap<Assertion, ReversedEntry>,
+    /// Reversed systems `T^{r,Θ}_{R_NA}` keyed by `Θ`, each with its
+    /// atom-pool cache.
+    pub reversed: HashMap<Assertion, (TransitionSystem, PoolCache)>,
 }
 
 impl RestrictedEntry {
@@ -251,7 +208,6 @@ impl RestrictedEntry {
             system,
             pool: PoolCache::new(),
             probes: HashMap::new(),
-            invariants: HashMap::new(),
             backward: HashMap::new(),
             reversed: HashMap::new(),
         }
@@ -282,32 +238,6 @@ pub(crate) fn memo<'m, K: Eq + std::hash::Hash, V>(
     }
 }
 
-/// [`memo`] for a synthesized artifact, which a budget can cut short: on a
-/// miss `synthesize` runs, and its `None` (the budget fired mid-synthesis)
-/// is returned as [`TimedOut`] without touching the table, since a cut-short
-/// synthesis is not a fixpoint and a later run with a larger budget must not
-/// be served it. `synthesis_calls` counts every attempt, and
-/// `artifact_cache_misses` only the ones that completed.
-pub(crate) fn memo_synthesis<'m, K: Eq + std::hash::Hash, V>(
-    map: &'m mut HashMap<K, V>,
-    key: K,
-    stats: &mut ProveStats,
-    synthesize: impl FnOnce() -> Option<V>,
-) -> Result<&'m mut V, TimedOut> {
-    match map.entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => {
-            stats.artifact_cache_hits += 1;
-            Ok(e.into_mut())
-        }
-        std::collections::hash_map::Entry::Vacant(v) => {
-            stats.synthesis_calls += 1;
-            let value = synthesize().ok_or(TimedOut)?;
-            stats.artifact_cache_misses += 1;
-            Ok(v.insert(value))
-        }
-    }
-}
-
 /// All memo tables of a session.  `Default` gives the empty caches used by
 /// the one-shot free-function wrappers.
 #[derive(Default)]
@@ -327,9 +257,6 @@ pub(crate) struct Caches {
     /// Check 2's forward samples (in ascending order) and the configurations
     /// every `¬BI` query scans (in discovery order).
     pub reach: Option<Reach>,
-    /// Check 2's `(Ĩ, Θ)` keyed by the synthesis inputs (its samples come
-    /// from the session's one exploration).
-    pub tilde: HashMap<SynthKey, (PredicateMap, Assertion)>,
     /// Restricted systems and their per-resolution artifacts.
     pub restricted: HashMap<Resolution, RestrictedEntry>,
     /// Completed searches keyed by what they read of the configuration:
@@ -721,20 +648,23 @@ mod tests {
             assert_eq!(session.caches.searches.len(), 1, "{case}");
             let digest = |result: &ProofResult| crate::api::outcome_digest(result, session.ts());
             assert_eq!(digest(&after), digest(&fresh), "{case}");
-            // What the cut run synthesized before the cut is memoized; what
-            // it cut short is not, so the uncapped prove synthesizes it
-            // again, and everything a fresh prove synthesizes after it.
-            let synthesized = after.stats.synthesis_calls + (cut_in - 1);
-            assert_eq!(synthesized, fresh.stats.synthesis_calls, "{case}: {:?}", after.stats);
+            // No synthesis is memoized, so the uncapped prove makes the fresh
+            // prove's syntheses and lookups; the entailment memo answers
+            // every lookup the cut run made, so no LP is solved twice.
+            let (after, fresh) = (&after.stats, &fresh.stats);
+            assert_eq!(after.synthesis_calls, fresh.synthesis_calls, "{case}: {after:?}");
+            assert_eq!(after.entailment_calls, fresh.entailment_calls, "{case}: {after:?}");
+            assert!(after.entailment_cache_hits >= cut.stats.entailment_calls, "{case}: {after:?}");
+            assert_eq!(cut.stats.lp.solves + after.lp.solves, fresh.lp.solves, "{case}: {after:?}");
         }
     }
 
     #[test]
     fn a_d2_cell_reuses_every_synthesis_of_its_d1_twin() {
-        // Synthesis never reads the template's `d`, and neither the search
-        // memo nor any synthesis memo keys on it: whichever twin runs second
-        // on a session synthesizes nothing and still reaches a fresh prove's
-        // outcome.
+        // Synthesis never reads the template's `d`, and the search memo does
+        // not key on it: whichever twin runs second on a session is served
+        // the first's search, so it synthesizes nothing and still reaches a
+        // fresh prove's outcome.
         let check1 = ProverConfig::builder().template(2, 1, 1).build();
         let check2 = ProverConfig::builder().check(CheckKind::Check2).template(1, 1, 1).build();
         for (source, d1) in [(RUNNING, check1), (FIG2_SMALL, check2)] {
@@ -761,6 +691,7 @@ mod tests {
     #[test]
     fn the_search_memo_keys_on_every_field_a_search_reads() {
         use crate::api::outcome_digest as digest;
+        use crate::config::Strategy;
         use revterm_solver::LpEngine;
         let base = ProverConfig::default();
         let mut session = ProverSession::from_source(RUNNING).unwrap();
@@ -805,6 +736,36 @@ mod tests {
         }
         assert_eq!(served, 18);
         assert_eq!(session.caches.searches.len(), 6);
+        // The strategy enters the key only through its mapping of the
+        // template, `(min(c, 3), 1, 1)`: a guard-propagation cell is served
+        // the search of the Houdini cell it maps to, and a Houdini cell with
+        // its parameters searches anew.
+        let template = |strategy, (c, d, degree)| {
+            ProverConfig::builder().strategy(strategy).template(c, d, degree).build()
+        };
+        let mut session = ProverSession::from_source(RUNNING).unwrap();
+        for (params, mapped) in [((4, 1, 1), (3, 1, 1)), ((2, 1, 2), (2, 1, 1))] {
+            session.prove(&template(Strategy::Houdini, mapped));
+            for (strategy, served) in
+                [(Strategy::GuardPropagation, true), (Strategy::Houdini, false)]
+            {
+                let config = template(strategy, params);
+                let searched = session.caches.searches.len();
+                let warm = session.prove(&config);
+                let case = format!("{} after houdini {mapped:?}", config.label());
+                let fresh = crate::prover::prove(session.ts(), &config);
+                assert_eq!(digest(&warm, session.ts()), digest(&fresh, session.ts()), "{case}");
+                if served {
+                    assert_eq!(session.caches.searches.len(), searched, "{case}: searched anew");
+                    let (tried, synthesized) =
+                        (warm.stats.candidates_tried, warm.stats.synthesis_calls);
+                    assert_eq!((tried, synthesized), (0, 0), "{case}: {:?}", warm.stats);
+                } else {
+                    assert_eq!(session.caches.searches.len(), searched + 1, "{case}: a memo hit");
+                    assert!(warm.stats.synthesis_calls > 0, "{case}: {:?}", warm.stats);
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@ use std::collections::BTreeMap;
 /// says, so `d` shapes no pool and no result. It names the configuration
 /// (its label) and is what a sweep report filters on
 /// (`SweepReport::proved_within` in the core crate), but it is absent from
-/// every memo key: the pool cache and the core crate's synthesis memos key on
-/// [`TemplateParams::pool_key`], so a `d = 2` configuration reuses what its
-/// `d = 1` twin synthesized.
+/// every memo key: the pool cache and the core crate's search memo key on
+/// [`TemplateParams::pool_key`], so a `d = 2` configuration is served the
+/// search its `d = 1` twin completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TemplateParams {
     /// Maximal number of conjuncts per disjunct (richness of the atom pool).
@@ -50,7 +50,8 @@ impl TemplateParams {
     }
 
     /// The components that shape the candidate pool, `(c, degree)`, and so
-    /// the whole synthesis: the key of every memo of a synthesized artifact.
+    /// the whole synthesis: what the pool cache's shape lists and the core
+    /// crate's search memo key on.
     pub fn pool_key(&self) -> (usize, u32) {
         (self.c, self.degree)
     }
