@@ -72,10 +72,12 @@ pub(crate) fn candidate_resolutions(
 pub(crate) fn synthesis_params(strategy: Strategy, params: TemplateParams) -> TemplateParams {
     match strategy {
         Strategy::Houdini => params,
-        // The guard-propagation strategy restricts the pool to interval atoms
-        // plus guard atoms: modelled by forcing c >= 3 (guard atoms on) but
-        // degree 1 and no octagon pairs (c capped at 1 would remove guards, so
-        // we keep the caller's c but lower the degree).
+        // The guard-propagation strategy synthesizes over the degree-1 pool
+        // of `c` capped at 3: `c = 1` keeps the interval atoms only (no guard
+        // atoms), `c = 2` adds the octagon atoms, and `c >= 3` the guard atoms
+        // as well; `d` is set to 1, which no synthesis reads. The pinned
+        // digests record each labelled cell's outcome under this mapping, so
+        // changing it moves them.
         Strategy::GuardPropagation => TemplateParams::new(params.c.min(3), 1, 1),
     }
 }

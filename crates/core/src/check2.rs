@@ -94,7 +94,7 @@ pub(crate) fn check2_cached(
         // reachable configurations of T; every configuration on a probe run
         // that reaches ℓ_out is backward-reachable from ℓ_out in the reversed
         // system and must therefore be contained in BI.
-        let (any_terminating_probe, backward_samples) = &*memo(
+        let backward_samples = &*memo(
             backward,
             config.divergence_probe_steps,
             &mut stats.probe_cache_hits,
@@ -104,14 +104,14 @@ pub(crate) fn check2_cached(
                 // of the *unrestricted* system through the restricted one, so
                 // seed the interval fixpoint with those very configurations.
                 // If even the abstract envelope cannot reach ℓ_out, no probe
-                // can terminate, and the result it would compute is exactly
-                // the empty one memoized here.
+                // can terminate, and the samples they would collect are
+                // exactly the empty set memoized here.
                 if config.entailment.interval_fast_path {
                     let state =
                         revterm_absint::analyze_from(restricted_system, fwd.ascending().take(400));
                     if state.terminal_unreachable(restricted_system) {
                         stats.absint_prunes += 1;
-                        return (false, SampleSet::new());
+                        return SampleSet::new();
                     }
                 }
                 backward_probes(
@@ -122,7 +122,7 @@ pub(crate) fn check2_cached(
                 )
             },
         );
-        if !*any_terminating_probe {
+        if backward_samples.is_empty() {
             // Nothing reaches ℓ_out under this resolution within the probe
             // bounds; Check 1 is the natural route for such resolutions.
             continue;
@@ -161,34 +161,33 @@ pub(crate) fn check2_cached(
     Ok(None)
 }
 
-/// Check 2's backward samples under one restricted system: whether the
-/// concrete run of at most `max_steps` steps from any of `starts` reaches
-/// `ℓ_out`, and every configuration of the runs that do, run by run and in
-/// order. The runs share one [`Batch`], which steps each configuration they
-/// reach once and yields each run exactly as `interp::run` returns it, so
-/// the samples are those of one `run` per start. Adds the batch's
-/// `interp::step` calls to `probe_steps`.
+/// Check 2's backward samples under one restricted system: every
+/// configuration of the concrete runs of at most `max_steps` steps from
+/// `starts` that reach `ℓ_out`, run by run and in order. A run that reaches
+/// `ℓ_out` adds at least its last configuration, so the samples are empty
+/// exactly when no run does. The runs share one [`Batch`], which steps each
+/// configuration they reach once and yields each run exactly as
+/// `interp::run` returns it, so the samples are those of one `run` per
+/// start. Adds the batch's `interp::step` calls to `probe_steps`.
 pub(crate) fn backward_probes<'c>(
     restricted: &TransitionSystem,
     starts: impl IntoIterator<Item = &'c Config>,
     max_steps: usize,
     probe_steps: &mut u64,
-) -> (bool, SampleSet) {
+) -> SampleSet {
     let zero = |_: usize, _: &Config| revterm_num::Int::zero();
     let mut batch = Batch::new(restricted, &zero, max_steps);
     let mut samples = SampleSet::new();
-    let mut any_terminating = false;
     for start in starts {
         let trace = batch.run(start);
         if trace.clone().next_back().is_some_and(|c| is_terminal(restricted, c)) {
-            any_terminating = true;
             for visited in trace {
                 samples.add(visited.loc, visited.vals.clone());
             }
         }
     }
     *probe_steps += batch.steps();
-    (any_terminating, samples)
+    samples
 }
 
 #[cfg(test)]
@@ -206,19 +205,17 @@ mod tests {
         restricted: &TransitionSystem,
         starts: &[&Config],
         max_steps: usize,
-    ) -> (bool, SampleSet) {
+    ) -> SampleSet {
         let mut samples = SampleSet::new();
-        let mut any_terminating = false;
         for start in starts {
             let trace = run(restricted, start, &|_, _| revterm_num::Int::zero(), max_steps);
             if trace.last().is_some_and(|c| c.loc == restricted.terminal_loc()) {
-                any_terminating = true;
                 for visited in trace {
                     samples.add(visited.loc, visited.vals);
                 }
             }
         }
-        (any_terminating, samples)
+        samples
     }
 
     #[test]

@@ -194,9 +194,9 @@ pub(crate) struct RestrictedEntry {
     pub pool: PoolCache,
     /// Check 1 divergence probes: `(initial valuation, probe steps)` → trace.
     pub probes: HashMap<(Valuation, usize), Vec<Config>>,
-    /// Check 2 backward samples: probe steps →
-    /// `(any probe reached ℓ_out, samples on terminating probes)`.
-    pub backward: HashMap<usize, (bool, SampleSet)>,
+    /// Check 2 backward samples: probe steps → every configuration of the
+    /// probes that reached ℓ_out (empty when none did).
+    pub backward: HashMap<usize, SampleSet>,
     /// Reversed systems `T^{r,Θ}_{R_NA}` keyed by `Θ`, each with its
     /// atom-pool cache.
     pub reversed: HashMap<Assertion, (TransitionSystem, PoolCache)>,

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 /// says, so `d` shapes no pool and no result. It names the configuration
 /// (its label) and is what a sweep report filters on
 /// (`SweepReport::proved_within` in the core crate), but it is absent from
-/// every memo key: the pool cache and the core crate's search memo key on
+/// every memo key: the core crate's search memo keys on
 /// [`TemplateParams::pool_key`], so a `d = 2` configuration is served the
 /// search its `d = 1` twin completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,8 +50,7 @@ impl TemplateParams {
     }
 
     /// The components that shape the candidate pool, `(c, degree)`, and so
-    /// the whole synthesis: what the pool cache's shape lists and the core
-    /// crate's search memo key on.
+    /// the whole synthesis: what the core crate's search memo keys on.
     pub fn pool_key(&self) -> (usize, u32) {
         (self.c, self.degree)
     }
@@ -201,23 +200,21 @@ fn guard_atoms(ts: &TransitionSystem) -> Vec<Poly> {
     out
 }
 
-/// Memoized per-system template artifacts: the program constants, the
-/// guard-derived atoms and the shape lists per template parameters.
+/// Memoized per-system template artifacts: the program constants and the
+/// guard-derived atoms.
 ///
-/// These three ingredients of [`candidate_atoms`] depend only on the
-/// transition system (and, for shapes, on the template parameters) — not on
-/// the sample sets — so one cache serves every location and every synthesis
-/// call on its system.  A `PoolCache` is valid for exactly **one**
-/// transition system; the session-centric prover API keeps one per cached
-/// restricted/reversed system.
+/// Both ingredients of [`candidate_atoms`] depend only on the transition
+/// system — not on the template parameters or the sample sets — so one
+/// cache serves every location and every synthesis call on its system; the
+/// shape list, which the parameters select, is built on each call.  A
+/// `PoolCache` is valid for exactly **one** transition system; the
+/// session-centric prover API keeps one per cached base, restricted and
+/// reversed system.
 #[derive(Debug, Clone, Default)]
 pub struct PoolCache {
     /// The program constants as thresholds, sorted and deduplicated.
     constants: Option<Vec<Rat>>,
     guard_atoms: Option<Vec<Poly>>,
-    /// Shape lists keyed by the components that determine them
-    /// ([`TemplateParams::pool_key`]).
-    shapes: Vec<((usize, u32), Vec<Poly>)>,
 }
 
 impl PoolCache {
@@ -226,28 +223,13 @@ impl PoolCache {
         PoolCache::default()
     }
 
-    /// Ensures constants, guard atoms and the shape list for `params` are
-    /// computed.
-    fn prepare(&mut self, ts: &TransitionSystem, params: &TemplateParams) {
-        if self.constants.is_none() {
-            self.constants = Some(collect_constants(ts).into_iter().map(Rat::from).collect());
-        }
-        if self.guard_atoms.is_none() {
-            self.guard_atoms = Some(guard_atoms(ts));
-        }
-        let shape_key = params.pool_key();
-        if !self.shapes.iter().any(|(k, _)| *k == shape_key) {
-            self.shapes.push((shape_key, shapes(ts, params)));
-        }
-    }
-
-    fn shapes_for(&self, params: &TemplateParams) -> &[Poly] {
-        let shape_key = params.pool_key();
-        self.shapes
-            .iter()
-            .find(|(k, _)| *k == shape_key)
-            .map(|(_, s)| s.as_slice())
-            .expect("prepare fills the shape list")
+    /// The constants and guard atoms of `ts`, computed on first use.
+    fn prepare(&mut self, ts: &TransitionSystem) -> (&[Rat], &[Poly]) {
+        let constants = self
+            .constants
+            .get_or_insert_with(|| collect_constants(ts).into_iter().map(Rat::from).collect());
+        let guards = self.guard_atoms.get_or_insert_with(|| guard_atoms(ts));
+        (constants, guards)
     }
 }
 
@@ -319,7 +301,8 @@ fn sample_min(poly: &Poly, samples: &[Valuation], words: Option<&SampleWords>) -
 
 /// Generates the candidate atom pool for a location, with the per-system
 /// artifacts served from a [`PoolCache`] (which must belong to `ts`, see its
-/// docs; a fresh one gives the same pool).
+/// docs; a fresh one gives the same pool) and the shapes `params` selects
+/// built from `ts`.
 ///
 /// Every returned polynomial `p` is a candidate conjunct `p ≥ 0` that is
 /// consistent with all sample valuations recorded for the location.  The pool
@@ -339,12 +322,11 @@ pub fn candidate_atoms(
     params: &TemplateParams,
     cache: &mut PoolCache,
 ) -> Vec<Poly> {
-    cache.prepare(ts, params);
-    let constants = cache.constants.as_deref().expect("prepare fills constants");
+    let (constants, guards) = cache.prepare(ts);
     let locals = samples.at(loc);
     let words = SampleWords::new(locals);
     let mut pool = Vec::new();
-    for shape in cache.shapes_for(params) {
+    for shape in &shapes(ts, params) {
         // Tightest threshold consistent with the samples: k = min over samples
         // of shape(sample); candidate atom is shape - k >= 0.  The consistent
         // thresholds are the constants below that minimum and the minimum
@@ -363,7 +345,7 @@ pub fn candidate_atoms(
         }
     }
     if params.c >= 3 {
-        for atom in cache.guard_atoms.as_deref().expect("prepare fills guard atoms") {
+        for atom in guards {
             if sample_min(atom, locals, words.as_ref()).is_none_or(|m| !m.is_negative()) {
                 pool.push(atom.clone());
             }

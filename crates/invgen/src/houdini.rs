@@ -80,8 +80,12 @@ impl Default for SynthesisOptions {
 /// Synthesizes an inductive predicate map for a transition system by
 /// candidate generation and Houdini-style weakening.
 ///
-/// The result is guaranteed inductive (it is re-verified before being
-/// returned; the `debug_assert` documents the contract).  With
+/// The result is inductive by construction once the fixpoint is reached
+/// within `max_iterations` sweeps: every atom that some transition does not
+/// preserve has been dropped.  A debug build re-verifies it with
+/// [`is_inductive`] before returning it (a `debug_assert!`); a release build
+/// does not, and relies on the fixpoint and on the core crate's certificate
+/// check, which runs on every NO.  With
 /// `require_initiation` it additionally satisfies `Θ_init ⟹ I(ℓ_init)`, so it
 /// is a genuine invariant of the system.  Sample valuations known to belong
 /// to the over-approximated set prune the candidate pool up front.

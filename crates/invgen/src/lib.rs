@@ -17,10 +17,12 @@
 //!    are not preserved by some transition, using the exact
 //!    Farkas/Handelman entailment oracle of `revterm-solver`, until the
 //!    remaining predicate map is inductive;
-//! 4. the result is re-checked by an independent verifier ([`is_inductive`],
-//!    [`initiation_holds`]), whose obligation enumeration
-//!    ([`discharge_consecution`]) the core crate also walks to validate whole
-//!    BI-certificates, with evidence ([`Discharge`]) it checks without an LP.
+//! 4. an independent verifier ([`is_inductive`], [`initiation_holds`])
+//!    decides the same obligations from scratch. Synthesis runs
+//!    [`is_inductive`] on its result only in a `debug_assert!`; the core
+//!    crate walks the verifier's obligation enumeration
+//!    ([`discharge_consecution`]) to validate whole BI-certificates, with
+//!    evidence ([`Discharge`]) it checks without an LP.
 //!
 //! Synthesis has one entry point, [`synthesize_invariant`]. Its caller owns
 //! the caches it reads and fills — a [`PoolCache`] per system and a
@@ -29,7 +31,9 @@
 //! and an unlimited budget.
 //!
 //! Everything is exact: a predicate map returned by this crate is inductive
-//! by construction *and* by verification.
+//! by construction. A debug build also re-verifies it; a release build
+//! relies on the fixpoint, and on the core crate's certificate check, which
+//! runs on every NO.
 
 #![warn(missing_docs)]
 

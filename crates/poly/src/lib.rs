@@ -19,7 +19,7 @@
 //! variable ids pack into a single `u64`, larger ones intern into a global
 //! pool with stable ids (see the [`Monomial`] docs and
 //! [`mono_pool_stats`]).  [`Poly`] stores its terms as a flat sorted
-//! `Vec<(MonoKey, Rat)>` — exposed via [`Poly::flat_terms`] — so caches hash
+//! `Vec<(Monomial, Rat)>` — exposed via [`Poly::flat_terms`] — so caches hash
 //! term streams as plain words and LP row builders ingest them without
 //! cloning.
 //!
@@ -63,15 +63,8 @@ mod poly;
 
 pub use combination::Combination;
 pub use linexpr::LinExpr;
-pub use monomial::{
-    mono_pool_stats, monomials_up_to_degree, MonoPoolStats, Monomial, MAX_PACKED_EXP,
-    MAX_PACKED_VAR,
-};
+pub use monomial::{mono_pool_stats, MonoPoolStats, Monomial, MAX_PACKED_EXP, MAX_PACKED_VAR};
 pub use poly::Poly;
-
-/// The flat term-key type: an alias making `Vec<(MonoKey, Rat)>` signatures
-/// self-describing.  A [`Monomial`] *is* the key — two `Copy` machine words.
-pub type MonoKey = Monomial;
 
 /// Runs a streaming renderer into a fresh `String`. Each rendered type
 /// writes itself once, in a `write_with` that takes any [`std::fmt::Write`];

@@ -468,52 +468,6 @@ impl Iterator for Factors {
 
 impl ExactSizeIterator for Factors {}
 
-/// Enumerates all monomials over `vars` of total degree at most `max_degree`,
-/// in the canonical `(degree, lexicographic)` order starting with the
-/// constant monomial.
-///
-/// This is used both for invariant/ranking templates ("all monomials of
-/// degree ≤ D") and for Handelman-style products of constraint polynomials.
-/// The enumeration *generates* in canonical order — degree level by degree
-/// level, lexicographically within a level — so no sorting or deduplication
-/// passes run at all.
-///
-/// ```
-/// use revterm_poly::{monomials_up_to_degree, Var};
-/// let ms = monomials_up_to_degree(&[Var(0), Var(1)], 2);
-/// assert_eq!(ms.len(), 6); // 1, x, y, x*y, x^2, y^2
-/// ```
-pub fn monomials_up_to_degree(vars: &[Var], max_degree: u32) -> Vec<Monomial> {
-    let mut sorted: Vec<Var> = vars.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    let mut result = Vec::new();
-    let mut prefix: Vec<(Var, u32)> = Vec::new();
-    for d in 0..=max_degree {
-        gen_exact_degree(&sorted, d, &mut prefix, &mut result);
-    }
-    result
-}
-
-/// Emits, in lexicographic factor-list order, every monomial
-/// `prefix * (product over a subset of vars)` of additional degree exactly
-/// `d` whose extra factors use strictly increasing variables from `vars`.
-fn gen_exact_degree(vars: &[Var], d: u32, prefix: &mut Vec<(Var, u32)>, out: &mut Vec<Monomial>) {
-    if d == 0 {
-        out.push(Monomial::from_canonical(prefix));
-        return;
-    }
-    for (idx, &v) in vars.iter().enumerate() {
-        // Lexicographic order: a smaller first-variable exponent is a
-        // "shorter" slot, so exponents ascend before the next variable.
-        for e in 1..=d {
-            prefix.push((v, e));
-            gen_exact_degree(&vars[idx + 1..], d - e, prefix, out);
-            prefix.pop();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,47 +509,6 @@ mod tests {
         assert_eq!(Monomial::one().to_string(), "1");
         let named = m.display_with(&|v| if v == Var(0) { "x".into() } else { "y".into() });
         assert_eq!(named, "x^2*y");
-    }
-
-    #[test]
-    fn enumeration_counts() {
-        // Over n vars, #monomials of degree <= d is C(n + d, d).
-        assert_eq!(monomials_up_to_degree(&[Var(0)], 3).len(), 4);
-        assert_eq!(monomials_up_to_degree(&[Var(0), Var(1)], 2).len(), 6);
-        assert_eq!(monomials_up_to_degree(&[Var(0), Var(1), Var(2)], 2).len(), 10);
-        assert_eq!(monomials_up_to_degree(&[Var(0), Var(1)], 0).len(), 1);
-        assert_eq!(monomials_up_to_degree(&[], 4).len(), 1);
-    }
-
-    #[test]
-    fn enumeration_contains_expected() {
-        let ms = monomials_up_to_degree(&[Var(0), Var(1)], 2);
-        assert!(ms.contains(&Monomial::one()));
-        assert!(ms.contains(&Monomial::var(Var(0))));
-        assert!(ms.contains(&Monomial::from_pairs([(Var(0), 1), (Var(1), 1)])));
-        assert!(ms.contains(&Monomial::from_pairs([(Var(1), 2)])));
-        assert!(!ms.contains(&Monomial::from_pairs([(Var(1), 3)])));
-    }
-
-    #[test]
-    fn enumeration_is_in_canonical_order_without_sorting() {
-        // The generator must emit (degree, lex) order directly — the same
-        // order the old sort-at-the-end implementation produced.
-        for (vars, max_d) in [
-            (vec![Var(0), Var(1)], 3u32),
-            (vec![Var(2), Var(0), Var(7)], 4),
-            (vec![Var(1)], 5),
-            (vec![Var(3), Var(1), Var(1), Var(2)], 3), // unsorted with dups
-        ] {
-            let ms = monomials_up_to_degree(&vars, max_d);
-            let mut reference = ms.clone();
-            reference.sort_by(|a, b| a.degree().cmp(&b.degree()).then_with(|| a.cmp(b)));
-            assert_eq!(ms, reference, "order mismatch for {vars:?} d={max_d}");
-            let mut dedup = ms.clone();
-            dedup.sort();
-            dedup.dedup();
-            assert_eq!(dedup.len(), ms.len(), "duplicates for {vars:?} d={max_d}");
-        }
     }
 
     /// The reference order the key tiers must reproduce: lexicographic

@@ -4,12 +4,13 @@
 //! entailment fast path) is contractually *sound pruning only*: with the
 //! machinery on or off, every verdict and every certificate must be
 //! identical.  This suite drives a SplitMix64-seeded family of random
-//! programs through both modes and asserts exactly that, validating each
-//! certificate with the independent checker under both modes' options —
-//! evidence from the interval closure first, and LP-only evidence — which
-//! must give the same result.
+//! programs through both modes and asserts exactly that, cell by cell at
+//! the outcome-digest level, validating each certificate with the
+//! independent checker under both modes' options — evidence from the
+//! interval closure first, and LP-only evidence — which must give the same
+//! result.
 
-use revterm::{quick_sweep, validate_certificate, ProverConfig, ProverSession};
+use revterm::{outcome_digest, quick_sweep, validate_certificate, ProverConfig, ProverSession};
 use revterm_lang::parse_program;
 use revterm_num::SplitMix64;
 use revterm_ts::lower;
@@ -102,29 +103,24 @@ fn random_programs_prove_identically_with_absint_on_and_off() {
         for config in quick_sweep() {
             let with_absint = on.prove(&config);
             let without = off.prove(&absint_off(&config));
+            // The label, the verdict and the whole certificate, its witness
+            // path included.
             assert_eq!(
-                with_absint.is_non_terminating(),
-                without.is_non_terminating(),
-                "verdict diverged on round {round} ({}) for: {source}",
+                outcome_digest(&with_absint, &ts),
+                outcome_digest(&without, &ts),
+                "outcome diverged on round {round} ({}) for: {source}",
                 config.label()
             );
-            match (with_absint.certificate(), without.certificate()) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.check_kind(), b.check_kind(), "check kind diverged: {source}");
-                    assert_eq!(a.resolution(), b.resolution(), "resolution diverged: {source}");
-                    let lp_only = absint_off(&config).entailment;
-                    for (side, cert) in [("absint-on", a), ("absint-off", b)] {
-                        let with_closure = validate_certificate(&ts, cert, &config.entailment);
-                        assert_eq!(
-                            with_closure,
-                            validate_certificate(&ts, cert, &lp_only),
-                            "closure and LP-only evidence disagree on the {side} certificate: {source}"
-                        );
-                        with_closure.unwrap_or_else(|e| panic!("{side} certificate rejected: {e}"));
-                    }
-                }
-                (None, None) => {}
-                _ => panic!("certificate presence diverged on round {round}: {source}"),
+            let lp_only = absint_off(&config).entailment;
+            for (side, result) in [("absint-on", &with_absint), ("absint-off", &without)] {
+                let Some(cert) = result.certificate() else { continue };
+                let with_closure = validate_certificate(&ts, cert, &config.entailment);
+                assert_eq!(
+                    with_closure,
+                    validate_certificate(&ts, cert, &lp_only),
+                    "closure and LP-only evidence disagree on the {side} certificate: {source}"
+                );
+                with_closure.unwrap_or_else(|e| panic!("{side} certificate rejected: {e}"));
             }
         }
         fast_paths_on += on.stats().aggregate.lp.absint_fast_paths;
@@ -138,8 +134,8 @@ fn random_programs_prove_identically_with_absint_on_and_off() {
     // The differential loop only means something if the machinery under test
     // actually engaged somewhere across the family.
     assert!(fast_paths_on > 0, "no fast path ever fired across 20 random programs");
-    // Probe prunes are rarer (they need a provably unreachable terminal from
-    // foreign seeds); we only record them, their digest-neutrality is covered
-    // by the verdict assertions above either way.
-    let _ = prunes_on;
+    // Check 2's probe prune needs a terminal location the interval envelope
+    // of the forward samples cannot reach; this family prunes 91 batches,
+    // where the curated suite prunes only a few trivial ones.
+    assert!(prunes_on > 0, "no backward-probe batch was pruned across 20 random programs");
 }
